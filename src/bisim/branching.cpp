@@ -1,10 +1,9 @@
 #include "bisim/branching.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 
+#include "bisim/refine.hpp"
 #include "lts/analysis.hpp"
 
 namespace multival::bisim {
@@ -17,145 +16,19 @@ using lts::Lts;
 using lts::OutEdge;
 using lts::StateId;
 
-using SigElem = std::uint64_t;
-
 // Signature element tags (upper bits) keep the element kinds disjoint.
-constexpr SigElem kEdgeTag = 1ull << 63;
-constexpr SigElem kDivergentMark = (1ull << 62);
+constexpr std::uint64_t kEdgeTag = 1ull << 63;
+constexpr std::uint64_t kDivergentMark = 1ull << 62;
 
-SigElem edge_elem(ActionId a, BlockId b) {
-  return kEdgeTag | (static_cast<SigElem>(a) << 32) | b;
+std::uint64_t edge_elem(ActionId a, BlockId b) {
+  return kEdgeTag | (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-struct SigHash {
-  std::size_t operator()(const std::vector<SigElem>& v) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const SigElem e : v) {
-      h ^= e;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-void sort_unique(std::vector<SigElem>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-// The contracted graph: tau-SCCs (restricted to tau edges joining states of
-// the same initial block) are collapsed to single nodes.
-struct Contracted {
-  std::vector<StateId> comp_of;          // state -> component
-  std::size_t num_components = 0;
-  std::vector<std::vector<OutEdge>> out;  // component -> edges (action, comp)
-  std::vector<bool> divergent;            // component had an intra tau cycle
-};
-
-Contracted contract(const Lts& l, const Partition& initial) {
-  // Tau edges within the same initial block are candidates for collapse.
-  const auto inertish = [&](const OutEdge& e, StateId src) {
-    return ActionTable::is_tau(e.action) &&
-           initial.block_of(src) == initial.block_of(e.dst);
-  };
-  // strongly_connected_components takes an edge filter without the source,
-  // so we filter on block equality via a wrapper LTS scan instead: build the
-  // SCCs manually over the filtered relation.
-  // Reuse lts::strongly_connected_components by encoding the filter: it only
-  // sees the edge, so we need the source.  Do a local Tarjan instead.
-  const std::size_t n = l.num_states();
-  std::vector<StateId> comp_of(n, lts::kNoState);
-  std::size_t ncomp = 0;
-  {
-    constexpr StateId kUnvisited = lts::kNoState;
-    std::vector<StateId> index(n, kUnvisited);
-    std::vector<StateId> lowlink(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<StateId> scc_stack;
-    struct Frame {
-      StateId state;
-      std::size_t edge;
-    };
-    std::vector<Frame> call;
-    StateId next_index = 0;
-    for (StateId root = 0; root < n; ++root) {
-      if (index[root] != kUnvisited) {
-        continue;
-      }
-      call.push_back(Frame{root, 0});
-      index[root] = lowlink[root] = next_index++;
-      scc_stack.push_back(root);
-      on_stack[root] = true;
-      while (!call.empty()) {
-        Frame& fr = call.back();
-        const StateId v = fr.state;
-        const auto edges = l.out(v);
-        bool descended = false;
-        while (fr.edge < edges.size()) {
-          const OutEdge& e = edges[fr.edge++];
-          if (!inertish(e, v)) {
-            continue;
-          }
-          const StateId w = e.dst;
-          if (index[w] == kUnvisited) {
-            index[w] = lowlink[w] = next_index++;
-            scc_stack.push_back(w);
-            on_stack[w] = true;
-            call.push_back(Frame{w, 0});
-            descended = true;
-            break;
-          }
-          if (on_stack[w]) {
-            lowlink[v] = std::min(lowlink[v], index[w]);
-          }
-        }
-        if (descended) {
-          continue;
-        }
-        if (lowlink[v] == index[v]) {
-          StateId w = lts::kNoState;
-          do {
-            w = scc_stack.back();
-            scc_stack.pop_back();
-            on_stack[w] = false;
-            comp_of[w] = static_cast<StateId>(ncomp);
-          } while (w != v);
-          ++ncomp;
-        }
-        call.pop_back();
-        if (!call.empty()) {
-          lowlink[call.back().state] =
-              std::min(lowlink[call.back().state], lowlink[v]);
-        }
-      }
-    }
-  }
-
-  Contracted c;
-  c.comp_of = std::move(comp_of);
-  c.num_components = ncomp;
-  c.out.resize(ncomp);
-  c.divergent.assign(ncomp, false);
-  std::vector<std::size_t> comp_size(ncomp, 0);
-  for (StateId s = 0; s < n; ++s) {
-    ++comp_size[c.comp_of[s]];
-  }
-  for (StateId s = 0; s < n; ++s) {
-    const StateId cs = c.comp_of[s];
-    for (const OutEdge& e : l.out(s)) {
-      const StateId ct = c.comp_of[e.dst];
-      if (ActionTable::is_tau(e.action) && cs == ct) {
-        // Intra-component tau: collapsed; witnesses divergence if the
-        // component is a real cycle (size > 1 or self-loop).
-        if (comp_size[cs] > 1 || e.dst == s) {
-          c.divergent[cs] = true;
-        }
-        continue;
-      }
-      c.out[cs].push_back(OutEdge{e.action, ct});
-    }
-  }
-  return c;
+lts::TauContraction contract(const Lts& l,
+                             const std::function<bool(StateId, StateId)>&
+                                 same_block = {}) {
+  return lts::contract_tau_cycles(
+      l.num_states(), [&l](StateId s) { return l.out(s); }, same_block);
 }
 
 }  // namespace
@@ -170,94 +43,41 @@ Partition branching_partition(const Lts& l, const Partition& initial,
   if (n == 0) {
     return Partition(0);
   }
-  const Contracted c = contract(l, initial);
-  const std::size_t nc = c.num_components;
+  Partition p = initial;
+  p.normalize();
+  const lts::TauContraction c = contract(
+      l, [&](StateId a, StateId b) { return p.block_of(a) == p.block_of(b); });
 
-  // Partition over components, seeded from the initial state partition
-  // (every state of a component shares the initial block by construction).
+  // Refine over components, seeded from the initial state partition (every
+  // state of a component shares the initial block by construction).
   // Divergence is handled in the signatures, where the marker propagates
-  // backwards over inert tau — a state that can silently reach a divergence
-  // is divergence-equivalent to it.
-  std::vector<BlockId> comp_block(nc, 0);
-  {
-    std::unordered_map<std::uint64_t, BlockId> seed;
-    for (StateId s = 0; s < n; ++s) {
-      const StateId comp = c.comp_of[s];
-      const std::uint64_t key = initial.block_of(s);
-      const auto [it, inserted] =
-          seed.emplace(key, static_cast<BlockId>(seed.size()));
-      comp_block[comp] = it->second;
-    }
+  // backwards over inert tau -- a state that can silently reach a
+  // divergence is divergence-equivalent to it.
+  std::vector<BlockId> comp_block(c.num_nodes, 0);
+  for (StateId s = 0; s < n; ++s) {
+    comp_block[c.node_of[s]] = p.block_of(s);
   }
-  std::size_t nblocks = 0;
-  for (const BlockId b : comp_block) {
-    nblocks = std::max<std::size_t>(nblocks, b + 1);
-  }
-
-  std::vector<std::vector<SigElem>> sigs(nc);
-
-  while (true) {
-    // Inner fixpoint: propagate signatures across inert tau edges.  The
-    // contracted tau relation is (nearly) acyclic and Tarjan numbers
-    // components so that tau edges go from higher to lower ids, so one
-    // ascending pass usually converges; we iterate to cover residual
-    // cross-block cycles.
-    for (StateId comp = 0; comp < nc; ++comp) {
-      sigs[comp].clear();
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (StateId comp = 0; comp < nc; ++comp) {
-        std::vector<SigElem> sig;
-        sig.push_back(comp_block[comp]);  // old block: monotone refinement
+  const Partition comps = refine<std::uint64_t>(
+      Partition(std::move(comp_block), p.num_blocks()), SigOrder::kFirstSeen,
+      [&](StateId comp, const std::vector<BlockId>& block,
+          SigSink<std::uint64_t>& sig) {
         if (opts.divergence_sensitive && c.divergent[comp]) {
-          sig.push_back(kDivergentMark);
+          sig.add(kDivergentMark);
         }
         for (const OutEdge& e : c.out[comp]) {
-          const bool inert = ActionTable::is_tau(e.action) &&
-                             comp_block[e.dst] == comp_block[comp];
-          if (inert) {
-            // Union the successor's current signature minus its old-block
-            // element (shared with ours).
-            for (const SigElem x : sigs[e.dst]) {
-              if (x >= kDivergentMark) {
-                sig.push_back(x);
-              }
-            }
+          if (ActionTable::is_tau(e.action) && block[e.dst] == block[comp]) {
+            sig.inert(e.dst);
           } else {
-            sig.push_back(edge_elem(e.action, comp_block[e.dst]));
+            sig.add(edge_elem(e.action, block[e.dst]));
           }
         }
-        sort_unique(sig);
-        if (sig != sigs[comp]) {
-          sigs[comp] = std::move(sig);
-          changed = true;
-        }
-      }
-    }
-
-    // Re-block by signature.
-    std::unordered_map<std::vector<SigElem>, BlockId, SigHash> table;
-    std::vector<BlockId> next(nc, 0);
-    for (StateId comp = 0; comp < nc; ++comp) {
-      const auto [it, inserted] =
-          table.emplace(sigs[comp], static_cast<BlockId>(table.size()));
-      next[comp] = it->second;
-    }
-    const bool stable = table.size() == nblocks;
-    nblocks = table.size();
-    comp_block = std::move(next);
-    if (stable) {
-      break;
-    }
-  }
+      });
 
   std::vector<BlockId> block_of(n, 0);
   for (StateId s = 0; s < n; ++s) {
-    block_of[s] = comp_block[c.comp_of[s]];
+    block_of[s] = comps.block_of(c.node_of[s]);
   }
-  return Partition(std::move(block_of), nblocks);
+  return Partition(std::move(block_of), comps.num_blocks());
 }
 
 Partition branching_partition(const Lts& l, const BranchingOptions& opts) {
@@ -269,10 +89,10 @@ MinimizeResult minimize_branching(const Lts& l, const BranchingOptions& opts) {
   Lts q = quotient_lts(l, p, /*skip_inert_tau=*/true);
   if (opts.divergence_sensitive) {
     // Re-add a tau self-loop on every divergent block so livelocks survive.
-    const Contracted c = contract(l, Partition(l.num_states()));
+    const lts::TauContraction c = contract(l);
     std::vector<bool> block_divergent(p.num_blocks(), false);
     for (StateId s = 0; s < l.num_states(); ++s) {
-      if (c.divergent[c.comp_of[s]]) {
+      if (c.divergent[c.node_of[s]]) {
         block_divergent[p.block_of(s)] = true;
       }
     }

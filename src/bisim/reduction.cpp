@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "bisim/refine.hpp"
 
 namespace multival::bisim {
 
@@ -131,33 +132,18 @@ lts::Lts canonical_form(const lts::Lts& l) {
   // lexicographic order of signatures, so rank 0 stays with the initial
   // state and the whole order is isomorphism-invariant whenever refinement
   // reaches singletons (always, on a bisimulation-minimal LTS).
-  std::vector<std::uint32_t> rank(n, 1);
-  rank[l.initial_state()] = 0;
-  std::size_t distinct = n == 1 ? 1 : 2;
-  using Sig = std::pair<std::uint32_t,
-                        std::vector<std::pair<std::uint32_t, std::uint32_t>>>;
-  while (distinct < n) {
-    std::map<Sig, std::vector<StateId>> buckets;
-    for (StateId s = 0; s < n; ++s) {
-      Sig sig{rank[s], {}};
-      for (const auto& e : l.out(s)) {
-        sig.second.emplace_back(action_rank[e.action], rank[e.dst]);
-      }
-      std::sort(sig.second.begin(), sig.second.end());
-      buckets[std::move(sig)].push_back(s);
-    }
-    if (buckets.size() == distinct) {
-      break;  // stable without reaching singletons (non-minimal input)
-    }
-    std::uint32_t next = 0;
-    for (const auto& [sig, states] : buckets) {
-      for (const StateId s : states) {
-        rank[s] = next;
-      }
-      ++next;
-    }
-    distinct = buckets.size();
-  }
+  std::vector<BlockId> initial_rank(n, 1);
+  initial_rank[l.initial_state()] = 0;
+  const Partition rank = refine<std::uint64_t>(
+      Partition(std::move(initial_rank), n == 1 ? 1 : 2),
+      SigOrder::kLexicographic,
+      [&](StateId s, const std::vector<BlockId>& block,
+          SigSink<std::uint64_t>& sig) {
+        for (const auto& e : l.out(s)) {
+          sig.add((static_cast<std::uint64_t>(action_rank[e.action]) << 32) |
+                  block[e.dst]);
+        }
+      });
 
   // Total order: rank, ties (non-minimal inputs only) by old id.
   std::vector<StateId> order(n);
@@ -165,7 +151,7 @@ lts::Lts canonical_form(const lts::Lts& l) {
     order[s] = s;
   }
   std::stable_sort(order.begin(), order.end(), [&](StateId a, StateId b) {
-    return rank[a] < rank[b];
+    return rank.block_of(a) < rank.block_of(b);
   });
   std::vector<StateId> new_id(n);
   for (StateId i = 0; i < n; ++i) {

@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "bisim/refine.hpp"
+#include "core/graph.hpp"
+#include "lts/analysis.hpp"
 
 namespace multival::bisim {
 
@@ -15,60 +21,23 @@ using lts::Lts;
 using lts::OutEdge;
 using lts::StateId;
 
-// A signature element packs (action, destination block).
-using SigElem = std::uint64_t;
-
-SigElem sig_elem(ActionId a, BlockId b) {
-  return (static_cast<SigElem>(a) << 32) | b;
-}
-
-struct SigHash {
-  std::size_t operator()(const std::vector<SigElem>& v) const noexcept {
-    // FNV-1a over the packed elements.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const SigElem e : v) {
-      h ^= e;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 }  // namespace
 
 Partition strong_partition(const Lts& l, const Partition& initial) {
-  const std::size_t n = l.num_states();
-  if (initial.num_states() != n) {
+  if (initial.num_states() != l.num_states()) {
     throw std::invalid_argument("strong_partition: partition size mismatch");
   }
   Partition p = initial;
   p.normalize();
-
-  std::vector<SigElem> sig;
-  while (true) {
-    // key: (old block, signature) -> new block id.
-    std::unordered_map<std::vector<SigElem>, BlockId, SigHash> table;
-    std::vector<BlockId> next(n, 0);
-    for (StateId s = 0; s < n; ++s) {
-      sig.clear();
-      sig.push_back(p.block_of(s));  // old block, keeps refinement monotone
-      for (const OutEdge& e : l.out(s)) {
-        sig.push_back(sig_elem(e.action, p.block_of(e.dst)) + (1ull << 63));
-      }
-      std::sort(sig.begin() + 1, sig.end());
-      sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
-      const auto [it, inserted] =
-          table.emplace(sig, static_cast<BlockId>(table.size()));
-      next[s] = it->second;
-    }
-    const std::size_t new_blocks = table.size();
-    const bool stable = new_blocks == p.num_blocks();
-    p = Partition(std::move(next), new_blocks == 0 ? 0 : new_blocks);
-    if (stable) {
-      break;
-    }
-  }
-  return p;
+  return refine<std::uint64_t>(
+      p, SigOrder::kFirstSeen,
+      [&](StateId s, const std::vector<BlockId>& block,
+          SigSink<std::uint64_t>& sig) {
+        for (const OutEdge& e : l.out(s)) {
+          sig.add((static_cast<std::uint64_t>(e.action) << 32) |
+                  block[e.dst]);
+        }
+      });
 }
 
 Partition strong_partition(const Lts& l) {
@@ -109,42 +78,36 @@ namespace {
 /// Tau-saturation: the weak transition relation as an explicit LTS.
 Lts saturate(const Lts& l) {
   const std::size_t n = l.num_states();
-  // Tau-closure per state (forward).
-  std::vector<std::vector<StateId>> closure(n);
+  // Forward tau-closure of every state, stored flat: the closure of s is
+  // closed[first[s], first[s + 1]).  One Closure serves every state, so
+  // each closure costs its own size, not n.
+  const core::Digraph tau = lts::tau_graph(l);
+  core::Closure closure(tau);
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<StateId> closed;
   for (StateId s = 0; s < n; ++s) {
-    std::vector<bool> in(n, false);
-    std::vector<StateId> stack{s};
-    in[s] = true;
-    while (!stack.empty()) {
-      const StateId v = stack.back();
-      stack.pop_back();
-      closure[s].push_back(v);
-      for (const OutEdge& e : l.out(v)) {
-        if (lts::ActionTable::is_tau(e.action) && !in[e.dst]) {
-          in[e.dst] = true;
-          stack.push_back(e.dst);
-        }
-      }
-    }
+    const auto c = closure.from(std::span<const StateId>(&s, 1));
+    closed.insert(closed.end(), c.begin(), c.end());
+    first[s + 1] = closed.size();
   }
+  const auto closure_of = [&](StateId s) {
+    return std::span<const StateId>(closed.data() + first[s],
+                                    first[s + 1] - first[s]);
+  };
+
   Lts w;
   w.add_states(n);
   if (n > 0) {
     w.set_initial_state(l.initial_state());
   }
   std::vector<ActionId> amap(l.actions().size(), lts::kNoState);
+  std::vector<std::pair<ActionId, StateId>> moves;
   for (StateId s = 0; s < n; ++s) {
-    std::vector<std::unordered_set<std::uint64_t>> seen(l.actions().size());
-    // Weak tau moves: s =tau*=> u (including the empty move).
-    for (const StateId u : closure[s]) {
-      if (seen[lts::ActionTable::kTau]
-              .insert(static_cast<std::uint64_t>(u))
-              .second) {
-        w.add_transition(s, lts::ActionTable::kTau, u);
-      }
-    }
-    // Weak visible moves: s =tau*=> s' -a-> t =tau*=> u.
-    for (const StateId sp : closure[s]) {
+    moves.clear();
+    for (const StateId sp : closure_of(s)) {
+      // Weak tau move s =tau*=> sp (including the empty move).
+      moves.emplace_back(lts::ActionTable::kTau, sp);
+      // Weak visible moves: s =tau*=> sp -a-> t =tau*=> u.
       for (const OutEdge& e : l.out(sp)) {
         if (lts::ActionTable::is_tau(e.action)) {
           continue;
@@ -152,12 +115,15 @@ Lts saturate(const Lts& l) {
         if (amap[e.action] == lts::kNoState) {
           amap[e.action] = w.actions().intern(l.actions().name(e.action));
         }
-        for (const StateId u : closure[e.dst]) {
-          if (seen[e.action].insert(static_cast<std::uint64_t>(u)).second) {
-            w.add_transition(s, amap[e.action], u);
-          }
+        for (const StateId u : closure_of(e.dst)) {
+          moves.emplace_back(amap[e.action], u);
         }
       }
+    }
+    std::sort(moves.begin(), moves.end());
+    moves.erase(std::unique(moves.begin(), moves.end()), moves.end());
+    for (const auto& [a, u] : moves) {
+      w.add_transition(s, a, u);
     }
   }
   return w;
@@ -166,9 +132,6 @@ Lts saturate(const Lts& l) {
 }  // namespace
 
 Partition weak_partition(const Lts& l) {
-  if (l.num_states() == 0) {
-    return Partition(0);
-  }
   return strong_partition(saturate(l));
 }
 

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "bisim/equivalence.hpp"
+#include "core/graph.hpp"
+#include "lts/analysis.hpp"
 
 namespace multival::bisim {
 
@@ -18,31 +20,10 @@ using lts::StateId;
 
 using Subset = std::vector<StateId>;  // sorted, deduplicated
 
-Subset tau_closure(const Lts& l, Subset seed) {
-  std::vector<bool> in(l.num_states(), false);
-  std::vector<StateId> stack;
-  for (const StateId s : seed) {
-    if (!in[s]) {
-      in[s] = true;
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const StateId s = stack.back();
-    stack.pop_back();
-    for (const lts::OutEdge& e : l.out(s)) {
-      if (lts::ActionTable::is_tau(e.action) && !in[e.dst]) {
-        in[e.dst] = true;
-        stack.push_back(e.dst);
-      }
-    }
-  }
-  Subset out;
-  for (StateId s = 0; s < l.num_states(); ++s) {
-    if (in[s]) {
-      out.push_back(s);
-    }
-  }
+Subset tau_closure(core::Closure& tau, const Subset& seed) {
+  const auto found = tau.from(seed);
+  Subset out(found.begin(), found.end());
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -71,7 +52,9 @@ lts::Lts determinize(const Lts& l, const DeterminizeOptions& opts) {
     return s;
   };
 
-  d.set_initial_state(subset_state(tau_closure(l, {l.initial_state()})));
+  const core::Digraph tau_edges = lts::tau_graph(l);
+  core::Closure tau(tau_edges);
+  d.set_initial_state(subset_state(tau_closure(tau, {l.initial_state()})));
 
   while (!worklist.empty()) {
     const Subset subset = std::move(worklist.back());
@@ -89,7 +72,7 @@ lts::Lts determinize(const Lts& l, const DeterminizeOptions& opts) {
     for (auto& [action, states] : succ) {
       std::sort(states.begin(), states.end());
       states.erase(std::unique(states.begin(), states.end()), states.end());
-      const Subset closed = tau_closure(l, std::move(states));
+      const Subset closed = tau_closure(tau, states);
       const StateId dst = subset_state(closed);
       d.add_transition(src, l.actions().name(action), dst);
     }

@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <list>
 #include <stdexcept>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "bisim/reduction.hpp"
-#include "core/sync.hpp"
 #include "explore/engine.hpp"
 #include "explore/oracle.hpp"
 #include "lts/product.hpp"
@@ -217,44 +212,6 @@ std::size_t approx_bytes(const lts::Lts& l) {
   return bytes;
 }
 
-/// Content key of a minimisation-cache entry: a 128-bit FNV-1a over the
-/// semantic content (initial state, transitions with label *text*), split
-/// into two independent lanes like serve::Hasher but without the serve
-/// dependency.
-std::string content_key(const lts::Lts& l, bisim::Equivalence e) {
-  std::uint64_t h1 = 1469598103934665603ull;
-  std::uint64_t h2 = 14695981039346656037ull;
-  const auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      const auto byte = static_cast<std::uint64_t>((v >> (8 * i)) & 0xff);
-      h1 = (h1 ^ byte) * 1099511628211ull;
-      h2 = (h2 ^ (byte + 0x9e)) * 1099511628211ull;
-    }
-  };
-  const auto mix_str = [&](std::string_view s) {
-    mix(s.size());
-    for (const char c : s) {
-      h1 = (h1 ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-      h2 = (h2 ^ (static_cast<unsigned char>(c) + 0x9e)) * 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(e));
-  mix(l.num_states());
-  mix(l.initial_state());
-  for (lts::StateId s = 0; s < l.num_states(); ++s) {
-    for (const auto& t : l.out(s)) {
-      mix(s);
-      mix_str(l.actions().name(t.action));
-      mix(t.dst);
-    }
-  }
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h1),
-                static_cast<unsigned long long>(h2));
-  return std::string("c:") + buf;
-}
-
 }  // namespace
 
 double EvalStats::total_seconds() const {
@@ -288,97 +245,69 @@ std::optional<lts::Lts> MinimizeCache::lookup_subtree(
 void MinimizeCache::store_subtree(const std::string& /*plan_key*/,
                                   const lts::Lts& /*reduced*/) {}
 
+core::CacheKey minimize_key(const lts::Lts& input, bisim::Equivalence e) {
+  core::Hasher h;
+  h.str("minimize-v1");
+  h.str(bisim::to_string(e));
+  hash_append(h, input);
+  return h.key();
+}
+
+core::CacheKey subtree_key(const std::string& plan_key) {
+  core::Hasher h;
+  h.str("plan-subtree-v1");
+  h.str(plan_key);
+  return h.key();
+}
+
 // ---- LruMinimizeCache -------------------------------------------------------
 
-struct LruMinimizeCache::Impl {
-  struct Entry {
-    std::string key;
-    lts::Lts value;
-    std::size_t bytes = 0;
-  };
-
-  explicit Impl(std::size_t cap) : capacity(cap) {}
-
-  std::optional<lts::Lts> get(const std::string& key) {
-    const core::MutexLock lock(mu);
-    const auto it = map.find(key);
-    if (it == map.end()) {
-      ++stats.misses;
-      return std::nullopt;
-    }
-    lru.splice(lru.begin(), lru, it->second);
-    ++stats.hits;
-    return it->second->value;
-  }
-
-  void put(const std::string& key, const lts::Lts& value) {
-    const core::MutexLock lock(mu);
-    const std::size_t entry_bytes = approx_bytes(value);
-    if (const auto it = map.find(key); it != map.end()) {
-      bytes -= it->second->bytes;
-      lru.erase(it->second);
-      map.erase(it);
-    }
-    lru.push_front(Entry{key, value, entry_bytes});
-    map[key] = lru.begin();
-    bytes += entry_bytes;
-    ++stats.insertions;
-    while (bytes > capacity && lru.size() > 1) {
-      const Entry& victim = lru.back();
-      bytes -= victim.bytes;
-      map.erase(victim.key);
-      lru.pop_back();
-      ++stats.evictions;
-    }
-  }
-
-  std::size_t capacity;
-  mutable core::Mutex mu;
-  std::list<Entry> lru MV_GUARDED_BY(mu);  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> map
-      MV_GUARDED_BY(mu);
-  std::size_t bytes MV_GUARDED_BY(mu) = 0;
-  Stats stats MV_GUARDED_BY(mu);
-};
-
 LruMinimizeCache::LruMinimizeCache(std::size_t capacity_bytes)
-    : impl_(std::make_unique<Impl>(capacity_bytes)) {}
+    : lru_(capacity_bytes) {}
 
-LruMinimizeCache::~LruMinimizeCache() = default;
+std::optional<lts::Lts> LruMinimizeCache::get(const core::CacheKey& key) {
+  const core::MutexLock lock(mu_);
+  return lru_.get(key);
+}
+
+void LruMinimizeCache::put(const core::CacheKey& key, const lts::Lts& value) {
+  const core::MutexLock lock(mu_);
+  lru_.put(key, value, approx_bytes(value));
+}
 
 std::optional<lts::Lts> LruMinimizeCache::lookup(const lts::Lts& input,
                                                  bisim::Equivalence e) {
-  return impl_->get(content_key(input, e));
+  return get(minimize_key(input, e));
 }
 
 void LruMinimizeCache::store(const lts::Lts& input, bisim::Equivalence e,
                              const lts::Lts& reduced) {
-  impl_->put(content_key(input, e), reduced);
+  put(minimize_key(input, e), reduced);
 }
 
 std::optional<lts::Lts> LruMinimizeCache::lookup_subtree(
     const std::string& plan_key) {
-  return impl_->get("p:" + plan_key);
+  return get(subtree_key(plan_key));
 }
 
 void LruMinimizeCache::store_subtree(const std::string& plan_key,
                                      const lts::Lts& reduced) {
-  impl_->put("p:" + plan_key, reduced);
+  put(subtree_key(plan_key), reduced);
 }
 
 LruMinimizeCache::Stats LruMinimizeCache::stats() const {
-  const core::MutexLock lock(impl_->mu);
-  return impl_->stats;
+  const core::MutexLock lock(mu_);
+  return lru_.stats();
 }
 
 std::size_t LruMinimizeCache::entries() const {
-  const core::MutexLock lock(impl_->mu);
-  return impl_->lru.size();
+  const core::MutexLock lock(mu_);
+  return lru_.size();
 }
 
 std::size_t LruMinimizeCache::bytes() const {
-  const core::MutexLock lock(impl_->mu);
-  return impl_->bytes;
+  const core::MutexLock lock(mu_);
+  return lru_.bytes();
 }
 
 // ---- evaluation entry points ------------------------------------------------

@@ -18,7 +18,10 @@
 #include <vector>
 
 #include "bisim/equivalence.hpp"
+#include "core/hash.hpp"
+#include "core/lru.hpp"
 #include "core/report.hpp"
+#include "core/sync.hpp"
 #include "lts/lts.hpp"
 
 namespace multival::compose {
@@ -78,6 +81,15 @@ struct EvalStats {
   [[nodiscard]] core::Table to_table(const std::string& title) const;
 };
 
+/// Key of a minimisation-cache entry: the content digest of the
+/// pre-minimisation LTS and the equivalence.  Every MinimizeCache keys by
+/// it, so one input has one key in all of them.
+[[nodiscard]] core::CacheKey minimize_key(const lts::Lts& input,
+                                          bisim::Equivalence e);
+
+/// Key of a plan-subtree cache entry (Node::plan_key).
+[[nodiscard]] core::CacheKey subtree_key(const std::string& plan_key);
+
 /// Cache consulted at minimisation points, keyed by the *content* of the
 /// pre-minimisation LTS and the equivalence.  Re-evaluating a pipeline in
 /// which one leaf changed then only re-minimises the subtrees whose inputs
@@ -111,16 +123,10 @@ class MinimizeCache {
 /// repeated minimisations stay bounded instead of growing with the sweep.
 class LruMinimizeCache final : public MinimizeCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-  };
+  using Stats = core::LruStats;
 
   /// @p capacity_bytes bounds the estimated resident bytes of cached LTSs.
   explicit LruMinimizeCache(std::size_t capacity_bytes = 32u << 20);
-  ~LruMinimizeCache() override;
 
   [[nodiscard]] std::optional<lts::Lts> lookup(const lts::Lts& input,
                                                bisim::Equivalence e) override;
@@ -136,8 +142,12 @@ class LruMinimizeCache final : public MinimizeCache {
   [[nodiscard]] std::size_t bytes() const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::optional<lts::Lts> get(const core::CacheKey& key);
+  void put(const core::CacheKey& key, const lts::Lts& value);
+
+  mutable core::Mutex mu_;
+  core::LruCache<core::CacheKey, lts::Lts, core::CacheKeyHash> lru_
+      MV_GUARDED_BY(mu_);
 };
 
 /// Evaluates the expression.  @p with_minimization toggles the minimisation

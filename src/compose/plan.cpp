@@ -1,8 +1,6 @@
 #include "compose/plan.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -11,6 +9,7 @@
 #include "analyze/analyze.hpp"
 #include "analyze/bounds.hpp"
 #include "bisim/reduction.hpp"
+#include "core/hash.hpp"
 #include "explore/engine.hpp"
 #include "proc/generator.hpp"
 
@@ -24,21 +23,13 @@ using proc::TermPtr;
 
 // ---- structural plan keys ---------------------------------------------------
 
-/// 128-bit FNV-1a over a string, rendered as 32 hex chars.  Plan keys are
-/// derived from *source syntax* (term renderings + reachable definitions),
-/// never from generated LTSs, so they are stable across re-planning.
-std::string fnv128_hex(const std::string& s) {
-  std::uint64_t h1 = 1469598103934665603ull;
-  std::uint64_t h2 = 14695981039346656037ull;
-  for (const char c : s) {
-    h1 = (h1 ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    h2 = (h2 ^ (static_cast<unsigned char>(c) + 0x9e)) * 1099511628211ull;
-  }
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h1),
-                static_cast<unsigned long long>(h2));
-  return buf;
+/// Content digest of @p s as 32 hex chars.  Plan keys are derived from
+/// *source syntax* (term renderings + reachable definitions), never from
+/// generated LTSs, so they are stable across re-planning.
+std::string digest_hex(const std::string& s) {
+  core::Hasher h;
+  h.str(s);
+  return h.key().hex();
 }
 
 /// Names of definitions transitively reachable from @p t.
@@ -68,7 +59,7 @@ std::string leaf_key(const proc::Program& program, const TermPtr& t) {
     }
     blob += ") := " + def.body->to_string();
   }
-  return fnv128_hex(blob);
+  return digest_hex(blob);
 }
 
 std::string join(const std::vector<std::string>& v) {
@@ -368,14 +359,14 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   const auto wrap = [&](Group& g, const std::vector<std::string>& to_hide) {
     if (!to_hide.empty()) {
       g.node = hide_gates(to_hide, std::move(g.node));
-      g.key = fnv128_hex("hide(" + join(to_hide) + "," + g.key + ")");
+      g.key = digest_hex("hide(" + join(to_hide) + "," + g.key + ")");
       for (const std::string& h : to_hide) {
         hidden.insert(h);
         g.alpha.erase(h);
       }
     }
     g.node = minimize_here(std::move(g.node), opts.equivalence);
-    g.key = fnv128_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
+    g.key = digest_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
                        "," + g.key + ")");
     const_cast<Node&>(*g.node).plan_key = g.key;
   };
@@ -431,7 +422,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
     merged.pred = analyze::saturating_mul(groups[bi].pred, groups[bj].pred);
     merged.node = compose2(std::move(groups[bi].node), sorted_vec(inter),
                            std::move(groups[bj].node));
-    merged.key = fnv128_hex("par(" + groups[bi].key + ",[" +
+    merged.key = digest_hex("par(" + groups[bi].key + ",[" +
                             join(sorted_vec(inter)) + "]," + groups[bj].key +
                             ")");
     wrap(merged, newly_hideable(flat.hide_scopes, hidden, merged.members));
@@ -468,7 +459,7 @@ Plan fallback_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
       "flat");
   NodePtr m = minimize_here(std::move(l), opts.equivalence);
   const_cast<Node&>(*m).plan_key =
-      fnv128_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
+      digest_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
                  ",flat," + leaf_key(*program, root) + ")");
   plan.root = m;
   plan.grammar = render_node(*plan.root);

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/graph.hpp"
 #include "lts/product.hpp"
 
 namespace multival::imc {
@@ -210,28 +211,21 @@ Imc maximal_progress(const Imc& m) {
 
 Imc trim(const Imc& m) {
   const std::size_t n = m.num_states();
-  std::vector<bool> seen(n, false);
-  std::vector<StateId> stack;
+  const core::Digraph g = core::Digraph::build(n, [&](auto&& add) {
+    for (StateId s = 0; s < n; ++s) {
+      for (const InterEdge& e : m.interactive(s)) {
+        add(s, e.dst);
+      }
+      for (const MarkEdge& e : m.markovian(s)) {
+        add(s, e.dst);
+      }
+    }
+  });
+  std::vector<bool> seed(n, false);
   if (n > 0) {
-    seen[m.initial_state()] = true;
-    stack.push_back(m.initial_state());
+    seed[m.initial_state()] = true;
   }
-  while (!stack.empty()) {
-    const StateId s = stack.back();
-    stack.pop_back();
-    for (const InterEdge& e : m.interactive(s)) {
-      if (!seen[e.dst]) {
-        seen[e.dst] = true;
-        stack.push_back(e.dst);
-      }
-    }
-    for (const MarkEdge& e : m.markovian(s)) {
-      if (!seen[e.dst]) {
-        seen[e.dst] = true;
-        stack.push_back(e.dst);
-      }
-    }
-  }
+  const std::vector<bool> seen = core::reach(g, seed);
   Imc out;
   std::vector<StateId> map(n, lts::kNoState);
   for (StateId s = 0; s < n; ++s) {

@@ -9,6 +9,9 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "bisim/refine.hpp"
+#include "lts/analysis.hpp"
+
 namespace multival::imc {
 
 namespace {
@@ -27,25 +30,12 @@ std::uint64_t quantize_rate(double r) {
 }
 
 // Signature element: (key, aux).  Interactive: key = tag|action|block,
-// aux = 0.  Markovian: key = tag|block, aux = quantised aggregate rate.
-// The current block id is prepended separately.
-using SigElem = std::pair<std::uint64_t, std::uint64_t>;
+// aux = 0.  Markovian: key = tag|label|block, aux = quantised aggregate
+// rate.
+using bisim::SigPair;
 
 constexpr std::uint64_t kInterTag = 1ull << 62;
 constexpr std::uint64_t kMarkTag = 1ull << 63;
-
-struct SigHash {
-  std::size_t operator()(const std::vector<SigElem>& v) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const auto& [a, b] : v) {
-      h ^= a;
-      h *= 1099511628211ull;
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// A Markovian edge of the refinement graph: target node, rate, and the
 /// interned measurement label (labels take part in lumping so that
@@ -76,239 +66,109 @@ std::unordered_map<std::string, std::uint32_t> label_ids(const Imc& m) {
   return ids;
 }
 
-/// Identity graph (strong lumping): every state is its own node.
-Graph identity_graph(const Imc& m) {
-  Graph g;
-  const auto labels = label_ids(m);
+/// The graph refinement runs on: every state its own node, or (branching)
+/// the tau-SCCs inside each block of @p initial contracted.
+Graph refinement_graph(const Imc& m, const Partition& initial,
+                       bool branching) {
   const std::size_t n = m.num_states();
-  g.num_nodes = n;
-  g.node_of.resize(n);
-  g.inter.resize(n);
-  g.mark.resize(n);
-  for (StateId s = 0; s < n; ++s) {
-    g.node_of[s] = s;
-    for (const InterEdge& e : m.interactive(s)) {
-      g.inter[s].push_back(e);
-    }
-    for (const MarkEdge& e : m.markovian(s)) {
-      g.mark[s].push_back(MarkRef{e.dst, e.rate, labels.at(e.label)});
+  Graph g;
+  if (branching) {
+    lts::TauContraction c = lts::contract_tau_cycles(
+        n, [&](StateId s) { return m.interactive(s); },
+        [&](StateId a, StateId b) {
+          return initial.block_of(a) == initial.block_of(b);
+        });
+    g.node_of = std::move(c.node_of);
+    g.num_nodes = c.num_nodes;
+    g.inter = std::move(c.out);
+  } else {
+    g.num_nodes = n;
+    g.node_of.resize(n);
+    g.inter.resize(n);
+    for (StateId s = 0; s < n; ++s) {
+      g.node_of[s] = s;
+      g.inter[s].assign(m.interactive(s).begin(), m.interactive(s).end());
     }
   }
-  return g;
-}
-
-/// Contracts tau-SCCs lying within one block of @p initial (branching).
-Graph contracted_graph(const Imc& m, const Partition& initial) {
   const auto labels = label_ids(m);
-  const std::size_t n = m.num_states();
-  // Tarjan over tau edges within the same initial block.
-  constexpr StateId kUnvisited = lts::kNoState;
-  std::vector<StateId> comp(n, kUnvisited);
-  std::vector<StateId> index(n, kUnvisited);
-  std::vector<StateId> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<StateId> scc_stack;
-  struct Frame {
-    StateId v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  StateId next_index = 0;
-  std::size_t ncomp = 0;
-
-  const auto inert_candidate = [&](StateId src, const InterEdge& e) {
-    return ActionTable::is_tau(e.action) &&
-           initial.block_of(src) == initial.block_of(e.dst);
-  };
-
-  for (StateId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) {
-      continue;
-    }
-    call.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call.empty()) {
-      Frame& fr = call.back();
-      const StateId v = fr.v;
-      const auto edges = m.interactive(v);
-      bool descended = false;
-      while (fr.edge < edges.size()) {
-        const InterEdge& e = edges[fr.edge++];
-        if (!inert_candidate(v, e)) {
-          continue;
-        }
-        const StateId w = e.dst;
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        StateId w = kUnvisited;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          comp[w] = static_cast<StateId>(ncomp);
-        } while (w != v);
-        ++ncomp;
-      }
-      call.pop_back();
-      if (!call.empty()) {
-        lowlink[call.back().v] = std::min(lowlink[call.back().v], lowlink[v]);
-      }
-    }
-  }
-
-  Graph g;
-  g.node_of = std::move(comp);
-  g.num_nodes = ncomp;
-  g.inter.resize(ncomp);
-  g.mark.resize(ncomp);
+  g.mark.resize(g.num_nodes);
   for (StateId s = 0; s < n; ++s) {
-    const StateId cs = g.node_of[s];
-    for (const InterEdge& e : m.interactive(s)) {
-      const StateId ct = g.node_of[e.dst];
-      if (ActionTable::is_tau(e.action) && cs == ct) {
-        continue;  // collapsed
-      }
-      g.inter[cs].push_back(InterEdge{e.action, ct});
-    }
     for (const MarkEdge& e : m.markovian(s)) {
-      g.mark[cs].push_back(
+      g.mark[g.node_of[s]].push_back(
           MarkRef{g.node_of[e.dst], e.rate, labels.at(e.label)});
     }
   }
   return g;
 }
 
-Partition refine(const Imc& m, const Graph& g, const Partition& initial,
-                 bool closure) {
+/// Lumps @p m; with @p branching, tau edges inside a block are inert and
+/// their source inherits the target's signature.
+Partition lump(const Imc& m, const Partition& initial, bool branching) {
   const std::size_t n = m.num_states();
-  const std::size_t nn = g.num_nodes;
-
-  // Seed node blocks from the initial state partition.
-  std::vector<BlockId> node_block(nn, 0);
-  {
-    std::unordered_map<BlockId, BlockId> seed;
-    for (StateId s = 0; s < n; ++s) {
-      const auto [it, inserted] = seed.emplace(
-          initial.block_of(s), static_cast<BlockId>(seed.size()));
-      node_block[g.node_of[s]] = it->second;
-    }
+  if (initial.num_states() != n) {
+    throw std::invalid_argument(
+        std::string(branching ? "lump_branching" : "lump_strong") +
+        ": partition size mismatch");
   }
-  std::size_t nblocks = 0;
-  for (const BlockId b : node_block) {
-    nblocks = std::max<std::size_t>(nblocks, b + 1);
+  if (n == 0) {
+    return Partition(0);
+  }
+  const Graph g = refinement_graph(m, initial, branching);
+  Partition p = initial;
+  p.normalize();
+  std::vector<BlockId> node_block(g.num_nodes, 0);
+  for (StateId s = 0; s < n; ++s) {
+    node_block[g.node_of[s]] = p.block_of(s);
   }
 
-  std::vector<std::vector<SigElem>> sigs(nn);
-
-  while (true) {
-    for (auto& s : sigs) {
-      s.clear();
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (StateId node = 0; node < nn; ++node) {
-        std::vector<SigElem> sig;
-        sig.emplace_back(node_block[node], 0);  // monotone refinement
-        // Aggregate own Markovian rates per (target block, label).
-        {
-          std::vector<std::pair<std::uint64_t, double>> per_key;
-          for (const MarkRef& e : g.mark[node]) {
-            per_key.emplace_back(
-                (static_cast<std::uint64_t>(e.label) << 32) |
-                    node_block[e.dst],
-                e.rate);
+  std::vector<std::pair<std::uint64_t, double>> per_key;
+  const Partition nodes = bisim::refine<SigPair>(
+      Partition(std::move(node_block), p.num_blocks()),
+      bisim::SigOrder::kFirstSeen,
+      [&](StateId node, const std::vector<BlockId>& block,
+          bisim::SigSink<SigPair>& sig) {
+        // Aggregate own Markovian rates per (label, target block).
+        per_key.clear();
+        for (const MarkRef& e : g.mark[node]) {
+          per_key.emplace_back(
+              (static_cast<std::uint64_t>(e.label) << 32) | block[e.dst],
+              e.rate);
+        }
+        std::sort(per_key.begin(), per_key.end());
+        for (std::size_t i = 0; i < per_key.size();) {
+          double total = 0.0;
+          std::size_t j = i;
+          while (j < per_key.size() && per_key[j].first == per_key[i].first) {
+            total += per_key[j].second;
+            ++j;
           }
-          std::sort(per_key.begin(), per_key.end());
-          for (std::size_t i = 0; i < per_key.size();) {
-            double total = 0.0;
-            std::size_t j = i;
-            while (j < per_key.size() &&
-                   per_key[j].first == per_key[i].first) {
-              total += per_key[j].second;
-              ++j;
-            }
-            sig.emplace_back(kMarkTag | per_key[i].first,
-                             quantize_rate(total));
-            i = j;
-          }
+          sig.add(SigPair{kMarkTag | per_key[i].first, quantize_rate(total)});
+          i = j;
         }
         for (const InterEdge& e : g.inter[node]) {
-          const bool inert = closure && ActionTable::is_tau(e.action) &&
-                             node_block[e.dst] == node_block[node];
-          if (inert) {
-            for (const SigElem& x : sigs[e.dst]) {
-              if (x.first & (kInterTag | kMarkTag)) {
-                sig.push_back(x);
-              }
-            }
+          if (branching && ActionTable::is_tau(e.action) &&
+              block[e.dst] == block[node]) {
+            sig.inert(e.dst);
           } else {
-            sig.emplace_back(
-                kInterTag | (static_cast<std::uint64_t>(e.action) << 32) |
-                    node_block[e.dst],
-                0);
+            sig.add(SigPair{kInterTag |
+                                (static_cast<std::uint64_t>(e.action) << 32) |
+                                block[e.dst],
+                            0});
           }
         }
-        std::sort(sig.begin(), sig.end());
-        sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-        if (sig != sigs[node]) {
-          sigs[node] = std::move(sig);
-          changed = true;
-        }
-      }
-      if (!closure) {
-        break;  // no propagation needed: one pass computes exact signatures
-      }
-    }
-
-    std::unordered_map<std::vector<SigElem>, BlockId, SigHash> table;
-    std::vector<BlockId> next(nn, 0);
-    for (StateId node = 0; node < nn; ++node) {
-      const auto [it, inserted] =
-          table.emplace(sigs[node], static_cast<BlockId>(table.size()));
-      next[node] = it->second;
-    }
-    const bool stable = table.size() == nblocks;
-    nblocks = table.size();
-    node_block = std::move(next);
-    if (stable) {
-      break;
-    }
-  }
+      });
 
   std::vector<BlockId> block_of(n, 0);
   for (StateId s = 0; s < n; ++s) {
-    block_of[s] = node_block[g.node_of[s]];
+    block_of[s] = nodes.block_of(g.node_of[s]);
   }
-  return Partition(std::move(block_of), nblocks == 0 ? 0 : nblocks);
+  return Partition(std::move(block_of), nodes.num_blocks());
 }
 
 }  // namespace
 
 Partition lump_strong(const Imc& m, const Partition& initial) {
-  if (initial.num_states() != m.num_states()) {
-    throw std::invalid_argument("lump_strong: partition size mismatch");
-  }
-  if (m.num_states() == 0) {
-    return Partition(0);
-  }
-  return refine(m, identity_graph(m), initial, /*closure=*/false);
+  return lump(m, initial, /*branching=*/false);
 }
 
 Partition lump_strong(const Imc& m) {
@@ -316,13 +176,7 @@ Partition lump_strong(const Imc& m) {
 }
 
 Partition lump_branching(const Imc& m, const Partition& initial) {
-  if (initial.num_states() != m.num_states()) {
-    throw std::invalid_argument("lump_branching: partition size mismatch");
-  }
-  if (m.num_states() == 0) {
-    return Partition(0);
-  }
-  return refine(m, contracted_graph(m, initial), initial, /*closure=*/true);
+  return lump(m, initial, /*branching=*/true);
 }
 
 Partition lump_branching(const Imc& m) {

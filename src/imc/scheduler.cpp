@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/graph.hpp"
 #include "core/report.hpp"
 
 namespace multival::imc {
@@ -35,36 +36,25 @@ void for_each_successor(const Imc& m, StateId s, F&& f) {
   }
 }
 
-/// Backward closure of @p seed over the maximal-progress edge relation.
-/// When @p cut_sources is given, edges leaving states in that set are
-/// ignored (used to forbid paths that pass through the target).
-std::vector<bool> backward_closure(const Imc& m, std::vector<bool> seed,
-                                   const std::vector<bool>* cut_sources) {
-  const std::size_t n = m.num_states();
-  std::vector<std::vector<std::uint32_t>> pred(n);
-  for (StateId s = 0; s < n; ++s) {
-    if (cut_sources != nullptr && (*cut_sources)[s]) {
-      continue;
+/// The maximal-progress successor graph, restricted to the edges
+/// @p keep(src, dst) accepts.
+template <typename Keep>
+core::Digraph successor_graph(const Imc& m, Keep&& keep) {
+  return core::Digraph::build(m.num_states(), [&](auto&& add) {
+    for (StateId s = 0; s < m.num_states(); ++s) {
+      for_each_successor(m, s, [&](StateId d) {
+        if (keep(s, d)) {
+          add(s, d);
+        }
+      });
     }
-    for_each_successor(m, s, [&](StateId d) { pred[d].push_back(s); });
-  }
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (seed[s]) {
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const std::uint32_t s = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t p : pred[s]) {
-      if (!seed[p]) {
-        seed[p] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  return seed;
+  });
+}
+
+/// Predecessors under maximal progress, for backward closures.
+core::Digraph predecessor_graph(const Imc& m) {
+  return successor_graph(m, [](StateId, StateId) { return true; })
+      .transpose();
 }
 
 /// Prob1E: states where SOME scheduler reaches @p target almost surely
@@ -155,72 +145,6 @@ std::vector<bool> positive_min_reach(const Imc& m,
   return f;
 }
 
-/// Iterative Tarjan over an adjacency list (states with empty adjacency
-/// become singleton components).
-std::pair<std::vector<std::uint32_t>, std::size_t> tarjan(
-    const std::vector<std::vector<std::uint32_t>>& adj) {
-  const std::size_t n = adj.size();
-  std::vector<std::uint32_t> comp(n, kNone);
-  std::vector<std::uint32_t> index(n, kNone);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::uint32_t> scc_stack;
-  struct Frame {
-    std::uint32_t v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  std::uint32_t next_index = 0;
-  std::size_t ncomp = 0;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) {
-      continue;
-    }
-    call.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call.empty()) {
-      Frame& fr = call.back();
-      const std::uint32_t v = fr.v;
-      bool descended = false;
-      while (fr.edge < adj[v].size()) {
-        const std::uint32_t w = adj[v][fr.edge++];
-        if (index[w] == kNone) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        std::uint32_t w = kNone;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          comp[w] = static_cast<std::uint32_t>(ncomp);
-        } while (w != v);
-        ++ncomp;
-      }
-      call.pop_back();
-      if (!call.empty()) {
-        lowlink[call.back().v] = std::min(lowlink[call.back().v], lowlink[v]);
-      }
-    }
-  }
-  return {std::move(comp), ncomp};
-}
-
 /// A maximal end component of the sub-MDP restricted to @p region, plus
 /// the destinations of the interactive edges that leave it (the only way
 /// out: a Markovian state whose race leaves the component cannot be a
@@ -262,18 +186,9 @@ std::vector<Mec> max_end_components(const Imc& m,
         changed = true;
       }
     }
-    std::vector<std::vector<std::uint32_t>> adj(n);
-    for (StateId s = 0; s < n; ++s) {
-      if (!alive[s]) {
-        continue;
-      }
-      for_each_successor(m, s, [&](StateId d) {
-        if (alive[d]) {
-          adj[s].push_back(d);
-        }
-      });
-    }
-    comp = tarjan(adj).first;
+    comp = core::scc(successor_graph(m, [&](StateId s, StateId d) {
+             return alive[s] && alive[d];
+           })).component_of;
     // Refine: every kept action must stay within its own component.
     for (StateId s = 0; s < n; ++s) {
       if (!alive[s]) {
@@ -359,7 +274,7 @@ std::vector<double> solve_reach_interval(const Imc& m,
   std::vector<bool> zero(n, false);
   std::vector<bool> one(n, false);
   if (maximise) {
-    const std::vector<bool> can = backward_closure(m, target, nullptr);
+    const std::vector<bool> can = core::reach(predecessor_graph(m), target);
     for (StateId s = 0; s < n; ++s) {
       zero[s] = !can[s];
     }
@@ -369,8 +284,10 @@ std::vector<double> solve_reach_interval(const Imc& m,
     for (StateId s = 0; s < n; ++s) {
       zero[s] = !f[s];  // Prob0A: some scheduler avoids the target forever
     }
-    // Prob1A: no target-free path into Prob0A exists.
-    const std::vector<bool> not_one = backward_closure(m, zero, &target);
+    // Prob1A: no target-free path into Prob0A exists (paths may not leave
+    // a target state).
+    const std::vector<bool> not_one =
+        core::reach(predecessor_graph(m), zero, /*blocked=*/target);
     for (StateId s = 0; s < n; ++s) {
       one[s] = !not_one[s];
     }
@@ -491,7 +408,8 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
     for (StateId s = 0; s < n; ++s) {
       avoidable[s] = !f[s];
     }
-    const std::vector<bool> not_sure = backward_closure(m, avoidable, nullptr);
+    const std::vector<bool> not_sure =
+        core::reach(predecessor_graph(m), avoidable);
     feasible.assign(n, false);
     for (StateId s = 0; s < n; ++s) {
       feasible[s] = !not_sure[s];
@@ -519,18 +437,15 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
       }
     }
   } else {
-    std::vector<std::vector<std::uint32_t>> tau(n);
-    for (StateId s = 0; s < n; ++s) {
-      if (!active[s] || !is_decision(m, s)) {
-        continue;
-      }
-      for (const InterEdge& e : m.interactive(s)) {
-        if (e.dst < n && active[e.dst] && is_decision(m, e.dst)) {
-          tau[s].push_back(e.dst);
-        }
-      }
-    }
-    const auto [comp, ncomp] = tarjan(tau);
+    const auto grouped = [&](StateId s) {
+      return active[s] && is_decision(m, s);
+    };
+    const core::Components scc =
+        core::scc(successor_graph(m, [&](StateId s, StateId d) {
+          return grouped(s) && grouped(d);
+        }));
+    const std::vector<std::uint32_t>& comp = scc.component_of;
+    const std::size_t ncomp = scc.num_components;
     std::vector<std::vector<std::uint32_t>> members(ncomp);
     for (std::uint32_t s = 0; s < n; ++s) {
       if (active[s] && is_decision(m, s)) {

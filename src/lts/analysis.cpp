@@ -1,28 +1,25 @@
 #include "lts/analysis.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace multival::lts {
 
+namespace {
+
+bool any_edge(StateId /*src*/, const OutEdge& /*e*/) { return true; }
+
+}  // namespace
+
+core::Digraph tau_graph(const Lts& l) {
+  return transition_graph(l, [](StateId, const OutEdge& e) {
+    return ActionTable::is_tau(e.action);
+  });
+}
+
 std::vector<bool> reachable_states(const Lts& l) {
-  std::vector<bool> seen(l.num_states(), false);
-  if (l.num_states() == 0) {
-    return seen;
+  std::vector<bool> seed(l.num_states(), false);
+  if (l.num_states() > 0) {
+    seed[l.initial_state()] = true;
   }
-  std::vector<StateId> stack{l.initial_state()};
-  seen[l.initial_state()] = true;
-  while (!stack.empty()) {
-    const StateId s = stack.back();
-    stack.pop_back();
-    for (const OutEdge& e : l.out(s)) {
-      if (!seen[e.dst]) {
-        seen[e.dst] = true;
-        stack.push_back(e.dst);
-      }
-    }
-  }
-  return seen;
+  return core::reach(transition_graph(l, any_edge), seed);
 }
 
 TrimResult trim(const Lts& l) {
@@ -65,117 +62,53 @@ std::vector<StateId> deadlock_states(const Lts& l) {
   return out;
 }
 
-namespace {
-
-// Iterative Tarjan SCC.
-struct TarjanFrame {
-  StateId state;
-  std::size_t edge_index;
-};
-
-}  // namespace
-
-SccResult strongly_connected_components(
-    const Lts& l, const std::function<bool(const OutEdge&)>& edge_filter) {
-  const std::size_t n = l.num_states();
-  constexpr StateId kUnvisited = kNoState;
-  SccResult result;
-  result.component_of.assign(n, kUnvisited);
-
-  std::vector<StateId> index(n, kUnvisited);
-  std::vector<StateId> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<StateId> scc_stack;
-  std::vector<TarjanFrame> call_stack;
-  StateId next_index = 0;
-
-  for (StateId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) {
-      continue;
-    }
-    call_stack.push_back(TarjanFrame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!call_stack.empty()) {
-      TarjanFrame& fr = call_stack.back();
-      const StateId v = fr.state;
-      const auto edges = l.out(v);
-      bool descended = false;
-      while (fr.edge_index < edges.size()) {
-        const OutEdge& e = edges[fr.edge_index++];
-        if (!edge_filter(e)) {
-          continue;
-        }
-        const StateId w = e.dst;
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call_stack.push_back(TarjanFrame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        const auto comp = static_cast<StateId>(result.num_components++);
-        StateId w = kNoState;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          result.component_of[w] = comp;
-        } while (w != v);
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const StateId parent = call_stack.back().state;
-        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-      }
-    }
-  }
-  return result;
+SccResult strongly_connected_components(const Lts& l) {
+  return core::scc(transition_graph(l, any_edge));
 }
 
-SccResult strongly_connected_components(const Lts& l) {
-  return strongly_connected_components(l,
-                                       [](const OutEdge&) { return true; });
+TauContraction contract_tau_cycles(
+    std::size_t n, const std::function<std::span<const OutEdge>(StateId)>& out,
+    const std::function<bool(StateId, StateId)>& same_block) {
+  core::Components scc = core::scc(core::Digraph::build(n, [&](auto&& add) {
+    for (StateId s = 0; s < n; ++s) {
+      for (const OutEdge& e : out(s)) {
+        if (ActionTable::is_tau(e.action) &&
+            (!same_block || same_block(s, e.dst))) {
+          add(s, e.dst);
+        }
+      }
+    }
+  }));
+  TauContraction c;
+  c.node_of = std::move(scc.component_of);
+  c.num_nodes = scc.num_components;
+  c.out.resize(c.num_nodes);
+  c.divergent.assign(c.num_nodes, false);
+  std::vector<std::size_t> size(c.num_nodes, 0);
+  for (StateId s = 0; s < n; ++s) {
+    ++size[c.node_of[s]];
+  }
+  for (StateId s = 0; s < n; ++s) {
+    const StateId cs = c.node_of[s];
+    for (const OutEdge& e : out(s)) {
+      const StateId ct = c.node_of[e.dst];
+      if (ActionTable::is_tau(e.action) && cs == ct) {
+        c.divergent[cs] = c.divergent[cs] || size[cs] > 1 || e.dst == s;
+        continue;
+      }
+      c.out[cs].push_back(OutEdge{e.action, ct});
+    }
+  }
+  return c;
 }
 
 std::vector<StateId> divergent_states(const Lts& l) {
-  const auto is_tau_edge = [](const OutEdge& e) {
-    return ActionTable::is_tau(e.action);
-  };
-  const SccResult scc = strongly_connected_components(l, is_tau_edge);
-  // A state is on a tau cycle iff its tau-SCC has more than one member, or it
-  // has a tau self-loop.
-  std::vector<std::size_t> comp_size(scc.num_components, 0);
-  for (StateId s = 0; s < l.num_states(); ++s) {
-    ++comp_size[scc.component_of[s]];
-  }
+  const TauContraction c = contract_tau_cycles(
+      l.num_states(), [&l](StateId s) { return l.out(s); });
   const std::vector<bool> seen = reachable_states(l);
   std::vector<StateId> out;
   for (StateId s = 0; s < l.num_states(); ++s) {
-    if (!seen[s]) {
-      continue;
-    }
-    bool divergent = comp_size[scc.component_of[s]] > 1;
-    if (!divergent) {
-      for (const OutEdge& e : l.out(s)) {
-        if (is_tau_edge(e) && e.dst == s) {
-          divergent = true;
-          break;
-        }
-      }
-    }
-    if (divergent) {
+    if (seen[s] && c.divergent[c.node_of[s]]) {
       out.push_back(s);
     }
   }

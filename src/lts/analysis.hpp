@@ -1,11 +1,14 @@
 // Basic graph analyses over LTSs: reachability trimming, deadlock and
-// livelock (tau-cycle) detection, strongly connected components.
+// livelock (tau-cycle) detection, strongly connected components.  All of
+// them run on the core graph kernel (core/graph.hpp).
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "core/graph.hpp"
 #include "lts/lts.hpp"
 
 namespace multival::lts {
@@ -28,21 +31,46 @@ struct TrimResult {
 /// state.
 [[nodiscard]] std::vector<StateId> deadlock_states(const Lts& l);
 
-/// Strongly connected components of the subgraph whose edges satisfy
-/// @p edge_filter.  Returns the component id of each state; component ids are
-/// in reverse topological order (a component only reaches components with
-/// smaller or equal... strictly: Tarjan assigns ids such that every edge goes
-/// from a higher id to a lower-or-equal id).
-struct SccResult {
-  std::vector<StateId> component_of;  // state -> component id
-  std::size_t num_components = 0;
-};
+/// The transition graph of @p l restricted to the edges @p keep accepts
+/// (called as keep(src, edge)); each state keeps its edges in insertion
+/// order.
+template <class Keep>
+[[nodiscard]] core::Digraph transition_graph(const Lts& l, Keep&& keep) {
+  return core::Digraph::build(l.num_states(), [&](auto&& add) {
+    for (StateId s = 0; s < l.num_states(); ++s) {
+      for (const OutEdge& e : l.out(s)) {
+        if (keep(s, e)) {
+          add(s, e.dst);
+        }
+      }
+    }
+  });
+}
 
-[[nodiscard]] SccResult strongly_connected_components(
-    const Lts& l, const std::function<bool(const OutEdge&)>& edge_filter);
+/// The graph of the invisible ("i") transitions of @p l.
+[[nodiscard]] core::Digraph tau_graph(const Lts& l);
 
-/// SCCs over all transitions.
+/// Strongly connected components over all transitions, numbered by
+/// core::scc: every transition goes from a higher-or-equal to a
+/// lower-or-equal component id.
+using SccResult = core::Components;
 [[nodiscard]] SccResult strongly_connected_components(const Lts& l);
+
+/// The tau-SCCs of the @p n states whose edges @p out lists, contracted to
+/// single nodes numbered by core::scc.  A tau edge joins its ends only if
+/// @p same_block accepts them (unset: always).  Branching refinement,
+/// branching lumping and divergence detection run on it.
+struct TauContraction {
+  std::vector<StateId> node_of;  // state -> node
+  std::size_t num_nodes = 0;
+  /// node -> (action, node) edges; tau edges inside a node are dropped.
+  std::vector<std::vector<OutEdge>> out;
+  /// The node lies on a tau cycle (size > 1, or a tau self-loop).
+  std::vector<bool> divergent;
+};
+[[nodiscard]] TauContraction contract_tau_cycles(
+    std::size_t n, const std::function<std::span<const OutEdge>(StateId)>& out,
+    const std::function<bool(StateId, StateId)>& same_block = {});
 
 /// True if some reachable state lies on a cycle of invisible ("i")
 /// transitions — a potential livelock / divergence.

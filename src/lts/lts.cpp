@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/hash.hpp"
+
 namespace multival::lts {
 
 StateId Lts::add_state() {
@@ -65,6 +67,20 @@ std::vector<std::vector<OutEdge>> Lts::predecessors() const {
     }
   }
   return in;
+}
+
+void hash_append(core::Hasher& h, const Lts& l) {
+  h.str("lts");
+  h.u64(l.num_states());
+  h.u64(l.num_states() == 0 ? 0 : l.initial_state());
+  h.u64(l.num_transitions());
+  for (StateId s = 0; s < l.num_states(); ++s) {
+    for (const OutEdge& e : l.out(s)) {
+      h.u64(s);
+      h.str(l.actions().name(e.action));
+      h.u64(e.dst);
+    }
+  }
 }
 
 }  // namespace multival::lts

@@ -11,6 +11,10 @@
 
 #include "lts/action_table.hpp"
 
+namespace multival::core {
+class Hasher;
+}  // namespace multival::core
+
 namespace multival::lts {
 
 using StateId = std::uint32_t;
@@ -87,5 +91,10 @@ class Lts {
   StateId initial_ = 0;
   std::size_t num_transitions_ = 0;
 };
+
+/// Appends the canonical content digest of @p l (core/hash.hpp): state
+/// count, initial state and every transition in insertion order with its
+/// label text.
+void hash_append(core::Hasher& h, const Lts& l);
 
 }  // namespace multival::lts

@@ -10,37 +10,6 @@
 
 namespace multival::markov {
 
-namespace {
-
-/// States from which a state in @p seed is reachable (backward closure
-/// over the transition graph).
-std::vector<bool> backward_closure(const Ctmc& c, std::vector<bool> seed) {
-  const std::size_t n = c.num_states();
-  std::vector<std::vector<std::uint32_t>> pred(n);
-  for (const RateTransition& t : c.transitions()) {
-    pred[t.dst].push_back(t.src);
-  }
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (seed[s]) {
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const std::uint32_t s = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t p : pred[s]) {
-      if (!seed[p]) {
-        seed[p] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  return seed;
-}
-
-}  // namespace
-
 std::vector<double> expected_time_to_absorption(const Ctmc& c,
                                                 const SolverOptions& opts) {
   const std::size_t n = c.num_states();
@@ -69,7 +38,8 @@ std::vector<double> expected_time_to_absorption(const Ctmc& c,
                (comp_size[comp] > 1 || !absorbing[s]);
     }
   }
-  const std::vector<bool> diverging = backward_closure(c, std::move(bad));
+  const std::vector<bool> diverging =
+      core::reach(transition_graph(c).transpose(), bad);
 
   std::vector<std::vector<Entry>> out(n);
   for (const RateTransition& t : c.transitions()) {

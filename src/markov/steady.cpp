@@ -9,90 +9,20 @@
 
 namespace multival::markov {
 
-namespace {
-
-/// Iterative Tarjan over an adjacency list.
-std::pair<std::vector<std::uint32_t>, std::size_t> tarjan(
-    const std::vector<std::vector<std::uint32_t>>& adj) {
-  const std::size_t n = adj.size();
-  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> comp(n, kUnvisited);
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::uint32_t> scc_stack;
-  struct Frame {
-    std::uint32_t v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  std::uint32_t next_index = 0;
-  std::size_t ncomp = 0;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) {
-      continue;
+core::Digraph transition_graph(const Ctmc& c) {
+  return core::Digraph::build(c.num_states(), [&](auto&& add) {
+    for (const RateTransition& t : c.transitions()) {
+      add(t.src, t.dst);
     }
-    call.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call.empty()) {
-      Frame& fr = call.back();
-      const std::uint32_t v = fr.v;
-      bool descended = false;
-      while (fr.edge < adj[v].size()) {
-        const std::uint32_t w = adj[v][fr.edge++];
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        std::uint32_t w = kUnvisited;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          comp[w] = static_cast<std::uint32_t>(ncomp);
-        } while (w != v);
-        ++ncomp;
-      }
-      call.pop_back();
-      if (!call.empty()) {
-        lowlink[call.back().v] = std::min(lowlink[call.back().v], lowlink[v]);
-      }
-    }
-  }
-  return {std::move(comp), ncomp};
+  });
 }
 
-}  // namespace
-
 BsccDecomposition bscc_decomposition(const Ctmc& c) {
-  const std::size_t n = c.num_states();
-  std::vector<std::vector<std::uint32_t>> adj(n);
-  for (const RateTransition& t : c.transitions()) {
-    adj[t.src].push_back(t.dst);
-  }
-  auto [comp, ncomp] = tarjan(adj);
-  std::vector<bool> bottom(ncomp, true);
-  for (const RateTransition& t : c.transitions()) {
-    if (comp[t.src] != comp[t.dst]) {
-      bottom[comp[t.src]] = false;
-    }
-  }
-  return BsccDecomposition{std::move(comp), ncomp, std::move(bottom)};
+  const core::Digraph g = transition_graph(c);
+  core::Components scc = core::scc(g);
+  std::vector<bool> bottom = core::bottom_components(g, scc);
+  return BsccDecomposition{std::move(scc.component_of), scc.num_components,
+                           std::move(bottom)};
 }
 
 namespace {
@@ -170,28 +100,6 @@ std::vector<double> solve_bscc(const Ctmc& c,
   throw SolverFailure("steady_state: Gauss-Seidel did not converge");
 }
 
-/// Backward closure of @p seed over @p pred (which states reach the seed).
-std::vector<bool> closure(const std::vector<std::vector<std::uint32_t>>& pred,
-                          std::vector<bool> seed) {
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t s = 0; s < seed.size(); ++s) {
-    if (seed[s]) {
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const std::uint32_t s = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t p : pred[s]) {
-      if (!seed[p]) {
-        seed[p] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  return seed;
-}
-
 }  // namespace
 
 std::vector<double> reachability_probability(const Ctmc& c,
@@ -208,20 +116,14 @@ std::vector<double> reachability_probability(const Ctmc& c,
   //  prob1 = states that cannot reach prob0 without first passing through
   //          the target (closure computed with target states made
   //          absorbing), i.e. states that reach the target almost surely.
-  std::vector<std::vector<std::uint32_t>> pred(n);
-  std::vector<std::vector<std::uint32_t>> pred_cut(n);  // target absorbing
-  for (const RateTransition& t : c.transitions()) {
-    pred[t.dst].push_back(t.src);
-    if (!target[t.src]) {
-      pred_cut[t.dst].push_back(t.src);
-    }
-  }
-  std::vector<bool> can = closure(pred, target);
+  const core::Digraph pred = transition_graph(c).transpose();
+  const std::vector<bool> can = core::reach(pred, target);
   std::vector<bool> prob0(n, false);
   for (std::uint32_t s = 0; s < n; ++s) {
     prob0[s] = !can[s];
   }
-  std::vector<bool> not_prob1 = closure(pred_cut, prob0);
+  const std::vector<bool> not_prob1 =
+      core::reach(pred, prob0, /*blocked=*/target);
 
   const std::vector<double> exits = c.exit_rates();
   std::vector<std::vector<Entry>> out(n);

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/graph.hpp"
 #include "markov/ctmc.hpp"
 
 namespace multival::markov {
@@ -31,6 +32,10 @@ struct SolverFailure : std::runtime_error {
 /// Works for reducible chains (BSCC decomposition).
 [[nodiscard]] std::vector<double> steady_state(const Ctmc& c,
                                                const SolverOptions& opts = {});
+
+/// The rate graph of @p c: one edge per transition, each state's edges in
+/// insertion order.
+[[nodiscard]] core::Digraph transition_graph(const Ctmc& c);
 
 /// Bottom strongly connected components of the rate graph.
 struct BsccDecomposition {

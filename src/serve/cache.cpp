@@ -83,7 +83,8 @@ bool get_u64_be(std::istream& is, std::uint64_t& out) {
 
 ResultCache::ResultCache() : ResultCache(Options{}) {}
 
-ResultCache::ResultCache(Options opts) : opts_(std::move(opts)) {
+ResultCache::ResultCache(Options opts)
+    : opts_(std::move(opts)), memory_(opts_.capacity_bytes) {
   core::MutexLock lock(mu_);  // satisfies sweep's REQUIRES; no contention yet
   if (!opts_.disk_dir.empty()) {
     sweep_stale_tmp();
@@ -120,22 +121,17 @@ void ResultCache::sweep_stale_tmp() {
 
 std::optional<std::string> ResultCache::lookup(const CacheKey& key) {
   core::MutexLock lock(mu_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.hits;
-    return it->second->payload;
+  if (std::optional<std::string> payload = memory_.get(key)) {
+    return payload;
   }
   if (!opts_.disk_dir.empty()) {
     if (std::optional<std::string> payload = disk_load(key)) {
-      ++stats_.hits;
       ++stats_.disk_hits;
       // Promote into the memory tier without re-writing the disk entry.
       insert_locked(key, *payload);
       return payload;
     }
   }
-  ++stats_.misses;
   return std::nullopt;
 }
 
@@ -148,44 +144,30 @@ void ResultCache::insert(const CacheKey& key, std::string payload) {
 }
 
 void ResultCache::insert_locked(const CacheKey& key, std::string payload) {
-  ++stats_.insertions;
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    bytes_ -= it->second->payload.size();
-    bytes_ += payload.size();
-    it->second->payload = std::move(payload);
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    lru_.push_front(Entry{key, std::move(payload)});
-    map_[key] = lru_.begin();
-    bytes_ += lru_.front().payload.size() + kEntryOverhead;
-  }
-  evict_locked();
-}
-
-void ResultCache::evict_locked() {
-  while (bytes_ > opts_.capacity_bytes && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.payload.size() + kEntryOverhead;
-    map_.erase(victim.key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  const std::size_t cost = payload.size() + kEntryOverhead;
+  memory_.put(key, std::move(payload), cost);
 }
 
 ResultCache::Stats ResultCache::stats() const {
   core::MutexLock lock(mu_);
-  return stats_;
+  const core::LruStats& m = memory_.stats();
+  Stats s = stats_;
+  // Every disk hit was first a memory-tier miss.
+  s.hits = m.hits + stats_.disk_hits;
+  s.misses = m.misses - stats_.disk_hits;
+  s.insertions = m.insertions;
+  s.evictions = m.evictions;
+  return s;
 }
 
 std::size_t ResultCache::entries() const {
   core::MutexLock lock(mu_);
-  return lru_.size();
+  return memory_.size();
 }
 
 std::size_t ResultCache::bytes() const {
   core::MutexLock lock(mu_);
-  return bytes_;
+  return memory_.bytes();
 }
 
 std::string ResultCache::disk_path(const CacheKey& key) const {
@@ -287,17 +269,9 @@ void ResultCache::disk_store(const CacheKey& key, const std::string& payload) {
 PipelineCache::PipelineCache(ResultCache::Options opts)
     : cache_(std::move(opts)) {}
 
-CacheKey PipelineCache::key_of(const lts::Lts& input, bisim::Equivalence e) {
-  Hasher h;
-  h.str("minimize-v1");
-  h.str(bisim::to_string(e));
-  hash_append(h, input);
-  return h.key();
-}
-
 std::optional<lts::Lts> PipelineCache::lookup(const lts::Lts& input,
                                               bisim::Equivalence e) {
-  std::optional<std::string> payload = cache_.lookup(key_of(input, e));
+  std::optional<std::string> payload = cache_.lookup(compose::minimize_key(input, e));
   if (!payload.has_value()) {
     return std::nullopt;
   }
@@ -313,19 +287,13 @@ void PipelineCache::store(const lts::Lts& input, bisim::Equivalence e,
                           const lts::Lts& reduced) {
   std::ostringstream os;
   explore::write_lts_stream(os, reduced);
-  cache_.insert(key_of(input, e), std::move(os).str());
-}
-
-CacheKey PipelineCache::subtree_key_of(const std::string& plan_key) {
-  Hasher h;
-  h.str("plan-subtree-v1");
-  h.str(plan_key);
-  return h.key();
+  cache_.insert(compose::minimize_key(input, e), std::move(os).str());
 }
 
 std::optional<lts::Lts> PipelineCache::lookup_subtree(
     const std::string& plan_key) {
-  std::optional<std::string> payload = cache_.lookup(subtree_key_of(plan_key));
+  std::optional<std::string> payload =
+      cache_.lookup(compose::subtree_key(plan_key));
   if (!payload.has_value()) {
     return std::nullopt;
   }
@@ -341,7 +309,7 @@ void PipelineCache::store_subtree(const std::string& plan_key,
                                   const lts::Lts& reduced) {
   std::ostringstream os;
   explore::write_lts_stream(os, reduced);
-  cache_.insert(subtree_key_of(plan_key), std::move(os).str());
+  cache_.insert(compose::subtree_key(plan_key), std::move(os).str());
 }
 
 }  // namespace multival::serve

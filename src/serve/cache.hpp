@@ -18,13 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "bisim/equivalence.hpp"
+#include "core/lru.hpp"
 #include "core/sync.hpp"
 #include "compose/pipeline.hpp"
 #include "serve/hash.hpp"
@@ -67,14 +66,8 @@ class ResultCache {
   [[nodiscard]] std::size_t bytes() const;
 
  private:
-  struct Entry {
-    CacheKey key;
-    std::string payload;
-  };
-
   void insert_locked(const CacheKey& key, std::string payload)
       MV_REQUIRES(mu_);
-  void evict_locked() MV_REQUIRES(mu_);
   void sweep_stale_tmp() MV_REQUIRES(mu_);
   [[nodiscard]] std::string disk_path(const CacheKey& key) const;
   // The disk tier maintains the disk_* counters in stats_, so both run
@@ -87,10 +80,10 @@ class ResultCache {
 
   Options opts_;
   mutable core::Mutex mu_;
-  std::list<Entry> lru_ MV_GUARDED_BY(mu_);  // front = most recently used
-  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> map_
+  core::LruCache<CacheKey, std::string, CacheKeyHash> memory_
       MV_GUARDED_BY(mu_);
-  std::size_t bytes_ MV_GUARDED_BY(mu_) = 0;
+  // Disk-tier counters; hits, misses, insertions and evictions are
+  // derived from memory_ in stats().
   Stats stats_ MV_GUARDED_BY(mu_);
 };
 
@@ -119,9 +112,6 @@ class PipelineCache final : public compose::MinimizeCache {
   [[nodiscard]] ResultCache& result_cache() { return cache_; }
 
  private:
-  static CacheKey key_of(const lts::Lts& input, bisim::Equivalence e);
-  static CacheKey subtree_key_of(const std::string& plan_key);
-
   ResultCache cache_;
 };
 

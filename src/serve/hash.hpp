@@ -1,69 +1,20 @@
-// Canonical content hashing for the evaluation service (src/serve).
-//
-// A CacheKey is a 128-bit digest of the *semantic* object being solved —
-// an LTS, an IMC, a CTMC or a mu-calculus formula — not of its textual
-// encoding, so two .aut renderings of the same model (different whitespace,
-// different label-interning order) map to the same key.  The digest covers
-// everything the solvers observe: state count, initial state/distribution,
-// and every transition in insertion order with its label *text* (label ids
-// are an artefact of interning order and are never hashed).
-//
-// The hash is two independent FNV-1a-64 lanes finalised with a splitmix64
-// mix.  It is a content-address for caching, not a cryptographic digest.
+// Canonical content digests of the model types handled by the evaluation
+// service (src/serve).  The hasher and key are core::Hasher and
+// core::CacheKey (core/hash.hpp); the LTS digest lives next to lts::Lts.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <string_view>
-
+#include "core/hash.hpp"
 #include "imc/imc.hpp"
 #include "lts/lts.hpp"
 #include "markov/ctmc.hpp"
 
 namespace multival::serve {
 
-/// 128-bit content key.
-struct CacheKey {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
+using core::CacheKey;
+using core::CacheKeyHash;
+using core::Hasher;
+using lts::hash_append;
 
-  friend bool operator==(const CacheKey&, const CacheKey&) = default;
-
-  /// 32 lowercase hex characters (used as the on-disk file name).
-  [[nodiscard]] std::string hex() const;
-};
-
-struct CacheKeyHash {
-  [[nodiscard]] std::size_t operator()(const CacheKey& k) const {
-    return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ull));
-  }
-};
-
-/// Incremental canonical hasher.  All multi-byte values are fed in a fixed
-/// little-endian order and strings are length-prefixed, so the digest does
-/// not depend on platform layout or on field concatenation ambiguities.
-class Hasher {
- public:
-  Hasher();
-
-  void bytes(const void* data, std::size_t n);
-  void u64(std::uint64_t v);
-  /// Length-prefixed, so str("ab")+str("c") != str("a")+str("bc").
-  void str(std::string_view s);
-  /// Hashes the IEEE-754 bit pattern (rates are compared bitwise by the
-  /// solvers, so the key must distinguish them bitwise too).
-  void f64(double v);
-
-  [[nodiscard]] CacheKey key() const;
-
- private:
-  std::uint64_t a_;
-  std::uint64_t b_;
-};
-
-/// Canonical digests of the model types handled by the service.
-void hash_append(Hasher& h, const lts::Lts& l);
 void hash_append(Hasher& h, const imc::Imc& m);
 void hash_append(Hasher& h, const markov::Ctmc& c);
 

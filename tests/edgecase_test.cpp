@@ -16,7 +16,6 @@
 #include "lts/lts_io.hpp"
 #include "lts/product.hpp"
 #include "markov/absorption.hpp"
-#include "markov/dtmc.hpp"
 #include "markov/rewards.hpp"
 #include "markov/transient.hpp"
 #include "mc/evaluator.hpp"
@@ -179,13 +178,6 @@ TEST(EdgeCases, RewardsOnAbsorbingInitialState) {
   const std::vector<double> unit(2, 1.0);
   EXPECT_DOUBLE_EQ(markov::expected_accumulated_reward(c, unit)[0], 0.0);
   EXPECT_DOUBLE_EQ(markov::expected_transition_count(c, "*")[0], 0.0);
-}
-
-TEST(EdgeCases, DtmcSingleState) {
-  const markov::Dtmc d(
-      markov::SparseMatrix::from_triplets(1, 1, {{0, 0, 1.0}}), {1.0});
-  EXPECT_DOUBLE_EQ(d.stationary()[0], 1.0);
-  EXPECT_DOUBLE_EQ(d.distribution_after(10)[0], 1.0);
 }
 
 // --- phase-type corners ---------------------------------------------------------------------

@@ -1,11 +1,15 @@
-// Tests for the LOTOS-flavoured textual front end of the process calculus.
+// Tests for the LOTOS-flavoured textual front end of the process calculus,
+// plus garbage-input sweeps over the process and formula parsers.
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "bisim/equivalence.hpp"
 #include "core/flow.hpp"
 #include "markov/steady.hpp"
 #include "lts/analysis.hpp"
 #include "mc/evaluator.hpp"
+#include "mc/parser.hpp"
 #include "mc/properties.hpp"
 #include "proc/generator.hpp"
 #include "proc/parser.hpp"
@@ -276,5 +280,50 @@ TEST(ProcProgramParser, TextualModelEndToEnd) {
   const auto pi = markov::steady_state(closed.ctmc);
   EXPECT_NEAR(markov::throughput(closed.ctmc, pi, "SERVE"), 0.8, 1e-9);
 }
+
+// --- parser robustness: garbage never crashes -----------------------------------
+
+class FuzzSeed : public ::testing::TestWithParam<std::uint32_t> {};
+
+std::string random_garbage(std::uint32_t seed) {
+  static const char alphabet[] =
+      "abcXYZ01 ;:!?().,[]<>|&-+*/'\"\n\tprocessmunutt";
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::size_t> len(0, 60);
+  std::uniform_int_distribution<std::size_t> ch(0, sizeof(alphabet) - 2);
+  std::string s;
+  const std::size_t n = len(rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.push_back(alphabet[ch(rng)]);
+  }
+  return s;
+}
+
+TEST_P(FuzzSeed, FormulaParserThrowsCleanly) {
+  const std::string input = random_garbage(GetParam());
+  try {
+    (void)mc::parse_formula(input);
+  } catch (const mc::ParseError&) {
+    // expected for garbage
+  } catch (const std::invalid_argument&) {
+    // reserved-name style rejections are also acceptable
+  }
+}
+
+TEST_P(FuzzSeed, ProcParserThrowsCleanly) {
+  const std::string input = random_garbage(GetParam() + 1000);
+  try {
+    (void)proc::parse_program(input);
+  } catch (const proc::ProcParseError&) {
+  } catch (const std::invalid_argument&) {
+  }
+  try {
+    (void)proc::parse_behaviour(input);
+  } catch (const proc::ProcParseError&) {
+  } catch (const std::invalid_argument&) {
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Garbage, FuzzSeed, ::testing::Range(0u, 50u));
 
 }  // namespace

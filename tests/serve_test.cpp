@@ -118,6 +118,14 @@ TEST(ServeHash, DistinguishesModelsAndFieldBoundaries) {
   EXPECT_NE(h1.key(), h2.key());
 }
 
+TEST(ServeHash, ImcRequestKeyIsPinned) {
+  // Keys name the MVCR disk entries, so a digest change would orphan every
+  // cache an earlier build wrote.
+  const serve::Request r = make_request(serve::Verb::kReach, kCtmcModel);
+  EXPECT_EQ(serve::prepare_request(r).key.hex(),
+            "347535c3e15653cbb766e46fd839cdc4");
+}
+
 TEST(ServeHash, HexIsStable) {
   serve::Hasher h;
   h.str("hello");
