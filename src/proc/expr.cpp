@@ -1,6 +1,7 @@
 #include "proc/expr.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace multival::proc {
@@ -89,74 +90,163 @@ ExprPtr Expr::make_binary(BinaryOp op, ExprPtr a, ExprPtr b) {
 }
 
 Value Expr::eval(const Env& env) const {
-  switch (kind_) {
-    case Kind::kConst:
-      return value_;
-    case Kind::kVar: {
-      const auto v = env.lookup(name_);
-      if (!v) {
-        throw std::out_of_range("Expr::eval: unbound variable " + name_);
+  std::vector<Value> slots;
+  const CompiledExpr code(
+      *this, [&](const std::string& name) -> std::optional<std::uint32_t> {
+        const auto v = env.lookup(name);
+        if (!v) {
+          return std::nullopt;
+        }
+        slots.push_back(*v);
+        return static_cast<std::uint32_t>(slots.size() - 1);
+      });
+  return code.eval(slots);
+}
+
+// ---------------------------------------------------------- CompiledExpr --
+
+namespace {
+
+[[noreturn]] void overflow(const char* op) {
+  throw std::domain_error(std::string("Expr::eval: int32 overflow in ") + op);
+}
+
+Value apply_op(UnaryOp op, Value a) {
+  switch (op) {
+    case UnaryOp::kNeg:
+      if (a == std::numeric_limits<Value>::min()) {
+        overflow("unary -");
       }
-      return *v;
-    }
-    case Kind::kUnary: {
-      const Value a = lhs_->eval(env);
-      switch (uop_) {
-        case UnaryOp::kNeg:
-          return -a;
-        case UnaryOp::kNot:
-          return a == 0 ? 1 : 0;
+      return -a;
+    case UnaryOp::kNot:
+      return a == 0 ? 1 : 0;
+  }
+  throw std::logic_error("Expr::eval: bad unary operator");
+}
+
+Value apply_op(BinaryOp op, Value a, Value b) {
+  Value r = 0;
+  switch (op) {
+    case BinaryOp::kAdd:
+      if (__builtin_add_overflow(a, b, &r)) {
+        overflow("+");
+      }
+      return r;
+    case BinaryOp::kSub:
+      if (__builtin_sub_overflow(a, b, &r)) {
+        overflow("-");
+      }
+      return r;
+    case BinaryOp::kMul:
+      if (__builtin_mul_overflow(a, b, &r)) {
+        overflow("*");
+      }
+      return r;
+    case BinaryOp::kDiv:
+      if (b == 0) {
+        throw std::domain_error("Expr::eval: division by zero");
+      }
+      if (b == -1 && a == std::numeric_limits<Value>::min()) {
+        overflow("/");
+      }
+      return a / b;
+    case BinaryOp::kMod:
+      if (b == 0) {
+        throw std::domain_error("Expr::eval: modulo by zero");
+      }
+      if (b == -1 && a == std::numeric_limits<Value>::min()) {
+        overflow("%");
+      }
+      return a % b;
+    case BinaryOp::kEq:
+      return a == b ? 1 : 0;
+    case BinaryOp::kNe:
+      return a != b ? 1 : 0;
+    case BinaryOp::kLt:
+      return a < b ? 1 : 0;
+    case BinaryOp::kLe:
+      return a <= b ? 1 : 0;
+    case BinaryOp::kGt:
+      return a > b ? 1 : 0;
+    case BinaryOp::kGe:
+      return a >= b ? 1 : 0;
+    case BinaryOp::kMin:
+      return std::min(a, b);
+    case BinaryOp::kMax:
+      return std::max(a, b);
+    case BinaryOp::kAnd:
+    case BinaryOp::kOr:
+      break;  // short-circuited by the caller
+  }
+  throw std::logic_error("Expr::eval: bad binary operator");
+}
+
+}  // namespace
+
+CompiledExpr::CompiledExpr(const Expr& e, const Resolver& slot_of) {
+  (void)add(e, slot_of);
+}
+
+std::uint32_t CompiledExpr::add(const Expr& e, const Resolver& slot_of) {
+  Node n;
+  n.kind = e.kind();
+  switch (e.kind()) {
+    case Expr::Kind::kConst:
+      n.arg = e.constant();
+      break;
+    case Expr::Kind::kVar:
+      if (const auto slot = slot_of(e.var_name())) {
+        n.arg = static_cast<Value>(*slot);
+      } else {
+        n.bound = false;
+        n.arg = static_cast<Value>(unbound_.size());
+        unbound_.push_back(e.var_name());
       }
       break;
-    }
-    case Kind::kBinary: {
-      const Value a = lhs_->eval(env);
-      // Short-circuit for the boolean connectives.
-      if (bop_ == BinaryOp::kAnd) {
-        return (a != 0 && rhs_->eval(env) != 0) ? 1 : 0;
-      }
-      if (bop_ == BinaryOp::kOr) {
-        return (a != 0 || rhs_->eval(env) != 0) ? 1 : 0;
-      }
-      const Value b = rhs_->eval(env);
-      switch (bop_) {
-        case BinaryOp::kAdd:
-          return a + b;
-        case BinaryOp::kSub:
-          return a - b;
-        case BinaryOp::kMul:
-          return a * b;
-        case BinaryOp::kDiv:
-          if (b == 0) {
-            throw std::domain_error("Expr::eval: division by zero");
-          }
-          return a / b;
-        case BinaryOp::kMod:
-          if (b == 0) {
-            throw std::domain_error("Expr::eval: modulo by zero");
-          }
-          return a % b;
-        case BinaryOp::kEq:
-          return a == b ? 1 : 0;
-        case BinaryOp::kNe:
-          return a != b ? 1 : 0;
-        case BinaryOp::kLt:
-          return a < b ? 1 : 0;
-        case BinaryOp::kLe:
-          return a <= b ? 1 : 0;
-        case BinaryOp::kGt:
-          return a > b ? 1 : 0;
-        case BinaryOp::kGe:
-          return a >= b ? 1 : 0;
-        case BinaryOp::kMin:
-          return std::min(a, b);
-        case BinaryOp::kMax:
-          return std::max(a, b);
-        case BinaryOp::kAnd:
-        case BinaryOp::kOr:
-          break;  // handled above
-      }
+    case Expr::Kind::kUnary:
+      n.uop = e.unary_op();
+      n.lhs = add(*e.lhs(), slot_of);
       break;
+    case Expr::Kind::kBinary:
+      n.bop = e.binary_op();
+      n.lhs = add(*e.lhs(), slot_of);
+      n.rhs = add(*e.rhs(), slot_of);
+      break;
+  }
+  nodes_.push_back(n);
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+Value CompiledExpr::eval(std::span<const Value> slots) const {
+  if (nodes_.empty()) {
+    throw std::logic_error("CompiledExpr::eval: empty expression");
+  }
+  return run(static_cast<std::uint32_t>(nodes_.size() - 1), slots);
+}
+
+Value CompiledExpr::run(std::uint32_t node,
+                        std::span<const Value> slots) const {
+  const Node& n = nodes_[node];
+  switch (n.kind) {
+    case Expr::Kind::kConst:
+      return n.arg;
+    case Expr::Kind::kVar:
+      if (!n.bound) {
+        throw std::out_of_range("Expr::eval: unbound variable " +
+                                unbound_[static_cast<std::size_t>(n.arg)]);
+      }
+      return slots[static_cast<std::size_t>(n.arg)];
+    case Expr::Kind::kUnary:
+      return apply_op(n.uop, run(n.lhs, slots));
+    case Expr::Kind::kBinary: {
+      const Value a = run(n.lhs, slots);
+      if (n.bop == BinaryOp::kAnd) {
+        return (a != 0 && run(n.rhs, slots) != 0) ? 1 : 0;
+      }
+      if (n.bop == BinaryOp::kOr) {
+        return (a != 0 || run(n.rhs, slots) != 0) ? 1 : 0;
+      }
+      return apply_op(n.bop, a, run(n.rhs, slots));
     }
   }
   throw std::logic_error("Expr::eval: bad expression");

@@ -1,13 +1,14 @@
 // Integer expressions and environments for the LOTOS-like process calculus.
 //
 // The value domain is int32_t ("LOTOS with naturals/booleans folded into
-// ints"): booleans are 0/1, division by zero throws.  Expressions are
-// immutable shared trees with cached free-variable sets; environments are
-// canonical sorted (name, value) vectors so that process configurations can
-// be hashed structurally.
+// ints"): booleans are 0/1; division by zero and int32 overflow throw.
+// Expressions are immutable shared trees with cached free-variable sets.
+// They are evaluated in one place, CompiledExpr, which reads variables from
+// numbered slots; Env is the named environment Expr::eval resolves against.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -56,8 +57,9 @@ class Expr {
   [[nodiscard]] const ExprPtr& lhs() const { return lhs_; }
   [[nodiscard]] const ExprPtr& rhs() const { return rhs_; }
 
-  /// Evaluates under @p env; throws std::out_of_range on unbound variables
-  /// and std::domain_error on division/modulo by zero.
+  /// Evaluates under @p env (through CompiledExpr); throws std::out_of_range
+  /// on unbound variables and std::domain_error on division/modulo by zero
+  /// and on int32 overflow.
   [[nodiscard]] Value eval(const Env& env) const;
 
   /// Sorted, deduplicated free variables (cached).
@@ -83,6 +85,46 @@ class Expr {
   std::vector<std::string> free_vars_;
 };
 
+/// An expression compiled against a slot layout: each variable becomes the
+/// index of the slot it reads, so evaluation touches no names.  This is the
+/// one evaluator: Expr::eval compiles against an Env, and the process
+/// generator compiles each term's expressions once against the term's slots.
+///
+/// Arithmetic is checked: division or modulo by zero, int32 overflow of
+/// +, -, * and unary minus, and INT_MIN / -1 and INT_MIN % -1 all throw
+/// std::domain_error.  && and || short-circuit.
+class CompiledExpr {
+ public:
+  /// Maps a variable name to its slot, or std::nullopt if it is unbound.
+  using Resolver =
+      std::function<std::optional<std::uint32_t>(const std::string&)>;
+
+  CompiledExpr() = default;
+  CompiledExpr(const Expr& e, const Resolver& slot_of);
+
+  /// Evaluates over @p slots.  Reaching an unbound variable throws
+  /// std::out_of_range; a slot index past @p slots is a caller bug.
+  [[nodiscard]] Value eval(std::span<const Value> slots) const;
+
+ private:
+  struct Node {
+    Expr::Kind kind = Expr::Kind::kConst;
+    UnaryOp uop = UnaryOp::kNeg;
+    BinaryOp bop = BinaryOp::kAdd;
+    Value arg = 0;  // constant, slot, or (unbound variable) index in unbound_
+    bool bound = true;
+    std::uint32_t lhs = 0;
+    std::uint32_t rhs = 0;
+  };
+
+  std::uint32_t add(const Expr& e, const Resolver& slot_of);
+  [[nodiscard]] Value run(std::uint32_t node,
+                          std::span<const Value> slots) const;
+
+  std::vector<Node> nodes_;             // post-order: the root is last
+  std::vector<std::string> unbound_;    // names of unbound variables
+};
+
 /// Canonical variable environment: sorted by name, no duplicates.
 class Env {
  public:
@@ -93,8 +135,8 @@ class Env {
 
   [[nodiscard]] std::optional<Value> lookup(std::string_view name) const;
 
-  /// Environment restricted to @p vars (which must be sorted is NOT
-  /// required; missing vars are simply absent).
+  /// Environment restricted to @p vars, in any order; names of @p vars
+  /// that are not bound here are left out.
   [[nodiscard]] Env restricted_to(std::span<const std::string> vars) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,84 +17,106 @@ using lts::Lts;
 using lts::StateId;
 
 using CfgId = std::uint32_t;
-constexpr CfgId kNoCfg = static_cast<CfgId>(-1);
+using ActionId = std::uint32_t;
+using GateId = std::uint32_t;
+using TermId = std::uint32_t;
 
-/// A runtime configuration node.  Hash-consed: structurally equal
-/// configurations share one id, which makes state identification O(1).
-struct Config {
-  enum class Kind { kLeaf, kPar, kSeq, kHide, kRename };
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
-  Kind kind = Kind::kLeaf;
-  const Term* term = nullptr;  // leaf term, or the par/seq/hide/rename node
-  CfgId left = kNoCfg;         // par left / seq current / hide-rename inner
-  CfgId right = kNoCfg;        // par right
-  Env env;                     // leaf environment / seq continuation env
+// Actions 0 and 1 are tau and exit.  Their gates are sentinels that no gate
+// name maps to, so a visible gate renamed to "i" or "exit" stays visible.
+constexpr ActionId kTau = 0;
+constexpr ActionId kExit = 1;
+constexpr GateId kTauGate = 0;
+constexpr GateId kExitGate = 1;
 
-  friend bool operator==(const Config&, const Config&) = default;
+/// The stop term is compiled first, so the stop leaf is always term 0.
+constexpr TermId kStopTerm = 0;
+
+/// One transition of a configuration: interned action, successor.
+struct Move {
+  ActionId action = 0;
+  CfgId dst = 0;
 };
 
-struct ConfigHash {
-  std::size_t operator()(const Config& c) const noexcept {
-    std::uint64_t h = static_cast<std::uint64_t>(c.kind) * 0x9e3779b97f4a7c15ull;
-    h ^= reinterpret_cast<std::uintptr_t>(c.term);
-    h *= 1099511628211ull;
-    h ^= c.left;
-    h *= 1099511628211ull;
-    h ^= c.right;
-    h *= 1099511628211ull;
-    h ^= c.env.hash();
-    return static_cast<std::size_t>(h);
+/// A run of moves in Generator::moves_; size kNone means "not computed".
+struct Span {
+  std::uint32_t begin = 0;
+  std::uint32_t size = kNone;
+};
+
+std::uint64_t mix(std::uint64_t h, std::uint32_t w) {
+  h = (h ^ w) * 0xff51afd7ed558ccdull;
+  return h ^ (h >> 32);
+}
+
+std::uint64_t hash_words(std::span<const std::uint32_t> words) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ words.size();
+  for (const std::uint32_t w : words) {
+    h = mix(h, w);
   }
-};
+  return h;
+}
 
-/// A concrete action produced by the SOS rules.
-struct GAction {
-  enum class Type { kVisible, kTau, kExit };
-  Type type = Type::kTau;
-  std::string gate;            // kVisible only
-  std::vector<Value> values;   // kVisible only
-
-  [[nodiscard]] bool can_sync_on(const std::vector<std::string>& gates) const {
-    if (type == Type::kExit) {
-      return true;
+/// Open-addressing (linear probing) set of dense ids whose records live in
+/// the caller's arena.  Each slot keeps 32 bits of the record's hash next
+/// to its id, so growing never touches the records and most probes that
+/// miss never touch them either.
+class IdTable {
+ public:
+  /// Returns the id whose record @p same accepts, or adds @p fresh.
+  template <class Same>
+  std::uint32_t find_or_add(std::uint64_t hash, std::uint32_t fresh,
+                            Same&& same) {
+    if ((count_ + 1) * 4 > slots_.size() * 3) {
+      grow();
     }
-    if (type != Type::kVisible) {
-      return false;
-    }
-    for (const std::string& g : gates) {
-      if (g == gate) {
-        return true;
+    const auto tag = static_cast<std::uint32_t>(hash ^ (hash >> 32));
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.id == kNone) {
+        s = Slot{tag, fresh};
+        ++count_;
+        return fresh;
+      }
+      if (s.tag == tag && same(s.id)) {
+        return s.id;
       }
     }
-    return false;
   }
 
-  [[nodiscard]] bool same_label(const GAction& o) const {
-    return type == o.type && gate == o.gate && values == o.values;
-  }
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t id = kNone;
+  };
 
-  [[nodiscard]] std::string label() const {
-    switch (type) {
-      case Type::kTau:
-        return "i";
-      case Type::kExit:
-        return "exit";
-      case Type::kVisible: {
-        std::string s = gate;
-        for (const Value v : values) {
-          s += " !";
-          s += std::to_string(v);
-        }
-        return s;
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(64, slots_.size() * 2));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.id == kNone) {
+        continue;
       }
+      std::size_t i = s.tag & mask;
+      while (slots_[i].id != kNone) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = s;
     }
-    return "?";
   }
-};
 
-using Successor = std::pair<GAction, CfgId>;
+  std::vector<Slot> slots_;
+  std::size_t count_ = 0;
+};
 
 // ---- canonical state encoding helpers ---------------------------------------
+
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::runtime_error("TermExplorer: malformed state (" + what + ")");
+}
 
 void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
@@ -107,7 +131,7 @@ std::uint64_t get_varint(std::string_view bytes, std::size_t& pos) {
   int shift = 0;
   while (true) {
     if (pos >= bytes.size() || shift > 63) {
-      throw std::runtime_error("TermExplorer: malformed state (varint)");
+      malformed("varint");
     }
     const auto b = static_cast<std::uint8_t>(bytes[pos++]);
     v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
@@ -118,85 +142,96 @@ std::uint64_t get_varint(std::string_view bytes, std::size_t& pos) {
   }
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+/// Values are zigzag-coded, so small negative values stay short.
+void put_value(std::string& out, Value v) {
+  const auto u = static_cast<std::uint32_t>(v);
+  put_varint(out, (u << 1) ^ (v < 0 ? 0xffffffffu : 0u));
 }
 
-std::uint64_t get_u64(std::string_view bytes, std::size_t& pos) {
-  if (pos + 8 > bytes.size()) {
-    throw std::runtime_error("TermExplorer: malformed state (pointer)");
+Value get_value(std::string_view bytes, std::size_t& pos) {
+  const std::uint64_t z = get_varint(bytes, pos);
+  if (z > 0xffffffffull) {
+    malformed("value");
   }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[pos++]))
-         << (8 * i);
-  }
-  return v;
+  const auto u = static_cast<std::uint32_t>(z);
+  return static_cast<Value>((u >> 1) ^ (0u - (u & 1u)));
 }
 
+/// Runtime configurations are hash-consed records in one word arena:
+///
+///   leaf   (stop, exit, prefix, choice)  term, one value per free variable
+///   par                                  term, left, right
+///   hide / rename                        term, inner
+///   seq                                  term, current, one value per free
+///                                        variable of the continuation
+///
+/// The term index fixes the record's kind and length.  A leaf's values are
+/// its environment restricted to the term's free variables, in the order
+/// of Term::free_vars(); every term's expressions are compiled once against
+/// that slot layout, so no name is looked up while generating.  CfgIds are
+/// dense, so the memo, the state map and the record offsets are vectors.
 class Generator {
  public:
-  Generator(const Program& program, const GenerateOptions& options)
-      : program_(program), options_(options), stop_term_(stop()) {}
+  Generator(const Program& program, TermPtr root,
+            const GenerateOptions& options)
+      : program_(program), options_(options), root_(std::move(root)) {
+    gate_names_ = {"i", "exit"};  // sentinels: gate_ids_ never maps to them
+    (void)compile(stop().get());
+    root_edge_ = edge(*root_, {});
+    finish_gates();
+    actions_.push_back(ActionRec{kTauGate, 0, 0});
+    actions_.push_back(ActionRec{kExitGate, 0, 0});
+    labels_ = {"i", "exit"};
+  }
 
-  Lts run(const TermPtr& root) {
-    root_keepalive_ = root;
+  Lts run() {
     Lts out;
-    const CfgId init = lift(root.get(), Env{}, 0);
-    const StateId s0 = state_of(init, out);
-    out.set_initial_state(s0);
-    while (!worklist_.empty()) {
-      const CfgId cfg = worklist_.front();
-      worklist_.pop_front();
-      const StateId src = cfg_to_state_.at(cfg);
-      for (const Successor& suc : transitions(cfg, 0)) {
-        const StateId dst = state_of(suc.second, out);
-        out.add_transition(src, std::string_view(suc.first.label()), dst);
+    (void)state_of(lift_root());
+    out.add_state();
+    out.set_initial_state(0);
+    std::vector<lts::ActionId> lts_action(actions_.size(), kNone);
+    for (StateId src = 0; src < states_.size(); ++src) {
+      for (const Move& m : successors(states_[src])) {
+        const StateId dst = state_of(m.dst);
+        if (dst == out.num_states()) {
+          out.add_state();
+        }
+        if (m.action >= lts_action.size()) {
+          lts_action.resize(actions_.size(), kNone);
+        }
+        if (lts_action[m.action] == kNone) {
+          lts_action[m.action] = out.actions().intern(labels_[m.action]);
+        }
+        out.add_transition(src, lts_action[m.action], dst);
       }
     }
     return out;
   }
 
   /// Breadth-first search that stops at the first deadlocked state.
-  DeadlockSearchResult run_find_deadlock(const TermPtr& root) {
-    root_keepalive_ = root;
-    Lts out;  // states only; transitions are not materialised
+  DeadlockSearchResult run_find_deadlock() {
     DeadlockSearchResult result;
     struct Parent {
       StateId state = lts::kNoState;
-      std::string label;
+      ActionId action = kTau;
     };
-    std::vector<Parent> parents;
-
-    const CfgId init = lift(root.get(), Env{}, 0);
-    (void)state_of(init, out);
-    out.set_initial_state(0);
-    parents.emplace_back();
-
-    while (!worklist_.empty()) {
-      const CfgId cfg = worklist_.front();
-      worklist_.pop_front();
-      const StateId src = cfg_to_state_.at(cfg);
-      const auto succ = transitions(cfg, 0);
+    std::vector<Parent> parents(1);
+    (void)state_of(lift_root());
+    for (StateId src = 0; src < states_.size(); ++src) {
+      const std::span<const Move> succ = successors(states_[src]);
       ++result.states_explored;
       if (succ.empty()) {
         result.found = true;
-        // Unwind the parent chain.
         for (StateId s = src; parents[s].state != lts::kNoState;
              s = parents[s].state) {
-          result.trace.push_back(parents[s].label);
+          result.trace.push_back(labels_[parents[s].action]);
         }
         std::reverse(result.trace.begin(), result.trace.end());
         return result;
       }
-      for (const Successor& suc : succ) {
-        const std::size_t before = cfg_to_state_.size();
-        const StateId dst = state_of(suc.second, out);
-        if (cfg_to_state_.size() > before) {
-          parents.push_back(Parent{src, suc.first.label()});
-          (void)dst;
+      for (const Move& m : succ) {
+        if (state_of(m.dst) == parents.size()) {
+          parents.push_back(Parent{src, m.action});
         }
       }
     }
@@ -205,224 +240,442 @@ class Generator {
 
   // ---- TermExplorer support ----------------------------------------------
 
-  CfgId lift_root(const TermPtr& root) {
-    root_keepalive_ = root;
-    return lift(root.get(), Env{}, 0);
+  CfgId lift_root() {
+    vals_.clear();
+    return lift(root_edge_, 0, 0);
   }
 
-  std::vector<Successor> successors_of(CfgId id) { return transitions(id, 0); }
-
-  /// Canonical byte encoding of a configuration.  Leaf/operator terms are
-  /// identified by their address in the shared term tree (stable across
-  /// Generators over the same Program/root); the ubiquitous "stop" leaf is
-  /// encoded structurally so that every Generator's private stop term
-  /// canonicalises to the same bytes.
-  std::string encode(CfgId id) const {
-    std::string out;
-    encode_cfg(id, out);
-    return out;
+  /// The moves of a state's root configuration, in SOS order.  They are not
+  /// stored (each state is expanded once); the span lives until the next
+  /// call.
+  std::span<const Move> successors(CfgId id) {
+    scratch_.clear();
+    vals_.clear();
+    append(id, 0);
+    return scratch_;
   }
 
+  [[nodiscard]] const std::string& label(ActionId a) const {
+    return labels_[a];
+  }
+
+  /// Canonical byte encoding of a configuration: per record, the term's
+  /// index in the deterministic numbering of the terms reachable from the
+  /// root, then the child records, then the values.  Independent of heap
+  /// addresses, so equal for every Generator over an equal program and root.
+  void encode(CfgId id, std::string& out) const {
+    const std::size_t at = at_[id];
+    const TermId t = words_[at];
+    put_varint(out, t);
+    switch (codes_[t].kind) {
+      case Term::Kind::kPar:
+        encode(words_[at + 1], out);
+        encode(words_[at + 2], out);
+        return;
+      case Term::Kind::kHide:
+      case Term::Kind::kRename:
+        encode(words_[at + 1], out);
+        return;
+      case Term::Kind::kSeq:
+        encode(words_[at + 1], out);
+        put_values(at + 2, codes_[t].record_vars, out);
+        return;
+      default:
+        put_values(at + 1, codes_[t].record_vars, out);
+        return;
+    }
+  }
+
+  /// Inverse of encode.  Anything that is not an encoding over this
+  /// program and root throws std::runtime_error("TermExplorer: malformed
+  /// state ...") or yields some valid configuration.
   CfgId decode(std::string_view bytes) {
+    vals_.clear();
     std::size_t pos = 0;
-    const CfgId id = decode_cfg(bytes, pos);
+    const CfgId id = decode(bytes, pos, 0);
     if (pos != bytes.size()) {
-      throw std::runtime_error("TermExplorer: malformed state (trailing)");
+      malformed("trailing");
     }
     return id;
   }
 
  private:
-  enum : char {
-    kTagLeaf = 0,
-    kTagPar = 1,
-    kTagSeq = 2,
-    kTagHide = 3,
-    kTagRename = 4,
-    kTagStop = 5,
+  /// A child term and, for each of its free variables, the slot it reads
+  /// in the parent's scope.
+  struct Edge {
+    TermId term = 0;
+    std::vector<std::uint32_t> slots;
+    std::string unbound;  // first free variable the scope lacks, if any
   };
 
-  void encode_env(const Env& env, std::string& out) const {
-    put_varint(out, env.size());
-    for (const auto& [name, value] : env.entries()) {
-      put_varint(out, name.size());
-      out += name;
-      put_varint(out, static_cast<std::uint32_t>(value));
-    }
-  }
+  struct Offer {
+    bool accept = false;
+    CompiledExpr emit;  // over the term's slots, then earlier offers
+    Value lo = 0;
+    Value hi = 0;
+  };
 
-  Env decode_env(std::string_view bytes, std::size_t& pos) const {
-    Env env;
-    const std::uint64_t n = get_varint(bytes, pos);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t len = get_varint(bytes, pos);
-      if (pos + len > bytes.size()) {
-        throw std::runtime_error("TermExplorer: malformed state (env)");
-      }
-      const std::string name(bytes.substr(pos, len));
-      pos += len;
-      env.bind(name, static_cast<Value>(
-                         static_cast<std::uint32_t>(get_varint(bytes, pos))));
-    }
-    return env;
-  }
+  /// A term compiled against its slot layout: the term's free variables
+  /// (a prefix adds one slot per offer holding that offer's value; a call's
+  /// body reads the argument values).
+  struct Code {
+    const Term* term = nullptr;
+    Term::Kind kind = Term::Kind::kStop;
+    std::uint32_t vars = 0;          // number of free variables
+    std::uint32_t record_vars = 0;   // values stored in the record
+    std::vector<Edge> next;          // children; prefix: continuation; call: body
+    std::vector<CompiledExpr> exprs;  // guard: condition; call: arguments
+    std::vector<Offer> offers;        // prefix
+    GateId gate = 0;                  // prefix
+    std::vector<GateId> gates;  // par/hide: 1 for a member gate; rename: map
+    const Program::Definition* def = nullptr;  // call
+  };
 
-  void encode_cfg(CfgId id, std::string& out) const {
-    const Config& c = arena_[id];
-    switch (c.kind) {
-      case Config::Kind::kLeaf:
-        if (c.term->kind() == Term::Kind::kStop) {
-          out.push_back(kTagStop);
-          return;
+  struct ActionRec {
+    GateId gate = 0;
+    std::uint32_t values_at = 0;
+    std::uint32_t arity = 0;
+  };
+
+  // ---- compilation ---------------------------------------------------------
+
+  /// Numbers @p t and everything reachable from it (children, called
+  /// bodies) in pre-order, compiling each term once.
+  TermId compile(const Term* t) {
+    const auto [it, fresh] =
+        term_ids_.emplace(t, static_cast<TermId>(codes_.size()));
+    if (!fresh) {
+      return it->second;
+    }
+    const TermId id = it->second;
+    codes_.emplace_back();
+    Code c;
+    c.term = t;
+    c.kind = t->kind();
+    c.vars = static_cast<std::uint32_t>(t->free_vars().size());
+    const std::vector<std::string>& scope = t->free_vars();
+    switch (t->kind()) {
+      case Term::Kind::kStop:
+      case Term::Kind::kExit:
+        break;
+      case Term::Kind::kPrefix: {
+        c.gate = gate_id(t->gate());
+        std::vector<std::string> offer_scope = scope;
+        for (const proc::Offer& o : t->offers()) {
+          Offer oc;
+          oc.accept = o.kind == proc::Offer::Kind::kAccept;
+          if (oc.accept) {
+            oc.lo = o.lo;
+            oc.hi = o.hi;
+          } else {
+            oc.emit = CompiledExpr(*o.expr, resolver(offer_scope));
+          }
+          // An emit's slot holds its value but binds no name.
+          offer_scope.push_back(oc.accept ? o.var : std::string());
+          c.offers.push_back(std::move(oc));
         }
-        out.push_back(kTagLeaf);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_env(c.env, out);
-        return;
-      case Config::Kind::kPar:
-        out.push_back(kTagPar);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_cfg(c.left, out);
-        encode_cfg(c.right, out);
-        return;
-      case Config::Kind::kSeq:
-        out.push_back(kTagSeq);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_cfg(c.left, out);
-        encode_env(c.env, out);
-        return;
-      case Config::Kind::kHide:
-      case Config::Kind::kRename:
-        out.push_back(c.kind == Config::Kind::kHide ? kTagHide : kTagRename);
-        put_u64(out, reinterpret_cast<std::uintptr_t>(c.term));
-        encode_cfg(c.left, out);
-        return;
+        c.next.push_back(edge(*t->children()[0], offer_scope));
+        break;
+      }
+      case Term::Kind::kGuard:
+        c.exprs.emplace_back(*t->condition(), resolver(scope));
+        c.next.push_back(edge(*t->children()[0], scope));
+        break;
+      case Term::Kind::kCall:
+        for (const ExprPtr& a : t->args()) {
+          c.exprs.emplace_back(*a, resolver(scope));
+        }
+        if (program_.has_definition(t->callee())) {
+          c.def = &program_.definition(t->callee());
+          c.next.push_back(edge(*c.def->body, c.def->params));
+        }
+        break;
+      case Term::Kind::kPar:
+      case Term::Kind::kHide:
+      case Term::Kind::kRename:
+      case Term::Kind::kChoice:
+      case Term::Kind::kSeq:
+        for (const TermPtr& child : t->children()) {
+          c.next.push_back(edge(*child, scope));
+        }
+        for (const std::string& g : t->gates()) {
+          (void)gate_id(g);
+        }
+        for (const auto& [from, to] : t->gate_map()) {
+          (void)gate_id(from);
+          (void)gate_id(to);
+        }
+        break;
     }
-    throw std::logic_error("encode_cfg: bad config kind");
+    if (c.kind == Term::Kind::kSeq) {
+      c.record_vars =
+          static_cast<std::uint32_t>(t->children()[1]->free_vars().size());
+    } else if (is_leaf(c.kind)) {
+      c.record_vars = c.vars;
+    }
+    codes_[id] = std::move(c);
+    return id;
   }
 
-  CfgId decode_cfg(std::string_view bytes, std::size_t& pos) {
-    if (pos >= bytes.size()) {
-      throw std::runtime_error("TermExplorer: malformed state (empty)");
+  static bool is_leaf(Term::Kind k) {
+    return k == Term::Kind::kStop || k == Term::Kind::kExit ||
+           k == Term::Kind::kPrefix || k == Term::Kind::kChoice;
+  }
+
+  /// Resolves a name to its latest binding in @p scope.
+  static std::optional<std::uint32_t> slot_in(
+      const std::vector<std::string>& scope, const std::string& name) {
+    for (std::size_t i = scope.size(); i-- > 0;) {
+      if (scope[i] == name) {
+        return static_cast<std::uint32_t>(i);
+      }
     }
-    const char tag = bytes[pos++];
-    Config c;
-    switch (tag) {
-      case kTagStop:
-        return stopped();
-      case kTagLeaf:
-        c.kind = Config::Kind::kLeaf;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.env = decode_env(bytes, pos);
-        break;
-      case kTagPar:
-        c.kind = Config::Kind::kPar;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.left = decode_cfg(bytes, pos);
-        c.right = decode_cfg(bytes, pos);
-        break;
-      case kTagSeq:
-        c.kind = Config::Kind::kSeq;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.left = decode_cfg(bytes, pos);
-        c.env = decode_env(bytes, pos);
-        break;
-      case kTagHide:
-      case kTagRename:
-        c.kind = tag == kTagHide ? Config::Kind::kHide : Config::Kind::kRename;
-        c.term = reinterpret_cast<const Term*>(get_u64(bytes, pos));
-        c.left = decode_cfg(bytes, pos);
-        break;
-      default:
-        throw std::runtime_error("TermExplorer: malformed state (tag)");
+    return std::nullopt;
+  }
+
+  static CompiledExpr::Resolver resolver(
+      const std::vector<std::string>& scope) {
+    return [&scope](const std::string& name) { return slot_in(scope, name); };
+  }
+
+  Edge edge(const Term& child, const std::vector<std::string>& scope) {
+    Edge e;
+    for (const std::string& v : child.free_vars()) {
+      const auto slot = slot_in(scope, v);
+      if (!slot && e.unbound.empty()) {
+        e.unbound = v;
+      }
+      e.slots.push_back(slot.value_or(0));
     }
-    return intern(std::move(c));
+    e.term = compile(&child);
+    return e;
+  }
+
+  GateId gate_id(const std::string& name) {
+    const auto [it, fresh] =
+        gate_ids_.emplace(name, static_cast<GateId>(gate_names_.size()));
+    if (fresh) {
+      gate_names_.push_back(name);
+    }
+    return it->second;
+  }
+
+  /// Builds the per-gate tables of par, hide and rename once every gate
+  /// of the reachable terms has its id.
+  void finish_gates() {
+    const std::size_t n = gate_names_.size();
+    for (Code& c : codes_) {
+      switch (c.kind) {
+        case Term::Kind::kPar:
+          c.gates.assign(n, 0);
+          c.gates[kExitGate] = 1;  // exit always synchronises
+          for (const std::string& g : c.term->gates()) {
+            c.gates[gate_ids_.at(g)] = 1;
+          }
+          break;
+        case Term::Kind::kHide:
+          c.gates.assign(n, 0);
+          for (const std::string& g : c.term->gates()) {
+            c.gates[gate_ids_.at(g)] = 1;
+          }
+          break;
+        case Term::Kind::kRename:
+          c.gates.resize(n);
+          for (GateId g = 0; g < n; ++g) {
+            c.gates[g] = g;
+          }
+          for (const auto& [from, to] : c.term->gate_map()) {
+            c.gates[gate_ids_.at(from)] = gate_ids_.at(to);
+          }
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  // ---- actions -------------------------------------------------------------
+
+  ActionId action(GateId gate, std::span<const Value> values) {
+    std::uint64_t h = mix(values.size(), gate);
+    for (const Value v : values) {
+      h = mix(h, static_cast<std::uint32_t>(v));
+    }
+    const auto fresh = static_cast<ActionId>(actions_.size());
+    const ActionId a = action_ids_.find_or_add(h, fresh, [&](ActionId id) {
+      const ActionRec& r = actions_[id];
+      return r.gate == gate && r.arity == values.size() &&
+             std::equal(values.begin(), values.end(),
+                        action_values_.begin() + r.values_at);
+    });
+    if (a == fresh) {
+      actions_.push_back(ActionRec{
+          gate, static_cast<std::uint32_t>(action_values_.size()),
+          static_cast<std::uint32_t>(values.size())});
+      action_values_.insert(action_values_.end(), values.begin(),
+                            values.end());
+      std::string s = gate_names_[gate];
+      for (const Value v : values) {
+        s += " !";
+        s += std::to_string(v);
+      }
+      labels_.push_back(std::move(s));
+    }
+    return a;
+  }
+
+  ActionId renamed(const Code& c, ActionId a) {
+    const ActionRec r = actions_[a];
+    const GateId g = c.gates[r.gate];
+    if (g == r.gate) {
+      return a;
+    }
+    // Copy: interning may grow action_values_.
+    const std::vector<Value> values(
+        action_values_.begin() + r.values_at,
+        action_values_.begin() + r.values_at + r.arity);
+    return action(g, values);
   }
 
   // ---- configuration interning -------------------------------------------
 
-  CfgId intern(Config c) {
-    const auto it = ids_.find(c);
-    if (it != ids_.end()) {
-      return it->second;
+  /// Interns the record words_[at..end): returns the id of an equal record
+  /// (dropping the new copy) or makes it a new configuration.
+  CfgId intern(std::size_t at) {
+    const std::span<const std::uint32_t> rec(words_.data() + at,
+                                             words_.size() - at);
+    const auto fresh = static_cast<CfgId>(at_.size());
+    const CfgId id = cfg_ids_.find_or_add(hash_words(rec), fresh, [&](CfgId c) {
+      // Equal terms imply equal record lengths.
+      return words_[at_[c]] == rec[0] &&
+             std::equal(rec.begin() + 1, rec.end(),
+                        words_.begin() + at_[c] + 1);
+    });
+    if (id == fresh) {
+      at_.push_back(static_cast<std::uint32_t>(at));
+      memo_.emplace_back();
+    } else {
+      words_.resize(at);
     }
-    const auto id = static_cast<CfgId>(arena_.size());
-    arena_.push_back(c);
-    ids_.emplace(std::move(c), id);
     return id;
   }
 
-  const Config& cfg(CfgId id) const { return arena_[id]; }
+  CfgId wrap(TermId t, CfgId inner) {
+    const std::size_t at = words_.size();
+    words_.push_back(t);
+    words_.push_back(inner);
+    return intern(at);
+  }
+
+  CfgId par(TermId t, CfgId left, CfgId right) {
+    const std::size_t at = words_.size();
+    words_.push_back(t);
+    words_.push_back(left);
+    words_.push_back(right);
+    return intern(at);
+  }
+
+  /// seq(t) over @p current, its continuation values copied from the
+  /// record at @p values_at.
+  CfgId seq(TermId t, CfgId current, std::size_t values_at) {
+    const std::size_t at = words_.size();
+    words_.push_back(t);
+    words_.push_back(current);
+    for (std::uint32_t i = 0; i < codes_[t].record_vars; ++i) {
+      const std::uint32_t w = words_[values_at + i];
+      words_.push_back(w);
+    }
+    return intern(at);
+  }
 
   CfgId stopped() {
-    Config c;
-    c.kind = Config::Kind::kLeaf;
-    c.term = stop_term_.get();
-    return intern(std::move(c));
+    const std::size_t at = words_.size();
+    words_.push_back(kStopTerm);
+    return intern(at);
   }
 
   // ---- lifting: term + env -> configuration --------------------------------
 
+  /// Lifts @p e's term under its projection of the scope at vals_[scope..].
+  CfgId lift(const Edge& e, std::size_t scope, std::size_t depth) {
+    if (!e.unbound.empty()) {
+      throw std::out_of_range("generate: unbound variable " + e.unbound);
+    }
+    const std::size_t env = vals_.size();
+    for (const std::uint32_t s : e.slots) {
+      const Value v = vals_[scope + s];
+      vals_.push_back(v);
+    }
+    const CfgId id = lift_term(e.term, env, depth);
+    vals_.resize(env);
+    return id;
+  }
+
+  [[nodiscard]] std::span<const Value> env_at(std::size_t env,
+                                              std::size_t n) const {
+    return {vals_.data() + env, n};
+  }
+
   /// Normalises structural operators into configuration nodes, resolves
-  /// guards, and unfolds process calls.  @p depth guards against unguarded
-  /// recursion.
-  CfgId lift(const Term* t, const Env& env, std::size_t depth) {
+  /// guards, and unfolds process calls; the term's environment is
+  /// vals_[env..].  @p depth guards against unguarded recursion.
+  CfgId lift_term(TermId t, std::size_t env, std::size_t depth) {
     bump(depth);
-    switch (t->kind()) {
+    const Code& c = codes_[t];
+    switch (c.kind) {
       case Term::Kind::kPar: {
-        Config c;
-        c.kind = Config::Kind::kPar;
-        c.term = t;
-        c.left = lift(t->children()[0].get(), env, depth + 1);
-        c.right = lift(t->children()[1].get(), env, depth + 1);
-        return intern(std::move(c));
+        const CfgId l = lift(c.next[0], env, depth + 1);
+        const CfgId r = lift(c.next[1], env, depth + 1);
+        return par(t, l, r);
       }
       case Term::Kind::kHide:
-      case Term::Kind::kRename: {
-        Config c;
-        c.kind = t->kind() == Term::Kind::kHide ? Config::Kind::kHide
-                                                : Config::Kind::kRename;
-        c.term = t;
-        c.left = lift(t->children()[0].get(), env, depth + 1);
-        return intern(std::move(c));
-      }
+      case Term::Kind::kRename:
+        return wrap(t, lift(c.next[0], env, depth + 1));
       case Term::Kind::kSeq: {
-        Config c;
-        c.kind = Config::Kind::kSeq;
-        c.term = t;
-        c.left = lift(t->children()[0].get(), env, depth + 1);
-        c.env = env.restricted_to(t->children()[1]->free_vars());
-        return intern(std::move(c));
+        const CfgId l = lift(c.next[0], env, depth + 1);
+        const std::size_t at = words_.size();
+        words_.push_back(t);
+        words_.push_back(l);
+        for (const std::uint32_t s : c.next[1].slots) {
+          words_.push_back(static_cast<std::uint32_t>(vals_[env + s]));
+        }
+        return intern(at);
       }
-      case Term::Kind::kGuard: {
-        if (t->condition()->eval(env) != 0) {
-          return lift(t->children()[0].get(), env, depth + 1);
+      case Term::Kind::kGuard:
+        if (c.exprs[0].eval(env_at(env, c.vars)) != 0) {
+          return lift(c.next[0], env, depth + 1);
         }
         return stopped();
-      }
       case Term::Kind::kCall: {
-        const Program::Definition& def = program_.definition(t->callee());
-        if (def.params.size() != t->args().size()) {
+        if (c.def == nullptr) {
+          throw std::out_of_range("Program: undefined process " +
+                                  c.term->callee());
+        }
+        if (c.def->params.size() != c.exprs.size()) {
           throw std::invalid_argument(
-              "call of " + t->callee() + ": expected " +
-              std::to_string(def.params.size()) + " argument(s), got " +
-              std::to_string(t->args().size()));
+              "call of " + c.term->callee() + ": expected " +
+              std::to_string(c.def->params.size()) + " argument(s), got " +
+              std::to_string(c.exprs.size()));
         }
-        Env inner;
-        for (std::size_t i = 0; i < def.params.size(); ++i) {
-          inner.bind(def.params[i], t->args()[i]->eval(env));
+        const std::size_t args = vals_.size();
+        for (const CompiledExpr& a : c.exprs) {
+          const Value v = a.eval(env_at(env, c.vars));
+          vals_.push_back(v);
         }
-        return lift(def.body.get(), inner, depth + 1);
+        const CfgId id = lift(c.next[0], args, depth + 1);
+        vals_.resize(args);
+        return id;
       }
       case Term::Kind::kStop:
       case Term::Kind::kExit:
       case Term::Kind::kPrefix:
       case Term::Kind::kChoice: {
-        Config c;
-        c.kind = Config::Kind::kLeaf;
-        c.term = t;
-        c.env = env.restricted_to(t->free_vars());
-        return intern(std::move(c));
+        const std::size_t at = words_.size();
+        words_.push_back(t);
+        for (std::uint32_t i = 0; i < c.vars; ++i) {
+          words_.push_back(static_cast<std::uint32_t>(vals_[env + i]));
+        }
+        return intern(at);
       }
     }
     throw std::logic_error("lift: bad term kind");
@@ -430,193 +683,251 @@ class Generator {
 
   // ---- SOS transition rules -------------------------------------------------
 
-  std::vector<Successor> transitions(CfgId id, std::size_t depth) {
+  /// Appends the moves of @p id to scratch_: from the memo when present,
+  /// else computed (and not stored).
+  void append(CfgId id, std::size_t depth) {
+    const Span s = memo_[id];
+    if (s.size != kNone) {
+      scratch_.insert(scratch_.end(), moves_.begin() + s.begin,
+                      moves_.begin() + s.begin + s.size);
+      return;
+    }
+    expand(id, depth);
+  }
+
+  /// The moves of a parallel operand, computed on first use and then
+  /// served from the memo.  A computation that throws stores nothing.
+  Span memoised(CfgId id, std::size_t depth) {
+    if (memo_[id].size != kNone) {
+      return memo_[id];
+    }
+    const std::size_t mark = scratch_.size();
+    expand(id, depth);
+    const Span s{static_cast<std::uint32_t>(moves_.size()),
+                 static_cast<std::uint32_t>(scratch_.size() - mark)};
+    moves_.insert(moves_.end(), scratch_.begin() + mark, scratch_.end());
+    scratch_.resize(mark);
+    memo_[id] = s;
+    return s;
+  }
+
+  /// Pushes the moves of @p id onto scratch_ in SOS order.  scratch_ is a
+  /// stack: each call only ever touches the moves above its own mark.
+  ///
+  /// Only parallel operands are memoised: they are what states share.  The
+  /// operand of a hide, rename or sequence belongs to that one wrapper, so
+  /// its moves are rewritten in place instead of being stored twice.
+  void expand(CfgId id, std::size_t depth) {
     bump(depth);
-    const Config c = cfg(id);  // copy: arena_ may grow during recursion
+    const std::size_t at = at_[id];
+    const TermId t = words_[at];
+    const Code& c = codes_[t];
+    const std::size_t mark = scratch_.size();
     switch (c.kind) {
-      case Config::Kind::kLeaf:
-        return leaf_transitions(c, depth);
-      case Config::Kind::kPar:
-        return par_transitions(c, depth);
-      case Config::Kind::kSeq:
-        return seq_transitions(c, depth);
-      case Config::Kind::kHide:
-        return hide_transitions(c, depth);
-      case Config::Kind::kRename:
-        return rename_transitions(c, depth);
+      case Term::Kind::kStop:
+        return;
+      case Term::Kind::kExit:
+        scratch_.push_back(Move{kExit, stopped()});
+        return;
+      case Term::Kind::kPrefix: {
+        const std::size_t scope = push_record_values(at + 1, c.vars);
+        vals_.resize(scope + c.vars + c.offers.size());
+        enumerate_offers(c, 0, scope, depth);
+        vals_.resize(scope);
+        return;
+      }
+      case Term::Kind::kChoice: {
+        const std::size_t scope = push_record_values(at + 1, c.vars);
+        for (const Edge& branch : c.next) {
+          append(lift(branch, scope, depth + 1), depth + 1);
+        }
+        vals_.resize(scope);
+        return;
+      }
+      case Term::Kind::kPar:
+        expand_par(t, words_[at + 1], words_[at + 2], depth);
+        return;
+      case Term::Kind::kSeq:
+        append(words_[at + 1], depth + 1);
+        for (std::size_t i = mark; i < scratch_.size(); ++i) {
+          Move& m = scratch_[i];  // lifting and interning leave scratch_ be
+          if (m.action == kExit) {
+            const std::size_t env = push_record_values(at + 2, c.record_vars);
+            m = Move{kTau, lift_term(c.next[1].term, env, depth + 1)};
+            vals_.resize(env);
+          } else {
+            m.dst = seq(t, m.dst, at + 2);
+          }
+        }
+        return;
+      case Term::Kind::kHide:
+        append(words_[at + 1], depth + 1);
+        for (std::size_t i = mark; i < scratch_.size(); ++i) {
+          Move& m = scratch_[i];
+          if (c.gates[actions_[m.action].gate] != 0) {
+            m.action = kTau;
+          }
+          m.dst = wrap(t, m.dst);
+        }
+        return;
+      case Term::Kind::kRename:
+        append(words_[at + 1], depth + 1);
+        for (std::size_t i = mark; i < scratch_.size(); ++i) {
+          Move& m = scratch_[i];
+          m = Move{renamed(c, m.action), wrap(t, m.dst)};
+        }
+        return;
+      case Term::Kind::kGuard:
+      case Term::Kind::kCall:
+        break;
     }
     throw std::logic_error("transitions: bad config kind");
   }
 
-  std::vector<Successor> leaf_transitions(const Config& c, std::size_t depth) {
-    const Term& t = *c.term;
-    switch (t.kind()) {
-      case Term::Kind::kStop:
-        return {};
-      case Term::Kind::kExit: {
-        GAction a;
-        a.type = GAction::Type::kExit;
-        return {{std::move(a), stopped()}};
-      }
-      case Term::Kind::kPrefix: {
-        std::vector<Successor> out;
-        std::vector<Value> values;
-        enumerate_offers(t, 0, c.env, values, out, depth);
-        return out;
-      }
-      case Term::Kind::kChoice: {
-        std::vector<Successor> out;
-        for (const TermPtr& branch : t.children()) {
-          const CfgId b = lift(branch.get(), c.env, depth + 1);
-          auto moves = transitions(b, depth + 1);
-          out.insert(out.end(), std::make_move_iterator(moves.begin()),
-                     std::make_move_iterator(moves.end()));
-        }
-        return out;
-      }
-      default:
-        throw std::logic_error("leaf_transitions: non-leaf term");
+  /// Copies @p n record values starting at word @p at onto vals_; returns
+  /// where they start.
+  std::size_t push_record_values(std::size_t at, std::uint32_t n) {
+    const std::size_t start = vals_.size();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      vals_.push_back(static_cast<Value>(words_[at + i]));
     }
+    return start;
   }
 
-  /// Left-to-right enumeration of value offers: emits evaluate under the
-  /// environment extended by earlier accepts; accepts enumerate their range.
-  void enumerate_offers(const Term& t, std::size_t index, const Env& env,
-                        std::vector<Value>& values,
-                        std::vector<Successor>& out, std::size_t depth) {
-    if (index == t.offers().size()) {
-      GAction a;
-      a.type = GAction::Type::kVisible;
-      a.gate = t.gate();
-      a.values = values;
-      out.emplace_back(std::move(a),
-                       lift(t.children()[0].get(), env, depth + 1));
+  /// Left-to-right enumeration of value offers: offer i's value goes to
+  /// slot vars + i; emits evaluate over the earlier slots, accepts range
+  /// over [lo, hi] (ending at hi, so hi = INT32_MAX cannot overflow).
+  void enumerate_offers(const Code& c, std::size_t i, std::size_t scope,
+                        std::size_t depth) {
+    const std::size_t slot = scope + c.vars + i;
+    if (i == c.offers.size()) {
+      const ActionId a = action(
+          c.gate, env_at(scope + c.vars, c.offers.size()));
+      scratch_.push_back(Move{a, lift(c.next[0], scope, depth + 1)});
       return;
     }
-    const Offer& o = t.offers()[index];
-    if (o.kind == Offer::Kind::kEmit) {
-      values.push_back(o.expr->eval(env));
-      enumerate_offers(t, index + 1, env, values, out, depth);
-      values.pop_back();
-    } else {
-      for (Value v = o.lo; v <= o.hi; ++v) {
-        Env extended = env;
-        extended.bind(o.var, v);
-        values.push_back(v);
-        enumerate_offers(t, index + 1, extended, values, out, depth);
-        values.pop_back();
+    const Offer& o = c.offers[i];
+    if (!o.accept) {
+      vals_[slot] = o.emit.eval(env_at(scope, c.vars + i));
+      enumerate_offers(c, i + 1, scope, depth);
+      return;
+    }
+    for (Value v = o.lo;; ++v) {
+      vals_[slot] = v;
+      enumerate_offers(c, i + 1, scope, depth);
+      if (v == o.hi) {
+        break;
       }
     }
   }
 
-  std::vector<Successor> par_transitions(const Config& c, std::size_t depth) {
-    const std::vector<std::string>& sync = c.term->gates();
-    const auto left_moves = transitions(c.left, depth + 1);
-    const auto right_moves = transitions(c.right, depth + 1);
-    std::vector<Successor> out;
-
-    const auto make_par = [&](CfgId l, CfgId r) {
-      Config p;
-      p.kind = Config::Kind::kPar;
-      p.term = c.term;
-      p.left = l;
-      p.right = r;
-      return intern(std::move(p));
+  void expand_par(TermId t, CfgId left, CfgId right, std::size_t depth) {
+    const std::vector<GateId>& sync = codes_[t].gates;
+    const Span lm = memoised(left, depth + 1);
+    const Span rm = memoised(right, depth + 1);
+    const auto syncs = [&](ActionId a) {
+      return sync[actions_[a].gate] != 0;
     };
-
-    for (const Successor& lm : left_moves) {
-      if (!lm.first.can_sync_on(sync)) {
-        out.emplace_back(lm.first, make_par(lm.second, c.right));
+    for (std::uint32_t i = lm.begin; i < lm.begin + lm.size; ++i) {
+      const Move m = moves_[i];
+      if (!syncs(m.action)) {
+        scratch_.push_back(Move{m.action, par(t, m.dst, right)});
       }
     }
-    for (const Successor& rm : right_moves) {
-      if (!rm.first.can_sync_on(sync)) {
-        out.emplace_back(rm.first, make_par(c.left, rm.second));
+    for (std::uint32_t j = rm.begin; j < rm.begin + rm.size; ++j) {
+      const Move m = moves_[j];
+      if (!syncs(m.action)) {
+        scratch_.push_back(Move{m.action, par(t, left, m.dst)});
       }
     }
-    for (const Successor& lm : left_moves) {
-      if (!lm.first.can_sync_on(sync)) {
+    for (std::uint32_t i = lm.begin; i < lm.begin + lm.size; ++i) {
+      const Move l = moves_[i];
+      if (!syncs(l.action)) {
         continue;
       }
-      for (const Successor& rm : right_moves) {
-        if (!rm.first.can_sync_on(sync) || !lm.first.same_label(rm.first)) {
-          continue;
-        }
-        out.emplace_back(lm.first, make_par(lm.second, rm.second));
-      }
-    }
-    return out;
-  }
-
-  std::vector<Successor> seq_transitions(const Config& c, std::size_t depth) {
-    std::vector<Successor> out;
-    for (const Successor& m : transitions(c.left, depth + 1)) {
-      if (m.first.type == GAction::Type::kExit) {
-        GAction tau;
-        tau.type = GAction::Type::kTau;
-        out.emplace_back(std::move(tau),
-                         lift(c.term->children()[1].get(), c.env, depth + 1));
-      } else {
-        Config s;
-        s.kind = Config::Kind::kSeq;
-        s.term = c.term;
-        s.left = m.second;
-        s.env = c.env;
-        out.emplace_back(m.first, intern(std::move(s)));
-      }
-    }
-    return out;
-  }
-
-  std::vector<Successor> hide_transitions(const Config& c, std::size_t depth) {
-    std::vector<Successor> out;
-    for (Successor m : transitions(c.left, depth + 1)) {
-      if (m.first.type == GAction::Type::kVisible &&
-          m.first.can_sync_on(c.term->gates())) {
-        m.first = GAction{};  // tau
-      }
-      Config h;
-      h.kind = Config::Kind::kHide;
-      h.term = c.term;
-      h.left = m.second;
-      out.emplace_back(std::move(m.first), intern(std::move(h)));
-    }
-    return out;
-  }
-
-  std::vector<Successor> rename_transitions(const Config& c,
-                                            std::size_t depth) {
-    std::vector<Successor> out;
-    for (Successor m : transitions(c.left, depth + 1)) {
-      if (m.first.type == GAction::Type::kVisible) {
-        const auto it = c.term->gate_map().find(m.first.gate);
-        if (it != c.term->gate_map().end()) {
-          m.first.gate = it->second;
+      for (std::uint32_t j = rm.begin; j < rm.begin + rm.size; ++j) {
+        const Move r = moves_[j];
+        if (r.action == l.action) {
+          scratch_.push_back(Move{l.action, par(t, l.dst, r.dst)});
         }
       }
-      Config r;
-      r.kind = Config::Kind::kRename;
-      r.term = c.term;
-      r.left = m.second;
-      out.emplace_back(std::move(m.first), intern(std::move(r)));
     }
-    return out;
+  }
+
+  // ---- encoding ------------------------------------------------------------
+
+  void put_values(std::size_t at, std::uint32_t n, std::string& out) const {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      put_value(out, static_cast<Value>(words_[at + i]));
+    }
+  }
+
+  CfgId decode(std::string_view bytes, std::size_t& pos, std::size_t depth) {
+    if (depth > options_.max_unfold_depth) {
+      malformed("nesting");
+    }
+    const std::uint64_t index = get_varint(bytes, pos);
+    if (index >= codes_.size()) {
+      malformed("term index");
+    }
+    const auto t = static_cast<TermId>(index);
+    const Code& c = codes_[t];
+    CfgId current = kNone;
+    switch (c.kind) {
+      case Term::Kind::kPar: {
+        const CfgId l = decode(bytes, pos, depth + 1);
+        const CfgId r = decode(bytes, pos, depth + 1);
+        return par(t, l, r);
+      }
+      case Term::Kind::kHide:
+      case Term::Kind::kRename:
+        return wrap(t, decode(bytes, pos, depth + 1));
+      case Term::Kind::kGuard:
+      case Term::Kind::kCall:
+        malformed("term kind");
+      case Term::Kind::kSeq:
+        current = decode(bytes, pos, depth + 1);
+        break;
+      case Term::Kind::kStop:
+      case Term::Kind::kExit:
+      case Term::Kind::kPrefix:
+      case Term::Kind::kChoice:
+        break;
+    }
+    // Read every value before writing the record, so a truncated state
+    // leaves no partial record behind.
+    const std::size_t values = vals_.size();
+    for (std::uint32_t i = 0; i < c.record_vars; ++i) {
+      vals_.push_back(get_value(bytes, pos));
+    }
+    const std::size_t at = words_.size();
+    words_.push_back(t);
+    if (current != kNone) {
+      words_.push_back(current);
+    }
+    for (std::uint32_t i = 0; i < c.record_vars; ++i) {
+      words_.push_back(static_cast<std::uint32_t>(vals_[values + i]));
+    }
+    vals_.resize(values);
+    return intern(at);
   }
 
   // ---- state management --------------------------------------------------
 
-  StateId state_of(CfgId cfg, Lts& out) {
-    const auto it = cfg_to_state_.find(cfg);
-    if (it != cfg_to_state_.end()) {
-      return it->second;
+  StateId state_of(CfgId cfg) {
+    if (cfg >= cfg_to_state_.size()) {
+      cfg_to_state_.resize(at_.size(), lts::kNoState);
     }
-    if (out.num_states() >= options_.max_states) {
+    StateId& s = cfg_to_state_[cfg];
+    if (s != lts::kNoState) {
+      return s;
+    }
+    if (states_.size() >= options_.max_states) {
       throw StateSpaceLimit("generate: state space exceeds " +
                             std::to_string(options_.max_states) + " states");
     }
-    const StateId s = out.add_state();
-    cfg_to_state_.emplace(cfg, s);
-    worklist_.push_back(cfg);
+    s = static_cast<StateId>(states_.size());
+    states_.push_back(cfg);
     return s;
   }
 
@@ -629,12 +940,37 @@ class Generator {
 
   const Program& program_;
   GenerateOptions options_;
-  TermPtr root_keepalive_;
-  TermPtr stop_term_;  // keeps the private stop leaf alive for interning
-  std::deque<Config> arena_;
-  std::unordered_map<Config, CfgId, ConfigHash> ids_;
-  std::unordered_map<CfgId, StateId> cfg_to_state_;
-  std::deque<CfgId> worklist_;
+  TermPtr root_;
+
+  // Compiled terms, numbered in pre-order from the stop term and the root.
+  std::vector<Code> codes_;
+  std::unordered_map<const Term*, TermId> term_ids_;
+  Edge root_edge_;
+  std::unordered_map<std::string, GateId> gate_ids_;
+  std::vector<std::string> gate_names_;
+
+  // Interned actions and their labels.
+  std::vector<ActionRec> actions_;
+  std::vector<Value> action_values_;
+  std::vector<std::string> labels_;
+  IdTable action_ids_;
+
+  // Configurations: records back to back in words_, CfgId -> offset in at_.
+  std::vector<std::uint32_t> words_;
+  std::vector<std::uint32_t> at_;
+  IdTable cfg_ids_;
+
+  // Memo: CfgId -> its moves in moves_.  scratch_ is a stack of the lists
+  // being built; vals_ a stack of scopes (offsets, never pointers: both
+  // grow during recursion).
+  std::vector<Span> memo_;
+  std::vector<Move> moves_;
+  std::vector<Move> scratch_;
+  std::vector<Value> vals_;
+
+  // Exploration: StateId -> CfgId in breadth-first order, and back.
+  std::vector<CfgId> states_;
+  std::vector<StateId> cfg_to_state_;
 };
 
 }  // namespace
@@ -654,8 +990,7 @@ Lts generate_term(const Program& program, const TermPtr& t,
   if (t == nullptr) {
     throw std::invalid_argument("generate_term: null term");
   }
-  Generator gen(program, options);
-  return gen.run(t);
+  return Generator(program, t, options).run();
 }
 
 DeadlockSearchResult find_deadlock(const Program& program,
@@ -667,18 +1002,17 @@ DeadlockSearchResult find_deadlock(const Program& program,
   for (const Value v : args) {
     arg_exprs.push_back(lit(v));
   }
-  Generator gen(program, options);
-  return gen.run_find_deadlock(call(entry, std::move(arg_exprs)));
+  return Generator(program, call(entry, std::move(arg_exprs)), options)
+      .run_find_deadlock();
 }
 
 // ---- TermExplorer -----------------------------------------------------------
 
 struct TermExplorer::Impl {
   Impl(const Program& program, TermPtr root, const GenerateOptions& options)
-      : gen(program, options), root(std::move(root)) {}
+      : gen(program, std::move(root), options) {}
 
   Generator gen;
-  TermPtr root;
 };
 
 TermExplorer::TermExplorer(const Program& program, TermPtr root,
@@ -694,15 +1028,21 @@ TermExplorer& TermExplorer::operator=(TermExplorer&&) noexcept = default;
 TermExplorer::~TermExplorer() = default;
 
 std::string TermExplorer::initial() {
-  return impl_->gen.encode(impl_->gen.lift_root(impl_->root));
+  std::string out;
+  impl_->gen.encode(impl_->gen.lift_root(), out);
+  return out;
 }
 
 std::vector<TermExplorer::Move> TermExplorer::successors(
     std::string_view state) {
-  const CfgId id = impl_->gen.decode(state);
+  Generator& gen = impl_->gen;
+  const auto moves = gen.successors(gen.decode(state));
   std::vector<Move> out;
-  for (const Successor& suc : impl_->gen.successors_of(id)) {
-    out.push_back(Move{suc.first.label(), impl_->gen.encode(suc.second)});
+  out.reserve(moves.size());
+  for (const auto& m : moves) {
+    Move& move = out.emplace_back();
+    move.label = gen.label(m.action);
+    gen.encode(m.dst, move.dst);
   }
   return out;
 }

@@ -1,12 +1,27 @@
 // Explicit-state LTS generation from a process Program (the role played by
 // CAESAR in CADP).
 //
-// Runtime configurations are hash-consed immutable trees mirroring the
-// static structure of the term (parallel / hiding / renaming / sequential
-// contexts) with sequential leaves (term, environment).  The generator
-// explores the configuration graph breadth-first and emits an Lts whose
-// labels are "GATE !v1 !v2", "i" for internal actions, and "exit" for
-// successful termination.
+// A generator first compiles the terms reachable from the root.  It numbers
+// them in a deterministic pre-order (the stop term, then the root, its
+// children and the bodies of called processes), resolves every variable to
+// a slot in its term's free-variable list, gives every gate an id and
+// interns actions.  Runtime configurations are hash-consed records over
+// those numbers: parallel / hiding / renaming / sequential contexts over
+// sequential leaves (term index, one value per free variable of the term).
+// Each record is stored once, in a word arena indexed by an open-addressing
+// table, so no name and no string lives in a configuration.
+//
+// Successors follow the SOS rules in a fixed order.  A configuration's
+// moves are a pure function of its id, so the moves of every parallel
+// operand, the sub-configurations distinct states share, are memoised in
+// one flat arena.  Hide, rename and sequence rewrite their operand's list
+// in place, and a state's own list is not stored.
+//
+// The generator explores the configuration graph breadth-first and emits an
+// Lts whose labels are "GATE !v1 !v2", "i" for internal actions, and "exit"
+// for successful termination.  A process body with a free variable that is
+// not one of its parameters, or a root term with a free variable, throws
+// std::out_of_range when it is first unfolded.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +42,7 @@ struct GenerateOptions {
   std::size_t max_states = 1u << 22;
   /// Bound on sequential unfolding (guards/choices/calls) when computing the
   /// transitions of a single state; exceeded -> throws UnguardedRecursion.
+  /// Also bounds the nesting of a state TermExplorer decodes.
   std::size_t max_unfold_depth = 2048;
 };
 
@@ -65,15 +81,19 @@ struct DeadlockSearchResult {
 
 /// On-the-fly successor enumeration over hash-consed runtime configurations
 /// — the role OPEN/CAESAR plays for CADP.  States are canonical byte
-/// strings; two TermExplorer instances sharing the *same* Program object
-/// and root term produce identical encodings, which is what lets the
-/// parallel exploration engine (src/explore) hand each worker thread its
-/// own TermExplorer while all workers agree on state identity.
+/// strings: per configuration record, the LEB128 index of its term in the
+/// numbering above, its child records, then its values (zigzag LEB128).
+/// Encodings depend only on the structure of the program and the root,
+/// never on heap addresses, so explorers over equal programs and roots
+/// agree byte for byte, within one process or across processes.  That is
+/// what lets the parallel exploration engine (src/explore) hand each
+/// worker thread its own TermExplorer, and what makes narrow-fingerprint
+/// runs (`explore --fp bits`) repeat from one process to the next.
 ///
-/// Encodings embed interior pointers into the shared term tree: they are
-/// process-local tokens, not a wire format.  `successors` only accepts
-/// strings previously produced by `initial`/`successors` of an explorer
-/// over the same program and root.
+/// `successors` decodes defensively: a truncated, corrupted or foreign
+/// state either decodes to some configuration of this program, whose
+/// successors are then computed (and may throw) like any other's, or throws
+/// std::runtime_error("TermExplorer: malformed state (...)").
 class TermExplorer {
  public:
   struct Move {

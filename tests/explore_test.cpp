@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bisim/equivalence.hpp"
+#include "builtin_models.hpp"
 #include "compose/pipeline.hpp"
 #include "core/report.hpp"
 #include "explore/engine.hpp"
@@ -182,6 +183,24 @@ TEST(Engine, MatchesGeneratorOnXstreamQueue) {
   EXPECT_EQ(r.lts.num_states(), generated.num_states());
   EXPECT_EQ(r.lts.num_transitions(), generated.num_transitions());
   EXPECT_TRUE(strongly_equivalent(r.lts, generated));
+}
+
+// Generation and exploration are two loops over one successor function:
+// the engine's breadth-first renumbering must reproduce the generator's LTS
+// byte for byte, at any worker count.
+TEST(Engine, GenerateAndExploreAgreeByteForByteOnBuiltins) {
+  for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
+    const std::string generated =
+        lts::to_aut(proc::generate(*m.program, m.entry));
+    for (const unsigned workers : {1u, 4u}) {
+      explore::ExploreOptions opts;
+      opts.workers = workers;
+      const auto r =
+          explore::explore(*explore::proc_oracle(m.program, m.entry), opts);
+      EXPECT_EQ(lts::to_aut(r.lts), generated)
+          << m.name << " at " << workers << " workers";
+    }
+  }
 }
 
 // --- hash compaction -----------------------------------------------------

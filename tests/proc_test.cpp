@@ -2,12 +2,18 @@
 // from LOTOS-like process definitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "analyze/analyze.hpp"
 #include "bisim/equivalence.hpp"
+#include "fame/coherence.hpp"
 #include "lts/analysis.hpp"
 #include "mc/evaluator.hpp"
 #include "mc/properties.hpp"
 #include "proc/expr.hpp"
 #include "proc/generator.hpp"
+#include "proc/parser.hpp"
 #include "proc/process.hpp"
 
 namespace {
@@ -74,6 +80,47 @@ TEST(Expr, FreeVarsAreSortedDeduped) {
 
 TEST(Expr, ToString) {
   EXPECT_EQ((evar("x") + lit(1))->to_string(), "(x + 1)");
+}
+
+constexpr Value kMax = std::numeric_limits<Value>::max();
+constexpr Value kMin = std::numeric_limits<Value>::min();
+
+TEST(Expr, Int32OverflowThrowsDomainError) {
+  Env env;
+  EXPECT_THROW((void)(lit(kMax) + lit(1))->eval(env), std::domain_error);
+  EXPECT_THROW((void)(lit(kMin) - lit(1))->eval(env), std::domain_error);
+  EXPECT_THROW((void)(lit(kMax) * lit(2))->eval(env), std::domain_error);
+  EXPECT_THROW((void)(lit(kMin) * lit(-1))->eval(env), std::domain_error);
+  EXPECT_THROW((void)(-lit(kMin))->eval(env), std::domain_error);
+  EXPECT_THROW((void)(lit(kMin) / lit(-1))->eval(env), std::domain_error);
+  EXPECT_THROW((void)(lit(kMin) % lit(-1))->eval(env), std::domain_error);
+}
+
+TEST(Expr, ArithmeticAtTheInt32Limits) {
+  Env env;
+  EXPECT_EQ((lit(kMax) + lit(0))->eval(env), kMax);
+  EXPECT_EQ((lit(0) - lit(kMax) - lit(1))->eval(env), kMin);
+  EXPECT_EQ((-lit(kMax))->eval(env), -kMax);
+  EXPECT_EQ((lit(kMin) / lit(1))->eval(env), kMin);
+  EXPECT_EQ((lit(kMax) / lit(-1))->eval(env), -kMax);
+  EXPECT_EQ((lit(kMin) % lit(1))->eval(env), 0);
+  EXPECT_EQ((lit(kMin + 1) * lit(-1))->eval(env), kMax);
+}
+
+TEST(Expr, OverflowInAnOfferThrowsFromGenerate) {
+  const Program p = parse_program(
+      "process P := a !((0 - 2147483647 - 1) / (0 - 1)); stop endproc");
+  EXPECT_THROW((void)generate(p, "P"), std::domain_error);
+  const Program q =
+      parse_program("process Q := a !(2147483647 + 1); stop endproc");
+  EXPECT_THROW((void)generate(q, "Q"), std::domain_error);
+}
+
+TEST(Expr, LintSurvivesAnOverflowingConstantGuard) {
+  const Program p = parse_program(
+      "process P := [(0 - 2147483647 - 1) / (0 - 1) > 0] -> a; stop "
+      "endproc");
+  EXPECT_NO_THROW((void)analyze::lint_program(p, call("P")));
 }
 
 // --- Env ----------------------------------------------------------------------
@@ -271,6 +318,60 @@ TEST(Generate, UnguardedRecursionDetected) {
   Program p;
   p.define("Bad", {}, call("Bad"));
   EXPECT_THROW((void)generate(p, "Bad"), UnguardedRecursion);
+}
+
+TEST(Generate, AcceptRangeEndingAtInt32MaxTerminates) {
+  const Program p = parse_program(
+      "process P := a ?x:2147483646..2147483647; stop endproc");
+  const Lts l = generate(p, "P");
+  ASSERT_EQ(l.num_transitions(), 2u);
+  const auto out = l.out(l.initial_state());
+  EXPECT_EQ(l.actions().name(out[0].action), "a !2147483646");
+  EXPECT_EQ(l.actions().name(out[1].action), "a !2147483647");
+  // The same at the bottom of the range.
+  const Lts low = generate_term(
+      Program{}, prefix("B", {accept("y", kMin, kMin + 1)}, stop()));
+  EXPECT_EQ(low.num_transitions(), 2u);
+}
+
+TEST(Generate, UnguardedRecursionInRightOperandAfterLeftIsMemoised) {
+  // The left operand counts through 41 values (its moves are memoised over
+  // every state); only after 30 steps does the right one reach Bad, whose
+  // unfolding never reaches an action.
+  Program p;
+  p.define("Count", {"n"},
+           choice({guard(evar("n") < lit(40),
+                         prefix("UP", call("Count", {evar("n") + lit(1)}))),
+                   guard(evar("n") == lit(40), prefix("IDLE", call("Count",
+                                                                 {evar("n")})))}));
+  p.define("Delay", {"k"},
+           choice({guard(evar("k") > lit(0),
+                         prefix("STEP", call("Delay", {evar("k") - lit(1)}))),
+                   guard(evar("k") == lit(0), call("Bad"))}));
+  p.define("Bad", {}, choice({call("Bad"), prefix("NEVER", stop())}));
+  const TermPtr root =
+      interleaving(call("Count", {lit(0)}), call("Delay", {lit(30)}));
+  EXPECT_THROW((void)generate_term(p, root), UnguardedRecursion);
+  TermExplorer ex(p, root);
+  std::vector<std::string> frontier{ex.initial()};
+  bool threw = false;
+  for (int level = 0; level < 40 && !threw; ++level) {
+    std::vector<std::string> next;
+    try {
+      for (const std::string& s : frontier) {
+        for (TermExplorer::Move& m : ex.successors(s)) {
+          next.push_back(std::move(m.dst));
+        }
+      }
+    } catch (const UnguardedRecursion&) {
+      threw = true;
+      EXPECT_EQ(level, 30);
+    }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier = std::move(next);
+  }
+  EXPECT_TRUE(threw);
 }
 
 TEST(Generate, StateLimitEnforced) {
@@ -489,6 +590,101 @@ TEST(Generate, GeneratedLtsIsFullyReachable) {
   const Program p = buffer_program();
   const Lts l = generate(p, "Buffer");
   EXPECT_EQ(lts::trim(l).removed_states, 0u);
+}
+
+// --- TermExplorer ------------------------------------------------------------------
+
+TEST(TermExplorer, FailingSubConfigurationThrowsOnEveryCall) {
+  // Faulty's choice is a memoised operand of the |||: its first branch
+  // yields a move, its second divides by zero while lifting the guard.
+  // A partial memo entry would make the second call return [TICK, OK].
+  Program p;
+  p.define("Clock", {}, prefix("TICK", call("Clock")));
+  p.define("Faulty", {"z"},
+           choice({prefix("OK", stop()),
+                   guard(lit(1) / evar("z") == lit(0), prefix("NO", stop()))}));
+  const TermPtr root = interleaving(call("Clock"), call("Faulty", {lit(0)}));
+  TermExplorer ex(p, root);
+  const std::string s0 = ex.initial();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW((void)ex.successors(s0), std::domain_error);
+  }
+  EXPECT_THROW((void)generate_term(p, root), std::domain_error);
+}
+
+TEST(TermExplorer, EncodingsDoNotDependOnHeapAddresses) {
+  // Two separately built, equal programs: both explorers number the terms
+  // the same way, so their states agree byte for byte.
+  const Program a = fame::coherence_system_program(fame::Protocol::kMesi);
+  const Program b = fame::coherence_system_program(fame::Protocol::kMesi);
+  TermExplorer ea(a, call("System"));
+  TermExplorer eb(b, call("System"));
+  const std::string init = ea.initial();
+  ASSERT_EQ(init, eb.initial());
+  const auto ma = ea.successors(init);
+  const auto mb = eb.successors(init);
+  ASSERT_EQ(ma.size(), mb.size());
+  for (std::size_t i = 0; i < ma.size(); ++i) {
+    EXPECT_EQ(ma[i].label, mb[i].label);
+    EXPECT_EQ(ma[i].dst, mb[i].dst);
+  }
+}
+
+TEST(TermExplorer, MalformedStatesReturnOrThrowTypedErrors) {
+  const Program p = fame::coherence_system_program(fame::Protocol::kMesi);
+  TermExplorer ex(p, call("System"));
+  std::vector<std::string> states{ex.initial()};
+  for (std::size_t i = 0; i < states.size() && states.size() < 24; ++i) {
+    for (TermExplorer::Move& m : ex.successors(states[i])) {
+      if (std::find(states.begin(), states.end(), m.dst) == states.end()) {
+        states.push_back(std::move(m.dst));
+      }
+    }
+  }
+  const std::size_t expected = ex.successors(states[0]).size();
+
+  std::size_t returned = 0;
+  std::size_t threw = 0;
+  const auto probe = [&](const std::string& s) {
+    try {
+      (void)ex.successors(s);
+      ++returned;
+    } catch (const std::exception&) {
+      ++threw;
+    }
+  };
+  for (const std::string& s : states) {
+    for (std::size_t n = 0; n < s.size(); ++n) {
+      probe(s.substr(0, n));  // every truncation
+    }
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = s;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        probe(flipped);
+      }
+    }
+  }
+  // A foreign state: one of another program's explorer.
+  const Program msi = fame::coherence_system_program(fame::Protocol::kMsi);
+  probe(TermExplorer(msi, call("System")).initial());
+  EXPECT_GT(returned, 0u);
+  EXPECT_GT(threw, 0u);
+
+  // Truncation and out-of-range term indices are named.
+  for (const std::string& bad :
+       {states[0].substr(0, states[0].size() - 1), std::string(),
+        std::string("\xff\xff\xff\x7f")}) {
+    try {
+      (void)ex.successors(bad);
+      ADD_FAILURE() << "accepted a malformed state";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("TermExplorer: malformed state"),
+                std::string::npos);
+    }
+  }
+  // The explorer still answers valid states.
+  EXPECT_EQ(ex.successors(states[0]).size(), expected);
 }
 
 }  // namespace

@@ -17,10 +17,9 @@
 #include "bisim/branching.hpp"
 #include "bisim/reduction.hpp"
 #include "bisim/strong.hpp"
+#include "builtin_models.hpp"
 #include "core/flow.hpp"
 #include "core/hash.hpp"
-#include "fame/coherence.hpp"
-#include "fame/coherence_n.hpp"
 #include "fame/mpi.hpp"
 #include "fame/topology.hpp"
 #include "imc/compose.hpp"
@@ -83,42 +82,6 @@ void expect_golden(const std::map<std::string, std::string>& golden,
     ADD_FAILURE() << "digest changed: {\"" << name << "\", \"" << actual
                   << "\"},";
   }
-}
-
-/// The CLI's builtin case studies (multival_cli lint --builtin all), except
-/// noc-mesh: the free mesh under an open environment has more states than
-/// the generator's cap.
-std::vector<std::pair<std::string, lts::Lts>> builtin_case_studies() {
-  using fame::Protocol;
-  std::vector<std::pair<std::string, lts::Lts>> out;
-  const auto add = [&](std::string name, const proc::Program& p,
-                       const std::string& entry) {
-    out.emplace_back(std::move(name), proc::generate(p, entry));
-  };
-  add("fame-msi", fame::coherence_system_program(Protocol::kMsi), "System");
-  add("fame-mesi", fame::coherence_system_program(Protocol::kMesi), "System");
-  add("fame-msi-3", fame::coherence_system_n_program(Protocol::kMsi, 3),
-      "SystemN");
-  add("fame-mesi-3", fame::coherence_system_n_program(Protocol::kMesi, 3),
-      "SystemN");
-  add("noc-mesh-3x3",
-      noc::single_packet_program(0, 8, true, noc::MeshDims{3, 3}),
-      "Scenario");
-  add("noc-single-packet", noc::single_packet_program(0, 3), "Scenario");
-  add("noc-stream", noc::stream_program({noc::Flow{0, 3}}), "Scenario");
-  for (const auto variant :
-       {xstream::QueueVariant::kCorrect, xstream::QueueVariant::kLostCredit,
-        xstream::QueueVariant::kEagerCredit}) {
-    xstream::QueueConfig cfg;
-    cfg.variant = variant;
-    add(std::string("xstream-") + xstream::to_string(variant),
-        xstream::virtual_queue_program(cfg), "VirtualQueue");
-  }
-  for (const std::string fabric : {"credit-loop", "vc-pair", "mesh2"}) {
-    const xmas::Compiled c = xmas::compile(xmas::builtin_fabric(fabric));
-    add("xmas-" + fabric, *c.program, c.entry);
-  }
-  return out;
 }
 
 /// The RandomSeed family of property_test.cpp (with its draws sequenced):
@@ -187,8 +150,9 @@ TEST(RefineGolden, BuiltinCaseStudies) {
       {"xmas-vc-pair", "519661658944246af4b288d22d543fe9"},
       {"xmas-mesh2", "7628606f23ed24cd2f8c78c9480c4058"},
   };
-  for (const auto& [name, l] : builtin_case_studies()) {
-    expect_golden(golden, name, refine_digest(l));
+  for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
+    expect_golden(golden, m.name,
+                  refine_digest(proc::generate(*m.program, m.entry)));
   }
 }
 
