@@ -11,9 +11,9 @@
 //   multival_cli explore <model.proc> <EntryProcess> [args...]
 //       [--plan|--flat] [-j N] [--dfs] [--fp [bits]] [-o out.aut|out.mvl]
 //       (default --plan: generate-minimise-compose through the planner;
-//        --dfs/--fp imply --flat, the monolithic on-the-fly explorer)
+//        -j/--dfs/--fp imply --flat, the monolithic on-the-fly explorer)
 //   multival_cli compose (--builtin <name> | <model.proc> <Entry>)
-//       [--flat] [-j N] [-o out.aut|out.mvl]
+//       [--flat] [-o out.aut|out.mvl]
 //       (prints the composition plan, the per-step size table and the
 //        byte-identity check against the flat reference pipeline)
 //   multival_cli lint  <model.proc> [EntryProcess [args...]]
@@ -270,13 +270,14 @@ int cmd_explore(int argc, char** argv) {
   std::string out_path;
   explore::ExploreOptions opts;
   bool plan_requested = false;
-  bool flat = false;  // --flat, or a flat-only flag (--dfs / --fp)
+  bool flat = false;  // --flat, or a flat-only flag (-j / --dfs / --fp)
   for (int i = 4; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "-o" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (a == "-j" && i + 1 < argc) {
       opts.workers = parse_unsigned(argv[++i], "worker count");
+      flat = true;
     } else if (a == "--plan") {
       plan_requested = true;
     } else if (a == "--flat") {
@@ -298,7 +299,8 @@ int cmd_explore(int argc, char** argv) {
     }
   }
   if (plan_requested && flat) {
-    throw UsageError("explore: --plan is incompatible with --flat/--dfs/--fp");
+    throw UsageError(
+        "explore: --plan is incompatible with --flat/-j/--dfs/--fp");
   }
   const std::string text = read_file(model_path);
   auto program = std::make_shared<const proc::Program>(
@@ -311,8 +313,7 @@ int cmd_explore(int argc, char** argv) {
     for (const proc::Value v : args) {
       eargs.push_back(proc::lit(v));
     }
-    compose::PlanOptions popts;
-    popts.workers = opts.workers;
+    const compose::PlanOptions popts;
     const compose::Plan plan = compose::plan_term(
         program, proc::call(entry, std::move(eargs)), popts);
     print_plan(plan);
@@ -745,22 +746,20 @@ int cmd_dot(const std::string& in, const std::string& out) {
 }
 
 int cmd_compose(int argc, char** argv) {
-  // compose (--builtin <name> | <model.proc> <Entry>) [--flat] [-j N]
+  // compose (--builtin <name> | <model.proc> <Entry>) [--flat]
   //         [-o out.aut|out.mvl]
   std::string builtin;
   std::string model_path;
   std::string entry;
   std::string out_path;
   bool flat = false;
-  compose::PlanOptions popts;
+  const compose::PlanOptions popts;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--builtin" && i + 1 < argc) {
       builtin = argv[++i];
     } else if (a == "--flat") {
       flat = true;
-    } else if (a == "-j" && i + 1 < argc) {
-      popts.workers = parse_unsigned(argv[++i], "worker count");
     } else if (a == "-o" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (!a.empty() && a[0] == '-') {
@@ -1251,7 +1250,7 @@ int usage() {
          "  multival_cli explore <model.proc> <Entry> [args...] "
          "[--plan|--flat] [-j N] [--dfs] [--fp [bits]] [-o out.aut|out.mvl]\n"
          "  multival_cli compose (--builtin <name> | <model.proc> <Entry>) "
-         "[--flat] [-j N] [-o out.aut|out.mvl]\n"
+         "[--flat] [-o out.aut|out.mvl]\n"
          "  multival_cli lint  <model.proc> [Entry [args...]] [--json] "
          "[--strict] [--bounds [--budget N]]\n"
          "  multival_cli lint  --imc <file.imc> | --builtin <name|all> "

@@ -14,96 +14,9 @@ namespace multival::bisim {
 namespace {
 
 using lts::ActionId;
-using lts::ActionTable;
 using lts::StateId;
 
-constexpr StateId kUnresolved = static_cast<StateId>(-1);
-
-/// True if @p s's only move is a tau step (the state is inert).
-bool compressible(const lts::Lts& l, StateId s) {
-  const auto out = l.out(s);
-  return out.size() == 1 && ActionTable::is_tau(out[0].action);
-}
-
 }  // namespace
-
-lts::Lts tau_compress(const lts::Lts& l) {
-  const std::size_t n = l.num_states();
-  lts::Lts out;
-  if (n == 0) {
-    return out;
-  }
-
-  // rep[s]: the endpoint of the inert-tau chain starting at s.  Chains are
-  // followed iteratively with path memoisation; a chain that bites its own
-  // tail is a tau cycle, contracted to its smallest member (which keeps a
-  // tau self-loop: its one tau step leads back into the cycle, whose
-  // representative is itself).
-  std::vector<StateId> rep(n, kUnresolved);
-  std::vector<char> on_path(n, 0);
-  std::vector<StateId> path;
-  for (StateId s = 0; s < n; ++s) {
-    if (rep[s] != kUnresolved) {
-      continue;
-    }
-    path.clear();
-    StateId cur = s;
-    StateId target = kUnresolved;
-    while (true) {
-      if (rep[cur] != kUnresolved) {
-        target = rep[cur];
-        break;
-      }
-      if (!compressible(l, cur)) {
-        target = cur;
-        break;
-      }
-      if (on_path[cur]) {
-        // Tau cycle path[it..end): representative = smallest state id.
-        const auto it = std::find(path.begin(), path.end(), cur);
-        target = *std::min_element(it, path.end());
-        break;
-      }
-      on_path[cur] = 1;
-      path.push_back(cur);
-      cur = l.out(cur)[0].dst;
-    }
-    for (const StateId p : path) {
-      rep[p] = target;
-      on_path[p] = 0;
-    }
-    rep[s] = target;
-  }
-
-  // Kept states: chain endpoints, renumbered in ascending old-id order.
-  std::vector<StateId> new_id(n, kUnresolved);
-  StateId next = 0;
-  for (StateId s = 0; s < n; ++s) {
-    if (rep[s] == s) {
-      new_id[s] = next++;
-    }
-  }
-  out.add_states(next);
-  out.set_initial_state(new_id[rep[l.initial_state()]]);
-  std::vector<lts::OutEdge> edges;
-  for (StateId s = 0; s < n; ++s) {
-    if (rep[s] != s) {
-      continue;
-    }
-    edges.clear();
-    for (const auto& e : l.out(s)) {
-      edges.push_back({e.action, new_id[rep[e.dst]]});
-    }
-    std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
-      return a.action != b.action ? a.action < b.action : a.dst < b.dst;
-    });
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    for (const auto& e : edges) {
-      out.add_transition(new_id[s], l.actions().name(e.action), e.dst);
-    }
-  }
-  return out;
-}
 
 lts::Lts canonical_form(const lts::Lts& l) {
   const std::size_t n = l.num_states();

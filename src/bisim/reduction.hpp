@@ -1,36 +1,20 @@
-// Reduction entry points for the compositional pipeline (compose/plan):
+// The normal form of the compositional pipeline (compose/plan).
 //
-//   - tau_compress: collapse inert tau *chains* — states whose unique
-//     outgoing transition is tau are bisimilar to their successor, so the
-//     chain contracts to its endpoint.  Tau cycles made entirely of such
-//     states contract to one representative that keeps a tau self-loop, so
-//     the reduction is divergence-preserving (livelocks survive).  This is
-//     the cheap O(states + transitions) pass applied on the fly to every
-//     intermediate product (see explore::tau_compress for the oracle
-//     variant); full branching minimisation still runs at the plan's
-//     minimisation points.
-//
-//   - canonical_form: an isomorphism-invariant renumbering.  On a
-//     bisimulation-minimal LTS (no two states equivalent — which every
-//     quotient out of bisim::minimize is) iterated signature refinement
-//     separates all states, and the resulting rank order depends only on
-//     the isomorphism class of the LTS, never on generation order.  Two
-//     pipelines that produce bisimilar minimal LTSs — e.g. the planned
-//     compositional path and the flat monolithic path — therefore produce
-//     *byte-identical* canonical forms, which is what lets the plan
-//     machinery assert "same result" by comparing serialised bytes.
+// canonical_form is an isomorphism-invariant renumbering.  On a
+// bisimulation-minimal LTS (no two states equivalent — which every quotient
+// out of bisim::minimize is) iterated signature refinement separates all
+// states, and the resulting rank order depends only on the isomorphism
+// class of the LTS, never on generation order.  Two pipelines that produce
+// bisimilar minimal LTSs — e.g. the planned compositional path and the flat
+// monolithic path — therefore produce *byte-identical* canonical forms,
+// which is what lets the plan machinery assert "same result" by comparing
+// serialised bytes.
 #pragma once
 
 #include "bisim/equivalence.hpp"
 #include "lts/lts.hpp"
 
 namespace multival::bisim {
-
-/// Contracts every maximal chain/cycle of states whose single outgoing
-/// transition is tau ("i").  Divergence-preserving: a contracted tau cycle
-/// keeps a tau self-loop on its representative.  Duplicate transitions
-/// created by the contraction are dropped (set semantics, like quotients).
-[[nodiscard]] lts::Lts tau_compress(const lts::Lts& l);
 
 /// Deterministic, isomorphism-invariant renumbering: states are ordered by
 /// iterated strong-bisimulation signature ranks (initial state first),

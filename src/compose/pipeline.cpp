@@ -5,9 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bisim/reduction.hpp"
-#include "explore/engine.hpp"
-#include "explore/oracle.hpp"
 #include "lts/product.hpp"
 
 namespace multival::compose {
@@ -105,30 +102,15 @@ class Evaluator {
       case Node::Kind::kPar: {
         const lts::Lts a = eval(*n.children[0]);
         const lts::Lts b = eval(*n.children[1]);
-        if (opts_.on_the_fly) {
-          return fly(a, b, n.gates, {});
-        }
         const StepTimer timer;
-        lts::Lts p = lts::parallel(a, b, n.gates);
+        lts::Lts p = lts::parallel(a, b, n.gates, opts_.max_states);
         record(opts_.stats, "compose", p, p.num_states(), timer.seconds());
         return p;
       }
       case Node::Kind::kHide: {
-        // The planner's signature shape is hide-over-par: fuse it into one
-        // on-the-fly exploration so gates hidden at this level become tau
-        // *during* product generation and their chains are never stored.
-        if (opts_.on_the_fly && n.children[0]->kind == Node::Kind::kPar) {
-          const Node& par = *n.children[0];
-          const lts::Lts a = eval(*par.children[0]);
-          const lts::Lts b = eval(*par.children[1]);
-          return fly(a, b, par.gates, n.gates);
-        }
         lts::Lts inner = eval(*n.children[0]);
         const StepTimer timer;
         lts::Lts h = lts::hide(inner, n.gates);
-        if (opts_.on_the_fly) {
-          h = bisim::tau_compress(h);
-        }
         record(opts_.stats, "hide", h, h.num_states(), timer.seconds());
         return h;
       }
@@ -176,30 +158,6 @@ class Evaluator {
   }
 
  private:
-  /// On-the-fly `hide hidden in (a |[sync]| b)` with inert-tau contraction:
-  /// only the compressed product is ever stored by the engine.
-  lts::Lts fly(const lts::Lts& a, const lts::Lts& b,
-               const std::vector<std::string>& sync,
-               const std::vector<std::string>& hidden) {
-    const StepTimer timer;
-    explore::OraclePtr oracle =
-        explore::product_oracle(explore::lts_oracle(a), explore::lts_oracle(b),
-                                sync);
-    if (!hidden.empty()) {
-      oracle = explore::hide_oracle(std::move(oracle), hidden);
-    }
-    oracle = explore::tau_compress(std::move(oracle));
-    explore::ExploreOptions eo;
-    eo.workers = opts_.workers == 0 ? 1 : opts_.workers;
-    eo.max_states = opts_.max_states;
-    explore::ExploreResult r = explore::explore(*oracle, eo);
-    record(opts_.stats,
-           hidden.empty() ? "compose (on the fly)"
-                          : "compose+hide (on the fly)",
-           r.lts, r.lts.num_states(), timer.seconds());
-    return std::move(r.lts);
-  }
-
   const EvalOptions& opts_;
 };
 

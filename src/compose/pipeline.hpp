@@ -161,13 +161,7 @@ class LruMinimizeCache final : public MinimizeCache {
 /// Full-control evaluation options (the planned pipeline's entry point).
 struct EvalOptions {
   bool with_minimization = true;
-  /// Build kPar / kHide(kPar) intermediates through the explore engine with
-  /// explore::tau_compress wrapped around the product, so inert tau chains
-  /// are contracted *while the product is generated* and never stored.
-  bool on_the_fly = false;
-  /// Worker threads for on-the-fly product exploration.
-  unsigned workers = 1;
-  /// State cap per intermediate (explore::LimitExceeded beyond it).
+  /// State cap per join product (lts::StateSpaceLimit beyond it).
   std::size_t max_states = 1u << 22;
   EvalStats* stats = nullptr;
   MinimizeCache* cache = nullptr;

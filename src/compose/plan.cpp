@@ -10,7 +10,6 @@
 #include "analyze/bounds.hpp"
 #include "bisim/reduction.hpp"
 #include "core/hash.hpp"
-#include "explore/engine.hpp"
 #include "proc/generator.hpp"
 
 namespace multival::compose {
@@ -519,34 +518,27 @@ PlanResult evaluate_plan(const Plan& plan, const PlanOptions& opts,
   }
   EvalOptions eo;
   eo.with_minimization = true;
-  eo.on_the_fly = opts.reduce_on_the_fly;
-  eo.workers = opts.workers;
   eo.max_states = opts.max_states;
   eo.stats = &result.stats;
   eo.cache = cache;
   // A component can blow past the cap *standalone* when its bound lives in
-  // a peer (e.g. a credit counter whose ceiling is the other operand).  The
-  // composed system may still be small: retry monolithically, where the
-  // constraint applies during generation.
-  const auto monolithic_retry = [&](const char* what) {
-    if (!plan.planned || plan.program == nullptr || plan.term == nullptr) {
-      throw;  // NOLINT: rethrows the active exception
-    }
-    result.stats.steps.push_back(
-        {std::string("monolithic fallback (") + what + ")", 0, 0, 0.0});
-    const Plan retry =
-        fallback_plan(plan.program, plan.term, opts,
-                      std::string("component exceeded the state cap: ") +
-                          what);
-    return evaluate(retry.root, eo);
-  };
+  // a peer (e.g. a credit counter whose ceiling is the other operand), and
+  // a join can blow past it before its minimisation.  The composed system
+  // may still be small: retry monolithically, where the constraint applies
+  // during generation.
   lts::Lts minimal;
   try {
     minimal = evaluate(plan.root, eo);
-  } catch (const proc::StateSpaceLimit& e) {
-    minimal = monolithic_retry(e.what());
-  } catch (const explore::LimitExceeded& e) {
-    minimal = monolithic_retry(e.what());
+  } catch (const lts::StateSpaceLimit& e) {
+    if (!plan.planned || plan.program == nullptr || plan.term == nullptr) {
+      throw;
+    }
+    result.stats.steps.push_back(
+        {std::string("monolithic fallback (") + e.what() + ")", 0, 0, 0.0});
+    const Plan retry = fallback_plan(
+        plan.program, plan.term, opts,
+        std::string("exceeded the state cap: ") + e.what());
+    minimal = evaluate(retry.root, eo);
   }
   // The root is a minimisation point, so `minimal` is minimal modulo
   // opts.equivalence; the canonical form is therefore isomorphism-invariant
@@ -562,11 +554,8 @@ PlanResult flat_reference(std::shared_ptr<const proc::Program> program,
     throw std::invalid_argument(
         "compose::flat_reference: null program or term");
   }
-  PlanOptions flat_opts = opts;
-  flat_opts.reduce_on_the_fly = false;
-  return evaluate_plan(
-      fallback_plan(program, root, flat_opts, "flat reference"), flat_opts,
-      cache);
+  return evaluate_plan(fallback_plan(program, root, opts, "flat reference"),
+                       opts, cache);
 }
 
 lts::Lts pipeline_lts(std::shared_ptr<const proc::Program> program,

@@ -16,10 +16,10 @@
 // where alphabets come from the analyze fixed point (analyze::term_alphabet
 // — syntax only, no state space).  Shared gates constrain the product
 // (smaller intermediates); gates whose every user has been merged can be
-// hidden immediately, turning them into tau for the on-the-fly reduction
-// (explore::tau_compress) and the per-join minimisation to erase.  Every
-// join is wrapped in hide (when gates become local) and a minimisation
-// point, so intermediates stay within a small multiple of the final LTS.
+// hidden immediately, turning them into tau for the per-join minimisation
+// to erase.  Every join is built by lts::parallel, wrapped in hide (when
+// gates become local) and a minimisation point, so intermediates stay
+// within a small multiple of the final LTS.
 //
 // A term whose structure is not safely reassociable (or has no parallel
 // structure at all) falls back to a single-leaf plan — monolithic
@@ -57,8 +57,6 @@ enum class Strategy {
 struct PlanOptions {
   /// Equivalence of the per-join and final minimisation points.
   bisim::Equivalence equivalence = bisim::Equivalence::kDivergenceBranching;
-  /// Contract inert tau chains while each product is generated.
-  bool reduce_on_the_fly = true;
   /// Heuristic weights (see file header).
   double sync_weight = 1.0;
   double hide_weight = 0.5;
@@ -70,8 +68,8 @@ struct PlanOptions {
   /// (where the peer constrains it) after a short detour instead of
   /// grinding to the full max_states first.
   std::size_t max_component_states = 1u << 17;
-  /// Worker threads for on-the-fly product exploration.
-  unsigned workers = 1;
+  /// Joins are built sequentially.
+  static constexpr unsigned workers = 1;
 };
 
 /// A composition plan: the compose::Node tree plus its provenance.
@@ -122,9 +120,10 @@ struct PlanResult {
   EvalStats stats;
 };
 
-/// Evaluates @p plan (on-the-fly reduction per @p opts, minimisation
-/// results cached in @p cache when non-null, subtree reuse via plan keys)
-/// and returns the canonical minimal LTS.
+/// Evaluates @p plan (minimisation results cached in @p cache when
+/// non-null, subtree reuse via plan keys) and returns the canonical
+/// minimal LTS.  A component or join over the state cap makes it retry
+/// the plan's term monolithically, recording a "monolithic fallback" step.
 [[nodiscard]] PlanResult evaluate_plan(const Plan& plan,
                                        const PlanOptions& opts = {},
                                        MinimizeCache* cache = nullptr);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,7 @@ struct ExploreOptions {
 };
 
 /// Thrown when the state space exceeds ExploreOptions::max_states.
-struct LimitExceeded : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+using LimitExceeded = lts::StateSpaceLimit;
 
 struct WorkerStats {
   std::size_t states_expanded = 0;

@@ -1,14 +1,8 @@
 #include "explore/oracle.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-
-#include "lts/product.hpp"
 
 namespace multival::explore {
 
@@ -34,31 +28,6 @@ std::uint32_t decode_u32(std::string_view bytes, const char* who) {
          << (8 * i);
   }
   return v;
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-std::uint64_t get_varint(std::string_view bytes, std::size_t& pos,
-                         const char* who) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos >= bytes.size() || shift > 63) {
-      throw std::runtime_error(std::string(who) + ": malformed state");
-    }
-    const auto b = static_cast<std::uint8_t>(bytes[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      return v;
-    }
-    shift += 7;
-  }
 }
 
 // ---- LTS replay -------------------------------------------------------------
@@ -113,209 +82,6 @@ class ImcOracle final : public SuccessorOracle {
   const imc::Imc& imc_;
 };
 
-// ---- parallel composition ---------------------------------------------------
-
-class ProductOracle final : public SuccessorOracle {
- public:
-  ProductOracle(OraclePtr a, OraclePtr b, std::vector<std::string> sync_gates)
-      : a_(std::move(a)),
-        b_(std::move(b)),
-        gates_(std::move(sync_gates)),
-        sync_(gates_.begin(), gates_.end()) {}
-
-  std::string initial() override {
-    return pack(a_->initial(), b_->initial());
-  }
-
-  void successors(std::string_view state, std::vector<Step>& out) override {
-    std::size_t pos = 0;
-    const std::string_view sa = unpack(state, pos);
-    const std::string_view sb = unpack(state, pos);
-    if (pos != state.size()) {
-      throw std::runtime_error("product_oracle: malformed state");
-    }
-    moves_a_.clear();
-    moves_b_.clear();
-    a_->successors(sa, moves_a_);
-    b_->successors(sb, moves_b_);
-
-    // Independent moves of a, of b, then synchronised pairs — the same
-    // order as lts::parallel, so the two constructions are comparable.
-    for (const Step& ma : moves_a_) {
-      if (!must_sync(ma.label)) {
-        out.push_back(Step{ma.label, pack(ma.dst, sb)});
-      }
-    }
-    for (const Step& mb : moves_b_) {
-      if (!must_sync(mb.label)) {
-        out.push_back(Step{mb.label, pack(sa, mb.dst)});
-      }
-    }
-    for (const Step& ma : moves_a_) {
-      if (!must_sync(ma.label)) {
-        continue;
-      }
-      for (const Step& mb : moves_b_) {
-        if (mb.label == ma.label) {
-          out.push_back(Step{ma.label, pack(ma.dst, mb.dst)});
-        }
-      }
-    }
-  }
-
-  OraclePtr clone() const override {
-    return std::make_unique<ProductOracle>(a_->clone(), b_->clone(), gates_);
-  }
-
- private:
-  [[nodiscard]] bool must_sync(std::string_view label) const {
-    if (label == "i") {
-      return false;
-    }
-    if (label == "exit") {
-      return true;
-    }
-    return sync_.find(std::string(lts::label_gate(label))) != sync_.end();
-  }
-
-  static std::string pack(std::string_view sa, std::string_view sb) {
-    std::string out;
-    out.reserve(sa.size() + sb.size() + 4);
-    put_varint(out, sa.size());
-    out += sa;
-    put_varint(out, sb.size());
-    out += sb;
-    return out;
-  }
-
-  static std::string_view unpack(std::string_view state, std::size_t& pos) {
-    const std::uint64_t len = get_varint(state, pos, "product_oracle");
-    if (pos + len > state.size()) {
-      throw std::runtime_error("product_oracle: malformed state");
-    }
-    const std::string_view part = state.substr(pos, len);
-    pos += len;
-    return part;
-  }
-
-  OraclePtr a_;
-  OraclePtr b_;
-  std::vector<std::string> gates_;
-  std::unordered_set<std::string> sync_;
-  std::vector<Step> moves_a_;  // scratch, reused across calls
-  std::vector<Step> moves_b_;
-};
-
-// ---- hiding -----------------------------------------------------------------
-
-class HideOracle final : public SuccessorOracle {
- public:
-  HideOracle(OraclePtr inner, std::vector<std::string> gates)
-      : inner_(std::move(inner)),
-        gates_(std::move(gates)),
-        hidden_(gates_.begin(), gates_.end()) {}
-
-  std::string initial() override { return inner_->initial(); }
-
-  void successors(std::string_view state, std::vector<Step>& out) override {
-    const std::size_t first = out.size();
-    inner_->successors(state, out);
-    for (std::size_t i = first; i < out.size(); ++i) {
-      Step& s = out[i];
-      if (s.label != "i" && s.label != "exit" &&
-          hidden_.find(std::string(lts::label_gate(s.label))) !=
-              hidden_.end()) {
-        s.label = "i";
-      }
-    }
-  }
-
-  OraclePtr clone() const override {
-    return std::make_unique<HideOracle>(inner_->clone(), gates_);
-  }
-
- private:
-  OraclePtr inner_;
-  std::vector<std::string> gates_;
-  std::unordered_set<std::string> hidden_;
-};
-
-class TauCompressOracle final : public SuccessorOracle {
- public:
-  explicit TauCompressOracle(OraclePtr inner) : inner_(std::move(inner)) {}
-
-  std::string initial() override { return rep(inner_->initial()); }
-
-  void successors(std::string_view state, std::vector<Step>& out) override {
-    // @p state is always a chain endpoint (initial() and every emitted dst
-    // are), so its own transitions are forwarded, only dsts are contracted.
-    scratch_.clear();
-    inner_->successors(state, scratch_);
-    const std::size_t first = out.size();
-    for (Step& s : scratch_) {
-      Step mapped{std::move(s.label), rep(s.dst)};
-      // Contraction can alias previously distinct successors; keep the
-      // first occurrence (inner order is deterministic, so this is too).
-      bool dup = false;
-      for (std::size_t i = first; i < out.size() && !dup; ++i) {
-        dup = out[i].label == mapped.label && out[i].dst == mapped.dst;
-      }
-      if (!dup) {
-        out.push_back(std::move(mapped));
-      }
-    }
-  }
-
-  OraclePtr clone() const override {
-    return std::make_unique<TauCompressOracle>(inner_->clone());
-  }
-
- private:
-  /// Endpoint of the inert-tau chain starting at @p start: follows unique
-  /// tau steps until a non-inert state, a memoised endpoint, or a cycle
-  /// (contracted to its lexicographically smallest member, which then
-  /// carries a tau self-loop).  All chain members are memoised.
-  std::string rep(const std::string& start) {
-    if (const auto it = rep_.find(start); it != rep_.end()) {
-      return it->second;
-    }
-    std::vector<std::string> path;
-    std::unordered_set<std::string> on_path;
-    std::string cur = start;
-    std::string target;
-    while (true) {
-      if (const auto it = rep_.find(cur); it != rep_.end()) {
-        target = it->second;
-        break;
-      }
-      chain_.clear();
-      inner_->successors(cur, chain_);
-      if (chain_.size() != 1 || chain_[0].label != "i") {
-        target = std::move(cur);
-        break;
-      }
-      if (on_path.find(cur) != on_path.end()) {
-        const auto pos = std::find(path.begin(), path.end(), cur);
-        target = *std::min_element(pos, path.end());
-        break;
-      }
-      on_path.insert(cur);
-      path.push_back(cur);
-      cur = std::move(chain_[0].dst);
-    }
-    for (std::string& p : path) {
-      rep_.emplace(std::move(p), target);
-    }
-    rep_.emplace(start, target);
-    return target;
-  }
-
-  OraclePtr inner_;
-  std::unordered_map<std::string, std::string> rep_;
-  std::vector<Step> scratch_;
-  std::vector<Step> chain_;
-};
-
 }  // namespace
 
 OraclePtr lts_oracle(const lts::Lts& l) {
@@ -324,29 +90,6 @@ OraclePtr lts_oracle(const lts::Lts& l) {
 
 OraclePtr imc_oracle(const imc::Imc& m) {
   return std::make_unique<ImcOracle>(m);
-}
-
-OraclePtr product_oracle(OraclePtr a, OraclePtr b,
-                         std::vector<std::string> sync_gates) {
-  if (a == nullptr || b == nullptr) {
-    throw std::invalid_argument("product_oracle: null operand");
-  }
-  return std::make_unique<ProductOracle>(std::move(a), std::move(b),
-                                         std::move(sync_gates));
-}
-
-OraclePtr hide_oracle(OraclePtr inner, std::vector<std::string> gates) {
-  if (inner == nullptr) {
-    throw std::invalid_argument("hide_oracle: null operand");
-  }
-  return std::make_unique<HideOracle>(std::move(inner), std::move(gates));
-}
-
-OraclePtr tau_compress(OraclePtr inner) {
-  if (inner == nullptr) {
-    throw std::invalid_argument("tau_compress: null operand");
-  }
-  return std::make_unique<TauCompressOracle>(std::move(inner));
 }
 
 }  // namespace multival::explore

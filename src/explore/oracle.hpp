@@ -51,30 +51,10 @@ using OraclePtr = std::unique_ptr<SuccessorOracle>;
 /// @p l must outlive the oracle and all its clones.
 [[nodiscard]] OraclePtr lts_oracle(const lts::Lts& l);
 
-/// On-the-fly parallel composition `a |[sync_gates]| b` with the LOTOS
-/// semantics of lts::parallel: full label equality on gates in the sync
-/// set, "exit" always synchronises, "i" never does.
-[[nodiscard]] OraclePtr product_oracle(OraclePtr a, OraclePtr b,
-                                       std::vector<std::string> sync_gates);
-
-/// Relabels every action whose gate is in @p gates to "i".
-[[nodiscard]] OraclePtr hide_oracle(OraclePtr inner,
-                                    std::vector<std::string> gates);
-
-/// On-the-fly inert-tau chain contraction (the oracle form of
-/// bisim::tau_compress): every successor whose unique outgoing transition
-/// is tau is replaced by the endpoint of its tau chain, so inert chains are
-/// never stored by the engine at all.  Tau cycles made of such states
-/// contract to their lexicographically smallest member, which keeps a tau
-/// self-loop — the reduction preserves divergence-preserving branching
-/// bisimilarity.  Chain endpoints are memoised per oracle; clones recompute
-/// but, like every oracle, produce byte-identical encodings.
-[[nodiscard]] OraclePtr tau_compress(OraclePtr inner);
-
 /// Views an IMC as an LTS-level oracle: interactive transitions keep their
 /// label, Markovian transitions become "rate r" / "LABEL; rate r" labels
-/// (the imc_io convention), so an on-the-fly composition of IMCs can be
-/// streamed to disk and re-read as an IMC.  @p m must outlive the oracle.
+/// (the imc_io convention), so an explored IMC can be streamed to disk and
+/// re-read as an IMC.  @p m must outlive the oracle.
 [[nodiscard]] OraclePtr imc_oracle(const imc::Imc& m);
 
 /// Explores process `entry(args)` of @p program on the fly, one

@@ -1,7 +1,8 @@
 // Process-calculus adapter: wraps proc::TermExplorer, one per clone.  All
-// clones share the same immutable Program object and root term, which is
-// what makes their canonical state encodings agree (TermExplorer encodes
-// leaf terms by their address in the shared term tree).
+// clones share the same immutable Program object and root term, and each
+// clone's TermExplorer numbers the reachable terms in the same
+// deterministic pre-order, so their canonical state encodings (term index
+// plus values, never heap addresses) agree.
 #include <stdexcept>
 #include <utility>
 

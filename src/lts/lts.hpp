@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -21,6 +22,12 @@ using StateId = std::uint32_t;
 
 /// Sentinel for "no state".
 inline constexpr StateId kNoState = static_cast<StateId>(-1);
+
+/// Thrown when a state space would exceed its cap: by proc::generate,
+/// explore::explore and lts::parallel alike.
+struct StateSpaceLimit : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// One outgoing transition: an action label and a destination state.
 struct OutEdge {

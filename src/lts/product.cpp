@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -33,7 +34,7 @@ bool gate_in(const std::unordered_set<std::string>& set,
 }  // namespace
 
 Lts parallel(const Lts& a, const Lts& b,
-             std::span<const std::string> sync_gates) {
+             std::span<const std::string> sync_gates, std::size_t max_states) {
   const auto sync = to_set(sync_gates);
   const auto must_sync = [&](const Lts& side, ActionId act) {
     if (ActionTable::is_tau(act)) {
@@ -54,6 +55,10 @@ Lts parallel(const Lts& a, const Lts& b,
     const auto it = ids.find(key);
     if (it != ids.end()) {
       return it->second;
+    }
+    if (result.num_states() >= max_states) {
+      throw StateSpaceLimit("parallel: state space exceeds " +
+                            std::to_string(max_states) + " states");
     }
     const StateId ns = result.add_state();
     ids.emplace(key, ns);

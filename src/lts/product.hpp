@@ -10,6 +10,8 @@
 // The "exit" action always synchronises (LOTOS delta); "i" never does.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,9 +26,11 @@ namespace multival::lts {
 [[nodiscard]] std::string_view label_gate(std::string_view label);
 
 /// Parallel composition of @p a and @p b synchronising on the gates in
-/// @p sync_gates (plus "exit").  Only the reachable part is built.
-[[nodiscard]] Lts parallel(const Lts& a, const Lts& b,
-                           std::span<const std::string> sync_gates);
+/// @p sync_gates (plus "exit").  Only the reachable part is built; a
+/// product with more than @p max_states states throws StateSpaceLimit.
+[[nodiscard]] Lts parallel(
+    const Lts& a, const Lts& b, std::span<const std::string> sync_gates,
+    std::size_t max_states = std::numeric_limits<std::size_t>::max());
 
 /// N-ary composition: folds `parallel` left to right with the same gate set.
 /// All components synchronise together on every gate in @p sync_gates only if

@@ -47,9 +47,7 @@ struct GenerateOptions {
 };
 
 /// Thrown when the state space exceeds GenerateOptions::max_states.
-struct StateSpaceLimit : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+using StateSpaceLimit = lts::StateSpaceLimit;
 
 /// Thrown on (probable) unguarded recursion, e.g. P := P [] a;Q.
 struct UnguardedRecursion : std::runtime_error {

@@ -1,9 +1,9 @@
 # CLI hardening checks, run by ctest as:
 #   cmake -DCLI=<path to multival_cli> -P cli_checks.cmake
 #
-# Every invocation below is malformed (unknown subcommand, unknown or
-# incomplete flag, bad numeric argument, unknown client verb).  Each one
-# must exit nonzero AND print the usage text to stderr.
+# Every invocation below is malformed (unknown subcommand, unknown,
+# incomplete or conflicting flag, bad numeric argument, unknown client
+# verb).  Each one must exit nonzero AND print the usage text to stderr.
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "pass -DCLI=<path to multival_cli>")
 endif()
@@ -21,6 +21,7 @@ function(expect_usage_failure)
     message(FATAL_ERROR
       "multival_cli ${ARGN}: expected usage text on stderr, got:\n${err}")
   endif()
+  set(usage_error "${err}" PARENT_SCOPE)
 endfunction()
 
 expect_usage_failure()                                    # no subcommand
@@ -28,6 +29,12 @@ expect_usage_failure(frobnicate)                          # unknown subcommand
 expect_usage_failure(gen model.proc Entry --bogus)        # unknown flag
 expect_usage_failure(explore model.proc Entry --no-such-flag)
 expect_usage_failure(explore model.proc Entry -j banana)  # bad number
+expect_usage_failure(explore model.proc Entry --plan -j 2) # -j means engine
+if(NOT usage_error MATCHES "error: [^\n]*-j")
+  message(FATAL_ERROR "explore --plan -j: the error must name -j, got:\n"
+    "${usage_error}")
+endif()
+expect_usage_failure(compose --builtin fame-mesi-3 -j 2)  # joins sequential
 expect_usage_failure(lint)                                # nothing to lint
 expect_usage_failure(lint --json)                         # still nothing
 expect_usage_failure(lint model.proc --bogus)             # unknown flag

@@ -19,7 +19,6 @@
 #include "fame/coherence.hpp"
 #include "imc/imc_io.hpp"
 #include "lts/lts_io.hpp"
-#include "lts/product.hpp"
 #include "noc/mesh.hpp"
 #include "proc/generator.hpp"
 #include "xstream/queue_model.hpp"
@@ -230,38 +229,7 @@ TEST(Engine, FingerprintModeAccountsCollisions) {
   EXPECT_LT(lossy.stats.num_states, exact.stats.num_states);
 }
 
-// --- product / hide / imc oracles ----------------------------------------
-
-TEST(Oracles, ProductMatchesLtsParallel) {
-  lts::Lts a;
-  a.add_states(2);
-  a.add_transition(0, "G !1", 1);
-  a.add_transition(1, "A", 0);
-  a.set_initial_state(0);
-  lts::Lts b;
-  b.add_states(2);
-  b.add_transition(0, "G !1", 1);
-  b.add_transition(1, "B", 1);
-  b.set_initial_state(0);
-
-  const std::vector<std::string> sync{"G"};
-  const lts::Lts reference = lts::parallel(a, b, sync);
-  auto oracle = explore::product_oracle(explore::lts_oracle(a),
-                                        explore::lts_oracle(b), sync);
-  const auto r = explore::explore(*oracle);
-  EXPECT_EQ(r.lts.num_states(), reference.num_states());
-  EXPECT_EQ(r.lts.num_transitions(), reference.num_transitions());
-  EXPECT_TRUE(strongly_equivalent(r.lts, reference));
-}
-
-TEST(Oracles, HideMatchesLtsHide) {
-  const lts::Lts l = diamond();
-  const std::vector<std::string> gates{"C"};
-  const lts::Lts reference = lts::hide(l, gates);
-  auto oracle = explore::hide_oracle(explore::lts_oracle(l), gates);
-  const auto r = explore::explore(*oracle);
-  EXPECT_TRUE(strongly_equivalent(r.lts, reference));
-}
+// --- imc oracle ----------------------------------------------------------
 
 TEST(Oracles, ImcOracleUsesRateLabelConvention) {
   imc::Imc m;

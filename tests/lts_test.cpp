@@ -391,6 +391,23 @@ TEST(Product, ParallelAllEmptyThrows) {
   EXPECT_THROW((void)parallel_all(comps, sync), std::invalid_argument);
 }
 
+TEST(Product, ParallelStopsAtStateCap) {
+  // Two interleaved 10-state chains: a 100-state product.
+  const auto chain = [](std::string_view label) {
+    Lts l;
+    l.add_states(10);
+    for (StateId s = 0; s + 1 < 10; ++s) {
+      l.add_transition(s, label, s + 1);
+    }
+    return l;
+  };
+  const Lts a = chain("A");
+  const Lts b = chain("B");
+  EXPECT_THROW((void)parallel(a, b, {}, 50), StateSpaceLimit);
+  EXPECT_THROW((void)parallel(a, b, {}, 99), StateSpaceLimit);
+  EXPECT_EQ(parallel(a, b, {}, 100).num_states(), 100u);
+}
+
 // --- .aut I/O -----------------------------------------------------------------
 
 TEST(Io, RoundTrip) {

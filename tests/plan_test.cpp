@@ -1,11 +1,12 @@
 // Tests for the generate–minimise–compose pipeline (compose/plan and its
-// reduction entry points in bisim/reduction): planner determinism and
-// fallback provenance, byte-identity of the planned and flat strategies,
-// the peak-intermediate bound on the 3-node MESI case study (the F8
-// compositional exhibit, gated here in CI), the bounded minimisation cache
-// with its plan-keyed subtree tier, and the algebraic property that
-// minimising components before composing is branching-equivalent to
-// composing first.
+// normal form in bisim/reduction): planner determinism and fallback
+// provenance, byte-identity of the planned and flat strategies with the
+// peak-intermediate bound on every builtin case study and the F8b buffer
+// pipeline (the F8 compositional exhibit, gated here in CI), the
+// monolithic retry when a join exceeds the state cap, the bounded
+// minimisation cache with its plan-keyed subtree tier, and the algebraic
+// property that minimising components before composing is
+// branching-equivalent to composing first.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,16 +15,17 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bisim/equivalence.hpp"
 #include "bisim/reduction.hpp"
+#include "builtin_models.hpp"
 #include "compose/pipeline.hpp"
 #include "compose/plan.hpp"
 #include "core/flow.hpp"
 #include "explore/engine.hpp"
 #include "explore/lts_stream.hpp"
-#include "explore/oracle.hpp"
 #include "fame/coherence_n.hpp"
 #include "fame/mpi.hpp"
 #include "fame/topology.hpp"
@@ -31,6 +33,7 @@
 #include "lts/lts.hpp"
 #include "noc/mesh.hpp"
 #include "noc/perf.hpp"
+#include "proc/generator.hpp"
 #include "proc/parser.hpp"
 #include "proc/process.hpp"
 #include "xstream/queue_model.hpp"
@@ -107,23 +110,44 @@ TEST(Planner, DuplicateHideFallsBack) {
 
 // --------------------------------------------- planned == flat, peak bound --
 
-TEST(Planner, Mesi3NodePlannedMatchesFlatWithBoundedPeak) {
-  const auto p = std::make_shared<const proc::Program>(
-      fame::coherence_system_n_program(fame::Protocol::kMesi, 3));
-  const compose::PlanOptions opts;
-  const compose::Plan plan = compose::plan_program(p, "SystemN", opts);
-  ASSERT_TRUE(plan.planned) << plan.fallback_reason;
-  const compose::PlanResult planned = compose::evaluate_plan(plan, opts);
-  const compose::PlanResult flat =
-      compose::flat_reference(p, proc::call("SystemN", {}), opts);
+/// The F8b exhibit's pipeline of six one-place buffers over values 0..2.
+fixtures::BuiltinModel buffer_pipeline() {
+  return {"buffer-pipeline-6", parse_shared(R"(
+    process Cell0 := IN ?x:0..2 ; M1 !x ; Cell0 endproc
+    process Cell1 := M1 ?x:0..2 ; M2 !x ; Cell1 endproc
+    process Cell2 := M2 ?x:0..2 ; M3 !x ; Cell2 endproc
+    process Cell3 := M3 ?x:0..2 ; M4 !x ; Cell3 endproc
+    process Cell4 := M4 ?x:0..2 ; M5 !x ; Cell4 endproc
+    process Cell5 := M5 ?x:0..2 ; OUT !x ; Cell5 endproc
+    process Pipeline := hide M1, M2, M3, M4, M5 in
+      (((((Cell0 |[M1]| Cell1) |[M2]| Cell2) |[M3]| Cell3) |[M4]| Cell4)
+        |[M5]| Cell5)
+    endproc
+  )"),
+          "Pipeline"};
+}
 
-  // The acceptance gate of the compositional pipeline: byte-identical
-  // results, peak intermediate within 4x of the final minimal LTS.
-  EXPECT_EQ(serialized(planned.lts), serialized(flat.lts));
-  EXPECT_GT(planned.lts.num_states(), 0u);
-  EXPECT_LE(planned.stats.peak_states, 4 * planned.lts.num_states());
-  // And the planned peak must actually improve on the monolithic peak.
-  EXPECT_LT(planned.stats.peak_states, flat.stats.peak_states);
+TEST(Planner, BuiltinsPlannedMatchFlatWithBoundedPeak) {
+  std::vector<fixtures::BuiltinModel> models = fixtures::builtin_models();
+  models.push_back(buffer_pipeline());
+  const compose::PlanOptions opts;
+  for (const fixtures::BuiltinModel& m : models) {
+    const compose::PlanResult planned = compose::evaluate_plan(
+        compose::plan_program(m.program, m.entry, opts), opts);
+    const compose::PlanResult flat =
+        compose::flat_reference(m.program, proc::call(m.entry, {}), opts);
+
+    // The acceptance gate of the compositional pipeline: byte-identical
+    // results, peak intermediate within 4x of the final minimal LTS.
+    EXPECT_EQ(serialized(planned.lts), serialized(flat.lts)) << m.name;
+    EXPECT_GT(planned.lts.num_states(), 0u) << m.name;
+    EXPECT_LE(planned.stats.peak_states, 4 * planned.lts.num_states())
+        << m.name;
+    // And on MESI-3 the planned peak must improve on the monolithic peak.
+    if (m.name == "fame-mesi-3") {
+      EXPECT_LT(planned.stats.peak_states, flat.stats.peak_states);
+    }
+  }
 }
 
 TEST(Planner, Mesh3x3PlannedMatchesFlat) {
@@ -137,6 +161,36 @@ TEST(Planner, Mesh3x3PlannedMatchesFlat) {
       compose::flat_reference(p, proc::call("Scenario", {}), opts);
   EXPECT_EQ(serialized(planned.lts), serialized(flat.lts));
   EXPECT_LE(planned.stats.peak_states, 4 * planned.lts.num_states());
+}
+
+static_assert(std::is_same_v<proc::StateSpaceLimit, lts::StateSpaceLimit> &&
+                  std::is_same_v<explore::LimitExceeded, lts::StateSpaceLimit>,
+              "proc, explore and lts throw the one state-cap type");
+
+TEST(Planner, JoinOverStateCapRetriesMonolithically) {
+  // The 2-round ping-pong's joins reach 505 and 660 states, over a cap of
+  // 200 that its components and its flat state space fit in.
+  fame::PingPongConfig cfg;
+  cfg.rounds = 2;
+  const auto p =
+      std::make_shared<const proc::Program>(fame::pingpong_program(cfg));
+  compose::PlanOptions opts;
+  opts.max_states = 200;
+  const compose::Plan plan = compose::plan_program(p, "PingPong", opts);
+  ASSERT_TRUE(plan.planned) << plan.fallback_reason;
+  const compose::PlanResult planned = compose::evaluate_plan(plan, opts);
+  bool retried = false;
+  for (const compose::StepStat& s : planned.stats.steps) {
+    retried = retried ||
+              s.description ==
+                  "monolithic fallback (parallel: state space exceeds 200 "
+                  "states)";
+  }
+  EXPECT_TRUE(retried);
+  const compose::PlanResult flat =
+      compose::flat_reference(p, proc::call("PingPong", {}), opts);
+  EXPECT_EQ(serialized(planned.lts), serialized(flat.lts));
+  EXPECT_EQ(planned.lts.num_states(), 86u);
 }
 
 // ---------------------------------------------------- static bound routing --
@@ -194,37 +248,6 @@ TEST(Planner, ComponentBoundsAreRecorded) {
 
 // ------------------------------------------------------ reduction entries --
 
-TEST(Reduction, TauCompressContractsInertChains) {
-  lts::Lts l;
-  l.add_states(5);
-  l.add_transition(0, "a", 1);
-  l.add_transition(1, "i", 2);
-  l.add_transition(2, "i", 3);
-  l.add_transition(3, "b", 4);
-  const lts::Lts c = bisim::tau_compress(l);
-  EXPECT_EQ(c.num_states(), 3u);  // 0, {1,2,3}, 4
-  EXPECT_TRUE(bisim::equivalent(l, c,
-                                bisim::Equivalence::kDivergenceBranching));
-}
-
-TEST(Reduction, TauCompressKeepsDivergence) {
-  lts::Lts l;
-  l.add_states(3);
-  l.add_transition(0, "a", 1);
-  l.add_transition(1, "i", 2);
-  l.add_transition(2, "i", 1);  // inert tau cycle: a livelock
-  const lts::Lts c = bisim::tau_compress(l);
-  EXPECT_LT(c.num_states(), l.num_states());
-  bool has_tau_self_loop = false;
-  for (const lts::Transition& t : c.all_transitions()) {
-    has_tau_self_loop =
-        has_tau_self_loop || (t.action == 0 && t.dst == t.src);
-  }
-  EXPECT_TRUE(has_tau_self_loop);
-  EXPECT_TRUE(bisim::equivalent(l, c,
-                                bisim::Equivalence::kDivergenceBranching));
-}
-
 TEST(Reduction, CanonicalFormIsIsomorphismInvariant) {
   // The same behaviour built with two different state numberings and label
   // interning orders must canonicalise to identical bytes.
@@ -244,21 +267,6 @@ TEST(Reduction, CanonicalFormIsIsomorphismInvariant) {
 
   EXPECT_EQ(serialized(bisim::canonical_form(a)),
             serialized(bisim::canonical_form(b)));
-}
-
-TEST(Reduction, OracleTauCompressMatchesOfflinePass) {
-  const auto program = parse_shared(R"(
-    process Walk := STEP ; STEP ; STEP ; DONE ; Walk endproc
-    process P := hide STEP in Walk endproc
-  )");
-  const explore::ExploreResult plain =
-      explore::explore(*explore::proc_oracle(program, "P"));
-  const explore::ExploreResult compressed = explore::explore(
-      *explore::tau_compress(explore::proc_oracle(program, "P")));
-  EXPECT_LT(compressed.lts.num_states(), plain.lts.num_states());
-  EXPECT_TRUE(bisim::equivalent(
-      plain.lts, compressed.lts,
-      bisim::Equivalence::kDivergenceBranching));
 }
 
 // ------------------------------------------------------------- the caches --
