@@ -666,15 +666,14 @@ class IntervalFixpoint {
 // result computed while an enclosing definition of the same recursive
 // component was still open is context-dependent and must not be cached, or
 // a later independent entry into the component would undercount (unsound).
+// The alphabet fixpoint is the caller's: one map serves every root of a
+// program (compose::build_plan predicts all its components against one).
 class Counter {
  public:
   Counter(const proc::Program& prog,
           const std::map<std::string, std::vector<Interval>>& params,
-          AnalysisStats* stats)
-      : prog_(prog),
-        params_(params),
-        stats_(stats),
-        alpha_(alphabets(prog)) {}
+          const std::map<std::string, GateSet>& alpha, AnalysisStats* stats)
+      : prog_(prog), params_(params), stats_(stats), alpha_(alpha) {}
 
   [[nodiscard]] std::uint64_t count_term(const Term* t, const AbsEnv& env,
                                          const GateSet& blocked) {
@@ -911,7 +910,7 @@ class Counter {
   const proc::Program& prog_;
   const std::map<std::string, std::vector<Interval>>& params_;
   AnalysisStats* stats_;
-  std::map<std::string, GateSet> alpha_;
+  const std::map<std::string, GateSet>& alpha_;
   std::map<std::string, std::uint64_t> memo_;
   std::set<std::string> in_progress_;
   std::set<std::string> touched_;
@@ -1066,38 +1065,21 @@ std::string cause_for(const TermPtr& t, const proc::Program& prog,
   return "a counter's interval is unbounded";
 }
 
-}  // namespace
-
-std::string BoundReport::summary() const {
-  std::size_t w = 0;
-  for (const DefBound& d : defs) {
-    if (d.widened) {
-      ++w;
-    }
-  }
-  std::string s = "predicted ";
-  s += unbounded() ? "unbounded" : "<= " + std::to_string(total) + " states";
-  s += " over " + std::to_string(components.size());
-  s += components.size() == 1 ? " component" : " components";
-  s += " (" + std::to_string(w);
-  s += w == 1 ? " def widened)" : " defs widened)";
-  return s;
-}
-
-BoundReport predicted_bounds(const proc::Program& program,
-                             const proc::TermPtr& root,
-                             const BoundOptions& opts) {
+// The whole analysis of @p root under the alphabet fixpoint @p alpha of
+// @p program; stats.seconds is left to the caller.
+BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
+                         const std::map<std::string, GateSet>& alpha,
+                         const BoundOptions& opts) {
   if (root == nullptr) {
     throw std::invalid_argument("analyze::predicted_bounds: null root term");
   }
-  const auto t0 = std::chrono::steady_clock::now();
   BoundReport r;
 
   IntervalFixpoint fix(program, opts, &r.stats);
   fix.run(root);
   r.stats.definitions = fix.params().size();
 
-  Counter counter(program, fix.params(), &r.stats);
+  Counter counter(program, fix.params(), alpha, &r.stats);
 
   std::set<std::string> inlined;
   std::vector<std::pair<TermPtr, GateSet>> leaves;
@@ -1209,7 +1191,32 @@ BoundReport predicted_bounds(const proc::Program& program,
       r.diagnostics.push_back(std::move(d));
     }
   }
+  return r;
+}
 
+}  // namespace
+
+std::string BoundReport::summary() const {
+  std::size_t w = 0;
+  for (const DefBound& d : defs) {
+    if (d.widened) {
+      ++w;
+    }
+  }
+  std::string s = "predicted ";
+  s += unbounded() ? "unbounded" : "<= " + std::to_string(total) + " states";
+  s += " over " + std::to_string(components.size());
+  s += components.size() == 1 ? " component" : " components";
+  s += " (" + std::to_string(w);
+  s += w == 1 ? " def widened)" : " defs widened)";
+  return s;
+}
+
+BoundReport predicted_bounds(const proc::Program& program,
+                             const proc::TermPtr& root,
+                             const BoundOptions& opts) {
+  const auto t0 = std::chrono::steady_clock::now();
+  BoundReport r = bounds_under(program, root, alphabets(program), opts);
   r.stats.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1220,6 +1227,13 @@ std::uint64_t predicted_states(const proc::Program& program,
                                const proc::TermPtr& root,
                                const BoundOptions& opts) {
   return predicted_bounds(program, root, opts).total;
+}
+
+std::uint64_t predicted_states(const proc::Program& program,
+                               const proc::TermPtr& root,
+                               const std::map<std::string, GateSet>& defs,
+                               const BoundOptions& opts) {
+  return bounds_under(program, root, defs, opts).total;
 }
 
 BoundReport predicted_bounds(const xmas::Netlist& n,

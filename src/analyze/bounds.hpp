@@ -59,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -180,6 +181,13 @@ struct BoundReport {
 [[nodiscard]] std::uint64_t predicted_states(const proc::Program& program,
                                              const proc::TermPtr& root,
                                              const BoundOptions& opts = {});
+
+/// The same total, under the alphabet fixpoint @p defs of @p program (as
+/// returned by alphabets(program)) instead of a fresh one, so a caller
+/// predicting many roots of one program runs that fixpoint once.
+[[nodiscard]] std::uint64_t predicted_states(
+    const proc::Program& program, const proc::TermPtr& root,
+    const std::map<std::string, GateSet>& defs, const BoundOptions& opts = {});
 
 /// Structural bound of a checked xMAS netlist, mirroring the compiler's
 /// element semantics exactly: a live queue is one choice location with

@@ -326,7 +326,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   for (std::size_t i = 0; i < flat.components.size(); ++i) {
     const Component& c = flat.components[i];
     plan.component_bounds.push_back(
-        analyze::predicted_states(*program, c.term));
+        analyze::predicted_states(*program, c.term, defs));
     const std::uint64_t pred = plan.component_bounds.back();
     if (flat.components.size() > 1 && pred > cap) {
       skips.push_back("static skip (MV042): component '" + c.name +

@@ -394,6 +394,10 @@ std::vector<Point> expand(const SweepSpec& spec, DerivedFn derived,
   std::vector<Point> points;
   std::size_t dropped = 0;
   for (const Space& space : spec.spaces) {
+    std::set<std::string> wanted;
+    for (const Constraint& c : space.constraints) {
+      wanted.insert(c.name);
+    }
     std::vector<std::size_t> idx(space.axes.size(), 0);
     bool done = space.axes.empty();
     while (!done) {
@@ -411,7 +415,7 @@ std::vector<Point> expand(const SweepSpec& spec, DerivedFn derived,
       p.id = std::move(id);
 
       const std::map<std::string, AxisValue> extra =
-          derived != nullptr ? derived(space.family, p.axes)
+          derived != nullptr ? derived(space.family, p.axes, wanted)
                              : std::map<std::string, AxisValue>{};
       bool admitted = true;
       for (const Constraint& c : space.constraints) {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -118,10 +119,13 @@ struct SweepSpec {
 /// Expands every space of @p spec into points, in declaration order, with
 /// the last axis varying fastest, dropping points any constraint rejects.
 /// @p derived computes family-specific derived quantities for constraint
-/// evaluation (see scenario.hpp); @p pruned (optional) receives the number
-/// of points removed by constraints.
+/// evaluation (see scenario.hpp); it is handed the names the space's
+/// constraints use, so it may skip a quantity none of them asks for.
+/// @p pruned (optional) receives the number of points removed by
+/// constraints.
 using DerivedFn = std::map<std::string, AxisValue> (*)(
-    const std::string& family, const std::map<std::string, AxisValue>& axes);
+    const std::string& family, const std::map<std::string, AxisValue>& axes,
+    const std::set<std::string>& wanted);
 [[nodiscard]] std::vector<Point> expand(const SweepSpec& spec,
                                         DerivedFn derived,
                                         std::size_t* pruned = nullptr);

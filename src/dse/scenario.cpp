@@ -280,6 +280,12 @@ Instantiated instantiate_xmas(const Point& p, compose::Strategy strategy,
 
 std::map<std::string, AxisValue> derived_quantities(
     const std::string& family, const std::map<std::string, AxisValue>& axes) {
+  return derived_quantities(family, axes, {"predicted_states"});
+}
+
+std::map<std::string, AxisValue> derived_quantities(
+    const std::string& family, const std::map<std::string, AxisValue>& axes,
+    const std::set<std::string>& wanted) {
   std::map<std::string, AxisValue> d;
   const auto axis_long = [&axes](const char* key, long dflt) {
     if (const auto it = axes.find(key); it != axes.end()) {
@@ -297,6 +303,24 @@ std::map<std::string, AxisValue> derived_quantities(
     }
     return std::string(dflt);
   };
+  if (family == "noc") {
+    d["nodes"] = axis_long("width", 2) * axis_long("height", 2);
+  } else if (family == "xmas") {
+    long queues = 0;
+    try {
+      const xmas::Netlist fab =
+          xmas::builtin_fabric(axis_word("fabric", "credit-loop"));
+      for (const auto& e : fab.elements()) {
+        if (e.kind == xmas::PrimitiveKind::kQueue) ++queues;
+      }
+    } catch (const std::invalid_argument&) {
+      // unknown fabric: instantiate() reports it with a proper SpecError
+    }
+    d["queues"] = queues;
+  }
+  if (!wanted.contains("predicted_states")) {
+    return d;
+  }
   // "predicted_states": the static bound of the point's primary gate model
   // (analyze::predicted_bounds — interval abstract interpretation, zero
   // states generated), so a spec can prune points *before* instantiation
@@ -324,10 +348,15 @@ std::map<std::string, AxisValue> derived_quantities(
           noc::single_packet_program(src, dst, /*hide_links=*/false, dims);
       predict(analyze::predicted_states(p, proc::call("Scenario")));
     } else if (family == "fame") {
+      // The program depends on protocol, mpi and rounds, read as
+      // instantiate_fame reads them; topology and base_rate only set rates.
       fame::PingPongConfig config;
       config.protocol = axis_word("protocol", "msi") == "mesi"
                             ? fame::Protocol::kMesi
                             : fame::Protocol::kMsi;
+      config.impl = axis_word("mpi", "eager") == "rendezvous"
+                        ? fame::MpiImpl::kRendezvous
+                        : fame::MpiImpl::kEager;
       config.rounds = static_cast<int>(axis_long("rounds", 1));
       const proc::Program p = fame::pingpong_program(config);
       predict(analyze::predicted_states(p, proc::call("PingPong")));
@@ -348,38 +377,6 @@ std::map<std::string, AxisValue> derived_quantities(
   } catch (const std::exception&) {
     // Bad axis combination: no predicted_states entry; instantiate() will
     // reject the point with a proper SpecError if it survives pruning.
-  }
-  if (family == "noc") {
-    long width = 2;
-    long height = 2;
-    if (const auto it = axes.find("width"); it != axes.end()) {
-      if (const long* l = std::get_if<long>(&it->second)) {
-        width = *l;
-      }
-    }
-    if (const auto it = axes.find("height"); it != axes.end()) {
-      if (const long* l = std::get_if<long>(&it->second)) {
-        height = *l;
-      }
-    }
-    d["nodes"] = width * height;
-  } else if (family == "xmas") {
-    std::string fabric = "credit-loop";
-    if (const auto it = axes.find("fabric"); it != axes.end()) {
-      if (const std::string* w = std::get_if<std::string>(&it->second)) {
-        fabric = *w;
-      }
-    }
-    long queues = 0;
-    try {
-      const xmas::Netlist fab = xmas::builtin_fabric(fabric);
-      for (const auto& e : fab.elements()) {
-        if (e.kind == xmas::PrimitiveKind::kQueue) ++queues;
-      }
-    } catch (const std::invalid_argument&) {
-      // unknown fabric: instantiate() reports it with a proper SpecError
-    }
-    d["queues"] = queues;
   }
   return d;
 }

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,9 +78,19 @@ struct Metrics {
   double states = 0.0;      ///< payload state count (model complexity)
 };
 
-/// Derived quantities available to constraints (grid.hpp expand()).
+/// Derived quantities available to constraints (grid.hpp expand()):
+/// "nodes" (noc), "queues" (xmas) and, for every family,
+/// "predicted_states", the static bound of the point's primary gate model.
 [[nodiscard]] std::map<std::string, AxisValue> derived_quantities(
     const std::string& family, const std::map<std::string, AxisValue>& axes);
+
+/// The same, except that "predicted_states" is computed only when
+/// @p wanted names it: the bound analysis costs milliseconds per point,
+/// the other quantities next to nothing.  expand() passes the names its
+/// space's constraints use.
+[[nodiscard]] std::map<std::string, AxisValue> derived_quantities(
+    const std::string& family, const std::map<std::string, AxisValue>& axes,
+    const std::set<std::string>& wanted);
 
 /// True for the supported families ("noc", "fame", "xstream", "xmas").
 [[nodiscard]] bool known_family(const std::string& family);

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "analyze/bounds.hpp"
+#include "builtin_models.hpp"
+#include "compose/plan.hpp"
 #include "core/diag.hpp"
 #include "fame/coherence.hpp"
 #include "fame/coherence_n.hpp"
@@ -205,6 +207,36 @@ TEST(Bounds, BuiltinCaseStudiesAreSound) {
   {
     const proc::Program p = xstream::drain_scenario_program({}, 3);
     expect_sound(p, call("DrainScenario"), "xstream drain");
+  }
+}
+
+TEST(Bounds, SharedAlphabetFixpointChangesNothing) {
+  // compose::build_plan predicts every component of a plan under the one
+  // alphabet fixpoint it already holds; sharing it must not move a bound,
+  // and each recorded component bound is that component's standalone one.
+  for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
+    const proc::Program& p = *m.program;
+    const auto defs = analyze::alphabets(p);
+    const proc::TermPtr root = call(m.entry);
+    const std::vector<proc::TermPtr> terms =
+        fixtures::component_terms(p, root);
+    const compose::Plan plan = compose::plan_program(m.program, m.entry);
+    if (!plan.component_bounds.empty()) {
+      ASSERT_EQ(plan.component_bounds.size(), terms.size()) << m.name;
+    }
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const std::uint64_t standalone =
+          analyze::predicted_bounds(p, terms[i]).total;
+      EXPECT_EQ(analyze::predicted_states(p, terms[i], defs), standalone)
+          << m.name << " component " << i;
+      if (!plan.component_bounds.empty()) {
+        EXPECT_EQ(plan.component_bounds[i], standalone)
+            << m.name << " component " << i;
+      }
+    }
+    EXPECT_EQ(analyze::predicted_states(p, root, defs),
+              analyze::predicted_states(p, root))
+        << m.name;
   }
 }
 

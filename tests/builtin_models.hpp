@@ -1,10 +1,12 @@
 // The CLI's builtin case studies (multival_cli lint --builtin all) as
 // process programs, except noc-mesh: the free mesh under an open
 // environment has more states than the generator's cap.  Shared by the
-// golden refinement digests and the generate-vs-explore byte identity.
+// golden refinement digests, the generate-vs-explore byte identity and the
+// planner's component-bound checks.
 #pragma once
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,43 @@ inline std::vector<BuiltinModel> builtin_models() {
     const xmas::Compiled c = xmas::compile(xmas::builtin_fabric(fabric));
     out.push_back({"xmas-" + fabric, c.program, c.entry});
   }
+  return out;
+}
+
+/// The component terms compose::plan_term flattens @p t into, in term
+/// order: it descends through parallel composition and hide and inlines
+/// calls of parameterless definitions (recursion stops inlining).
+inline void component_terms(const proc::Program& p, const proc::TermPtr& t,
+                            std::vector<proc::TermPtr>& out,
+                            std::set<std::string>& inlining) {
+  switch (t->kind()) {
+    case proc::Term::Kind::kPar:
+      component_terms(p, t->children()[0], out, inlining);
+      component_terms(p, t->children()[1], out, inlining);
+      return;
+    case proc::Term::Kind::kHide:
+      component_terms(p, t->children()[0], out, inlining);
+      return;
+    case proc::Term::Kind::kCall:
+      if (t->args().empty() && p.has_definition(t->callee()) &&
+          p.definition(t->callee()).params.empty() &&
+          inlining.insert(t->callee()).second) {
+        component_terms(p, p.definition(t->callee()).body, out, inlining);
+        inlining.erase(t->callee());
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  out.push_back(t);
+}
+
+inline std::vector<proc::TermPtr> component_terms(const proc::Program& p,
+                                                  const proc::TermPtr& t) {
+  std::vector<proc::TermPtr> out;
+  std::set<std::string> inlining;
+  component_terms(p, t, out, inlining);
   return out;
 }
 

@@ -4,14 +4,20 @@
 // the determinism contract: identical JSON across worker counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analyze/bounds.hpp"
 #include "dse/driver.hpp"
 #include "dse/grid.hpp"
 #include "dse/pareto.hpp"
 #include "dse/scenario.hpp"
+#include "fame/mpi.hpp"
+#include "proc/process.hpp"
 
 namespace {
 
@@ -158,6 +164,66 @@ TEST(DseGrid, PredictedStatesConstraintPrunesBeforeInstantiation) {
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(pruned, 1u);
   EXPECT_EQ(kept[0].get_long("capacity", -1), 1);
+}
+
+TEST(DseGrid, FamePredictedStatesFollowsProtocolAndMpi) {
+  // The fame gate model depends on the mpi axis: a rendezvous point is
+  // bounded by the rendezvous program, not by the eager one.
+  const std::pair<const char*, fame::Protocol> protocols[] = {
+      {"msi", fame::Protocol::kMsi}, {"mesi", fame::Protocol::kMesi}};
+  const std::pair<const char*, fame::MpiImpl> impls[] = {
+      {"eager", fame::MpiImpl::kEager},
+      {"rendezvous", fame::MpiImpl::kRendezvous}};
+  for (const auto& [protocol_word, protocol] : protocols) {
+    std::vector<long> by_impl;
+    for (const auto& [impl_word, impl] : impls) {
+      fame::PingPongConfig config;
+      config.protocol = protocol;
+      config.impl = impl;
+      config.rounds = 2;
+      const long derived = std::get<long>(
+          dse::derived_quantities("fame", {{"protocol", protocol_word},
+                                           {"mpi", impl_word},
+                                           {"rounds", 2L}})
+              .at("predicted_states"));
+      EXPECT_EQ(static_cast<std::uint64_t>(derived),
+                analyze::predicted_states(fame::pingpong_program(config),
+                                          proc::call("PingPong")))
+          << protocol_word << "/" << impl_word;
+      by_impl.push_back(derived);
+    }
+    EXPECT_NE(by_impl[0], by_impl[1]) << protocol_word;
+  }
+}
+
+TEST(DseGrid, PredictedStatesIsDerivedOnlyWhenWanted) {
+  // expand() hands derived_quantities the names its constraints use; the
+  // bound analysis runs only for "predicted_states", the cheap quantities
+  // always.
+  const std::map<std::string, dse::AxisValue> noc = {{"width", 3L},
+                                                     {"height", 2L}};
+  const auto lean = dse::derived_quantities("noc", noc, {"nodes"});
+  EXPECT_EQ(std::get<long>(lean.at("nodes")), 6);
+  EXPECT_FALSE(lean.contains("predicted_states"));
+  const auto full = dse::derived_quantities("noc", noc);
+  EXPECT_EQ(std::get<long>(full.at("nodes")), 6);
+  EXPECT_GT(std::get<long>(full.at("predicted_states")), 0);
+  EXPECT_EQ(dse::derived_quantities("noc", noc, {"predicted_states"}), full);
+
+  const std::map<std::string, dse::AxisValue> xmas = {
+      {"fabric", "vc-pair"}, {"capacity", 1L}};
+  const auto queues_only = dse::derived_quantities("xmas", xmas, {});
+  EXPECT_GT(std::get<long>(queues_only.at("queues")), 0);
+  EXPECT_FALSE(queues_only.contains("predicted_states"));
+  EXPECT_TRUE(dse::derived_quantities("xmas", xmas).contains(
+      "predicted_states"));
+
+  for (const char* family : {"fame", "xstream"}) {
+    EXPECT_TRUE(dse::derived_quantities(family, {}, {}).empty()) << family;
+    EXPECT_TRUE(
+        dse::derived_quantities(family, {}).contains("predicted_states"))
+        << family;
+  }
 }
 
 TEST(DseGrid, WordConstraintsUseStringEquality) {

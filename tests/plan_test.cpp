@@ -18,6 +18,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "analyze/bounds.hpp"
 #include "bisim/equivalence.hpp"
 #include "bisim/reduction.hpp"
 #include "builtin_models.hpp"
@@ -243,6 +244,16 @@ TEST(Planner, ComponentBoundsAreRecorded) {
   for (const std::uint64_t b : plan.component_bounds) {
     EXPECT_GT(b, 0u);
     EXPECT_LT(b, compose::PlanOptions{}.max_component_states);
+  }
+  // The planner predicts every component under one shared alphabet
+  // fixpoint; each bound is still the component's standalone prediction.
+  const std::vector<proc::TermPtr> terms =
+      fixtures::component_terms(*p, proc::call("SystemN"));
+  ASSERT_EQ(terms.size(), plan.components.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    EXPECT_EQ(plan.component_bounds[i],
+              analyze::predicted_bounds(*p, terms[i]).total)
+        << plan.components[i];
   }
 }
 
