@@ -9,9 +9,10 @@
 //   multival_cli deadlocks <file.aut>
 //   multival_cli gen   <model.proc> <EntryProcess> [args...] [-o out.aut]
 //   multival_cli explore <model.proc> <EntryProcess> [args...]
-//       [--plan|--flat] [-j N] [--dfs] [--fp [bits]] [-o out.aut|out.mvl]
+//       [--plan|--flat] [-o out.aut|out.mvl]
 //       (default --plan: generate-minimise-compose through the planner;
-//        -j/--dfs/--fp imply --flat, the monolithic on-the-fly explorer)
+//        --flat: the monolithic generator's LTS, as gen writes it, with
+//        exploration statistics)
 //   multival_cli compose (--builtin <name> | <model.proc> <Entry>)
 //       [--flat] [-o out.aut|out.mvl]
 //       (prints the composition plan, the per-step size table and the
@@ -87,7 +88,6 @@
 #include "core/report.hpp"
 #include "explore/engine.hpp"
 #include "explore/lts_stream.hpp"
-#include "explore/oracle.hpp"
 #include "proc/generator.hpp"
 #include "proc/parser.hpp"
 #include "serve/protocol.hpp"
@@ -262,35 +262,22 @@ void print_plan(const compose::Plan& plan) {
 }
 
 int cmd_explore(int argc, char** argv) {
-  // explore <model.proc> <Entry> [int args...] [--plan|--flat] [-j N]
-  //         [--dfs] [--fp [bits]] [-o out.aut|out.mvl]
+  // explore <model.proc> <Entry> [int args...] [--plan|--flat]
+  //         [-o out.aut|out.mvl]
   const std::string model_path = argv[2];
   const std::string entry = argv[3];
   std::vector<proc::Value> args;
   std::string out_path;
-  explore::ExploreOptions opts;
   bool plan_requested = false;
-  bool flat = false;  // --flat, or a flat-only flag (-j / --dfs / --fp)
+  bool flat = false;
   for (int i = 4; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "-o" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (a == "-j" && i + 1 < argc) {
-      opts.workers = parse_unsigned(argv[++i], "worker count");
-      flat = true;
     } else if (a == "--plan") {
       plan_requested = true;
     } else if (a == "--flat") {
       flat = true;
-    } else if (a == "--dfs") {
-      opts.order = explore::Order::kDfs;
-      flat = true;
-    } else if (a == "--fp") {
-      opts.store = explore::StoreMode::kFingerprint;
-      flat = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        opts.fingerprint_bits = parse_unsigned(argv[++i], "fingerprint bits");
-      }
     } else if (!a.empty() && a[0] == '-') {
       throw UsageError("explore: unknown flag " + a);
     } else {
@@ -299,8 +286,7 @@ int cmd_explore(int argc, char** argv) {
     }
   }
   if (plan_requested && flat) {
-    throw UsageError(
-        "explore: --plan is incompatible with --flat/-j/--dfs/--fp");
+    throw UsageError("explore: --plan is incompatible with --flat");
   }
   const std::string text = read_file(model_path);
   auto program = std::make_shared<const proc::Program>(
@@ -328,8 +314,8 @@ int cmd_explore(int argc, char** argv) {
     }
     return 0;
   }
-  const explore::OraclePtr oracle = explore::proc_oracle(program, entry, args);
-  const explore::ExploreResult r = explore::explore(*oracle, opts);
+  const explore::ExploreResult r =
+      explore::explore(*explore::proc_oracle(program, entry, args));
   r.stats.to_table(entry).print(std::cout);
   if (!out_path.empty()) {
     save_any(r.lts, out_path);
@@ -1248,7 +1234,7 @@ int usage() {
          "  multival_cli deadlocks <file.aut>\n"
          "  multival_cli gen   <model.proc> <Entry> [args...] [-o out.aut]\n"
          "  multival_cli explore <model.proc> <Entry> [args...] "
-         "[--plan|--flat] [-j N] [--dfs] [--fp [bits]] [-o out.aut|out.mvl]\n"
+         "[--plan|--flat] [-o out.aut|out.mvl]\n"
          "  multival_cli compose (--builtin <name> | <model.proc> <Entry>) "
          "[--flat] [-o out.aut|out.mvl]\n"
          "  multival_cli lint  <model.proc> [Entry [args...]] [--json] "

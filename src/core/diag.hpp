@@ -47,4 +47,30 @@ struct Diagnostic {
 /// True if any diagnostic has severity kError.
 [[nodiscard]] bool has_errors(std::span<const Diagnostic> diags);
 
+/// Deepest nesting the recursive-descent parsers accept: .proc behaviours
+/// and value expressions, and formulas.  A parenthesis, a prefix, a unary
+/// operator and each further operand of an operator chain count one level,
+/// so the parsers' recursion and the depth of the trees they build are
+/// bounded, and so are the recursive walks over those trees.  A .proc
+/// parenthesis level takes about 9.5 KiB of stack in an ASan build, so 256
+/// levels stay far inside an 8 MiB stack there.
+inline constexpr std::size_t kMaxParseNesting = 256;
+
+/// Holds the levels it takes of a parser's nesting depth until it is
+/// destroyed.
+class NestingLevel {
+ public:
+  explicit NestingLevel(std::size_t& depth) : depth_(depth), saved_(depth) {}
+  NestingLevel(const NestingLevel&) = delete;
+  NestingLevel& operator=(const NestingLevel&) = delete;
+  ~NestingLevel() { depth_ = saved_; }
+
+  /// Takes one more level; false once the depth exceeds kMaxParseNesting.
+  [[nodiscard]] bool deeper() { return ++depth_ <= kMaxParseNesting; }
+
+ private:
+  std::size_t& depth_;
+  std::size_t saved_;
+};
+
 }  // namespace multival::core

@@ -1,6 +1,6 @@
-// Deterministic work-sharing helper shared by the numerical kernels
-// (markov/sparse SpMV, transient uniformisation) and the exploration
-// engine.
+// Deterministic work-sharing helper of the numerical kernels (markov/sparse
+// SpMV, transient uniformisation).  Exploration does not use it: it runs
+// the generator's one breadth-first loop on the calling thread.
 //
 // The contract that makes parallel numerics reproducible: [0, n) is split
 // into one *contiguous* chunk per worker, every index is processed by

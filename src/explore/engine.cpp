@@ -2,193 +2,76 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <stdexcept>
 #include <utility>
 
-#include "core/parallel.hpp"
+#include "analyze/analyze.hpp"
+#include "proc/generator.hpp"
 
 namespace multival::explore {
 
-namespace {
-
-/// The out-edges of one expanded state, labels interned per worker.
-struct Row {
-  lts::StateId src = 0;
-  std::uint32_t ctx = 0;  // owning worker (resolves local label ids)
-  std::vector<std::pair<std::uint32_t, lts::StateId>> edges;
-};
-
-struct WorkerCtx {
-  OraclePtr oracle;
-  std::uint32_t index = 0;
-  std::vector<std::string> labels;  // local label id -> text
-  std::unordered_map<std::string, std::uint32_t> label_ids;
-  std::vector<Row> rows;
-  std::vector<std::pair<lts::StateId, std::string>> next;  // fresh states
-  WorkerStats stats;
-  std::vector<Step> steps;  // scratch
-
-  std::uint32_t label_id(const std::string& label) {
-    const auto it = label_ids.find(label);
-    if (it != label_ids.end()) {
-      return it->second;
-    }
-    const auto id = static_cast<std::uint32_t>(labels.size());
-    labels.push_back(label);
-    label_ids.emplace(label, id);
-    return id;
+std::unique_ptr<const ProcModel> proc_oracle(
+    std::shared_ptr<const proc::Program> program, std::string_view entry,
+    std::vector<proc::Value> args) {
+  if (program == nullptr) {
+    throw std::invalid_argument("proc_oracle: null program");
   }
-
-  void expand(lts::StateId id, const std::string& bytes, StateStore& store,
-              std::size_t max_states) {
-    steps.clear();
-    oracle->successors(bytes, steps);
-    Row row;
-    row.src = id;
-    row.ctx = index;
-    row.edges.reserve(steps.size());
-    for (Step& s : steps) {
-      const StateStore::Inserted r = store.insert(s.dst);
-      if (r.fresh) {
-        next.emplace_back(r.id, std::move(s.dst));
-      }
-      row.edges.emplace_back(label_id(s.label), r.id);
-    }
-    ++stats.states_expanded;
-    stats.transitions += row.edges.size();
-    rows.push_back(std::move(row));
-    if (store.size() > max_states) {
-      throw LimitExceeded("explore: state space exceeds " +
-                          std::to_string(max_states) + " states");
-    }
+  std::vector<proc::ExprPtr> arg_exprs;
+  arg_exprs.reserve(args.size());
+  for (const proc::Value v : args) {
+    arg_exprs.push_back(proc::lit(v));
   }
-};
-
-using Frontier = std::vector<std::pair<lts::StateId, std::string>>;
-
-void expand_level(std::vector<WorkerCtx>& ctxs, const Frontier& frontier,
-                  StateStore& store, std::size_t max_states) {
-  // Contiguous chunks per worker (small frontiers collapse to one worker);
-  // worker w owns ctxs[w], so label interning stays lock-free.
-  core::parallel_chunks(frontier.size(), ctxs.size(), /*min_grain=*/4,
-                        [&](unsigned w, std::size_t lo, std::size_t hi) {
-                          for (std::size_t i = lo; i < hi; ++i) {
-                            ctxs[w].expand(frontier[i].first,
-                                           frontier[i].second, store,
-                                           max_states);
-                          }
-                        });
+  proc::TermPtr root = proc::call(entry, std::move(arg_exprs));
+  // Pre-flight lint: reject ill-formed models (undefined references, arity
+  // mismatches, structural deadlocks, ...) in syntax-polynomial time before
+  // committing to a potentially exponential exploration.
+  analyze::require_well_formed(*program, root);
+  return std::make_unique<const ProcModel>(
+      ProcModel{std::move(program), std::move(root)});
 }
 
-/// Deterministic BFS renumbering from the initial state (id 0: the very
-/// first insert) and emission into a fresh Lts.  The traversal only looks
-/// at the explored graph, so the result is independent of how the ids were
-/// interleaved across workers.
-lts::Lts renumber_and_emit(const std::vector<WorkerCtx>& ctxs,
-                           std::size_t num_states) {
-  std::vector<const Row*> row_of(num_states, nullptr);
-  for (const WorkerCtx& ctx : ctxs) {
-    for (const Row& row : ctx.rows) {
-      row_of[row.src] = &row;
-    }
-  }
-  std::vector<lts::StateId> renum(num_states, lts::kNoState);
-  std::vector<lts::StateId> order;
-  order.reserve(num_states);
-  renum[0] = 0;
-  order.push_back(0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (const auto& [label, dst] : row_of[order[i]]->edges) {
-      if (renum[dst] == lts::kNoState) {
-        renum[dst] = static_cast<lts::StateId>(order.size());
-        order.push_back(dst);
-      }
-    }
-  }
-  lts::Lts out;
-  out.add_states(order.size());
-  out.set_initial_state(0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Row& row = *row_of[order[i]];
-    for (const auto& [label, dst] : row.edges) {
-      out.add_transition(static_cast<lts::StateId>(i),
-                         std::string_view(ctxs[row.ctx].labels[label]),
-                         renum[dst]);
-    }
-  }
-  return out;
+std::unique_ptr<const ProcModel> proc_oracle(proc::Program program,
+                                             std::string_view entry,
+                                             std::vector<proc::Value> args) {
+  return proc_oracle(
+      std::make_shared<const proc::Program>(std::move(program)), entry,
+      std::move(args));
 }
 
-}  // namespace
-
-ExploreResult explore(const SuccessorOracle& oracle,
-                      const ExploreOptions& options) {
-  unsigned workers =
-      options.workers != 0 ? options.workers : core::parallel_threads();
-  if (options.order == Order::kDfs) {
-    workers = 1;  // DFS is inherently sequential (one stack)
-  }
-
-  StateStore store(StateStore::Options{options.store, options.fingerprint_bits,
-                                       /*stripes=*/64});
-  std::vector<WorkerCtx> ctxs(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    ctxs[w].oracle = oracle.clone();
-    ctxs[w].index = w;
-  }
-
-  ExploreResult result;
-  ExploreStats& stats = result.stats;
+ExploreResult explore(const ProcModel& model, const ExploreOptions& options) {
   const auto t0 = std::chrono::steady_clock::now();
+  proc::GenerateOptions gopts;
+  gopts.max_states = options.max_states;
+  ExploreResult result;
+  result.lts = proc::generate_term(*model.program, model.root, gopts);
+  const lts::Lts& l = result.lts;
+  ExploreStats& stats = result.stats;
 
-  std::string init = ctxs[0].oracle->initial();
-  const StateStore::Inserted r0 = store.insert(init);
-  Frontier frontier;
-  frontier.emplace_back(r0.id, std::move(init));
-
-  if (options.order == Order::kDfs) {
-    // frontier doubles as the DFS stack.
-    while (!frontier.empty()) {
-      stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
-      ++stats.levels;
-      auto [id, bytes] = std::move(frontier.back());
-      frontier.pop_back();
-      ctxs[0].expand(id, bytes, store, options.max_states);
-      for (auto& fresh : ctxs[0].next) {
-        frontier.push_back(std::move(fresh));
-      }
-      ctxs[0].next.clear();
-    }
-  } else {
-    while (!frontier.empty()) {
-      stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
-      ++stats.levels;
-      expand_level(ctxs, frontier, store, options.max_states);
-      frontier.clear();
-      for (WorkerCtx& ctx : ctxs) {
-        for (auto& fresh : ctx.next) {
-          frontier.push_back(std::move(fresh));
-        }
-        ctx.next.clear();
+  // Breadth-first numbering gives each level a contiguous id range
+  // [begin, end); the next level ends after the largest successor id.
+  for (std::size_t begin = 0, end = 1; begin < end;) {
+    ++stats.levels;
+    stats.peak_frontier = std::max(stats.peak_frontier, end - begin);
+    std::size_t next = end;
+    for (std::size_t s = begin; s < end; ++s) {
+      for (const lts::OutEdge& e : l.out(static_cast<lts::StateId>(s))) {
+        next = std::max<std::size_t>(next, e.dst + 1);
       }
     }
+    begin = end;
+    end = next;
   }
-
-  result.lts = renumber_and_emit(ctxs, store.size());
 
   const auto t1 = std::chrono::steady_clock::now();
   stats.seconds = std::chrono::duration<double>(t1 - t0).count();
-  stats.num_states = result.lts.num_states();
-  stats.num_transitions = result.lts.num_transitions();
+  stats.num_states = l.num_states();
+  stats.num_transitions = l.num_transitions();
   stats.states_per_sec =
       stats.seconds > 0.0 ? static_cast<double>(stats.num_states) / stats.seconds
                           : 0.0;
-  stats.dedup_hits = store.dedup_hits();
-  stats.collisions = store.collisions();
-  stats.workers.reserve(workers);
-  for (const WorkerCtx& ctx : ctxs) {
-    stats.workers.push_back(ctx.stats);
-  }
+  // Every transition but the ones that discovered a state (all states but
+  // the initial one) lands on a state already seen.
+  stats.dedup_hits = stats.num_transitions + 1 - stats.num_states;
   return result;
 }
 
@@ -201,12 +84,6 @@ core::Table ExploreStats::to_table(const std::string& model) const {
   t.add_row({"peak frontier", std::to_string(peak_frontier)});
   t.add_row({"levels", std::to_string(levels)});
   t.add_row({"dedup hits", std::to_string(dedup_hits)});
-  t.add_row({"fp collisions", std::to_string(collisions)});
-  t.add_row({"workers", std::to_string(workers.size())});
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    t.add_row({"  worker " + std::to_string(w) + " expanded",
-               std::to_string(workers[w].states_expanded)});
-  }
   return t;
 }
 

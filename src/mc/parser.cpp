@@ -3,6 +3,8 @@
 #include <cctype>
 #include <string>
 
+#include "core/diag.hpp"
+
 namespace multival::mc {
 
 namespace {
@@ -32,22 +34,12 @@ class Parser {
  private:
   // ---- state formulas ----------------------------------------------------
 
-  FormulaPtr state_expr() {
-    skip_ws();
-    if (eat_keyword("mu")) {
-      const std::string v = ident();
-      expect('.');
-      return mu(v, state_expr());
-    }
-    if (eat_keyword("nu")) {
-      const std::string v = ident();
-      expect('.');
-      return nu(v, state_expr());
-    }
-    return state_or();
-  }
+  /// A leading mu/nu is parsed by state_unary, which extends its body as
+  /// far to the right as a whole state formula goes.
+  FormulaPtr state_expr() { return state_or(); }
 
   FormulaPtr state_or() {
+    core::NestingLevel level(depth_);
     FormulaPtr f = state_and();
     while (true) {
       skip_ws();
@@ -55,10 +47,12 @@ class Parser {
         return f;
       }
       f = f_or(std::move(f), state_and());
+      deeper(level);
     }
   }
 
   FormulaPtr state_and() {
+    core::NestingLevel level(depth_);
     FormulaPtr f = state_unary();
     while (true) {
       skip_ws();
@@ -66,10 +60,13 @@ class Parser {
         return f;
       }
       f = f_and(std::move(f), state_unary());
+      deeper(level);
     }
   }
 
   FormulaPtr state_unary() {
+    core::NestingLevel level(depth_);
+    deeper(level);
     skip_ws();
     if (pos_ >= text_.size()) {
       fail("unexpected end of formula");
@@ -93,8 +90,7 @@ class Parser {
     }
     if (c == '(') {
       ++pos_;
-      // A parenthesised formula may itself start with mu/nu.
-      FormulaPtr f = state_expr_inner();
+      FormulaPtr f = state_expr();
       expect(')');
       return f;
     }
@@ -107,12 +103,12 @@ class Parser {
     if (eat_keyword("mu")) {
       const std::string v = ident();
       expect('.');
-      return mu(v, state_expr_inner());
+      return mu(v, state_expr());
     }
     if (eat_keyword("nu")) {
       const std::string v = ident();
       expect('.');
-      return nu(v, state_expr_inner());
+      return nu(v, state_expr());
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       return var(ident());
@@ -120,26 +116,10 @@ class Parser {
     fail("expected a state formula");
   }
 
-  /// Like state_expr but without the end-of-input check (used inside
-  /// parentheses).
-  FormulaPtr state_expr_inner() {
-    skip_ws();
-    if (eat_keyword("mu")) {
-      const std::string v = ident();
-      expect('.');
-      return mu(v, state_expr_inner());
-    }
-    if (eat_keyword("nu")) {
-      const std::string v = ident();
-      expect('.');
-      return nu(v, state_expr_inner());
-    }
-    return state_or();
-  }
-
   // ---- action formulas -----------------------------------------------------
 
   ActionPtr action_or() {
+    core::NestingLevel level(depth_);
     ActionPtr a = action_and();
     while (true) {
       skip_ws();
@@ -152,10 +132,12 @@ class Parser {
         return a;
       }
       a = act_or(std::move(a), action_and());
+      deeper(level);
     }
   }
 
   ActionPtr action_and() {
+    core::NestingLevel level(depth_);
     ActionPtr a = action_unary();
     while (true) {
       skip_ws();
@@ -167,10 +149,13 @@ class Parser {
         return a;
       }
       a = act_and(std::move(a), action_unary());
+      deeper(level);
     }
   }
 
   ActionPtr action_unary() {
+    core::NestingLevel level(depth_);
+    deeper(level);
     skip_ws();
     if (pos_ >= text_.size()) {
       fail("unexpected end of action formula");
@@ -267,6 +252,15 @@ class Parser {
     ++pos_;
   }
 
+  /// Takes one more level of @p level's nesting, failing past
+  /// core::kMaxParseNesting.
+  void deeper(core::NestingLevel& level) {
+    if (!level.deeper()) {
+      fail("nesting deeper than " + std::to_string(core::kMaxParseNesting) +
+           " levels");
+    }
+  }
+
   [[noreturn]] void fail(const std::string& what) const {
     throw ParseError("formula parse error at position " +
                      std::to_string(pos_) + ": " + what + " in \"" +
@@ -275,6 +269,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // nesting, see deeper()
 };
 
 }  // namespace

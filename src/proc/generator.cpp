@@ -112,51 +112,6 @@ class IdTable {
   std::size_t count_ = 0;
 };
 
-// ---- canonical state encoding helpers ---------------------------------------
-
-[[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("TermExplorer: malformed state (" + what + ")");
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-std::uint64_t get_varint(std::string_view bytes, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos >= bytes.size() || shift > 63) {
-      malformed("varint");
-    }
-    const auto b = static_cast<std::uint8_t>(bytes[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      return v;
-    }
-    shift += 7;
-  }
-}
-
-/// Values are zigzag-coded, so small negative values stay short.
-void put_value(std::string& out, Value v) {
-  const auto u = static_cast<std::uint32_t>(v);
-  put_varint(out, (u << 1) ^ (v < 0 ? 0xffffffffu : 0u));
-}
-
-Value get_value(std::string_view bytes, std::size_t& pos) {
-  const std::uint64_t z = get_varint(bytes, pos);
-  if (z > 0xffffffffull) {
-    malformed("value");
-  }
-  const auto u = static_cast<std::uint32_t>(z);
-  return static_cast<Value>((u >> 1) ^ (0u - (u & 1u)));
-}
-
 /// Runtime configurations are hash-consed records in one word arena:
 ///
 ///   leaf   (stop, exit, prefix, choice)  term, one value per free variable
@@ -184,14 +139,21 @@ class Generator {
     labels_ = {"i", "exit"};
   }
 
-  Lts run() {
-    Lts out;
-    (void)state_of(lift_root());
+  /// The one exploration loop: breadth-first over configuration ids, so
+  /// state i is the i-th configuration reached, and every move is added to
+  /// @p out in SOS order.  With @p stop_at_deadlock it stops at the first
+  /// state without moves and returns it; otherwise it returns lts::kNoState.
+  StateId run(Lts& out, bool stop_at_deadlock) {
+    (void)state_of(lift(root_edge_, 0, 0));
     out.add_state();
     out.set_initial_state(0);
     std::vector<lts::ActionId> lts_action(actions_.size(), kNone);
     for (StateId src = 0; src < states_.size(); ++src) {
-      for (const Move& m : successors(states_[src])) {
+      const std::span<const Move> moves = successors(states_[src]);
+      if (moves.empty() && stop_at_deadlock) {
+        return src;
+      }
+      for (const Move& m : moves) {
         const StateId dst = state_of(m.dst);
         if (dst == out.num_states()) {
           out.add_state();
@@ -205,46 +167,10 @@ class Generator {
         out.add_transition(src, lts_action[m.action], dst);
       }
     }
-    return out;
+    return lts::kNoState;
   }
 
-  /// Breadth-first search that stops at the first deadlocked state.
-  DeadlockSearchResult run_find_deadlock() {
-    DeadlockSearchResult result;
-    struct Parent {
-      StateId state = lts::kNoState;
-      ActionId action = kTau;
-    };
-    std::vector<Parent> parents(1);
-    (void)state_of(lift_root());
-    for (StateId src = 0; src < states_.size(); ++src) {
-      const std::span<const Move> succ = successors(states_[src]);
-      ++result.states_explored;
-      if (succ.empty()) {
-        result.found = true;
-        for (StateId s = src; parents[s].state != lts::kNoState;
-             s = parents[s].state) {
-          result.trace.push_back(labels_[parents[s].action]);
-        }
-        std::reverse(result.trace.begin(), result.trace.end());
-        return result;
-      }
-      for (const Move& m : succ) {
-        if (state_of(m.dst) == parents.size()) {
-          parents.push_back(Parent{src, m.action});
-        }
-      }
-    }
-    return result;
-  }
-
-  // ---- TermExplorer support ----------------------------------------------
-
-  CfgId lift_root() {
-    vals_.clear();
-    return lift(root_edge_, 0, 0);
-  }
-
+ private:
   /// The moves of a state's root configuration, in SOS order.  They are not
   /// stored (each state is expanded once); the span lives until the next
   /// call.
@@ -255,51 +181,6 @@ class Generator {
     return scratch_;
   }
 
-  [[nodiscard]] const std::string& label(ActionId a) const {
-    return labels_[a];
-  }
-
-  /// Canonical byte encoding of a configuration: per record, the term's
-  /// index in the deterministic numbering of the terms reachable from the
-  /// root, then the child records, then the values.  Independent of heap
-  /// addresses, so equal for every Generator over an equal program and root.
-  void encode(CfgId id, std::string& out) const {
-    const std::size_t at = at_[id];
-    const TermId t = words_[at];
-    put_varint(out, t);
-    switch (codes_[t].kind) {
-      case Term::Kind::kPar:
-        encode(words_[at + 1], out);
-        encode(words_[at + 2], out);
-        return;
-      case Term::Kind::kHide:
-      case Term::Kind::kRename:
-        encode(words_[at + 1], out);
-        return;
-      case Term::Kind::kSeq:
-        encode(words_[at + 1], out);
-        put_values(at + 2, codes_[t].record_vars, out);
-        return;
-      default:
-        put_values(at + 1, codes_[t].record_vars, out);
-        return;
-    }
-  }
-
-  /// Inverse of encode.  Anything that is not an encoding over this
-  /// program and root throws std::runtime_error("TermExplorer: malformed
-  /// state ...") or yields some valid configuration.
-  CfgId decode(std::string_view bytes) {
-    vals_.clear();
-    std::size_t pos = 0;
-    const CfgId id = decode(bytes, pos, 0);
-    if (pos != bytes.size()) {
-      malformed("trailing");
-    }
-    return id;
-  }
-
- private:
   /// A child term and, for each of its free variables, the slot it reads
   /// in the parent's scope.
   struct Edge {
@@ -854,64 +735,6 @@ class Generator {
     }
   }
 
-  // ---- encoding ------------------------------------------------------------
-
-  void put_values(std::size_t at, std::uint32_t n, std::string& out) const {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      put_value(out, static_cast<Value>(words_[at + i]));
-    }
-  }
-
-  CfgId decode(std::string_view bytes, std::size_t& pos, std::size_t depth) {
-    if (depth > options_.max_unfold_depth) {
-      malformed("nesting");
-    }
-    const std::uint64_t index = get_varint(bytes, pos);
-    if (index >= codes_.size()) {
-      malformed("term index");
-    }
-    const auto t = static_cast<TermId>(index);
-    const Code& c = codes_[t];
-    CfgId current = kNone;
-    switch (c.kind) {
-      case Term::Kind::kPar: {
-        const CfgId l = decode(bytes, pos, depth + 1);
-        const CfgId r = decode(bytes, pos, depth + 1);
-        return par(t, l, r);
-      }
-      case Term::Kind::kHide:
-      case Term::Kind::kRename:
-        return wrap(t, decode(bytes, pos, depth + 1));
-      case Term::Kind::kGuard:
-      case Term::Kind::kCall:
-        malformed("term kind");
-      case Term::Kind::kSeq:
-        current = decode(bytes, pos, depth + 1);
-        break;
-      case Term::Kind::kStop:
-      case Term::Kind::kExit:
-      case Term::Kind::kPrefix:
-      case Term::Kind::kChoice:
-        break;
-    }
-    // Read every value before writing the record, so a truncated state
-    // leaves no partial record behind.
-    const std::size_t values = vals_.size();
-    for (std::uint32_t i = 0; i < c.record_vars; ++i) {
-      vals_.push_back(get_value(bytes, pos));
-    }
-    const std::size_t at = words_.size();
-    words_.push_back(t);
-    if (current != kNone) {
-      words_.push_back(current);
-    }
-    for (std::uint32_t i = 0; i < c.record_vars; ++i) {
-      words_.push_back(static_cast<std::uint32_t>(vals_[values + i]));
-    }
-    vals_.resize(values);
-    return intern(at);
-  }
-
   // ---- state management --------------------------------------------------
 
   StateId state_of(CfgId cfg) {
@@ -973,16 +796,22 @@ class Generator {
   std::vector<StateId> cfg_to_state_;
 };
 
-}  // namespace
-
-Lts generate(const Program& program, std::string_view entry,
-             std::vector<Value> args, const GenerateOptions& options) {
+/// The root term of generate and find_deadlock: @p entry called with
+/// @p args.
+TermPtr entry_call(std::string_view entry, const std::vector<Value>& args) {
   std::vector<ExprPtr> arg_exprs;
   arg_exprs.reserve(args.size());
   for (const Value v : args) {
     arg_exprs.push_back(lit(v));
   }
-  return generate_term(program, call(entry, std::move(arg_exprs)), options);
+  return call(entry, std::move(arg_exprs));
+}
+
+}  // namespace
+
+Lts generate(const Program& program, std::string_view entry,
+             std::vector<Value> args, const GenerateOptions& options) {
+  return generate_term(program, entry_call(entry, args), options);
 }
 
 Lts generate_term(const Program& program, const TermPtr& t,
@@ -990,61 +819,41 @@ Lts generate_term(const Program& program, const TermPtr& t,
   if (t == nullptr) {
     throw std::invalid_argument("generate_term: null term");
   }
-  return Generator(program, t, options).run();
+  Lts out;
+  (void)Generator(program, t, options).run(out, false);
+  return out;
 }
 
 DeadlockSearchResult find_deadlock(const Program& program,
                                    std::string_view entry,
                                    std::vector<Value> args,
                                    const GenerateOptions& options) {
-  std::vector<ExprPtr> arg_exprs;
-  arg_exprs.reserve(args.size());
-  for (const Value v : args) {
-    arg_exprs.push_back(lit(v));
+  Lts l;
+  const StateId dead =
+      Generator(program, entry_call(entry, args), options).run(l, true);
+  DeadlockSearchResult result;
+  if (dead == lts::kNoState) {
+    result.states_explored = l.num_states();
+    return result;
   }
-  return Generator(program, call(entry, std::move(arg_exprs)), options)
-      .run_find_deadlock();
-}
-
-// ---- TermExplorer -----------------------------------------------------------
-
-struct TermExplorer::Impl {
-  Impl(const Program& program, TermPtr root, const GenerateOptions& options)
-      : gen(program, std::move(root), options) {}
-
-  Generator gen;
-};
-
-TermExplorer::TermExplorer(const Program& program, TermPtr root,
-                           const GenerateOptions& options) {
-  if (root == nullptr) {
-    throw std::invalid_argument("TermExplorer: null root");
+  result.found = true;
+  result.states_explored = dead + 1;
+  // A state's first in-edge is the one that discovered it, so walking those
+  // edges back from the deadlock gives a shortest trace.
+  std::vector<lts::Transition> parent(l.num_states(),
+                                      lts::Transition{lts::kNoState, 0, 0});
+  for (StateId s = 0; s < dead; ++s) {
+    for (const lts::OutEdge& e : l.out(s)) {
+      if (e.dst != 0 && parent[e.dst].src == lts::kNoState) {
+        parent[e.dst] = lts::Transition{s, e.action, e.dst};
+      }
+    }
   }
-  impl_ = std::make_unique<Impl>(program, std::move(root), options);
-}
-
-TermExplorer::TermExplorer(TermExplorer&&) noexcept = default;
-TermExplorer& TermExplorer::operator=(TermExplorer&&) noexcept = default;
-TermExplorer::~TermExplorer() = default;
-
-std::string TermExplorer::initial() {
-  std::string out;
-  impl_->gen.encode(impl_->gen.lift_root(), out);
-  return out;
-}
-
-std::vector<TermExplorer::Move> TermExplorer::successors(
-    std::string_view state) {
-  Generator& gen = impl_->gen;
-  const auto moves = gen.successors(gen.decode(state));
-  std::vector<Move> out;
-  out.reserve(moves.size());
-  for (const auto& m : moves) {
-    Move& move = out.emplace_back();
-    move.label = gen.label(m.action);
-    gen.encode(m.dst, move.dst);
+  for (StateId s = dead; s != 0; s = parent[s].src) {
+    result.trace.emplace_back(l.actions().name(parent[s].action));
   }
-  return out;
+  std::reverse(result.trace.begin(), result.trace.end());
+  return result;
 }
 
 }  // namespace multival::proc

@@ -19,13 +19,15 @@
 //
 // The generator explores the configuration graph breadth-first and emits an
 // Lts whose labels are "GATE !v1 !v2", "i" for internal actions, and "exit"
-// for successful termination.  A process body with a free variable that is
+// for successful termination.  That breadth-first loop is the only
+// exploration loop: generate, generate_term, find_deadlock and
+// explore::explore all run it, so state i is the i-th configuration reached
+// whichever of them asks.  A process body with a free variable that is
 // not one of its parameters, or a root term with a free variable, throws
 // std::out_of_range when it is first unfolded.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -42,7 +44,6 @@ struct GenerateOptions {
   std::size_t max_states = 1u << 22;
   /// Bound on sequential unfolding (guards/choices/calls) when computing the
   /// transitions of a single state; exceeded -> throws UnguardedRecursion.
-  /// Also bounds the nesting of a state TermExplorer decodes.
   std::size_t max_unfold_depth = 2048;
 };
 
@@ -64,7 +65,7 @@ struct UnguardedRecursion : std::runtime_error {
 [[nodiscard]] lts::Lts generate_term(const Program& program, const TermPtr& t,
                                      const GenerateOptions& options = {});
 
-/// On-the-fly deadlock search: explores breadth-first and stops at the
+/// On-the-fly deadlock search: runs the generation loop and stops at the
 /// first deadlocked state, without completing the state space.  The trace
 /// is shortest (by transition count).
 struct DeadlockSearchResult {
@@ -76,46 +77,5 @@ struct DeadlockSearchResult {
 [[nodiscard]] DeadlockSearchResult find_deadlock(
     const Program& program, std::string_view entry,
     std::vector<Value> args = {}, const GenerateOptions& options = {});
-
-/// On-the-fly successor enumeration over hash-consed runtime configurations
-/// — the role OPEN/CAESAR plays for CADP.  States are canonical byte
-/// strings: per configuration record, the LEB128 index of its term in the
-/// numbering above, its child records, then its values (zigzag LEB128).
-/// Encodings depend only on the structure of the program and the root,
-/// never on heap addresses, so explorers over equal programs and roots
-/// agree byte for byte, within one process or across processes.  That is
-/// what lets the parallel exploration engine (src/explore) hand each
-/// worker thread its own TermExplorer, and what makes narrow-fingerprint
-/// runs (`explore --fp bits`) repeat from one process to the next.
-///
-/// `successors` decodes defensively: a truncated, corrupted or foreign
-/// state either decodes to some configuration of this program, whose
-/// successors are then computed (and may throw) like any other's, or throws
-/// std::runtime_error("TermExplorer: malformed state (...)").
-class TermExplorer {
- public:
-  struct Move {
-    std::string label;  ///< "i", "exit", or "GATE !v1 !v2"
-    std::string dst;    ///< canonical encoding of the successor state
-  };
-
-  /// @p program and @p root must outlive the explorer.
-  TermExplorer(const Program& program, TermPtr root,
-               const GenerateOptions& options = {});
-  TermExplorer(TermExplorer&&) noexcept;
-  TermExplorer& operator=(TermExplorer&&) noexcept;
-  ~TermExplorer();
-
-  /// Canonical encoding of the initial configuration.
-  [[nodiscard]] std::string initial();
-
-  /// Transitions of the configuration encoded by @p state, in the
-  /// deterministic order of the SOS rules.
-  [[nodiscard]] std::vector<Move> successors(std::string_view state);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace multival::proc

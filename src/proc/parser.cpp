@@ -245,8 +245,18 @@ class ProcParser {
     return branches.size() == 1 ? branches[0] : choice(std::move(branches));
   }
 
+  /// Takes one more level of @p level's nesting, failing past
+  /// core::kMaxParseNesting.
+  void deeper(core::NestingLevel& level) {
+    if (!level.deeper()) {
+      lex_.fail("nesting deeper than " +
+                std::to_string(core::kMaxParseNesting) + " levels");
+    }
+  }
+
   // par := seq (('|[' gates ']|' | '|||') seq)*
   TermPtr par_expr() {
+    core::NestingLevel level(depth_);
     TermPtr t = seq_expr();
     while (true) {
       if (lex_.peek_symbol("|[")) {
@@ -266,19 +276,24 @@ class ProcParser {
       } else {
         return t;
       }
+      deeper(level);
     }
   }
 
   // seq := prefix ('>>' prefix)*
   TermPtr seq_expr() {
+    core::NestingLevel level(depth_);
     TermPtr t = prefix_expr();
     while (lex_.eat_symbol(">>")) {
       t = seq(std::move(t), prefix_expr());
+      deeper(level);
     }
     return t;
   }
 
   TermPtr prefix_expr() {
+    core::NestingLevel level(depth_);
+    deeper(level);
     if (lex_.eat_keyword("stop")) {
       return stop();
     }
@@ -380,6 +395,7 @@ class ProcParser {
   ExprPtr expr() { return or_expr(); }
 
   ExprPtr or_expr() {
+    core::NestingLevel level(depth_);
     ExprPtr e = and_expr();
     while (true) {
       // '||' but not '|||' / '|[':
@@ -390,18 +406,22 @@ class ProcParser {
         return e;
       }
       e = std::move(e) || and_expr();
+      deeper(level);
     }
   }
 
   ExprPtr and_expr() {
+    core::NestingLevel level(depth_);
     ExprPtr e = cmp_expr();
     while (lex_.eat_symbol("&&")) {
       e = std::move(e) && cmp_expr();
+      deeper(level);
     }
     return e;
   }
 
   ExprPtr cmp_expr() {
+    core::NestingLevel level(depth_);
     ExprPtr e = add_expr();
     while (true) {
       if (lex_.eat_symbol("==")) {
@@ -421,10 +441,12 @@ class ProcParser {
       } else {
         return e;
       }
+      deeper(level);
     }
   }
 
   ExprPtr add_expr() {
+    core::NestingLevel level(depth_);
     ExprPtr e = mul_expr();
     while (true) {
       if (lex_.eat_symbol("+")) {
@@ -435,10 +457,12 @@ class ProcParser {
       } else {
         return e;
       }
+      deeper(level);
     }
   }
 
   ExprPtr mul_expr() {
+    core::NestingLevel level(depth_);
     ExprPtr e = unary_expr();
     while (true) {
       if (lex_.eat_symbol("*")) {
@@ -450,10 +474,13 @@ class ProcParser {
       } else {
         return e;
       }
+      deeper(level);
     }
   }
 
   ExprPtr unary_expr() {
+    core::NestingLevel level(depth_);
+    deeper(level);
     if (lex_.eat_symbol("!")) {
       return !unary_expr();
     }
@@ -485,6 +512,7 @@ class ProcParser {
   }
 
   Lexer lex_;
+  std::size_t depth_ = 0;  // nesting, see deeper()
 };
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <chrono>
 
 #include "analyze/analyze.hpp"
-#include "explore/oracle.hpp"
+#include "explore/engine.hpp"
 #include "proc/parser.hpp"
 #include "proc/process.hpp"
 
@@ -350,7 +350,7 @@ TEST(LintScale, FindsDeadlockInTenMillionStateModelWithoutExploring) {
   EXPECT_LT(ms, 50.0);
   EXPECT_LT(a.stats.seconds, 0.050);
 
-  // The same proof gates exploration: the oracle refuses to start on the
+  // The same proof gates exploration: proc_oracle refuses to start on the
   // 10^7-state product instead of diverging into it.
   EXPECT_THROW((void)explore::proc_oracle(program, "System", {}),
                analyze::ModelError);

@@ -28,12 +28,17 @@ expect_usage_failure()                                    # no subcommand
 expect_usage_failure(frobnicate)                          # unknown subcommand
 expect_usage_failure(gen model.proc Entry --bogus)        # unknown flag
 expect_usage_failure(explore model.proc Entry --no-such-flag)
-expect_usage_failure(explore model.proc Entry -j banana)  # bad number
-expect_usage_failure(explore model.proc Entry --plan -j 2) # -j means engine
-if(NOT usage_error MATCHES "error: [^\n]*-j")
-  message(FATAL_ERROR "explore --plan -j: the error must name -j, got:\n"
-    "${usage_error}")
-endif()
+expect_usage_failure(explore model.proc Entry -j banana)  # no -j any more
+# The parallel engine's flags are gone: each is an unknown flag, named in
+# the error line.
+foreach(flag -j --dfs --fp)
+  expect_usage_failure(explore model.proc Entry ${flag} 2)
+  if(NOT usage_error MATCHES "error: [^\n]*${flag}")
+    message(FATAL_ERROR "explore ${flag}: the error must name ${flag}, got:\n"
+      "${usage_error}")
+  endif()
+endforeach()
+expect_usage_failure(explore model.proc Entry --plan --flat) # two modes
 expect_usage_failure(compose --builtin fame-mesi-3 -j 2)  # joins sequential
 expect_usage_failure(lint)                                # nothing to lint
 expect_usage_failure(lint --json)                         # still nothing

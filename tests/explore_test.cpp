@@ -1,11 +1,13 @@
-// Tests for the src/explore subsystem: successor oracles, the concurrent
-// state store, the parallel BFS engine (determinism across worker counts),
-// and the binary LTS stream format.
+// Tests for the src/explore subsystem: explore() over the generator's one
+// breadth-first loop (its LTS is proc::generate's, byte for byte, and its
+// statistics are those of the parallel engine it replaced), find_deadlock
+// over the same loop, and the binary LTS stream format.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "bisim/equivalence.hpp"
@@ -14,13 +16,11 @@
 #include "core/report.hpp"
 #include "explore/engine.hpp"
 #include "explore/lts_stream.hpp"
-#include "explore/oracle.hpp"
-#include "explore/state_store.hpp"
 #include "fame/coherence.hpp"
-#include "imc/imc_io.hpp"
 #include "lts/lts_io.hpp"
 #include "noc/mesh.hpp"
 #include "proc/generator.hpp"
+#include "proc/parser.hpp"
 #include "xstream/queue_model.hpp"
 
 namespace {
@@ -31,101 +31,12 @@ bool strongly_equivalent(const lts::Lts& a, const lts::Lts& b) {
   return bisim::equivalent(a, b, bisim::Equivalence::kStrong);
 }
 
-// --- StateStore ----------------------------------------------------------
-
-TEST(StateStore, AssignsDenseIdsAndCountsDedup) {
-  explore::StateStore store;
-  const auto a = store.insert("alpha");
-  EXPECT_TRUE(a.fresh);
-  EXPECT_EQ(a.id, 0u);
-  const auto b = store.insert("beta");
-  EXPECT_TRUE(b.fresh);
-  EXPECT_EQ(b.id, 1u);
-  const auto a2 = store.insert("alpha");
-  EXPECT_FALSE(a2.fresh);
-  EXPECT_EQ(a2.id, a.id);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.dedup_hits(), 1u);
-  EXPECT_EQ(store.collisions(), 0u);
-}
-
-TEST(StateStore, ConcurrentInsertsAgreeOnIds) {
-  explore::StateStore store;
-  constexpr int kKeys = 200;
-  constexpr int kThreads = 4;
-  std::vector<std::vector<lts::StateId>> ids(
-      kThreads, std::vector<lts::StateId>(kKeys));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, &ids, t] {
-      for (int k = 0; k < kKeys; ++k) {
-        ids[static_cast<std::size_t>(t)][static_cast<std::size_t>(k)] =
-            store.insert("key" + std::to_string(k)).id;
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(store.size(), static_cast<std::size_t>(kKeys));
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(ids[static_cast<std::size_t>(t)], ids[0]);
-  }
-}
-
-TEST(StateStore, NarrowFingerprintDetectsCollisions) {
-  explore::StateStore::Options opts;
-  opts.mode = explore::StoreMode::kFingerprint;
-  opts.fingerprint_bits = 4;  // at most 16 distinct fingerprints
-  explore::StateStore store(opts);
-  for (int k = 0; k < 256; ++k) {
-    (void)store.insert("state" + std::to_string(k));
-  }
-  EXPECT_LE(store.size(), 16u);
-  EXPECT_GT(store.collisions(), 0u);
-}
-
-// --- LtsOracle and the engine on a hand-built LTS ------------------------
-
-lts::Lts diamond() {
-  lts::Lts l;
-  l.add_states(4);
-  l.add_transition(0, "A", 1);
-  l.add_transition(0, "B", 2);
-  l.add_transition(1, "C", 3);
-  l.add_transition(2, "C", 3);
-  l.set_initial_state(0);
-  return l;
-}
-
-TEST(Engine, LtsOracleReproducesBfsOrderedLts) {
-  const lts::Lts l = diamond();
-  const auto oracle = explore::lts_oracle(l);
-  const explore::ExploreResult r = explore::explore(*oracle);
-  // diamond() is already numbered breadth-first, so the renumbered result
-  // is identical, not merely bisimilar.
-  EXPECT_EQ(lts::to_aut(r.lts), lts::to_aut(l));
-  EXPECT_EQ(r.stats.num_states, 4u);
-  EXPECT_EQ(r.stats.num_transitions, 4u);
-  EXPECT_EQ(r.stats.levels, 3u);
-}
-
-TEST(Engine, DfsYieldsTheSameRenumberedLts) {
-  const lts::Lts l = diamond();
-  const auto oracle = explore::lts_oracle(l);
-  explore::ExploreOptions dfs;
-  dfs.order = explore::Order::kDfs;
-  const auto r_bfs = explore::explore(*oracle);
-  const auto r_dfs = explore::explore(*oracle, dfs);
-  EXPECT_EQ(lts::to_aut(r_dfs.lts), lts::to_aut(r_bfs.lts));
-}
-
 TEST(Engine, MaxStatesLimitThrows) {
   const proc::Program p = fame::coherence_system_program(fame::Protocol::kMsi);
-  const auto oracle = explore::proc_oracle(p, "System");
+  const auto model = explore::proc_oracle(p, "System");
   explore::ExploreOptions opts;
   opts.max_states = 16;
-  EXPECT_THROW((void)explore::explore(*oracle, opts),
+  EXPECT_THROW((void)explore::explore(*model, opts),
                explore::LimitExceeded);
 }
 
@@ -133,13 +44,12 @@ TEST(Engine, MaxStatesLimitThrows) {
 
 TEST(Engine, DeterministicAcrossWorkerCounts) {
   const proc::Program p = fame::coherence_system_program(fame::Protocol::kMesi);
-  const auto oracle = explore::proc_oracle(p, "System");
+  const auto model = explore::proc_oracle(p, "System");
   std::string reference;
   for (unsigned workers : {1u, 2u, 8u}) {
     explore::ExploreOptions opts;
     opts.workers = workers;
-    const explore::ExploreResult r = explore::explore(*oracle, opts);
-    EXPECT_EQ(r.stats.workers.size(), workers);
+    const explore::ExploreResult r = explore::explore(*model, opts);
     const std::string aut = lts::to_aut(r.lts);
     if (reference.empty()) {
       reference = aut;
@@ -184,9 +94,8 @@ TEST(Engine, MatchesGeneratorOnXstreamQueue) {
   EXPECT_TRUE(strongly_equivalent(r.lts, generated));
 }
 
-// Generation and exploration are two loops over one successor function:
-// the engine's breadth-first renumbering must reproduce the generator's LTS
-// byte for byte, at any worker count.
+// Generation and exploration run one loop: explore's LTS is the
+// generator's, byte for byte, whatever the (unread) worker count says.
 TEST(Engine, GenerateAndExploreAgreeByteForByteOnBuiltins) {
   for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
     const std::string generated =
@@ -202,51 +111,114 @@ TEST(Engine, GenerateAndExploreAgreeByteForByteOnBuiltins) {
   }
 }
 
-// --- hash compaction -----------------------------------------------------
+// --- golden tables -------------------------------------------------------
 
-TEST(Engine, FingerprintModeAccountsCollisions) {
-  const proc::Program p = fame::coherence_system_program(fame::Protocol::kMsi);
-  const auto oracle = explore::proc_oracle(p, "System");
+struct GoldenStats {
+  const char* name;
+  std::size_t states;
+  std::size_t transitions;
+  std::size_t levels;
+  std::size_t peak_frontier;
+  std::uint64_t dedup_hits;
+};
 
-  const auto exact = explore::explore(*oracle);
-  EXPECT_EQ(exact.stats.collisions, 0u);
+// Recorded with the level-synchronous parallel engine (byte-string states,
+// a shared state store) at one worker, before explore ran the generator's
+// loop.
+constexpr GoldenStats kGoldenStats[] = {
+    {"fame-msi", 332, 896, 13, 64, 565},
+    {"fame-mesi", 484, 1372, 16, 62, 889},
+    {"fame-msi-3", 3836, 15174, 19, 477, 11339},
+    {"fame-mesi-3", 5402, 21750, 21, 573, 16349},
+    {"noc-mesh-3x3", 12, 11, 12, 1, 0},
+    {"noc-single-packet", 8, 7, 8, 1, 0},
+    {"noc-stream", 7, 7, 7, 1, 1},
+    {"xstream-correct", 33, 66, 8, 10, 34},
+    {"xstream-lost-credit", 42, 75, 8, 12, 34},
+    {"xstream-eager-credit", 111, 246, 10, 24, 136},
+    {"xmas-credit-loop", 6, 9, 6, 1, 4},
+    {"xmas-vc-pair", 72, 224, 15, 9, 153},
+    {"xmas-mesh2", 216, 636, 20, 23, 421},
+};
 
-  // Full-width fingerprints: no collision expected on a model this small,
-  // and the state count must agree with exact mode.
-  explore::ExploreOptions full;
-  full.store = explore::StoreMode::kFingerprint;
-  const auto compact = explore::explore(*oracle, full);
-  EXPECT_EQ(compact.stats.collisions, 0u);
-  EXPECT_EQ(compact.stats.num_states, exact.stats.num_states);
-
-  // Deliberately narrow fingerprints: distinct states merge and the store
-  // reports it.
-  explore::ExploreOptions narrow;
-  narrow.store = explore::StoreMode::kFingerprint;
-  narrow.fingerprint_bits = 8;
-  const auto lossy = explore::explore(*oracle, narrow);
-  EXPECT_GT(lossy.stats.collisions, 0u);
-  EXPECT_LT(lossy.stats.num_states, exact.stats.num_states);
+TEST(Engine, StatsMatchTheReplacedEngineOnBuiltins) {
+  const std::vector<fixtures::BuiltinModel> models = fixtures::builtin_models();
+  ASSERT_EQ(models.size(), std::size(kGoldenStats));
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const fixtures::BuiltinModel& m = models[i];
+    const GoldenStats& g = kGoldenStats[i];
+    ASSERT_EQ(m.name, g.name);
+    const explore::ExploreStats s =
+        explore::explore(*explore::proc_oracle(m.program, m.entry)).stats;
+    EXPECT_EQ(s.num_states, g.states) << m.name;
+    EXPECT_EQ(s.num_transitions, g.transitions) << m.name;
+    EXPECT_EQ(s.levels, g.levels) << m.name;
+    EXPECT_EQ(s.peak_frontier, g.peak_frontier) << m.name;
+    EXPECT_EQ(s.dedup_hits, g.dedup_hits) << m.name;
+  }
 }
 
-// --- imc oracle ----------------------------------------------------------
+struct GoldenDeadlock {
+  const char* name;
+  bool found;
+  std::vector<std::string> trace;
+  std::size_t states_explored;
+};
 
-TEST(Oracles, ImcOracleUsesRateLabelConvention) {
-  imc::Imc m;
-  m.add_states(3);
-  m.add_interactive(0, "GO", 1);
-  m.add_markovian(1, 2.5, 2);
-  m.add_markovian(1, 0.5, 0, "probe");
-  m.set_initial_state(0);
+// Recorded with the deadlock search's own breadth-first loop, before it ran
+// the generator's.
+const std::vector<GoldenDeadlock>& golden_deadlocks() {
+  static const std::vector<GoldenDeadlock> golden{
+      {"fame-msi", false, {}, 332},
+      {"fame-mesi", false, {}, 484},
+      {"fame-msi-3", false, {}, 3836},
+      {"fame-mesi-3", false, {}, 5402},
+      {"noc-mesh-3x3",
+       true,
+       {"LI0 !8", "i", "i", "i", "i", "i", "i", "i", "i", "i", "LO8 !8"},
+       12},
+      {"noc-single-packet",
+       true,
+       {"LI0 !3", "i", "i", "i", "i", "i", "LO3 !3"},
+       8},
+      {"noc-stream", false, {}, 7},
+      {"xstream-correct", false, {}, 33},
+      {"xstream-lost-credit",
+       true,
+       {"PUSH !0", "NET !0", "PUSH !0", "POP !0", "NET !0", "PUSH !0",
+        "POP !0"},
+       39},
+      {"xstream-eager-credit", false, {}, 111},
+      {"xmas-credit-loop", false, {}, 6},
+      {"xmas-vc-pair", false, {}, 72},
+      {"xmas-mesh2", false, {}, 216},
+      {"endtoend-seeded-deadlock", true, {"REQ"}, 2},
+  };
+  return golden;
+}
 
-  const auto r = explore::explore(*explore::imc_oracle(m));
-  EXPECT_EQ(r.lts.num_states(), 3u);
-  EXPECT_EQ(r.lts.num_transitions(), 3u);
-  // The rendered aut text round-trips through the imc reader.
-  const imc::Imc back = imc::from_aut(lts::to_aut(r.lts));
-  EXPECT_EQ(back.num_states(), m.num_states());
-  EXPECT_EQ(back.num_interactive(), m.num_interactive());
-  EXPECT_EQ(back.num_markovian(), m.num_markovian());
+TEST(FindDeadlock, MatchesTheReplacedSearchOnBuiltins) {
+  std::vector<fixtures::BuiltinModel> models = fixtures::builtin_models();
+  // The seeded defect of EndToEnd.DefectiveModelDiagnosedWithTrace.
+  models.push_back({"endtoend-seeded-deadlock",
+                    std::make_shared<const proc::Program>(proc::parse_program(R"(
+    process Left  := REQ ; ACK ; Left endproc
+    process Right := REQ ; REQ ; ACK ; Right endproc
+    process Sys   := Left |[REQ, ACK]| Right endproc
+  )")),
+                    "Sys"});
+  const std::vector<GoldenDeadlock>& golden = golden_deadlocks();
+  ASSERT_EQ(models.size(), golden.size());
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const fixtures::BuiltinModel& m = models[i];
+    const GoldenDeadlock& g = golden[i];
+    ASSERT_EQ(m.name, g.name);
+    const proc::DeadlockSearchResult r =
+        proc::find_deadlock(*m.program, m.entry);
+    EXPECT_EQ(r.found, g.found) << m.name;
+    EXPECT_EQ(r.trace, g.trace) << m.name;
+    EXPECT_EQ(r.states_explored, g.states_explored) << m.name;
+  }
 }
 
 // --- binary LTS stream ---------------------------------------------------
@@ -375,6 +347,17 @@ TEST(LtsStream, WriterEnforcesSingleFinish) {
 }
 
 // --- generation log ------------------------------------------------------
+
+lts::Lts diamond() {
+  lts::Lts l;
+  l.add_states(4);
+  l.add_transition(0, "A", 1);
+  l.add_transition(0, "B", 2);
+  l.add_transition(1, "C", 3);
+  l.add_transition(2, "C", 3);
+  l.set_initial_state(0);
+  return l;
+}
 
 TEST(GenerationLog, CaseStudyGeneratorsRecordTheirRuns) {
   core::clear_generation_log();

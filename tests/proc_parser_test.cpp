@@ -281,6 +281,116 @@ TEST(ProcProgramParser, TextualModelEndToEnd) {
   EXPECT_NEAR(markov::throughput(closed.ctmc, pi, "SERVE"), 0.8, 1e-9);
 }
 
+// --- parser robustness: a nesting budget -----------------------------------------
+
+/// @p n copies of @p open, then @p core, then @p n copies of @p close.
+std::string nested(std::size_t n, const std::string& open,
+                   const std::string& core, const std::string& close) {
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += open;
+  }
+  s += core;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += close;
+  }
+  return s;
+}
+
+/// @p item joined by @p op, @p n items in all.
+std::string chain(std::size_t n, const std::string& item,
+                  const std::string& op) {
+  std::string s = item;
+  for (std::size_t i = 1; i < n; ++i) {
+    s += op + item;
+  }
+  return s;
+}
+
+/// True if @p text fails to parse on the nesting budget, not otherwise.
+bool proc_too_deep(const std::string& text) {
+  try {
+    (void)parse_program(text);
+  } catch (const ProcParseError& e) {
+    return e.diagnostic().message.find("nesting deeper than") !=
+           std::string::npos;
+  }
+  return false;
+}
+
+bool formula_too_deep(const std::string& text) {
+  try {
+    (void)mc::parse_formula(text);
+  } catch (const mc::ParseError& e) {
+    return std::string(e.what()).find("nesting deeper than") !=
+           std::string::npos;
+  }
+  return false;
+}
+
+TEST(ProcProgramParser, DeepNestingIsAParseError) {
+  // 40,000 parentheses around stop overflowed the stack of gen and lint.
+  try {
+    (void)parse_program("process P :=\n" + nested(40000, "(", "stop", ")") +
+                        " endproc");
+    FAIL() << "expected ProcParseError";
+  } catch (const ProcParseError& e) {
+    EXPECT_EQ(e.diagnostic().code, "MV010");
+    EXPECT_EQ(e.diagnostic().line, 2u);
+    // The budget runs out after 256 parentheses: the input's first line
+    // ends with the body's level, every '(' on the next one adds a level.
+    EXPECT_EQ(e.diagnostic().column, core::kMaxParseNesting + 1);
+    EXPECT_NE(e.diagnostic().message.find("nesting deeper than 256 levels"),
+              std::string::npos);
+  }
+  // Every way of building a deep tree counts: prefix chains, unary
+  // operators, operator chains, value expressions.
+  for (const std::string& body :
+       {chain(40000, "A", " ; ") + " ; stop",
+        nested(40000, "hide A in ", "stop", ""),
+        chain(100000, "stop", " ||| "), chain(100000, "exit", " >> "),
+        "[" + nested(40000, "(", "1", ")") + " == 1] -> stop",
+        "[" + nested(40000, "- ", "1", "") + " == 1] -> stop",
+        "[" + chain(100000, "1", " + ") + " == 1] -> stop",
+        "[" + chain(100000, "1", " && ") + "] -> stop"}) {
+    EXPECT_TRUE(proc_too_deep("process P := " + body + " endproc"))
+        << body.substr(0, 40);
+  }
+  // The budget is exact: n parentheses around "A ; stop" nest n + 2 levels.
+  const std::size_t n = core::kMaxParseNesting - 2;
+  const Program p = parse_program("process P := " +
+                                  nested(n, "(", "A ; stop", ")") + " endproc");
+  EXPECT_EQ(generate(p, "P").num_states(), 2u);
+  EXPECT_TRUE(proc_too_deep("process P := " +
+                            nested(n + 1, "(", "A ; stop", ")") + " endproc"));
+}
+
+TEST(ParserState, DeepNestingIsAParseError) {
+  // 30,000 parentheses overflowed the stack of check-file and of serve.
+  try {
+    (void)mc::parse_formula(nested(30000, "(", "tt", ")"));
+    FAIL() << "expected mc::ParseError";
+  } catch (const mc::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "at position " + std::to_string(core::kMaxParseNesting) +
+                  ": nesting deeper than 256 levels"),
+              std::string::npos);
+  }
+  for (const std::string& f :
+       {nested(30000, "!", "tt", ""), nested(30000, "mu X. ", "tt", ""),
+        nested(30000, "<any> ", "tt", ""), chain(100000, "tt", " && "),
+        chain(100000, "tt", " || "),
+        "<" + nested(30000, "(", "any", ")") + "> tt",
+        "<" + chain(100000, "any", " | ") + "> tt"}) {
+    EXPECT_TRUE(formula_too_deep(f)) << f.substr(0, 40);
+  }
+  // n parentheses around tt nest n + 1 levels.
+  const std::size_t n = core::kMaxParseNesting - 1;
+  EXPECT_EQ(mc::parse_formula(nested(n, "(", "tt", ")"))->to_string(),
+            mc::parse_formula("tt")->to_string());
+  EXPECT_TRUE(formula_too_deep(nested(n + 1, "(", "tt", ")")));
+}
+
 // --- parser robustness: garbage never crashes -----------------------------------
 
 class FuzzSeed : public ::testing::TestWithParam<std::uint32_t> {};

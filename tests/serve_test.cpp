@@ -672,6 +672,36 @@ TEST(ServeSocket, MalformedModelGetsDiagnosticsNotTimeout) {
   EXPECT_EQ(m.solves, 0u);
 }
 
+TEST(ServeSocket, DeepNestingFormulaIsInvalidAndServerStaysUp) {
+  // 30,000 nested parentheses in one check request overflowed the stack
+  // and took the server down for every client.
+  const std::string socket_path =
+      "/tmp/mvserve_deep_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.endpoint = socket_path;
+  opts.service.workers = 1;
+  serve::Server server(opts);
+  std::thread server_thread([&server] { server.run(); });
+
+  {
+    serve::Client client(socket_path);
+    const std::string deep =
+        std::string(30000, '(') + "tt" + std::string(30000, ')');
+    const serve::Response resp =
+        client.call(make_request(serve::Verb::kCheck, kLtsModel, deep, 5));
+    EXPECT_EQ(resp.status, serve::Status::kInvalid);
+    EXPECT_EQ(resp.id, 5u);
+    EXPECT_NE(resp.body.find("nesting deeper than"), std::string::npos);
+
+    EXPECT_EQ(client.call(make_request(serve::Verb::kPing, "")).body, "pong");
+    const serve::Response bye =
+        client.call(make_request(serve::Verb::kShutdown, ""));
+    EXPECT_EQ(bye.status, serve::Status::kOk);
+  }
+  server_thread.join();
+  EXPECT_EQ(server.service().metrics().invalid, 1u);
+}
+
 // --- endpoint grammar ----------------------------------------------------
 
 TEST(ServeEndpoint, GrammarSplitsTcpFromUnixPaths) {
