@@ -195,14 +195,6 @@ core::Table EvalStats::to_table(const std::string& title) const {
   return t;
 }
 
-std::optional<lts::Lts> MinimizeCache::lookup_subtree(
-    const std::string& /*plan_key*/) {
-  return std::nullopt;
-}
-
-void MinimizeCache::store_subtree(const std::string& /*plan_key*/,
-                                  const lts::Lts& /*reduced*/) {}
-
 core::CacheKey minimize_key(const lts::Lts& input, bisim::Equivalence e) {
   core::Hasher h;
   h.str("minimize-v1");
@@ -218,52 +210,52 @@ core::CacheKey subtree_key(const std::string& plan_key) {
   return h.key();
 }
 
-// ---- LruMinimizeCache -------------------------------------------------------
+// ---- MinimizeCache ----------------------------------------------------------
 
-LruMinimizeCache::LruMinimizeCache(std::size_t capacity_bytes)
+MinimizeCache::MinimizeCache(std::size_t capacity_bytes)
     : lru_(capacity_bytes) {}
 
-std::optional<lts::Lts> LruMinimizeCache::get(const core::CacheKey& key) {
+std::optional<lts::Lts> MinimizeCache::get(const core::CacheKey& key) {
   const core::MutexLock lock(mu_);
   return lru_.get(key);
 }
 
-void LruMinimizeCache::put(const core::CacheKey& key, const lts::Lts& value) {
+void MinimizeCache::put(const core::CacheKey& key, const lts::Lts& value) {
   const core::MutexLock lock(mu_);
   lru_.put(key, value, approx_bytes(value));
 }
 
-std::optional<lts::Lts> LruMinimizeCache::lookup(const lts::Lts& input,
-                                                 bisim::Equivalence e) {
+std::optional<lts::Lts> MinimizeCache::lookup(const lts::Lts& input,
+                                              bisim::Equivalence e) {
   return get(minimize_key(input, e));
 }
 
-void LruMinimizeCache::store(const lts::Lts& input, bisim::Equivalence e,
-                             const lts::Lts& reduced) {
+void MinimizeCache::store(const lts::Lts& input, bisim::Equivalence e,
+                          const lts::Lts& reduced) {
   put(minimize_key(input, e), reduced);
 }
 
-std::optional<lts::Lts> LruMinimizeCache::lookup_subtree(
+std::optional<lts::Lts> MinimizeCache::lookup_subtree(
     const std::string& plan_key) {
   return get(subtree_key(plan_key));
 }
 
-void LruMinimizeCache::store_subtree(const std::string& plan_key,
-                                     const lts::Lts& reduced) {
+void MinimizeCache::store_subtree(const std::string& plan_key,
+                                  const lts::Lts& reduced) {
   put(subtree_key(plan_key), reduced);
 }
 
-LruMinimizeCache::Stats LruMinimizeCache::stats() const {
+MinimizeCache::Stats MinimizeCache::stats() const {
   const core::MutexLock lock(mu_);
   return lru_.stats();
 }
 
-std::size_t LruMinimizeCache::entries() const {
+std::size_t MinimizeCache::entries() const {
   const core::MutexLock lock(mu_);
   return lru_.size();
 }
 
-std::size_t LruMinimizeCache::bytes() const {
+std::size_t MinimizeCache::bytes() const {
   const core::MutexLock lock(mu_);
   return lru_.bytes();
 }

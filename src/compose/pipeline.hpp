@@ -81,61 +81,44 @@ struct EvalStats {
   [[nodiscard]] core::Table to_table(const std::string& title) const;
 };
 
-/// Key of a minimisation-cache entry: the content digest of the
-/// pre-minimisation LTS and the equivalence.  Every MinimizeCache keys by
-/// it, so one input has one key in all of them.
+/// Key of a content-tier MinimizeCache entry: the content digest of the
+/// pre-minimisation LTS and the equivalence.
 [[nodiscard]] core::CacheKey minimize_key(const lts::Lts& input,
                                           bisim::Equivalence e);
 
-/// Key of a plan-subtree cache entry (Node::plan_key).
+/// Key of a plan-subtree MinimizeCache entry (Node::plan_key).
 [[nodiscard]] core::CacheKey subtree_key(const std::string& plan_key);
 
-/// Cache consulted at minimisation points, keyed by the *content* of the
-/// pre-minimisation LTS and the equivalence.  Re-evaluating a pipeline in
-/// which one leaf changed then only re-minimises the subtrees whose inputs
-/// actually differ — every untouched subtree produces a bitwise-identical
-/// intermediate LTS and hits.  serve::PipelineCache is the standard
-/// implementation (LRU + optional disk tier).
+/// Byte-budgeted, thread-safe LRU cache consulted at minimisation points,
+/// over two keying tiers:
+///   - content: the quotient of a pre-minimisation LTS under an
+///     equivalence.  Re-evaluating a pipeline in which one leaf changed
+///     then only re-minimises the subtrees whose inputs actually differ:
+///     every untouched subtree produces a bitwise-identical intermediate
+///     LTS and hits;
+///   - plan subtree: the minimised LTS of a whole plan subtree, addressed
+///     by the planner's structural key (Node::plan_key).  A hit skips the
+///     subtree's generation entirely, so subtree reuse survives
+///     re-planning.
+/// A dse sweep or a plan evaluation holds one in process, so repeated
+/// minimisations stay bounded instead of growing with the sweep.
 class MinimizeCache {
- public:
-  virtual ~MinimizeCache() = default;
-  /// The cached quotient of @p input under @p e, if present.
-  [[nodiscard]] virtual std::optional<lts::Lts> lookup(
-      const lts::Lts& input, bisim::Equivalence e) = 0;
-  /// Records that minimising @p input under @p e yields @p reduced.
-  virtual void store(const lts::Lts& input, bisim::Equivalence e,
-                     const lts::Lts& reduced) = 0;
-
-  /// Plan-keyed tier: the minimised LTS of a whole plan subtree, addressed
-  /// by the planner's structural key (Node::plan_key).  A hit skips the
-  /// subtree's generation entirely, so subtree reuse survives re-planning.
-  /// Default: absent / dropped (content keying above still works).
-  [[nodiscard]] virtual std::optional<lts::Lts> lookup_subtree(
-      const std::string& plan_key);
-  virtual void store_subtree(const std::string& plan_key,
-                             const lts::Lts& reduced);
-};
-
-/// Byte-budgeted in-memory MinimizeCache: LRU over both keying tiers
-/// (content hash of the pre-minimisation LTS, and plan subtree keys), like
-/// serve::ResultCache but without the disk tier or the serve dependency —
-/// the default cache a dse sweep or a plan evaluation holds in process, so
-/// repeated minimisations stay bounded instead of growing with the sweep.
-class LruMinimizeCache final : public MinimizeCache {
  public:
   using Stats = core::LruStats;
 
   /// @p capacity_bytes bounds the estimated resident bytes of cached LTSs.
-  explicit LruMinimizeCache(std::size_t capacity_bytes = 32u << 20);
+  explicit MinimizeCache(std::size_t capacity_bytes = 32u << 20);
 
+  /// The cached quotient of @p input under @p e, if present.
   [[nodiscard]] std::optional<lts::Lts> lookup(const lts::Lts& input,
-                                               bisim::Equivalence e) override;
+                                               bisim::Equivalence e);
+  /// Records that minimising @p input under @p e yields @p reduced.
   void store(const lts::Lts& input, bisim::Equivalence e,
-             const lts::Lts& reduced) override;
+             const lts::Lts& reduced);
+  /// The cached minimised LTS of the plan subtree @p plan_key, if present.
   [[nodiscard]] std::optional<lts::Lts> lookup_subtree(
-      const std::string& plan_key) override;
-  void store_subtree(const std::string& plan_key,
-                     const lts::Lts& reduced) override;
+      const std::string& plan_key);
+  void store_subtree(const std::string& plan_key, const lts::Lts& reduced);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t entries() const;
@@ -149,6 +132,10 @@ class LruMinimizeCache final : public MinimizeCache {
   core::LruCache<core::CacheKey, lts::Lts, core::CacheKeyHash> lru_
       MV_GUARDED_BY(mu_);
 };
+
+/// The former name of MinimizeCache.  Only perfbench/wl_dse.cpp still uses
+/// it; remove it with the next change to the benchmark.
+using LruMinimizeCache = MinimizeCache;
 
 /// Evaluates the expression.  @p with_minimization toggles the minimisation
 /// points; @p stats (optional) receives size records; @p min_cache

@@ -1,5 +1,5 @@
 // The byte-bounded least-recently-used map behind both in-memory caches:
-// serve::ResultCache's memory tier and compose::LruMinimizeCache.
+// serve::ResultCache's memory tier and compose::MinimizeCache.
 #pragma once
 
 #include <cstddef>

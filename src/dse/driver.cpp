@@ -231,7 +231,7 @@ SweepResult run_sweep(const SweepSpec& spec, const DriverOptions& options) {
   // a gated point never costs a solver run.  One bounded pipeline cache
   // spans the whole sweep, so neighbouring points (which share most of
   // their composed components) skip re-minimising unchanged subtrees.
-  compose::LruMinimizeCache pipeline_cache(options.pipeline_cache_bytes);
+  compose::MinimizeCache pipeline_cache(options.pipeline_cache_bytes);
   std::vector<Instantiated> instances(points.size());
   out.points.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

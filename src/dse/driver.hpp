@@ -105,7 +105,7 @@ struct SweepResult {
   SolveAggregate solver;
   /// Counters of the sweep-wide pipeline cache (instantiation reuses
   /// minimised components across points; deterministic, both backends).
-  compose::LruMinimizeCache::Stats pipeline;
+  compose::MinimizeCache::Stats pipeline;
   double wall_ms = 0.0;
 
   /// True when every evaluated point reached "ok".

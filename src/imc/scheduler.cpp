@@ -1,13 +1,13 @@
 #include "imc/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "core/graph.hpp"
-#include "core/report.hpp"
+#include "markov/interval.hpp"
 
 namespace multival::imc {
 
@@ -248,13 +248,9 @@ std::vector<Mec> max_end_components(const Imc& m,
   return mecs;
 }
 
-void record(const char* solver, std::size_t states, std::size_t iterations,
-            double width,
-            const std::chrono::steady_clock::time_point& t0) {
-  core::record_solve(core::SolveStat{
-      solver, {}, states, iterations, width,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count()});
+/// The kernel's options for one scheduler-bounds solve.
+markov::SolverOptions solver_options(const SchedulerBoundsOptions& opts) {
+  return markov::SolverOptions{opts.tolerance, opts.max_iterations};
 }
 
 /// Sound min/max reachability values via interval (two-sided) value
@@ -263,123 +259,93 @@ void record(const char* solver, std::size_t states, std::size_t iterations,
 /// upper is deflated on every maximal end component so it cannot stall
 /// above the least fixpoint.  Terminates only when sup |upper - lower| is
 /// below the tolerance, so the returned midpoints are certified to
-/// tolerance/2 -- unlike the previous delta-based stop.
+/// tolerance/2.
 std::vector<double> solve_reach_interval(const Imc& m,
                                          const std::vector<bool>& target,
                                          bool maximise,
                                          const SchedulerBoundsOptions& opts) {
   const std::size_t n = m.num_states();
-  const auto t0 = std::chrono::steady_clock::now();
+  markov::interval::Solve solve(maximise ? "imc_reach[max]" : "imc_reach[min]",
+                                markov::interval::Quantity::kProbability,
+                                solver_options(opts));
 
-  std::vector<bool> zero(n, false);
-  std::vector<bool> one(n, false);
+  std::vector<bool> zero;
+  std::vector<bool> one;
   if (maximise) {
-    const std::vector<bool> can = core::reach(predecessor_graph(m), target);
-    for (StateId s = 0; s < n; ++s) {
-      zero[s] = !can[s];
-    }
+    zero = core::reach(predecessor_graph(m), target);
+    zero.flip();
     one = prob1_exists(m, target);
   } else {
-    const std::vector<bool> f = positive_min_reach(m, target);
-    for (StateId s = 0; s < n; ++s) {
-      zero[s] = !f[s];  // Prob0A: some scheduler avoids the target forever
-    }
+    // Prob0A: some scheduler avoids the target forever.
+    zero = positive_min_reach(m, target);
+    zero.flip();
     // Prob1A: no target-free path into Prob0A exists (paths may not leave
     // a target state).
-    const std::vector<bool> not_one =
-        core::reach(predecessor_graph(m), zero, /*blocked=*/target);
-    for (StateId s = 0; s < n; ++s) {
-      one[s] = !not_one[s];
-    }
+    one = core::reach(predecessor_graph(m), zero, /*blocked=*/target);
+    one.flip();
   }
 
-  std::vector<std::uint32_t> active;
+  markov::interval::Units units;
   std::vector<bool> region(n, false);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (!zero[s] && !one[s]) {
-      active.push_back(s);
-      region[s] = true;
-    }
-  }
   std::vector<double> lower(n, 0.0);
   std::vector<double> upper(n, 0.0);
   for (StateId s = 0; s < n; ++s) {
+    if (!zero[s] && !one[s]) {
+      units.add(s);
+      region[s] = true;
+    }
     lower[s] = one[s] ? 1.0 : 0.0;
     upper[s] = zero[s] ? 0.0 : 1.0;
   }
 
-  const std::vector<Mec> mecs =
-      maximise ? max_end_components(m, region) : std::vector<Mec>{};
-
-  const auto sweep = [&](std::vector<double>& x) {
-    for (const std::uint32_t s : active) {
-      const auto inter = m.interactive(s);
-      double next;
-      if (!inter.empty()) {
-        next = maximise ? 0.0 : 1.0;
-        for (const InterEdge& e : inter) {
-          next = maximise ? std::max(next, x[e.dst])
-                          : std::min(next, x[e.dst]);
-        }
+  const auto backup = [&](const std::vector<double>& x,
+                          std::span<const std::uint32_t> unit) {
+    const StateId s = unit[0];
+    const auto inter = m.interactive(s);
+    if (!inter.empty()) {
+      double next = maximise ? 0.0 : 1.0;
+      for (const InterEdge& e : inter) {
+        next = maximise ? std::max(next, x[e.dst]) : std::min(next, x[e.dst]);
+      }
+      return next;
+    }
+    double exit = 0.0;
+    double self = 0.0;
+    double acc = 0.0;
+    for (const MarkEdge& e : m.markovian(s)) {
+      exit += e.rate;
+      if (e.dst == s) {
+        self += e.rate;
       } else {
-        double exit = 0.0;
-        double self = 0.0;
-        double acc = 0.0;
-        for (const MarkEdge& e : m.markovian(s)) {
-          exit += e.rate;
-          if (e.dst == s) {
-            self += e.rate;
-          } else {
-            acc += e.rate * x[e.dst];
-          }
-        }
-        const double denom = exit - self;
-        if (denom <= 0.0) {
-          throw std::runtime_error(
-              "reachability_bounds: self-loop-only state escaped "
-              "precomputation");
-        }
-        next = acc / denom;
+        acc += e.rate * x[e.dst];
       }
-      x[s] = next;
     }
+    const double denom = exit - self;
+    if (denom <= 0.0) {
+      throw std::runtime_error(
+          "reachability_bounds: self-loop-only state escaped "
+          "precomputation");
+    }
+    return acc / denom;
   };
-
-  std::size_t iterations = 0;
-  double width = 0.0;
-  if (!active.empty()) {
-    for (;; ++iterations) {
-      width = 0.0;
-      for (const std::uint32_t s : active) {
-        width = std::max(width, upper[s] - lower[s]);
-      }
-      if (width < opts.tolerance) {
-        break;
-      }
-      if (iterations >= opts.max_iterations) {
-        throw std::runtime_error(
-            "reachability_bounds: interval iteration did not converge");
-      }
-      sweep(lower);
-      sweep(upper);
-      for (const Mec& mec : mecs) {
-        double exit_val = 0.0;
-        for (const StateId d : mec.exits) {
-          exit_val = std::max(exit_val, upper[d]);
-        }
-        for (const std::uint32_t s : mec.members) {
-          upper[s] = std::min(upper[s], exit_val);
-        }
-      }
-    }
+  if (!maximise) {
+    return solve.contract(units, std::move(lower), std::move(upper), backup);
   }
-  std::vector<double> mid(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    mid[s] = 0.5 * (lower[s] + upper[s]);
-  }
-  record(maximise ? "imc_reach[max]" : "imc_reach[min]", n, iterations, width,
-         t0);
-  return mid;
+  // Deflate the upper bound on every maximal end component, so it cannot
+  // stall above the least fixpoint.
+  const std::vector<Mec> mecs = max_end_components(m, region);
+  return solve.contract(units, std::move(lower), std::move(upper), backup,
+                        [&](std::vector<double>&, std::vector<double>& up) {
+                          for (const Mec& mec : mecs) {
+                            double exit_val = 0.0;
+                            for (const StateId d : mec.exits) {
+                              exit_val = std::max(exit_val, up[d]);
+                            }
+                            for (const std::uint32_t s : mec.members) {
+                              up[s] = std::min(up[s], exit_val);
+                            }
+                          }
+                        });
 }
 
 /// Sound min/max expected time to absorption.  The feasible set is exact:
@@ -395,7 +361,9 @@ std::vector<double> solve_reach_interval(const Imc& m,
 std::vector<double> solve_time_interval(const Imc& m, bool maximise,
                                         const SchedulerBoundsOptions& opts) {
   const std::size_t n = m.num_states();
-  const auto t0 = std::chrono::steady_clock::now();
+  markov::interval::Solve solve(maximise ? "imc_time[max]" : "imc_time[min]",
+                                markov::interval::Quantity::kTime,
+                                solver_options(opts));
 
   std::vector<bool> absorbing(n, false);
   for (StateId s = 0; s < n; ++s) {
@@ -403,17 +371,10 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
   }
   std::vector<bool> feasible;
   if (maximise) {
-    const std::vector<bool> f = positive_min_reach(m, absorbing);
-    std::vector<bool> avoidable(n, false);
-    for (StateId s = 0; s < n; ++s) {
-      avoidable[s] = !f[s];
-    }
-    const std::vector<bool> not_sure =
-        core::reach(predecessor_graph(m), avoidable);
-    feasible.assign(n, false);
-    for (StateId s = 0; s < n; ++s) {
-      feasible[s] = !not_sure[s];
-    }
+    std::vector<bool> avoidable = positive_min_reach(m, absorbing);
+    avoidable.flip();
+    feasible = core::reach(predecessor_graph(m), avoidable);
+    feasible.flip();
   } else {
     feasible = prob1_exists(m, absorbing);
   }
@@ -421,11 +382,8 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
   // Units of the Gauss-Seidel sweep: every active Markovian state is its
   // own unit; for min, feasible decision states are grouped by the SCCs of
   // the interactive edges among them and updated as one block.
-  struct Unit {
-    std::vector<std::uint32_t> states;
-  };
   std::vector<std::uint32_t> unit_of(n, kNone);  // decision-group id
-  std::vector<Unit> units;
+  markov::interval::Units units;
   std::vector<bool> active(n, false);
   for (StateId s = 0; s < n; ++s) {
     active[s] = feasible[s] && !absorbing[s];
@@ -433,7 +391,7 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
   if (maximise) {
     for (std::uint32_t s = 0; s < n; ++s) {
       if (active[s]) {
-        units.push_back(Unit{{s}});
+        units.add(s);
       }
     }
   } else {
@@ -458,26 +416,23 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
         continue;
       }
       if (!is_decision(m, s)) {
-        units.push_back(Unit{{s}});
+        units.add(s);
       } else if (!emitted[comp[s]]) {
         emitted[comp[s]] = true;
-        const std::uint32_t id = static_cast<std::uint32_t>(units.size());
-        units.push_back(Unit{members[comp[s]]});
         for (const std::uint32_t t : members[comp[s]]) {
-          unit_of[t] = id;
+          unit_of[t] = static_cast<std::uint32_t>(units.size());
         }
+        units.add(members[comp[s]]);
       }
     }
   }
 
-  std::vector<double> lower(n, 0.0);
-  std::vector<double> upper(n, 0.0);
-
-  const auto backup = [&](const std::vector<double>& x, const Unit& u) {
-    const std::uint32_t s0 = u.states[0];
+  const auto backup = [&](const std::vector<double>& x,
+                          std::span<const std::uint32_t> unit) {
+    const std::uint32_t s0 = unit[0];
     if (is_decision(m, s0)) {
       double v = maximise ? 0.0 : kInf;
-      for (const std::uint32_t s : u.states) {
+      for (const std::uint32_t s : unit) {
         for (const InterEdge& e : m.interactive(s)) {
           if (!maximise && unit_of[e.dst] != kNone &&
               unit_of[e.dst] == unit_of[s]) {
@@ -513,91 +468,12 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
     }
     return acc / denom;
   };
-  // Expected times are unbounded, so stopping tests are relative: they
-  // scale by max(1, ||x||_inf).  An absolute test would drop below the
-  // floating-point resolution of large iterates and never trigger.
-  double scale = 1.0;
-  const auto sweep = [&](std::vector<double>& x) {
-    double delta = 0.0;
-    for (const Unit& u : units) {
-      const double next = backup(x, u);
-      delta = std::max(delta, std::abs(next - x[u.states[0]]));
-      for (const std::uint32_t s : u.states) {
-        x[s] = next;
-      }
-      scale = std::max(scale, next);
-    }
-    return delta;
-  };
-
-  std::size_t iterations = 0;
-  double width = 0.0;
-  if (!units.empty()) {
-    // Phase 1: raise the lower bound to near-convergence.
-    for (;; ++iterations) {
-      if (iterations >= opts.max_iterations) {
-        throw std::runtime_error(
-            "absorption_time_bounds: value iteration did not converge");
-      }
-      if (sweep(lower) < opts.tolerance * scale) {
-        break;
-      }
-    }
-    // Phase 2: optimistic upper start, verified as a pre-fixpoint
-    // (Phi(U) <= U implies U bounds the least fixpoint from above).
-    double inflation = std::max(opts.tolerance, 1e-12);
-    bool verified = false;
-    while (!verified) {
-      for (const Unit& u : units) {
-        for (const std::uint32_t s : u.states) {
-          upper[s] = lower[s] + inflation * (1.0 + lower[s]);
-        }
-      }
-      verified = true;
-      for (const Unit& u : units) {
-        if (backup(upper, u) > upper[u.states[0]]) {
-          verified = false;
-          break;
-        }
-      }
-      if (!verified) {
-        inflation *= 8.0;
-        for (int extra = 0; extra < 16; ++extra, ++iterations) {
-          (void)sweep(lower);
-        }
-        if (iterations >= opts.max_iterations) {
-          throw std::runtime_error(
-              "absorption_time_bounds: no verified upper bound");
-        }
-      }
-    }
-    // Phase 3: contract both bounds until the interval is certified.
-    for (;; ++iterations) {
-      width = 0.0;
-      for (const Unit& u : units) {
-        width = std::max(width, upper[u.states[0]] - lower[u.states[0]]);
-      }
-      if (width < opts.tolerance * scale) {
-        break;
-      }
-      if (iterations >= opts.max_iterations) {
-        throw std::runtime_error(
-            "absorption_time_bounds: interval iteration did not converge");
-      }
-      (void)sweep(lower);
-      (void)sweep(upper);
-    }
-  }
-
-  std::vector<double> value(n, kInf);
+  std::vector<double> value = solve.from_below(n, units, backup);
   for (StateId s = 0; s < n; ++s) {
     if (!feasible[s]) {
-      continue;
+      value[s] = kInf;
     }
-    value[s] = absorbing[s] ? 0.0 : 0.5 * (lower[s] + upper[s]);
   }
-  record(maximise ? "imc_time[max]" : "imc_time[min]", n, iterations, width,
-         t0);
   return value;
 }
 
@@ -678,9 +554,7 @@ Bounds absorption_time_bounds(const Imc& m,
   }
   // Divergence is decided exactly on the graph (inside the solves): min
   // time is finite iff some scheduler absorbs almost surely, max time iff
-  // every scheduler does.  No numeric probability threshold is involved
-  // (the previous `reach < 1 - 1e-9` test misclassified whenever the
-  // requested tolerance was coarser than 1e-9).
+  // every scheduler does.  No numeric probability threshold is involved.
   const StateId init = m.initial_state();
   Bounds b;
   b.min = solve_time_interval(m, /*maximise=*/false, opts)[init];

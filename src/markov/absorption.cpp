@@ -2,29 +2,40 @@
 
 #include "markov/transient.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
-#include "core/report.hpp"
+#include "markov/interval.hpp"
 
 namespace multival::markov {
 
-std::vector<double> expected_time_to_absorption(const Ctmc& c,
-                                                const SolverOptions& opts) {
-  const std::size_t n = c.num_states();
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<double> exits = c.exit_rates();
+namespace {
 
-  std::vector<bool> absorbing(n, false);
-  for (std::size_t s = 0; s < n; ++s) {
-    absorbing[s] = exits[s] <= 0.0;
+std::vector<bool> absorbing_set(const Ctmc& c) {
+  // One pass over the transitions instead of is_absorbing per state
+  // (which rescans the whole transition list each call).
+  std::vector<bool> absorbing(c.num_states(), true);
+  for (const RateTransition& t : c.transitions()) {
+    absorbing[t.src] = false;
   }
-  // Exact graph-based divergence classification: a state has finite
-  // expected time iff it absorbs almost surely, i.e. iff it cannot reach a
-  // bottom SCC that is not an absorbing singleton.  (The previous
-  // numeric test `reach > 1 - 1e-9` could misclassify whenever the
-  // reachability solve converged to a coarser tolerance.)
+  return absorbing;
+}
+
+}  // namespace
+
+std::vector<double> expected_gain_to_absorption(const Ctmc& c,
+                                               std::span<const double> gain,
+                                               const char* solver,
+                                               const SolverOptions& opts) {
+  const std::size_t n = c.num_states();
+  interval::Solve solve(solver, interval::Quantity::kTime, opts);
+  const std::vector<double> exits = c.exit_rates();
+  const std::vector<bool> absorbing = absorbing_set(c);
+  // Exact graph-based divergence classification: a state has a finite
+  // value iff it absorbs almost surely, i.e. iff it cannot reach a bottom
+  // SCC that is not an absorbing singleton.  No numeric probability
+  // threshold is involved.
   const BsccDecomposition d = bscc_decomposition(c);
   std::vector<bool> bad(n, false);
   {
@@ -38,131 +49,81 @@ std::vector<double> expected_time_to_absorption(const Ctmc& c,
                (comp_size[comp] > 1 || !absorbing[s]);
     }
   }
-  const std::vector<bool> diverging =
-      core::reach(transition_graph(c).transpose(), bad);
+  const core::Digraph pred = transition_graph(c).transpose();
+  const std::vector<bool> diverging = core::reach(pred, bad);
+  // Equally exact: a state that reaches no earning state earns 0.
+  std::vector<bool> earning(n, false);
+  for (std::size_t s = 0; s < n; ++s) {
+    earning[s] = !absorbing[s] && gain[s] > 0.0;
+  }
+  const std::vector<bool> earns = core::reach(pred, earning);
 
   std::vector<std::vector<Entry>> out(n);
   for (const RateTransition& t : c.transitions()) {
     out[t.src].push_back(Entry{t.dst, t.rate});
   }
 
-  // Interval (two-sided) value iteration over the finite states.  The
-  // Bellman backup  x[s] = (1 + sum_{d != s} rate * x[d]) / (exit - self)
-  // is monotone, so a vector started at 0 stays a lower bound under
-  // asynchronous sweeps, and any pre-fixpoint (Phi(U) <= U) stays an upper
-  // bound.  The upper start is found optimistically: inflate the lower
-  // vector and verify the pre-fixpoint property with one Jacobi sweep.
-  std::vector<std::uint32_t> active;  // finite, non-absorbing states
+  // The finite states that earn are swept; the Bellman backup is
+  // x[s] = (gain[s] + sum_{d != s} rate * x[d]) / (exit - self).
+  interval::Units units;
+  bool earns_nothing_somewhere = false;
   for (std::uint32_t s = 0; s < n; ++s) {
-    if (!absorbing[s] && !diverging[s]) {
-      active.push_back(s);
+    if (earns[s] && !diverging[s]) {
+      units.add(s);
+      earns_nothing_somewhere = earns_nothing_somewhere || gain[s] == 0.0;
     }
   }
-  std::vector<double> lower(n, 0.0);
-  std::vector<double> upper(n, 0.0);
-
-  const auto backup = [&](const std::vector<double>& x, std::uint32_t s) {
-    double acc = 1.0;  // one expected sojourn numerator
-    double self = 0.0;
-    for (const Entry& e : out[s]) {
-      if (e.col == s) {
-        self += e.value;
-      } else if (!diverging[e.col]) {
-        acc += e.value * x[e.col];
+  const auto backup_of = [&](std::span<const double> g) {
+    return [&, g](const std::vector<double>& x,
+                  std::span<const std::uint32_t> unit) {
+      const std::uint32_t s = unit[0];
+      double acc = g[s];
+      double self = 0.0;
+      for (const Entry& e : out[s]) {
+        if (e.col == s) {
+          self += e.value;
+        } else if (!diverging[e.col]) {
+          acc += e.value * x[e.col];
+        }
+        // diverging successors are unreachable from finite states
       }
-      // diverging successors are unreachable from finite states
-    }
-    const double denom = exits[s] - self;
-    if (denom <= 0.0) {
-      throw SolverFailure(
-          "expected_time_to_absorption: self-loop-only state classified "
-          "finite");
-    }
-    return acc / denom;
+      const double denom = exits[s] - self;
+      if (denom <= 0.0) {
+        throw SolverFailure(std::string(solver) +
+                            ": self-loop-only state classified finite");
+      }
+      return acc / denom;
+    };
   };
-  // Expected times are unbounded, so the tolerance is relative: all stopping
-  // tests scale by max(1, ||x||_inf).  An absolute test would sit below the
-  // floating-point resolution of the iterates themselves once values reach
-  // ~1e3 / tolerance ~1e-12 (one ulp of 1000 is ~1.1e-13) and never trigger.
-  double scale = 1.0;
-  const auto sweep = [&](std::vector<double>& x) {
-    double delta = 0.0;
-    for (const std::uint32_t s : active) {
-      const double next = backup(x, s);
-      delta = std::max(delta, std::abs(next - x[s]));
-      x[s] = next;
-      scale = std::max(scale, next);
-    }
-    return delta;
-  };
-
-  std::size_t iterations = 0;
-  double width = 0.0;
-  if (!active.empty()) {
-    // Phase 1: lower iteration to near-convergence.
-    for (;; ++iterations) {
-      if (iterations >= opts.max_iterations) {
-        throw SolverFailure("expected_time_to_absorption: did not converge");
-      }
-      if (sweep(lower) < opts.tolerance * scale) {
-        break;
-      }
-    }
-    // Phase 2: optimistic upper start, verified as a pre-fixpoint.
-    double inflation = std::max(opts.tolerance, 1e-12);
-    bool verified = false;
-    while (!verified) {
-      for (const std::uint32_t s : active) {
-        upper[s] = lower[s] + inflation * (1.0 + lower[s]);
-      }
-      verified = true;
-      for (const std::uint32_t s : active) {
-        if (backup(upper, s) > upper[s]) {  // Jacobi check against old upper
-          verified = false;
-          break;
-        }
-      }
-      if (!verified) {
-        inflation *= 8.0;
-        for (int extra = 0; extra < 16; ++extra, ++iterations) {
-          (void)sweep(lower);
-        }
-        if (iterations >= opts.max_iterations) {
-          throw SolverFailure(
-              "expected_time_to_absorption: no verified upper bound");
-        }
-      }
-    }
-    // Phase 3: contract both bounds until the interval is certified.
-    for (;; ++iterations) {
-      width = 0.0;
-      for (const std::uint32_t s : active) {
-        width = std::max(width, upper[s] - lower[s]);
-      }
-      if (width < opts.tolerance * scale) {
-        break;
-      }
-      if (iterations >= opts.max_iterations) {
-        throw SolverFailure("expected_time_to_absorption: did not converge");
-      }
-      (void)sweep(lower);
-      (void)sweep(upper);
+  // A swept state that earns nothing leaves the optimistic upper start no
+  // margin with weight 1 (interval.hpp); weight 1 + T, T the expected time
+  // spent in swept states, gives each one a margin of at least its mean
+  // sojourn.
+  std::vector<double> weight;
+  if (earns_nothing_somewhere) {
+    const std::vector<double> one_per_sojourn(n, 1.0);
+    interval::Solve time_solve("absorption_time[interval]",
+                               interval::Quantity::kTime, opts);
+    weight = time_solve.from_below(n, units, backup_of(one_per_sojourn));
+    for (double& w : weight) {
+      w += 1.0;
     }
   }
-
-  std::vector<double> time(n, 0.0);
+  std::vector<double> value =
+      solve.from_below(n, units, backup_of(gain), weight);
   for (std::size_t s = 0; s < n; ++s) {
     if (diverging[s]) {
-      time[s] = kInfiniteTime;
-    } else if (!absorbing[s]) {
-      time[s] = 0.5 * (lower[s] + upper[s]);
+      value[s] = kInfiniteTime;
     }
   }
-  core::record_solve(core::SolveStat{
-      "absorption_time[interval]", {}, n, iterations, width,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count()});
-  return time;
+  return value;
+}
+
+std::vector<double> expected_time_to_absorption(const Ctmc& c,
+                                                const SolverOptions& opts) {
+  const std::vector<double> one_per_sojourn(c.num_states(), 1.0);
+  return expected_gain_to_absorption(c, one_per_sojourn,
+                                     "absorption_time[interval]", opts);
 }
 
 std::vector<double> mean_first_passage_time(const Ctmc& c,
@@ -183,19 +144,6 @@ std::vector<double> mean_first_passage_time(const Ctmc& c,
   return expected_time_to_absorption(cut, opts);
 }
 
-namespace {
-
-std::vector<bool> absorbing_set(const Ctmc& c) {
-  // One pass over the transitions instead of is_absorbing per state
-  // (which rescans the whole transition list each call).
-  std::vector<bool> absorbing(c.num_states(), true);
-  for (const RateTransition& t : c.transitions()) {
-    absorbing[t.src] = false;
-  }
-  return absorbing;
-}
-
-}  // namespace
 
 double absorption_probability_by(const Ctmc& c, double t, double epsilon) {
   return transient_probability(c, absorbing_set(c), t, epsilon);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "markov/ctmc.hpp"
@@ -14,7 +15,7 @@ namespace multival::markov {
 inline constexpr double kInfiniteTime = std::numeric_limits<double>::infinity();
 
 /// Expected time, from each state, until reaching an absorbing state
-/// (no outgoing transitions).  States that cannot reach one get
+/// (no outgoing transitions).  States that do not absorb almost surely get
 /// kInfiniteTime.
 [[nodiscard]] std::vector<double> expected_time_to_absorption(
     const Ctmc& c, const SolverOptions& opts = {});
@@ -23,6 +24,17 @@ inline constexpr double kInfiniteTime = std::numeric_limits<double>::infinity();
 /// target states are made absorbing).  kInfiniteTime where unreachable.
 [[nodiscard]] std::vector<double> mean_first_passage_time(
     const Ctmc& c, const std::vector<bool>& target,
+    const SolverOptions& opts = {});
+
+/// The solve behind expected time and the reward measures (rewards.hpp):
+/// the expected total of @p gain, a rate earned per unit of time in each
+/// state, until absorption, from each state, by certified interval
+/// iteration logged as @p solver.  States that do not absorb almost surely
+/// get kInfiniteTime; states that reach no state with a positive gain get
+/// exactly 0.  Every gain must be finite and >= 0: the lower bound starts
+/// at 0.
+[[nodiscard]] std::vector<double> expected_gain_to_absorption(
+    const Ctmc& c, std::span<const double> gain, const char* solver,
     const SolverOptions& opts = {});
 
 /// Expected time to absorption from the initial distribution.

@@ -1,5 +1,6 @@
 #include "markov/rewards.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,101 +9,36 @@
 
 namespace multival::markov {
 
-namespace {
-
-/// Shared Gauss–Seidel skeleton for "expected accumulated quantity until
-/// absorption": solves x(s) = (gain(s) + sum_{u != s} R(s,u) x(u)) /
-/// (E(s) - R(s,s)) on the states that reach absorption almost surely.
-std::vector<double> accumulate_until_absorption(
-    const Ctmc& c, const std::vector<double>& gain,
-    const SolverOptions& opts) {
-  const std::size_t n = c.num_states();
-  const std::vector<double> exits = c.exit_rates();
-
-  std::vector<bool> absorbing(n, false);
-  for (std::size_t s = 0; s < n; ++s) {
-    absorbing[s] = exits[s] <= 0.0;
-  }
-  const std::vector<double> reach =
-      reachability_probability(c, absorbing, opts);
-
-  std::vector<std::vector<Entry>> out(n);
-  for (const RateTransition& t : c.transitions()) {
-    out[t.src].push_back(Entry{t.dst, t.rate});
-  }
-
-  std::vector<bool> finite(n, false);
-  for (std::size_t s = 0; s < n; ++s) {
-    finite[s] = absorbing[s] || reach[s] > 1.0 - 1e-9;
-  }
-
-  std::vector<double> x(n, 0.0);
-  for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
-    double delta = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (absorbing[s] || !finite[s]) {
-        continue;
-      }
-      double acc = gain[s];
-      double self = 0.0;
-      for (const Entry& e : out[s]) {
-        if (e.col == s) {
-          self += e.value;
-        } else if (finite[e.col]) {
-          acc += e.value * x[e.col];
-        }
-      }
-      const double denom = exits[s] - self;
-      if (denom <= 0.0) {
-        throw SolverFailure(
-            "accumulate_until_absorption: self-loop-only state");
-      }
-      const double next = acc / denom;
-      delta = std::max(delta, std::abs(next - x[s]));
-      x[s] = next;
-    }
-    if (delta < opts.tolerance) {
-      break;
-    }
-    if (iter + 1 == opts.max_iterations) {
-      throw SolverFailure("accumulate_until_absorption: did not converge");
-    }
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!finite[s]) {
-      x[s] = kInfiniteTime;
-    }
-  }
-  return x;
-}
-
-}  // namespace
-
 std::vector<double> expected_accumulated_reward(const Ctmc& c,
                                                 std::span<const double> reward,
                                                 const SolverOptions& opts) {
   if (reward.size() != c.num_states()) {
     throw std::invalid_argument("expected_accumulated_reward: size mismatch");
   }
-  // gain(s) = reward(s): the sojourn integral contributes reward * time,
-  // and the skeleton divides by the effective exit rate.
-  std::vector<double> gain(reward.begin(), reward.end());
-  return accumulate_until_absorption(c, gain, opts);
+  if (!std::ranges::all_of(reward, [](double r) {
+        return std::isfinite(r) && r >= 0.0;
+      })) {
+    throw std::invalid_argument(
+        "expected_accumulated_reward: rewards must be finite and >= 0");
+  }
+  // The sojourn integral earns reward(s) per unit of time in s.
+  return expected_gain_to_absorption(c, reward, "accumulated_reward[interval]",
+                                     opts);
 }
 
 std::vector<double> expected_transition_count(const Ctmc& c,
                                               std::string_view label_glob,
                                               const SolverOptions& opts) {
-  // gain(s) = sum of matching outgoing rates: each jump via a matching
-  // transition contributes one count, and rate/E(s) is its probability
-  // weight per sojourn.
+  // gain(s) = sum of matching outgoing rates: the expected number of
+  // matching jumps per unit of time in s.
   std::vector<double> gain(c.num_states(), 0.0);
   for (const RateTransition& t : c.transitions()) {
     if (mc::glob_match(label_glob, t.label)) {
       gain[t.src] += t.rate;
     }
   }
-  return accumulate_until_absorption(c, gain, opts);
+  return expected_gain_to_absorption(c, gain, "transition_count[interval]",
+                                     opts);
 }
 
 }  // namespace multival::markov

@@ -14,14 +14,18 @@
 namespace multival::markov {
 
 /// Expected total accumulated reward until absorption, from each state:
-/// E[ integral of reward(X_t) dt until absorption ].  States that cannot
-/// reach absorption get +infinity.  Absorbing states accumulate 0.
+/// E[ integral of reward(X_t) dt until absorption ].  States that do not
+/// absorb almost surely get +infinity; absorbing states accumulate 0.
+/// Both measures are certified like expected time (absorption.hpp) and
+/// throw SolverFailure where it cannot finish within max_iterations.
+/// Throws std::invalid_argument unless every reward is finite and >= 0.
 [[nodiscard]] std::vector<double> expected_accumulated_reward(
     const Ctmc& c, std::span<const double> reward,
     const SolverOptions& opts = {});
 
 /// Expected number of transitions matching @p label_glob taken until
-/// absorption, from each state (+infinity where absorption is unreachable).
+/// absorption, from each state (+infinity where absorption is not almost
+/// sure).
 [[nodiscard]] std::vector<double> expected_transition_count(
     const Ctmc& c, std::string_view label_glob,
     const SolverOptions& opts = {});

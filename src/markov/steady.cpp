@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/report.hpp"
+#include "markov/interval.hpp"
 
 namespace multival::markov {
 
@@ -109,7 +110,8 @@ std::vector<double> reachability_probability(const Ctmc& c,
   if (target.size() != n) {
     throw std::invalid_argument("reachability_probability: size mismatch");
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  interval::Solve solve("reachability[interval]",
+                        interval::Quantity::kProbability, opts);
 
   // Exact qualitative precomputation on the graph:
   //  prob0 = states that cannot reach the target at all;
@@ -117,11 +119,8 @@ std::vector<double> reachability_probability(const Ctmc& c,
   //          the target (closure computed with target states made
   //          absorbing), i.e. states that reach the target almost surely.
   const core::Digraph pred = transition_graph(c).transpose();
-  const std::vector<bool> can = core::reach(pred, target);
-  std::vector<bool> prob0(n, false);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    prob0[s] = !can[s];
-  }
+  std::vector<bool> prob0 = core::reach(pred, target);
+  prob0.flip();
   const std::vector<bool> not_prob1 =
       core::reach(pred, prob0, /*blocked=*/target);
 
@@ -131,19 +130,9 @@ std::vector<double> reachability_probability(const Ctmc& c,
     out[t.src].push_back(Entry{t.dst, t.rate});
   }
 
-  std::vector<std::uint32_t> active;  // the quantitative "?" states
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (!target[s] && !prob0[s] && not_prob1[s]) {
-      active.push_back(s);
-    }
-  }
-
-  // Interval (two-sided) value iteration: the lower vector starts at the
-  // qualitative 0/1 assignment, the upper vector at 1 on every "?" state.
-  // Both converge monotonically to the unique fixpoint, so stopping when
-  // sup |upper - lower| < tolerance certifies the result -- unlike the
-  // previous delta-based stop, which could declare convergence while still
-  // far from the fixpoint on slowly-mixing chains.
+  // The lower vector starts at the qualitative 0/1 assignment, the upper
+  // vector at 1 on every quantitative "?" state, and only those are swept.
+  interval::Units units;
   std::vector<double> lower(n, 0.0);
   std::vector<double> upper(n, 0.0);
   for (std::uint32_t s = 0; s < n; ++s) {
@@ -151,57 +140,30 @@ std::vector<double> reachability_probability(const Ctmc& c,
       lower[s] = upper[s] = 1.0;
     } else if (!prob0[s]) {
       upper[s] = 1.0;
+      units.add(s);
     }
   }
-  const auto sweep = [&](std::vector<double>& x) {
-    for (const std::uint32_t s : active) {
-      double acc = 0.0;
-      double self = 0.0;
-      for (const Entry& e : out[s]) {
-        if (e.col == s) {
-          self += e.value;
-        } else {
-          acc += e.value * x[e.col];
-        }
+  const auto backup = [&](const std::vector<double>& x,
+                          std::span<const std::uint32_t> unit) {
+    const std::uint32_t s = unit[0];
+    double acc = 0.0;
+    double self = 0.0;
+    for (const Entry& e : out[s]) {
+      if (e.col == s) {
+        self += e.value;
+      } else {
+        acc += e.value * x[e.col];
       }
-      const double denom = exits[s] - self;
-      if (denom <= 0.0) {
-        throw SolverFailure(
-            "reachability_probability: self-loop-only state escaped "
-            "prob0 precomputation");
-      }
-      x[s] = acc / denom;
     }
+    const double denom = exits[s] - self;
+    if (denom <= 0.0) {
+      throw SolverFailure(
+          "reachability_probability: self-loop-only state escaped "
+          "prob0 precomputation");
+    }
+    return acc / denom;
   };
-
-  std::size_t iterations = 0;
-  double width = 0.0;
-  if (!active.empty()) {
-    for (;; ++iterations) {
-      width = 0.0;
-      for (const std::uint32_t s : active) {
-        width = std::max(width, upper[s] - lower[s]);
-      }
-      if (width < opts.tolerance) {
-        break;
-      }
-      if (iterations >= opts.max_iterations) {
-        throw SolverFailure("reachability_probability: did not converge");
-      }
-      sweep(lower);
-      sweep(upper);
-    }
-  }
-
-  std::vector<double> x(n, 0.0);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    x[s] = 0.5 * (lower[s] + upper[s]);
-  }
-  core::record_solve(core::SolveStat{
-      "reachability[interval]", {}, n, iterations, width,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count()});
-  return x;
+  return solve.contract(units, std::move(lower), std::move(upper), backup);
 }
 
 std::vector<double> steady_state(const Ctmc& c, const SolverOptions& opts) {

@@ -48,7 +48,8 @@ struct BsccDecomposition {
 [[nodiscard]] BsccDecomposition bscc_decomposition(const Ctmc& c);
 
 /// Probability, for each state, of eventually reaching @p target (a state
-/// set); computed on the embedded jump chain by Gauss–Seidel.
+/// set); computed on the embedded jump chain by certified interval
+/// iteration (markov/interval.hpp).
 [[nodiscard]] std::vector<double> reachability_probability(
     const Ctmc& c, const std::vector<bool>& target,
     const SolverOptions& opts = {});

@@ -8,9 +8,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
-#include <sstream>
 
-#include "explore/lts_stream.hpp"
 
 namespace multival::serve {
 
@@ -264,52 +262,6 @@ void ResultCache::disk_store(const CacheKey& key, const std::string& payload) {
     return;
   }
   ++stats_.disk_writes;
-}
-
-PipelineCache::PipelineCache(ResultCache::Options opts)
-    : cache_(std::move(opts)) {}
-
-std::optional<lts::Lts> PipelineCache::lookup(const lts::Lts& input,
-                                              bisim::Equivalence e) {
-  std::optional<std::string> payload = cache_.lookup(compose::minimize_key(input, e));
-  if (!payload.has_value()) {
-    return std::nullopt;
-  }
-  std::istringstream is(*payload);
-  try {
-    return explore::read_lts_stream(is);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;  // corrupt payload: fall back to re-minimising
-  }
-}
-
-void PipelineCache::store(const lts::Lts& input, bisim::Equivalence e,
-                          const lts::Lts& reduced) {
-  std::ostringstream os;
-  explore::write_lts_stream(os, reduced);
-  cache_.insert(compose::minimize_key(input, e), std::move(os).str());
-}
-
-std::optional<lts::Lts> PipelineCache::lookup_subtree(
-    const std::string& plan_key) {
-  std::optional<std::string> payload =
-      cache_.lookup(compose::subtree_key(plan_key));
-  if (!payload.has_value()) {
-    return std::nullopt;
-  }
-  std::istringstream is(*payload);
-  try {
-    return explore::read_lts_stream(is);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;  // corrupt payload: fall back to re-evaluating
-  }
-}
-
-void PipelineCache::store_subtree(const std::string& plan_key,
-                                  const lts::Lts& reduced) {
-  std::ostringstream os;
-  explore::write_lts_stream(os, reduced);
-  cache_.insert(compose::subtree_key(plan_key), std::move(os).str());
 }
 
 }  // namespace multival::serve

@@ -22,10 +22,8 @@
 #include <string>
 #include <utility>
 
-#include "bisim/equivalence.hpp"
 #include "core/lru.hpp"
 #include "core/sync.hpp"
-#include "compose/pipeline.hpp"
 #include "serve/hash.hpp"
 
 namespace multival::serve {
@@ -85,34 +83,6 @@ class ResultCache {
   // Disk-tier counters; hits, misses, insertions and evictions are
   // derived from memory_ in stats().
   Stats stats_ MV_GUARDED_BY(mu_);
-};
-
-/// compose::MinimizeCache implementation backed by a ResultCache: the key
-/// is the content hash of the pre-minimisation LTS plus the equivalence,
-/// the payload is the quotient serialised in the lts_stream binary format.
-class PipelineCache final : public compose::MinimizeCache {
- public:
-  explicit PipelineCache(ResultCache::Options opts = {});
-
-  [[nodiscard]] std::optional<lts::Lts> lookup(const lts::Lts& input,
-                                               bisim::Equivalence e) override;
-  void store(const lts::Lts& input, bisim::Equivalence e,
-             const lts::Lts& reduced) override;
-
-  /// Plan-keyed subtree tier (compose::Plan sets Node::plan_key): whole
-  /// minimised subtrees addressed by their *structural* key, so re-planning
-  /// a changed model skips generation of every untouched subtree.
-  [[nodiscard]] std::optional<lts::Lts> lookup_subtree(
-      const std::string& plan_key) override;
-  void store_subtree(const std::string& plan_key,
-                     const lts::Lts& reduced) override;
-
-  [[nodiscard]] std::uint64_t hits() const { return cache_.stats().hits; }
-  [[nodiscard]] std::uint64_t misses() const { return cache_.stats().misses; }
-  [[nodiscard]] ResultCache& result_cache() { return cache_; }
-
- private:
-  ResultCache cache_;
 };
 
 }  // namespace multival::serve

@@ -66,12 +66,6 @@ core::Table ServiceMetrics::to_table() const {
                  std::to_string(cache.disk_writes) + " / " +
                  std::to_string(cache.disk_errors)});
   t.add_row({"cache tmp files swept", std::to_string(cache.tmp_swept)});
-  t.add_row({"pipeline cache hits/misses", std::to_string(pipeline.hits) +
-                                               " / " +
-                                               std::to_string(pipeline.misses)});
-  t.add_row({"pipeline cache insertions/evictions",
-             std::to_string(pipeline.insertions) + " / " +
-                 std::to_string(pipeline.evictions)});
   return t;
 }
 
@@ -110,30 +104,20 @@ std::string ServiceMetrics::to_json() const {
   ms("solve_p99_ms", solve_p99_ms);
   ms("latency_p50_ms", latency_p50_ms);
   ms("latency_p99_ms", latency_p99_ms);
-  const auto tier = [&](const char* name, const ResultCache::Stats& c) {
-    s += "\"";
-    s += name;
-    s += "\":{";
-    s += "\"hits\":" + std::to_string(c.hits) + ",";
-    s += "\"misses\":" + std::to_string(c.misses) + ",";
-    s += "\"insertions\":" + std::to_string(c.insertions) + ",";
-    s += "\"evictions\":" + std::to_string(c.evictions) + ",";
-    s += "\"disk_hits\":" + std::to_string(c.disk_hits) + ",";
-    s += "\"disk_writes\":" + std::to_string(c.disk_writes) + ",";
-    s += "\"disk_errors\":" + std::to_string(c.disk_errors) + ",";
-    s += "\"tmp_swept\":" + std::to_string(c.tmp_swept) + "}";
-  };
-  tier("result_cache", cache);
-  s += ",";
-  tier("pipeline_cache", pipeline);
-  s += "}";
+  s += "\"result_cache\":{";
+  s += "\"hits\":" + std::to_string(cache.hits) + ",";
+  s += "\"misses\":" + std::to_string(cache.misses) + ",";
+  s += "\"insertions\":" + std::to_string(cache.insertions) + ",";
+  s += "\"evictions\":" + std::to_string(cache.evictions) + ",";
+  s += "\"disk_hits\":" + std::to_string(cache.disk_hits) + ",";
+  s += "\"disk_writes\":" + std::to_string(cache.disk_writes) + ",";
+  s += "\"disk_errors\":" + std::to_string(cache.disk_errors) + ",";
+  s += "\"tmp_swept\":" + std::to_string(cache.tmp_swept) + "}}";
   return s;
 }
 
 Service::Service(ServiceOptions opts)
-    : opts_(std::move(opts)),
-      cache_(opts_.cache),
-      pipeline_cache_(opts_.pipeline_cache) {
+    : opts_(std::move(opts)), cache_(opts_.cache) {
   const unsigned n =
       opts_.workers == 0 ? core::parallel_threads() : opts_.workers;
   workers_.reserve(n);
@@ -465,7 +449,6 @@ ServiceMetrics Service::metrics() const {
     latency = latency_ms_;
   }
   m.cache = cache_.stats();
-  m.pipeline = pipeline_cache_.result_cache().stats();
   m.queue_wait_p50_ms = percentile(queue_wait, 0.50);
   m.queue_wait_p99_ms = percentile(std::move(queue_wait), 0.99);
   m.solve_p50_ms = percentile(solve, 0.50);

@@ -68,9 +68,6 @@ struct ServiceOptions {
   /// diagnostic (never reaches a worker).  0 disables the gate.
   std::size_t admission_budget = 0;
   ResultCache::Options cache;
-  /// Budget of the pipeline (minimisation/plan-subtree) cache the service
-  /// hands to embedding callers via Service::pipeline_cache().
-  ResultCache::Options pipeline_cache;
   /// Test seam: invoked by a worker after dequeuing a flight, before the
   /// deadline check and solve.  Lets tests hold a worker to build up
   /// coalescing / saturation deterministically.  Leave empty in production.
@@ -99,9 +96,6 @@ struct ServiceMetrics {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   ResultCache::Stats cache;
-  /// Counters of the compose pipeline cache (minimisation results and
-  /// plan-keyed subtrees; see Service::pipeline_cache()).
-  ResultCache::Stats pipeline;
 
   [[nodiscard]] core::Table to_table() const;
   /// Machine-readable form (flat JSON object), served by the stats verb
@@ -131,10 +125,6 @@ class Service {
 
   [[nodiscard]] ServiceMetrics metrics() const;
   [[nodiscard]] ResultCache& cache() { return cache_; }
-  /// compose::MinimizeCache shared across the pipelines of every embedding
-  /// caller of this service (its hit/miss/evict counters surface in the
-  /// stats verb next to the result-cache counters).
-  [[nodiscard]] PipelineCache& pipeline_cache() { return pipeline_cache_; }
 
   /// Stops accepting new work, drains the queue (each remaining flight is
   /// still solved) and joins the workers.  Idempotent; called by the
@@ -167,8 +157,6 @@ class Service {
 
   ServiceOptions opts_;
   ResultCache cache_;
-  // mutable: metrics() const reads its (internally locked) counters.
-  mutable PipelineCache pipeline_cache_;
 
   mutable core::Mutex mu_;
   core::CondVar cv_;

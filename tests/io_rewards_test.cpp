@@ -1,7 +1,10 @@
 // Tests for reward measures, IMC textual I/O, and DOT export.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "imc/compose.hpp"
 #include "imc/imc_io.hpp"
@@ -26,7 +29,8 @@ TEST(Rewards, AccumulatedRewardGeneralisesExpectedTime) {
   const auto acc = expected_accumulated_reward(c, unit);
   const auto time = expected_time_to_absorption(c);
   for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_NEAR(acc[s], time[s], 1e-12);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(acc[s]),
+              std::bit_cast<std::uint64_t>(time[s]));
   }
 }
 
@@ -42,13 +46,50 @@ TEST(Rewards, AccumulatedRewardWeightsStates) {
 }
 
 TEST(Rewards, AccumulatedRewardInfiniteWithoutAbsorption) {
+  Ctmc loop;
+  loop.add_states(2);
+  loop.add_transition(0, 1, 1.0);
+  loop.add_transition(1, 0, 1.0);
+  // Absorbs with probability 1 - 1e-11 only: 0 -> 2 escapes into the
+  // closed cycle 2 <-> 3, so absorption is not almost sure.
+  Ctmc escape;
+  escape.add_states(4);
+  escape.add_transition(0, 1, 1.0);
+  escape.add_transition(0, 2, 1e-11);
+  escape.add_transition(2, 3, 1.0);
+  escape.add_transition(3, 2, 1.0);
+  for (const Ctmc* c : {&loop, &escape}) {
+    const std::vector<double> unit(c->num_states(), 1.0);
+    EXPECT_TRUE(std::isinf(expected_accumulated_reward(*c, unit)[0]));
+    EXPECT_TRUE(std::isinf(expected_transition_count(*c, "*")[0]));
+    EXPECT_TRUE(std::isinf(expected_time_to_absorption(*c)[0]));
+  }
+}
+
+TEST(Rewards, StatesEarningNothingAreCertified) {
+  // 0 -b-> 1 at 0.3 and at 3.5, 1 -a-> 0 at 7.1, 1 -a-> 2 (absorbing) at
+  // 0.3.  State 0 earns nothing per a jump and cannot absorb in one jump,
+  // so the optimistic upper start needs the expected-time weight there.
+  // Every visit of 1 ends in one a jump and absorbs with probability
+  // 0.3/7.4: 7.4/0.3 = 74/3 a jumps and 74/3 visits of mean 1/7.4 in 1,
+  // from either state.
   Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, 1.0);
-  c.add_transition(1, 0, 1.0);
-  const std::vector<double> unit(2, 1.0);
-  const auto acc = expected_accumulated_reward(c, unit);
-  EXPECT_TRUE(std::isinf(acc[0]));
+  c.add_states(3);
+  c.add_transition(0, 1, 0.3, "b");
+  c.add_transition(0, 1, 3.5, "b");
+  c.add_transition(1, 0, 7.1, "a");
+  c.add_transition(1, 2, 0.3, "a");
+  const auto as = expected_transition_count(c, "a");
+  EXPECT_NEAR(as[0], 74.0 / 3.0, 1e-12 * 74.0 / 3.0);
+  EXPECT_NEAR(as[1], 74.0 / 3.0, 1e-12 * 74.0 / 3.0);
+  const std::vector<double> in_one{0.0, 1.0, 0.0};
+  const auto time_in_one = expected_accumulated_reward(c, in_one);
+  EXPECT_NEAR(time_in_one[0], 10.0 / 3.0, 1e-12 * 10.0 / 3.0);
+  EXPECT_NEAR(time_in_one[1], 10.0 / 3.0, 1e-12 * 10.0 / 3.0);
+  // A label that never fires earns nothing anywhere.
+  for (const double none : expected_transition_count(c, "c")) {
+    EXPECT_EQ(none, 0.0);
+  }
 }
 
 TEST(Rewards, TransitionCountGeometric) {
@@ -79,9 +120,17 @@ TEST(Rewards, TransitionCountAlongChain) {
 TEST(Rewards, SizeMismatchThrows) {
   Ctmc c;
   c.add_states(2);
+  c.add_transition(0, 1, 1.0);
   const std::vector<double> bad{1.0};
   EXPECT_THROW((void)expected_accumulated_reward(c, bad),
                std::invalid_argument);
+  // The lower bound starts at 0, so every reward must be finite and >= 0.
+  for (const double r : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> reward{r, 0.0};
+    EXPECT_THROW((void)expected_accumulated_reward(c, reward),
+                 std::invalid_argument);
+  }
 }
 
 // --- IMC textual I/O -------------------------------------------------------------

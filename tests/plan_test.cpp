@@ -283,7 +283,7 @@ TEST(Reduction, CanonicalFormIsIsomorphismInvariant) {
 // ------------------------------------------------------------- the caches --
 
 TEST(MinimizeCache, LruEvictsUnderByteBudget) {
-  compose::LruMinimizeCache cache(/*capacity_bytes=*/4096);
+  compose::MinimizeCache cache(/*capacity_bytes=*/4096);
   std::vector<lts::Lts> inputs;
   for (int k = 0; k < 6; ++k) {
     lts::Lts l;
@@ -298,7 +298,7 @@ TEST(MinimizeCache, LruEvictsUnderByteBudget) {
     EXPECT_FALSE(cache.lookup(l, e).has_value());
     cache.store(l, e, bisim::canonical_minimized(l, e));
   }
-  const compose::LruMinimizeCache::Stats s = cache.stats();
+  const compose::MinimizeCache::Stats s = cache.stats();
   EXPECT_EQ(s.misses, 6u);
   EXPECT_EQ(s.insertions, 6u);
   EXPECT_GT(s.evictions, 0u);           // the budget cannot hold all six
@@ -317,7 +317,7 @@ TEST(MinimizeCache, PlanSubtreeKeysSkipRegeneration) {
   const compose::Plan plan = compose::plan_program(p, "SystemN", opts);
   ASSERT_TRUE(plan.planned);
 
-  compose::LruMinimizeCache cache;
+  compose::MinimizeCache cache;
   const compose::PlanResult first = compose::evaluate_plan(plan, opts, &cache);
   const compose::Plan replan = compose::plan_program(p, "SystemN", opts);
   const compose::PlanResult second =
@@ -335,6 +335,56 @@ TEST(MinimizeCache, PlanSubtreeKeysSkipRegeneration) {
   EXPECT_TRUE(subtree_hit);
   EXPECT_LT(second.stats.steps.size(), first.stats.steps.size());
   EXPECT_GT(cache.stats().hits, 0u);
+}
+
+lts::Lts chain_with_twin_tail(int tag) {
+  // 0 -A-> 1 -B-> 2 and 0 -A-> 3 -B-> 4: states {1,3} and {2,4} are
+  // bisimilar, so branching minimisation shrinks 5 -> 3 states.
+  lts::Lts l;
+  l.add_states(5);
+  l.set_initial_state(0);
+  const std::string a = "A" + std::to_string(tag);
+  l.add_transition(0, a, 1);
+  l.add_transition(0, a, 3);
+  l.add_transition(1, "B", 2);
+  l.add_transition(3, "B", 4);
+  return l;
+}
+
+TEST(MinimizeCache, OnlyChangedSubtreesAreReminimised) {
+  compose::MinimizeCache cache;
+  const auto tree = [](int left_tag, int right_tag) {
+    return compose::compose2(
+        compose::minimize_here(
+            compose::leaf(chain_with_twin_tail(left_tag), "left")),
+        {},
+        compose::minimize_here(
+            compose::leaf(chain_with_twin_tail(right_tag), "right")));
+  };
+
+  compose::EvalStats s1;
+  const lts::Lts first = compose::evaluate(tree(0, 1), true, &s1, &cache);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // Re-evaluating with one changed leaf re-minimises only that subtree.
+  compose::EvalStats s2;
+  const lts::Lts second = compose::evaluate(tree(0, 2), true, &s2, &cache);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  bool saw_cached_step = false;
+  for (const compose::StepStat& step : s2.steps) {
+    saw_cached_step =
+        saw_cached_step ||
+        step.description.find("(cached)") != std::string::npos;
+  }
+  EXPECT_TRUE(saw_cached_step);
+
+  // Cached evaluation must be indistinguishable from the uncached one.
+  EXPECT_EQ(serialized(second),
+            serialized(compose::evaluate(tree(0, 2), true)));
+  EXPECT_EQ(serialized(first),
+            serialized(compose::evaluate(tree(0, 1), true)));
 }
 
 // ------------------------------------------- the congruence property test --

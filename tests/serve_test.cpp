@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "compose/pipeline.hpp"
 #include "lts/lts_io.hpp"
 #include "serve/cache.hpp"
 #include "serve/hash.hpp"
@@ -545,57 +544,6 @@ TEST(ServeService, ControlVerbsAreHandledInline) {
   EXPECT_NE(stats.body.find("serve metrics"), std::string::npos);
   EXPECT_EQ(service.evaluate(make_request(serve::Verb::kShutdown, "")).status,
             serve::Status::kError);
-}
-
-// --- pipeline minimisation cache -----------------------------------------
-
-lts::Lts chain_with_twin_tail(int tag) {
-  // 0 -A-> 1 -B-> 2 and 0 -A-> 3 -B-> 4: states {1,3} and {2,4} are
-  // bisimilar, so branching minimisation shrinks 5 -> 3 states.
-  lts::Lts l;
-  l.add_states(5);
-  l.set_initial_state(0);
-  const std::string a = "A" + std::to_string(tag);
-  l.add_transition(0, a, 1);
-  l.add_transition(0, a, 3);
-  l.add_transition(1, "B", 2);
-  l.add_transition(3, "B", 4);
-  return l;
-}
-
-TEST(ServePipelineCache, OnlyChangedSubtreesAreReminimised) {
-  serve::PipelineCache cache;
-  const auto tree = [](int left_tag, int right_tag) {
-    return compose::compose2(
-        compose::minimize_here(
-            compose::leaf(chain_with_twin_tail(left_tag), "left")),
-        {},
-        compose::minimize_here(
-            compose::leaf(chain_with_twin_tail(right_tag), "right")));
-  };
-
-  compose::EvalStats s1;
-  const lts::Lts first = compose::evaluate(tree(0, 1), true, &s1, &cache);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-
-  // Re-evaluating with one changed leaf re-minimises only that subtree.
-  compose::EvalStats s2;
-  const lts::Lts second = compose::evaluate(tree(0, 2), true, &s2, &cache);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 3u);
-  bool saw_cached_step = false;
-  for (const compose::StepStat& step : s2.steps) {
-    saw_cached_step =
-        saw_cached_step ||
-        step.description.find("(cached)") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_cached_step);
-
-  // Cached evaluation must be indistinguishable from the uncached one.
-  const lts::Lts direct = compose::evaluate(tree(0, 2), true);
-  EXPECT_EQ(lts::to_aut(second), lts::to_aut(direct));
-  EXPECT_EQ(lts::to_aut(first), lts::to_aut(compose::evaluate(tree(0, 1), true)));
 }
 
 // --- socket front end ----------------------------------------------------
