@@ -879,6 +879,8 @@ int cmd_client(int argc, char** argv) {
     } else if (a == "--retry-ms" && i + 1 < argc) {
       connect_timeout =
           std::chrono::milliseconds(parse_unsigned(argv[++i], "retry budget"));
+    } else if (a == "--json") {
+      rest.push_back(a);  // `stats --json`; the verb checks its arguments
     } else if (!a.empty() && a[0] == '-') {
       throw UsageError("client: unknown flag " + a);
     } else {

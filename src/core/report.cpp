@@ -1,5 +1,6 @@
 #include "core/report.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <mutex>
@@ -44,9 +45,18 @@ std::string& solve_context_name() {
   return name;
 }
 
+SolveSink*& solve_sink() {
+  thread_local SolveSink* sink = nullptr;
+  return sink;
+}
+
 }  // namespace
 
 void record_solve(SolveStat stat) {
+  if (SolveSink* sink = solve_sink()) {
+    sink->fold(stat);
+    return;
+  }
   if (stat.context.empty()) {
     stat.context = SolveContext::current();
   }
@@ -84,6 +94,24 @@ Table solve_table() {
                fmt_sci(s.residual), fmt(s.seconds * 1e3, 3)});
   }
   return t;
+}
+
+SolveSink::Scope::Scope(SolveSink& sink) : previous_(solve_sink()) {
+  solve_sink() = &sink;
+}
+
+SolveSink::Scope::~Scope() { solve_sink() = previous_; }
+
+void SolveSink::fold(const SolveStat& stat) {
+  const MutexLock lock(mu_);
+  ++totals_.solves;
+  totals_.iterations += stat.iterations;
+  totals_.max_residual = std::max(totals_.max_residual, stat.residual);
+}
+
+SolveAggregate SolveSink::totals() const {
+  const MutexLock lock(mu_);
+  return totals_;
 }
 
 SolveContext::SolveContext(std::string name)

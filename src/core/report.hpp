@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "core/sync.hpp"
+
 namespace multival::core {
 
 /// A titled table with aligned columns.
@@ -87,8 +89,8 @@ struct SolveStat {
 };
 
 /// Appends @p stat to the process-wide solve log (tagging it with the
-/// current SolveContext).  Thread-safe; the log is capped, see
-/// solve_log_dropped().
+/// current SolveContext), or folds it into this thread's SolveSink when one
+/// is installed.  Thread-safe; the log is capped, see solve_log_dropped().
 void record_solve(SolveStat stat);
 
 /// Snapshot of the log, in recording order.  Thread-safe.
@@ -118,6 +120,40 @@ class SolveContext {
 
  private:
   std::string previous_;
+};
+
+/// Order-independent fold of solve records: how many, their summed
+/// iterations and their largest residual.
+struct SolveAggregate {
+  std::size_t solves = 0;
+  std::size_t iterations = 0;
+  double max_residual = 0.0;
+};
+
+/// A thread-safe SolveAggregate that a long-lived component (a serve
+/// Service) folds its solves into instead of the capped process-wide log.
+/// Installed per thread by SolveSink::Scope.
+class SolveSink {
+ public:
+  /// RAII: while alive, record_solve on this thread folds into the sink and
+  /// leaves the process-wide log alone.  Nests (innermost wins).
+  class Scope {
+   public:
+    explicit Scope(SolveSink& sink);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    SolveSink* previous_;
+  };
+
+  void fold(const SolveStat& stat);
+  [[nodiscard]] SolveAggregate totals() const;
+
+ private:
+  mutable Mutex mu_;
+  SolveAggregate totals_ MV_GUARDED_BY(mu_);
 };
 
 /// Fixed-precision formatting of a double ("3.1416"); "inf" for infinities.

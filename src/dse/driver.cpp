@@ -54,7 +54,6 @@ void dispatch_in_process(const DriverOptions& options,
   // queue so saturation shedding cannot reject sweep points.
   sopts.queue_capacity = std::max<std::size_t>(slots.size(), 256);
   sopts.default_deadline = options.deadline;
-  const std::size_t solve_log_before = core::solve_log().size();
   serve::Service service(sopts);
 
   for (unsigned pass = 0; pass < std::max(1u, options.repeat); ++pass) {
@@ -80,13 +79,7 @@ void dispatch_in_process(const DriverOptions& options,
 
   out.have_service_metrics = true;
   out.service = service.metrics();
-  const std::vector<core::SolveStat> log = core::solve_log();
-  for (std::size_t i = solve_log_before; i < log.size(); ++i) {
-    ++out.solver.solves;
-    out.solver.iterations += log[i].iterations;
-    out.solver.max_residual =
-        std::max(out.solver.max_residual, log[i].residual);
-  }
+  out.solver = out.service.solver;
 }
 
 std::vector<std::string> split_endpoints(const std::string& csv) {

@@ -83,14 +83,6 @@ struct PointResult {
   std::vector<ProbeResult> probes;
 };
 
-/// Order-independent fold of the core::solve_log entries recorded during
-/// the sweep (in-process backend only).
-struct SolveAggregate {
-  std::size_t solves = 0;
-  std::size_t iterations = 0;
-  double max_residual = 0.0;
-};
-
 struct SweepResult {
   std::string name;
   std::vector<Objective> objectives;
@@ -102,7 +94,8 @@ struct SweepResult {
   std::size_t probes_submitted = 0; ///< per pass; repeat passes multiply
   bool have_service_metrics = false;  ///< in-process backend only
   serve::ServiceMetrics service;
-  SolveAggregate solver;
+  /// The service's solver totals (in-process backend only).
+  core::SolveAggregate solver;
   /// Counters of the sweep-wide pipeline cache (instantiation reuses
   /// minimised components across points; deterministic, both backends).
   compose::MinimizeCache::Stats pipeline;

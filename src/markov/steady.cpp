@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "core/report.hpp"
 #include "markov/interval.hpp"
@@ -28,34 +32,289 @@ BsccDecomposition bscc_decomposition(const Ctmc& c) {
 
 namespace {
 
-/// Gauss–Seidel solve of the local steady state of an irreducible sub-chain
-/// given by @p members (global state ids).  Accumulates sweeps into
-/// @p iterations for solve telemetry.
-std::vector<double> solve_bscc(const Ctmc& c,
-                               const std::vector<std::uint32_t>& members,
-                               const SolverOptions& opts,
-                               std::size_t& iterations) {
-  const std::size_t m = members.size();
-  if (m == 1) {
-    return {1.0};
-  }
-  std::vector<std::uint32_t> local(c.num_states(),
-                                   static_cast<std::uint32_t>(-1));
-  for (std::size_t i = 0; i < m; ++i) {
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+/// Multiply-adds (and, counted apart, row entries scanned) elimination may
+/// spend on a BSCC, per state and transition of it, before the BSCC goes to
+/// Gauss–Seidel instead.  The multiply-add ratio is 0 on birth–death chains
+/// and at most ~38 on the shipped models (scans: ~52); where fill explodes
+/// (the xSTream pipeline: ~1,160; random out-degree-3 chains: 177–347)
+/// elimination is 20–3,000× slower than Gauss–Seidel.
+constexpr std::size_t kFillBudget = 64;
+
+/// Back-substitution rescales by a power of two, which is exact, whenever a
+/// value passes this bound, so a chain whose probabilities span more than
+/// the double range loses only the values that truly underflow.
+constexpr double kRescaleAbove = 0x1p256;
+constexpr double kRescaleBy = 0x1p-256;
+
+/// Numbers the states of a BSCC 0..m-1 in @p members order; every other
+/// state of the chain maps to kNone.
+std::vector<std::uint32_t> local_ids(
+    std::size_t n, const std::vector<std::uint32_t>& members) {
+  std::vector<std::uint32_t> local(n, kNone);
+  for (std::size_t i = 0; i < members.size(); ++i) {
     local[members[i]] = static_cast<std::uint32_t>(i);
   }
-  // Incoming edges within the BSCC and local exit rates.
-  std::vector<std::vector<Entry>> in(m);
+  return local;
+}
+
+/// Local steady state of the BSCC of @p m states numbered by @p local
+/// (see local_ids) by GTH state reduction (Grassmann, Taksar and Heyman,
+/// Operations Research 1985): sparse Gaussian elimination of the balance
+/// equations that never subtracts, so every π_i comes out with a small
+/// relative error.
+///
+/// States are eliminated one at a time, smallest Markowitz count
+/// (in-degree × out-degree) first, ties by local id.  Eliminating k folds
+/// each path i → k → j into r_ij += r_ik · r_kj / S_k, where S_k is the sum
+/// of k's remaining out-rates (never a diagonal, so nothing is subtracted);
+/// a path with i = j would be a self-loop, which is dropped.  Each
+/// eliminated state keeps its reduced in-rates and S_k, and back-
+/// substitution in reverse order gives π_k = Σ_i π_i · r_ik / S_k.
+///
+/// Returns nothing once the multiply-adds would pass kFillBudget × (states
+/// + transitions) of the BSCC, or the row entries scanned to place them
+/// would: placing predecessor i's fill scans row i, so a hub whose long row
+/// outlives its neighbours, eliminated one by one, costs quadratic scans
+/// even where multiply-adds are few.
+std::optional<std::vector<double>> eliminate_bscc(
+    const Ctmc& c, const std::vector<std::uint32_t>& local, std::size_t m) {
+  // Rows of (column, rate), parallel edges summed and self-loops dropped.
+  std::vector<std::vector<Entry>> row(m);
+  for (const RateTransition& t : c.transitions()) {
+    const std::uint32_t i = local[t.src];
+    if (i != kNone && t.src != t.dst) {
+      row[i].push_back(Entry{local[t.dst], t.rate});
+    }
+  }
+  // stamp[j] == tick marks column j for the current pass; pos[j] is then
+  // its place in the row at hand, so each fill-in costs O(1).
+  std::vector<std::size_t> stamp(m, 0);
+  std::vector<std::uint32_t> pos(m, 0);
+  std::size_t tick = 0;
+  std::size_t transitions = 0;
+  std::vector<std::vector<std::uint32_t>> pred(m);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    std::vector<Entry>& r = row[i];
+    ++tick;
+    std::size_t kept = 0;
+    for (std::size_t p = 0; p < r.size(); ++p) {
+      const Entry e = r[p];
+      if (stamp[e.col] == tick) {
+        r[pos[e.col]].value += e.value;
+      } else {
+        stamp[e.col] = tick;
+        pos[e.col] = static_cast<std::uint32_t>(kept);
+        r[kept++] = e;
+      }
+    }
+    r.resize(kept);
+    transitions += kept;
+    for (const Entry& e : r) {
+      pred[e.col].push_back(i);
+    }
+  }
+
+  // pred[j] may still list eliminated states; in_degree counts live ones.
+  std::vector<std::uint32_t> in_degree(m);
+  for (std::uint32_t j = 0; j < m; ++j) {
+    in_degree[j] = static_cast<std::uint32_t>(pred[j].size());
+  }
+  const auto markowitz = [&](std::uint32_t s) {
+    return std::uint64_t{in_degree[s]} * row[s].size();
+  };
+  // Lazy min-heap on (Markowitz count, id).  Every live state s keeps an
+  // entry keyed key[s] <= its count: s is pushed again only when its count
+  // falls below key[s], and a popped key[s] entry below the count goes back
+  // in at the count.  The first popped entry equal to its state's count is
+  // then the least (count, id), without a push for every count that rises.
+  using Candidate = std::pair<std::uint64_t, std::uint32_t>;
+  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
+  std::vector<std::uint64_t> key(m);
+  for (std::uint32_t s = 0; s < m; ++s) {
+    key[s] = markowitz(s);
+    heap.emplace(key[s], s);
+  }
+  const auto lower_key = [&](std::uint32_t s) {
+    const std::uint64_t count = markowitz(s);
+    if (count < key[s]) {
+      key[s] = count;
+      heap.emplace(count, s);
+    }
+  };
+
+  const std::size_t budget = kFillBudget * (m + transitions);
+  std::size_t work = 0;
+  std::size_t scanned = 0;
+  std::vector<char> eliminated(m, 0);
+  std::vector<std::uint32_t> order;  // elimination order, then the survivor
+  std::vector<double> exit_sum;      // S_k of order[t]
+  std::vector<Entry> in_rates;       // reduced in-rates of order[t] ...
+  std::vector<std::size_t> in_end;   // ... end at in_end[t]
+  order.reserve(m);
+  exit_sum.reserve(m);
+  in_end.reserve(m);
+  for (std::size_t step = 0; step + 1 < m; ++step) {
+    std::uint32_t k = 0;
+    for (;;) {
+      const auto [count, s] = heap.top();
+      heap.pop();
+      if (eliminated[s] != 0) {
+        continue;
+      }
+      const std::uint64_t now = markowitz(s);
+      if (count == now) {
+        k = s;
+        break;
+      }
+      if (count == key[s] && count < now) {
+        key[s] = now;
+        heap.emplace(now, s);
+      }
+    }
+    std::vector<Entry>& out = row[k];
+    std::vector<std::uint32_t>& in = pred[k];
+    std::erase_if(in, [&](std::uint32_t i) { return eliminated[i] != 0; });
+    ++tick;
+    for (const Entry& e : out) {
+      stamp[e.col] = tick;
+    }
+    for (const std::uint32_t i : in) {
+      work += out.size() - (stamp[i] == tick ? 1 : 0);
+      scanned += row[i].size();
+    }
+    if (work > budget || scanned > budget) {
+      return std::nullopt;
+    }
+    double s_k = 0.0;
+    for (const Entry& e : out) {
+      s_k += e.value;
+    }
+    if (!(s_k > 0.0)) {
+      throw SolverFailure("steady_state: zero exit rate inside a BSCC");
+    }
+    for (Entry& e : out) {
+      e.value /= s_k;  // now r_kj / S_k
+    }
+    eliminated[k] = 1;
+    order.push_back(k);
+    exit_sum.push_back(s_k);
+    for (const std::uint32_t i : in) {
+      std::vector<Entry>& r = row[i];
+      ++tick;
+      std::size_t at_k = 0;
+      for (std::size_t p = 0; p < r.size(); ++p) {
+        stamp[r[p].col] = tick;
+        pos[r[p].col] = static_cast<std::uint32_t>(p);
+        if (r[p].col == k) {
+          at_k = p;
+        }
+      }
+      const double r_ik = r[at_k].value;
+      in_rates.push_back(Entry{i, r_ik});
+      for (const Entry& e : out) {
+        if (e.col == i) {
+          continue;
+        }
+        const double fill = r_ik * e.value;
+        if (stamp[e.col] == tick) {
+          r[pos[e.col]].value += fill;
+        } else {
+          r.push_back(Entry{e.col, fill});
+          pred[e.col].push_back(i);
+          ++in_degree[e.col];
+        }
+      }
+      r[at_k] = r.back();
+      r.pop_back();
+    }
+    in_end.push_back(in_rates.size());
+    for (const Entry& e : out) {
+      --in_degree[e.col];
+    }
+    for (const std::uint32_t i : in) {
+      lower_key(i);
+    }
+    for (const Entry& e : out) {
+      lower_key(e.col);
+    }
+    std::vector<Entry>().swap(out);
+    std::vector<std::uint32_t>().swap(in);
+  }
+  for (std::uint32_t s = 0; s < m; ++s) {
+    if (eliminated[s] == 0) {
+      order.push_back(s);
+    }
+  }
+
+  std::vector<double> pi(m, 0.0);
+  pi[order.back()] = 1.0;
+  for (std::size_t t = m - 1; t-- > 0;) {
+    double acc = 0.0;
+    for (std::size_t p = t == 0 ? 0 : in_end[t - 1]; p < in_end[t]; ++p) {
+      acc += pi[in_rates[p].col] * in_rates[p].value;
+    }
+    const double v = acc / exit_sum[t];
+    pi[order[t]] = v;
+    if (v > kRescaleAbove) {
+      for (std::size_t u = t; u < m; ++u) {
+        pi[order[u]] *= kRescaleBy;
+      }
+    }
+  }
+  double sum = 0.0;
+  for (const double p : pi) {
+    sum += p;
+  }
+  for (double& p : pi) {
+    p /= sum;
+  }
+  return pi;
+}
+
+/// Gauss–Seidel solve of the local steady state of the BSCC of @p m states
+/// numbered by @p local, for BSCCs past the elimination budget.
+/// Accumulates sweeps into @p iterations for solve telemetry.
+std::vector<double> gauss_seidel_bscc(const Ctmc& c,
+                                      const std::vector<std::uint32_t>& local,
+                                      std::size_t m, const SolverOptions& opts,
+                                      std::size_t& iterations) {
+  // Incoming edges within the BSCC, in transition order, as one CSR block.
+  // Self-loops add equally to inflow and exit, so they are left out of both.
   std::vector<double> exit(m, 0.0);
+  std::vector<double> self_rate(m, 0.0);
+  std::vector<std::uint32_t> in_start(m + 1, 0);
   for (const RateTransition& t : c.transitions()) {
     const std::uint32_t ls = local[t.src];
-    const std::uint32_t ld = local[t.dst];
-    if (ls == static_cast<std::uint32_t>(-1)) {
+    if (ls == kNone) {
       continue;
     }
     // BSCC: all successors stay inside.
     exit[ls] += t.rate;
-    in[ld].push_back(Entry{ls, t.rate});
+    if (t.src == t.dst) {
+      self_rate[ls] += t.rate;
+    } else {
+      ++in_start[local[t.dst] + 1];
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    in_start[i + 1] += in_start[i];
+  }
+  std::vector<Entry> in(in_start[m]);
+  std::vector<std::uint32_t> next_slot(in_start.begin(), in_start.end() - 1);
+  for (const RateTransition& t : c.transitions()) {
+    const std::uint32_t ls = local[t.src];
+    if (ls != kNone && t.src != t.dst) {
+      in[next_slot[local[t.dst]]++] = Entry{ls, t.rate};
+    }
+  }
+  std::vector<double> denom(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    denom[i] = exit[i] - self_rate[i];
+    if (denom[i] <= 0.0) {
+      throw SolverFailure("steady_state: zero exit rate inside a BSCC");
+    }
   }
   std::vector<double> pi(m, 1.0 / static_cast<double>(m));
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
@@ -63,23 +322,10 @@ std::vector<double> solve_bscc(const Ctmc& c,
     double delta = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       double inflow = 0.0;
-      for (const Entry& e : in[i]) {
-        if (e.col != i) {
-          inflow += pi[e.col] * e.value;
-        }
+      for (std::uint32_t p = in_start[i]; p < in_start[i + 1]; ++p) {
+        inflow += pi[in[p].col] * in[p].value;
       }
-      // Self-loops contribute equally to inflow and exit; drop them.
-      double self_rate = 0.0;
-      for (const Entry& e : in[i]) {
-        if (e.col == i) {
-          self_rate += e.value;
-        }
-      }
-      const double denom = exit[i] - self_rate;
-      if (denom <= 0.0) {
-        throw SolverFailure("steady_state: zero exit rate inside a BSCC");
-      }
-      const double next = inflow / denom;
+      const double next = inflow / denom[i];
       delta = std::max(delta, std::abs(next - pi[i]));
       pi[i] = next;
     }
@@ -99,6 +345,28 @@ std::vector<double> solve_bscc(const Ctmc& c,
     }
   }
   throw SolverFailure("steady_state: Gauss-Seidel did not converge");
+}
+
+/// Balance residual of the distribution @p pi over @p c:
+/// max_j |(πQ)_j| / max_i π_i·E_i, with E_i the exit rate of i.
+double balance_residual(const Ctmc& c, const std::vector<double>& pi) {
+  std::vector<double> net(c.num_states(), 0.0);
+  std::vector<double> outflow(c.num_states(), 0.0);
+  for (const RateTransition& t : c.transitions()) {
+    if (t.src != t.dst) {
+      const double flow = pi[t.src] * t.rate;
+      net[t.dst] += flow;
+      net[t.src] -= flow;
+      outflow[t.src] += flow;
+    }
+  }
+  double worst = 0.0;
+  double scale = 0.0;
+  for (std::size_t s = 0; s < net.size(); ++s) {
+    worst = std::max(worst, std::abs(net[s]));
+    scale = std::max(scale, outflow[s]);
+  }
+  return scale > 0.0 ? worst / scale : 0.0;
 }
 
 }  // namespace
@@ -182,6 +450,7 @@ std::vector<double> steady_state(const Ctmc& c, const SolverOptions& opts) {
   }
 
   std::size_t iterations = 0;
+  bool fell_back = false;
   std::vector<double> pi(n, 0.0);
   for (std::uint32_t comp = 0; comp < d.num_components; ++comp) {
     if (!d.is_bottom[comp]) {
@@ -212,14 +481,25 @@ std::vector<double> steady_state(const Ctmc& c, const SolverOptions& opts) {
     if (weight <= 0.0) {
       continue;
     }
-    const std::vector<double> local =
-        solve_bscc(c, members[comp], opts, iterations);
-    for (std::size_t i = 0; i < members[comp].size(); ++i) {
-      pi[members[comp][i]] += weight * local[i];
+    const std::size_t m = members[comp].size();
+    std::vector<double> within{1.0};
+    if (m > 1) {
+      const std::vector<std::uint32_t> local = local_ids(n, members[comp]);
+      std::optional<std::vector<double>> gth = eliminate_bscc(c, local, m);
+      if (gth) {
+        within = std::move(*gth);
+      } else {
+        fell_back = true;
+        within = gauss_seidel_bscc(c, local, m, opts, iterations);
+      }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      pi[members[comp][i]] += weight * within[i];
     }
   }
   core::record_solve(core::SolveStat{
-      "steady_state[bscc]", {}, n, iterations, opts.tolerance,
+      fell_back ? "steady_state[gauss-seidel]" : "steady_state[gth]", {}, n,
+      iterations, balance_residual(c, pi),
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count()});
   return pi;

@@ -1,9 +1,13 @@
 // Steady-state analysis of CTMCs (the role of BCG_STEADY in CADP).
 //
-// Irreducible chains are solved by Gauss–Seidel on the global balance
-// equations.  Reducible chains are decomposed into bottom strongly connected
-// components (BSCCs): each BSCC is solved locally and weighted by the
-// probability of reaching it from the initial distribution.
+// The chain is decomposed into bottom strongly connected components
+// (BSCCs): each BSCC is solved locally and weighted by the probability of
+// reaching it from the initial distribution.  A BSCC is solved by GTH state
+// reduction, sparse elimination without subtractions, unless its fill-in
+// would pass a fixed multiple of its size; such a BSCC goes to Gauss–Seidel
+// on the balance equations instead.  The solve record is named
+// "steady_state[gth]", or "steady_state[gauss-seidel]" when a BSCC fell
+// back; its residual is the measured max_j |(πQ)_j| / max_i π_i·E_i.
 #pragma once
 
 #include <cstddef>

@@ -10,25 +10,52 @@ namespace multival::serve {
 
 namespace {
 
-// Latency reservoirs are capped; beyond the cap only the counters advance.
-constexpr std::size_t kMaxSamples = 1u << 16;
-
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::sort(samples.begin(), samples.end());
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples.size() - 1)));
-  return samples[std::min(idx, samples.size() - 1)];
-}
+// Bucket b >= 1 of a LatencyHistogram holds [kFloorMs·2^((b−1)/16),
+// kFloorMs·2^(b/16)); bucket 0 holds everything below kFloorMs.
+constexpr double kFloorMs = 1e-3;
+constexpr double kBucketsPerOctave = 16.0;
 
 }  // namespace
+
+void LatencyHistogram::add(double ms) {
+  std::size_t b = 0;
+  if (ms >= kFloorMs) {
+    const double octaves = std::log2(ms / kFloorMs);
+    b = octaves * kBucketsPerOctave >= static_cast<double>(kBuckets - 2)
+            ? kBuckets - 1
+            : 1 + static_cast<std::size_t>(octaves * kBucketsPerOctave);
+  }
+  ++buckets_[b];
+  ++count_;
+}
+
+double LatencyHistogram::percentile(double q) const {
+  if (count_ == 0) {
+    return 0.0;
+  }
+  const auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(count_ - 1)));
+  std::uint64_t seen = 0;
+  std::size_t b = 0;
+  for (; b + 1 < kBuckets; ++b) {
+    seen += buckets_[b];
+    if (seen > rank) {
+      break;
+    }
+  }
+  if (b == 0) {
+    return 0.0;
+  }
+  // The last bucket is open above: report its lower edge.
+  const double middle = b + 1 == kBuckets ? static_cast<double>(b) - 1.0
+                                          : static_cast<double>(b) - 0.5;
+  return kFloorMs * std::exp2(middle / kBucketsPerOctave);
+}
 
 core::Table ServiceMetrics::to_table() const {
   core::Table t("serve metrics", {"metric", "value"});
@@ -58,6 +85,10 @@ core::Table ServiceMetrics::to_table() const {
              core::fmt(solve_p50_ms, 3) + " / " + core::fmt(solve_p99_ms, 3)});
   t.add_row({"latency p50/p99 (ms)", core::fmt(latency_p50_ms, 3) + " / " +
                                          core::fmt(latency_p99_ms, 3)});
+  t.add_row({"solver solves / iterations / max residual",
+             std::to_string(solver.solves) + " / " +
+                 std::to_string(solver.iterations) + " / " +
+                 core::fmt_sci(solver.max_residual)});
   t.add_row({"cache insertions/evictions",
              std::to_string(cache.insertions) + " / " +
                  std::to_string(cache.evictions)});
@@ -112,7 +143,11 @@ std::string ServiceMetrics::to_json() const {
   s += "\"disk_hits\":" + std::to_string(cache.disk_hits) + ",";
   s += "\"disk_writes\":" + std::to_string(cache.disk_writes) + ",";
   s += "\"disk_errors\":" + std::to_string(cache.disk_errors) + ",";
-  s += "\"tmp_swept\":" + std::to_string(cache.tmp_swept) + "}}";
+  s += "\"tmp_swept\":" + std::to_string(cache.tmp_swept) + "},";
+  s += "\"solver\":{";
+  s += "\"solves\":" + std::to_string(solver.solves) + ",";
+  s += "\"iterations\":" + std::to_string(solver.iterations) + ",";
+  s += "\"max_residual\":" + core::fmt_sci(solver.max_residual, 3) + "}}";
   return s;
 }
 
@@ -140,12 +175,6 @@ void Service::shutdown() {
   cv_.notify_all();
   for (std::thread& t : workers_) {
     t.join();
-  }
-}
-
-void Service::record_sample(std::vector<double>& samples, double ms) {
-  if (samples.size() < kMaxSamples) {
-    samples.push_back(ms < 0.0 ? 0.0 : ms);
   }
 }
 
@@ -230,8 +259,8 @@ void Service::submit_async(Request r, std::function<void(Response)> done) {
     } else if (std::optional<std::string> hit = cache_.lookup(prepared.key)) {
       ++cache_hits_;
       ++completed_ok_;
-      record_sample(queue_wait_ms_, 0.0);
-      record_sample(latency_ms_, ms_between(now, Clock::now()));
+      queue_wait_ms_.add(0.0);
+      latency_ms_.add(ms_between(now, Clock::now()));
       immediate = Response{r.id, Status::kOk, *std::move(hit)};
       respond_now = true;
     } else if (const auto it = in_flight_.find(prepared.key);
@@ -280,6 +309,7 @@ Response Service::evaluate(const Request& r) {
 }
 
 void Service::worker_loop() {
+  const core::SolveSink::Scope solves_to_sink(solve_sink_);
   for (;;) {
     // Dequeue one flight; if it is batchable, sweep the queue for every
     // other flight of the same batch (same model, same verb family) so the
@@ -343,8 +373,8 @@ void Service::worker_loop() {
       }
       timed_out_ += expired.size();
       for (const Waiter& w : expired) {
-        record_sample(queue_wait_ms_, ms_between(w.submitted, start));
-        record_sample(latency_ms_, ms_between(w.submitted, start));
+        queue_wait_ms_.add(ms_between(w.submitted, start));
+        latency_ms_.add(ms_between(w.submitted, start));
       }
       if (live.size() >= 2) {
         ++batches_;
@@ -405,10 +435,10 @@ void Service::worker_loop() {
         // hit the cache — never a second solve.
         in_flight_.erase(flight->key);
         waiters = std::move(flight->waiters);
-        record_sample(solve_ms_, ms_between(t0, end));
+        solve_ms_.add(ms_between(t0, end));
         for (const Waiter& w : waiters) {
-          record_sample(queue_wait_ms_, ms_between(w.submitted, start));
-          record_sample(latency_ms_, ms_between(w.submitted, end));
+          queue_wait_ms_.add(ms_between(w.submitted, start));
+          latency_ms_.add(ms_between(w.submitted, end));
           if (ok) {
             ++completed_ok_;
           } else {
@@ -426,9 +456,6 @@ void Service::worker_loop() {
 
 ServiceMetrics Service::metrics() const {
   ServiceMetrics m;
-  std::vector<double> queue_wait;
-  std::vector<double> solve;
-  std::vector<double> latency;
   {
     core::MutexLock lock(mu_);
     m.accepted = accepted_;
@@ -444,17 +471,15 @@ ServiceMetrics Service::metrics() const {
     m.batches = batches_;
     m.batched = batched_;
     m.max_batch = max_batch_;
-    queue_wait = queue_wait_ms_;
-    solve = solve_ms_;
-    latency = latency_ms_;
+    m.queue_wait_p50_ms = queue_wait_ms_.percentile(0.50);
+    m.queue_wait_p99_ms = queue_wait_ms_.percentile(0.99);
+    m.solve_p50_ms = solve_ms_.percentile(0.50);
+    m.solve_p99_ms = solve_ms_.percentile(0.99);
+    m.latency_p50_ms = latency_ms_.percentile(0.50);
+    m.latency_p99_ms = latency_ms_.percentile(0.99);
   }
   m.cache = cache_.stats();
-  m.queue_wait_p50_ms = percentile(queue_wait, 0.50);
-  m.queue_wait_p99_ms = percentile(std::move(queue_wait), 0.99);
-  m.solve_p50_ms = percentile(solve, 0.50);
-  m.solve_p99_ms = percentile(std::move(solve), 0.99);
-  m.latency_p50_ms = percentile(latency, 0.50);
-  m.latency_p99_ms = percentile(std::move(latency), 0.99);
+  m.solver = solve_sink_.totals();
   return m;
 }
 

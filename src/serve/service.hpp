@@ -31,10 +31,12 @@
 // ServiceMetrics (batches / batched / max_batch).
 //
 // Per-request metrics (queue wait, solve time, end-to-end latency with
-// p50/p99, cache/coalescing/shed counters) are surfaced as a core::report
-// table via ServiceMetrics::to_table().
+// p50/p99 from constant-memory histograms, cache/coalescing/shed counters,
+// and the solver totals of every solve the workers ran) are surfaced as a
+// core::report table via ServiceMetrics::to_table().
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -74,6 +76,25 @@ struct ServiceOptions {
   std::function<void(const CacheKey&)> pre_solve_hook;
 };
 
+/// Constant-memory latency histogram: 512 buckets, log-spaced by 2^(1/16)
+/// (about 4.4% wide) from 1 µs up to about 65 minutes, with the first
+/// bucket holding everything below 1 µs and the last everything above.
+/// A percentile is read by a cumulative walk and lies within one bucket of
+/// the exact sample percentile, however many samples were added.
+class LatencyHistogram {
+ public:
+  void add(double ms);
+  /// The @p q-quantile (0 <= q <= 1) in milliseconds: the geometric middle
+  /// of the bucket holding the sample of rank ceil(q·(count − 1)); 0 when
+  /// empty.
+  [[nodiscard]] double percentile(double q) const;
+
+ private:
+  static constexpr std::size_t kBuckets = 512;
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t count_ = 0;
+};
+
 /// Snapshot of the service counters and latency percentiles (milliseconds).
 struct ServiceMetrics {
   std::uint64_t accepted = 0;      ///< submissions (including failed ones)
@@ -96,6 +117,9 @@ struct ServiceMetrics {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   ResultCache::Stats cache;
+  /// Every numerical solve the workers ran (see core::SolveSink); these
+  /// never reach the process-wide core::solve_log.
+  core::SolveAggregate solver;
 
   [[nodiscard]] core::Table to_table() const;
   /// Machine-readable form (flat JSON object), served by the stats verb
@@ -152,11 +176,10 @@ class Service {
   using FlightPtr = std::shared_ptr<Flight>;
 
   void worker_loop();
-  void record_sample(std::vector<double>& samples, double ms)
-      MV_REQUIRES(mu_);
 
   ServiceOptions opts_;
   ResultCache cache_;
+  core::SolveSink solve_sink_;
 
   mutable core::Mutex mu_;
   core::CondVar cv_;
@@ -169,7 +192,7 @@ class Service {
   bool stopping_ MV_GUARDED_BY(mu_) = false;
   bool joined_ MV_GUARDED_BY(mu_) = false;
 
-  // Counters and latency reservoirs.
+  // Counters and latency histograms.
   std::uint64_t accepted_ MV_GUARDED_BY(mu_) = 0;
   std::uint64_t completed_ok_ MV_GUARDED_BY(mu_) = 0;
   std::uint64_t failed_ MV_GUARDED_BY(mu_) = 0;
@@ -183,9 +206,9 @@ class Service {
   std::uint64_t batches_ MV_GUARDED_BY(mu_) = 0;
   std::uint64_t batched_ MV_GUARDED_BY(mu_) = 0;
   std::uint64_t max_batch_ MV_GUARDED_BY(mu_) = 0;
-  std::vector<double> queue_wait_ms_ MV_GUARDED_BY(mu_);
-  std::vector<double> solve_ms_ MV_GUARDED_BY(mu_);
-  std::vector<double> latency_ms_ MV_GUARDED_BY(mu_);
+  LatencyHistogram queue_wait_ms_ MV_GUARDED_BY(mu_);
+  LatencyHistogram solve_ms_ MV_GUARDED_BY(mu_);
+  LatencyHistogram latency_ms_ MV_GUARDED_BY(mu_);
 
   std::vector<std::thread> workers_;
 };

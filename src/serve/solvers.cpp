@@ -20,6 +20,11 @@ namespace multival::serve {
 namespace {
 
 constexpr std::string_view kKeySchema = "serve-v1";
+/// Names the steady-state method behind throughput bodies.  Throughput keys
+/// hash it, so a disk cache written by a build with another method (whose
+/// bodies differ in their low digits) is never served; change it whenever
+/// markov::steady_state's answers change.
+constexpr std::string_view kSteadySolver = "steady-gth";
 
 [[noreturn]] void reject(std::string message, std::string hint = {}) {
   throw InvalidRequest({core::Diagnostic{"MV010", core::Severity::kError,
@@ -227,6 +232,7 @@ Prepared prepare_throughput(const Request& r) {
   }
   Hasher h;
   h.str(kKeySchema);
+  h.str(kSteadySolver);
   h.str("throughput");
   h.str(r.arg);
   hash_append(h, *m);
@@ -239,6 +245,7 @@ Prepared prepare_throughput(const Request& r) {
   // policy, so batches never mix the two.
   Hasher hb;
   hb.str(kKeySchema);
+  hb.str(kSteadySolver);
   hb.str(uniform ? "batch-throughput-uniform" : "batch-throughput");
   hash_append(hb, *m);
   p.batch_key = hb.key();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analyze/bounds.hpp"
+#include "core/report.hpp"
 #include "dse/driver.hpp"
 #include "dse/grid.hpp"
 #include "dse/pareto.hpp"
@@ -410,6 +411,26 @@ TEST(DseDriver, JsonIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(a, b);
   // Timing off really drops the scheduling-dependent fields.
   EXPECT_EQ(a.find("_ms"), std::string::npos);
+}
+
+TEST(DseDriver, SolverBlockIgnoresAFullSolveLog) {
+  // The solver block counts the sweep's own service solves, so a
+  // process-wide solve log already at its cap (a long-lived process after
+  // many sweeps) must not change the JSON.
+  const dse::SweepSpec spec =
+      dse::parse_sweep_spec(dse::builtin_sweep_spec("smoke"));
+  dse::DriverOptions opts;
+  opts.workers = 2;
+  core::clear_solve_log();
+  const std::string fresh = dse::to_json(dse::run_sweep(spec, opts), false);
+  core::clear_solve_log();
+  while (core::solve_log_dropped() == 0) {
+    core::record_solve(core::SolveStat{"filler", {}, 1, 1, 0.0, 0.0});
+  }
+  const dse::SweepResult full = dse::run_sweep(spec, opts);
+  EXPECT_GT(full.solver.solves, 0u);
+  EXPECT_EQ(dse::to_json(full, false), fresh);
+  core::clear_solve_log();
 }
 
 TEST(DseDriver, CsvListsEveryPointInExpansionOrder) {

@@ -2,10 +2,16 @@
 // closed-form results (two-state chains, birth-death chains, Erlang).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/parallel.hpp"
+#include "core/report.hpp"
 #include "markov/absorption.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/sparse.hpp"
@@ -216,6 +222,259 @@ TEST(Steady, ReachabilityProbability) {
 TEST(Steady, EmptyChain) {
   Ctmc c;
   EXPECT_TRUE(steady_state(c).empty());
+}
+
+// --- steady state by elimination --------------------------------------------
+
+/// Birth–death chain 0..n-1 with rates lambda up and mu down.
+Ctmc birth_death_chain(std::size_t n, double lambda, double mu) {
+  Ctmc c;
+  c.add_states(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    c.add_transition(static_cast<MState>(i), static_cast<MState>(i + 1),
+                     lambda);
+    c.add_transition(static_cast<MState>(i + 1), static_cast<MState>(i), mu);
+  }
+  return c;
+}
+
+/// pi_i proportional to rho^i, in long double, rho = lambda / mu exactly.
+std::vector<long double> birth_death_closed_form(std::size_t n, double lambda,
+                                                 double mu) {
+  const long double rho =
+      static_cast<long double>(lambda) / static_cast<long double>(mu);
+  std::vector<long double> pi(n);
+  long double term = 1.0L;
+  long double sum = 0.0L;
+  for (std::size_t i = 0; i < n; ++i) {
+    pi[i] = term;
+    sum += term;
+    term *= rho;
+  }
+  for (long double& p : pi) {
+    p /= sum;
+  }
+  return pi;
+}
+
+/// Largest componentwise relative error of @p pi against @p want, over the
+/// components @p want puts above @p floor (those below must be under it).
+double max_relative_error(const std::vector<double>& pi,
+                          const std::vector<long double>& want,
+                          long double floor = 0.0L) {
+  EXPECT_EQ(pi.size(), want.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < pi.size() && i < want.size(); ++i) {
+    if (want[i] > floor) {
+      worst = std::max(
+          worst, static_cast<double>(
+                     std::fabs(static_cast<long double>(pi[i]) - want[i]) /
+                     want[i]));
+    } else {
+      EXPECT_LE(pi[i], 2.0 * static_cast<double>(floor)) << "state " << i;
+    }
+  }
+  return worst;
+}
+
+void expect_birth_death_closed_form(double rho) {
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{4000}}) {
+    const std::vector<double> pi = steady_state(birth_death_chain(n, rho, 1.0));
+    EXPECT_LE(max_relative_error(pi, birth_death_closed_form(n, rho, 1.0)),
+              1e-12)
+        << "rho " << rho << ", n " << n;
+  }
+}
+
+TEST(Steady, BirthDeathClosedFormRho0_9) {
+  expect_birth_death_closed_form(0.9);
+}
+
+TEST(Steady, BirthDeathClosedFormRho0_999) {
+  expect_birth_death_closed_form(0.999);
+}
+
+TEST(Steady, BirthDeathClosedFormRho1) { expect_birth_death_closed_form(1.0); }
+
+TEST(Steady, BirthDeathClosedFormBeyondTheDoubleRange) {
+  // pi_i = 100^-i (1 - 1/100): back-substitution from the far end meets
+  // 100^399, past the double range, and the smallest values underflow.
+  const std::size_t n = 400;
+  const std::vector<double> pi = steady_state(birth_death_chain(n, 0.01, 1.0));
+  EXPECT_LE(max_relative_error(pi, birth_death_closed_form(n, 0.01, 1.0),
+                               1e-290L),
+            1e-12);
+}
+
+/// A seeded irreducible chain: a random Hamiltonian cycle plus extra edges
+/// (some parallel, some self-loops), rates uniform in [0.5, 2] or, when
+/// @p wide, log-uniform over 1e-6..1e6.
+Ctmc random_irreducible(std::mt19937_64& rng, std::size_t n,
+                        std::size_t extra, bool wide) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto rate = [&] {
+    return wide ? std::pow(10.0, -6.0 + 12.0 * unit(rng))
+                : 0.5 + 1.5 * unit(rng);
+  };
+  std::vector<MState> cycle(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cycle[i] = static_cast<MState>(i);
+  }
+  std::shuffle(cycle.begin(), cycle.end(), rng);
+  Ctmc c;
+  c.add_states(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    c.add_transition(cycle[i], cycle[(i + 1) % n], rate());
+  }
+  std::uniform_int_distribution<std::size_t> state(0, n - 1);
+  for (std::size_t e = 0; e < extra; ++e) {
+    c.add_transition(static_cast<MState>(state(rng)),
+                     static_cast<MState>(state(rng)), rate());
+  }
+  return c;
+}
+
+/// Dense GTH in long double: the reference the sparse solver is held to.
+std::vector<long double> dense_gth(const Ctmc& c) {
+  const std::size_t n = c.num_states();
+  std::vector<long double> q(n * n, 0.0L);
+  for (const RateTransition& t : c.transitions()) {
+    if (t.src != t.dst) {
+      q[t.src * n + t.dst] += t.rate;
+    }
+  }
+  std::vector<long double> s(n, 0.0L);
+  for (std::size_t k = n; k-- > 1;) {
+    for (std::size_t j = 0; j < k; ++j) {
+      s[k] += q[k * n + j];
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      const long double f = q[i * n + k] / s[k];
+      for (std::size_t j = 0; j < k; ++j) {
+        if (j != i) {
+          q[i * n + j] += f * q[k * n + j];
+        }
+      }
+    }
+  }
+  std::vector<long double> pi(n, 0.0L);
+  pi[0] = 1.0L;
+  long double sum = 1.0L;
+  for (std::size_t k = 1; k < n; ++k) {
+    for (std::size_t i = 0; i < k; ++i) {
+      pi[k] += pi[i] * q[i * n + k];
+    }
+    pi[k] /= s[k];
+    sum += pi[k];
+  }
+  for (long double& p : pi) {
+    p /= sum;
+  }
+  return pi;
+}
+
+/// The one steady_state record a solve of an irreducible chain leaves.
+multival::core::SolveStat steady_record(const Ctmc& c,
+                                        std::vector<double>& pi) {
+  multival::core::clear_solve_log();
+  pi = steady_state(c);
+  const std::vector<multival::core::SolveStat> log =
+      multival::core::solve_log();
+  EXPECT_EQ(log.size(), 1u);
+  return log.empty() ? multival::core::SolveStat{} : log.back();
+}
+
+TEST(Steady, MatchesDenseGth) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_int_distribution<std::size_t> size(2, 60);
+  for (int trial = 0; trial < 360; ++trial) {
+    const std::size_t n = size(rng);
+    const Ctmc c = random_irreducible(rng, n, n * (1 + trial % 3),
+                                      /*wide=*/trial % 3 == 0);
+    std::vector<double> pi;
+    const multival::core::SolveStat rec = steady_record(c, pi);
+    EXPECT_EQ(rec.solver, "steady_state[gth]") << "trial " << trial;
+    EXPECT_LE(max_relative_error(pi, dense_gth(c)), 1e-12)
+        << "trial " << trial << ", " << n << " states";
+  }
+}
+
+TEST(Steady, HighFillBsccFallsBack) {
+  // Out-degree 3 at random: elimination fill explodes, so the BSCC is
+  // solved by Gauss–Seidel and recorded with the residual it reached.
+  std::mt19937_64 rng(600);
+  const Ctmc dense = random_irreducible(rng, 600, 2 * 600, /*wide=*/false);
+  std::vector<double> pi;
+  const multival::core::SolveStat rec = steady_record(dense, pi);
+  EXPECT_EQ(rec.solver, "steady_state[gauss-seidel]");
+  EXPECT_GT(rec.iterations, 0u);
+  EXPECT_GT(rec.residual, 0.0);
+  EXPECT_LT(rec.residual, 1e-9);
+  const std::vector<long double> want = dense_gth(dense);
+  for (std::size_t i = 0; i < pi.size(); ++i) {
+    EXPECT_NEAR(pi[i], static_cast<double>(want[i]), 1e-10) << "state " << i;
+  }
+
+  // A hub: each leaf elimination rescans the hub's long row, so the scans
+  // pass the budget although no fill arises.  pi_leaf = pi_hub * a / b.
+  const std::size_t leaves = 2000;
+  Ctmc star;
+  star.add_states(leaves + 1);
+  std::vector<long double> want_star(leaves + 1, 1.0L);
+  long double total = 1.0L;
+  for (std::size_t i = 1; i <= leaves; ++i) {
+    const double a = 0.5 + static_cast<double>(i % 7);
+    const double b = 1.0 + static_cast<double>(i % 5);
+    star.add_transition(0, static_cast<MState>(i), a);
+    star.add_transition(static_cast<MState>(i), 0, b);
+    want_star[i] = static_cast<long double>(a) / b;
+    total += want_star[i];
+  }
+  const multival::core::SolveStat hub = steady_record(star, pi);
+  EXPECT_EQ(hub.solver, "steady_state[gauss-seidel]");
+  for (std::size_t i = 0; i <= leaves; ++i) {
+    EXPECT_NEAR(pi[i], static_cast<double>(want_star[i] / total), 1e-10)
+        << "state " << i;
+  }
+
+  // A low-fill chain is eliminated: no sweeps, a residual at rounding level.
+  const multival::core::SolveStat low =
+      steady_record(birth_death_chain(1000, 0.9, 1.0), pi);
+  EXPECT_EQ(low.solver, "steady_state[gth]");
+  EXPECT_EQ(low.iterations, 0u);
+  EXPECT_LT(low.residual, 1e-13);
+}
+
+TEST(Steady, EliminationIsDeterministic) {
+  // A 15x15 grid with random rates: enough fill that the elimination
+  // order matters, little enough to stay under the budget.
+  std::mt19937_64 rng(15);
+  std::uniform_real_distribution<double> rate(0.5, 2.0);
+  const std::size_t w = 15;
+  Ctmc c;
+  c.add_states(w * w);
+  for (std::size_t r = 0; r < w; ++r) {
+    for (std::size_t col = 0; col < w; ++col) {
+      const auto s = static_cast<MState>(r * w + col);
+      if (col + 1 < w) {
+        c.add_transition(s, s + 1, rate(rng));
+        c.add_transition(s + 1, s, rate(rng));
+      }
+      if (r + 1 < w) {
+        c.add_transition(s, static_cast<MState>(s + w), rate(rng));
+        c.add_transition(static_cast<MState>(s + w), s, rate(rng));
+      }
+    }
+  }
+  std::vector<double> first;
+  std::vector<double> second;
+  EXPECT_EQ(steady_record(c, first).solver, "steady_state[gth]");
+  EXPECT_EQ(steady_record(c, second).solver, "steady_state[gth]");
+  ASSERT_EQ(first.size(), second.size());
+  EXPECT_EQ(std::memcmp(first.data(), second.data(),
+                        first.size() * sizeof(double)),
+            0);
+  EXPECT_LE(max_relative_error(first, dense_gth(c)), 1e-12);
 }
 
 // --- rewards & throughput ----------------------------------------------------------

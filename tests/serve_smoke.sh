@@ -1,7 +1,8 @@
 #!/bin/sh
 # Socket smoke test for `multival_cli serve` / `multival_cli client`:
 # start a server, solve, solve the same model again (cache hit), read the
-# stats table, then shut the server down and check it exits cleanly.
+# stats table and the stats JSON, then shut the server down and check it
+# exits cleanly.
 # The pass runs twice — once over a Unix-domain socket, once over TCP on
 # an ephemeral port — and asserts both transports serve byte-identical
 # bodies for the same model.
@@ -48,6 +49,9 @@ run_pass() {
   printf '%s\n' "$FIRST" > "$OUT"
 
   "$CLI" client --socket "$EP" stats | grep -q "cache hits"
+  # The one solve ran on a worker, so it is counted in the service's
+  # solver totals.
+  "$CLI" client --socket "$EP" stats --json | grep -q '"solver":{"solves":1,'
 
   "$CLI" client --socket "$EP" shutdown | grep -q bye
   wait "$SERVER_PID"

@@ -16,7 +16,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <ctime>
 #include <fstream>
 #include <semaphore>
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/report.hpp"
 #include "lts/lts_io.hpp"
 #include "serve/cache.hpp"
 #include "serve/hash.hpp"
@@ -123,6 +126,15 @@ TEST(ServeHash, ImcRequestKeyIsPinned) {
   const serve::Request r = make_request(serve::Verb::kReach, kCtmcModel);
   EXPECT_EQ(serve::prepare_request(r).key.hex(),
             "347535c3e15653cbb766e46fd839cdc4");
+}
+
+TEST(ServeHash, ThroughputRequestKeyIsPinned) {
+  // Throughput keys also name the steady-state method, so a cache written
+  // by a build with another method is never served; this pins that token.
+  const serve::Request r =
+      make_request(serve::Verb::kThroughput, kCtmcModel, "STEP*");
+  EXPECT_EQ(serve::prepare_request(r).key.hex(),
+            "45de58ac5a4f3476fc125a315178d29d");
 }
 
 TEST(ServeHash, HexIsStable) {
@@ -355,6 +367,53 @@ TEST(ServeService, ThroughputMatchesDirectSolveBitwise) {
       make_request(serve::Verb::kThroughput, model, "STEP*"));
 }
 
+// --- latency histograms ---------------------------------------------------
+
+/// Width of one histogram bucket relative to its lower edge.
+constexpr double kBucketWidth = 0.04427;  // 2^(1/16) - 1, rounded up
+
+/// The sample percentile the service reports: rank ceil(q·(n − 1)).
+double exact_percentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return samples[static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(samples.size() - 1)))];
+}
+
+TEST(ServeHistogram, PercentilesLieWithinOneBucketOfTheSamples) {
+  serve::LatencyHistogram h;
+  EXPECT_EQ(h.percentile(0.5), 0.0);
+  std::vector<double> samples;
+  for (int i = 1; i <= 2000; ++i) {
+    // 0.01 ms .. ~5 s, unevenly spread.
+    samples.push_back(0.01 * std::pow(1.0032, i * 1.23) + 0.003 * (i % 7));
+  }
+  for (const double ms : samples) {
+    h.add(ms);
+  }
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    const double want = exact_percentile(samples, q);
+    EXPECT_NEAR(h.percentile(q), want, want * kBucketWidth) << "q " << q;
+  }
+  // Sub-microsecond samples (cache hits) read as 0.
+  serve::LatencyHistogram fast;
+  fast.add(0.0);
+  fast.add(-1.0);
+  EXPECT_EQ(fast.percentile(0.99), 0.0);
+}
+
+TEST(ServeHistogram, PercentilesFollowNewSamplesWithoutACap) {
+  // Past 2^16 samples the percentiles still follow what comes in.
+  serve::LatencyHistogram h;
+  for (int i = 0; i < 70000; ++i) {
+    h.add(1.0);
+  }
+  EXPECT_NEAR(h.percentile(0.5), 1.0, kBucketWidth);
+  for (int i = 0; i < 70001; ++i) {
+    h.add(40.0);
+  }
+  EXPECT_NEAR(h.percentile(0.5), 40.0, 40.0 * kBucketWidth);
+}
+
 // --- service: cache, coalescing, backpressure, deadlines -----------------
 
 TEST(ServeService, SecondIdenticalRequestHitsTheCache) {
@@ -417,6 +476,40 @@ TEST(ServeService, ConcurrentIdenticalRequestsCoalesceIntoOneSolve) {
   EXPECT_EQ(m.solves, 1u);
   EXPECT_EQ(m.coalesced, static_cast<std::uint64_t>(kDuplicates - 1));
   EXPECT_EQ(m.cache_hits, 0u);
+}
+
+// Solves run by the workers fold into the service's solver totals and
+// leave the process-wide solve log alone.  This test runs under TSan in CI.
+TEST(ServeService, ConcurrentSolvesFoldIntoTheServiceSolverTotals) {
+  constexpr int kModels = 16;
+  core::clear_solve_log();
+  serve::ServiceOptions opts;
+  opts.workers = 2;
+  serve::Service service(opts);
+  std::vector<std::shared_future<serve::Response>> futures;
+  for (int i = 0; i < kModels; ++i) {
+    // Distinct ergodic models: one steady-state solve each.
+    const std::string model = "des (0, 3, 3)\n(0, \"rate " +
+                              std::to_string(i + 1) +
+                              ".0\", 1)\n(1, \"STEP; rate 2.0\", 2)\n"
+                              "(2, \"rate 3.0\", 0)\n";
+    futures.push_back(service.submit(make_request(
+        serve::Verb::kThroughput, model, "STEP*",
+        static_cast<std::uint64_t>(i + 1))));
+  }
+  for (auto& f : futures) {
+    const serve::Response resp = f.get();
+    EXPECT_EQ(resp.status, serve::Status::kOk) << resp.body;
+  }
+  const serve::ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.solves, static_cast<std::uint64_t>(kModels));
+  EXPECT_EQ(m.solver.solves, static_cast<std::size_t>(kModels));
+  EXPECT_EQ(m.solver.iterations, 0u);  // every chain is eliminated
+  EXPECT_LT(m.solver.max_residual, 1e-12);
+  EXPECT_NE(m.to_json().find("\"solver\":{\"solves\":16,"),
+            std::string::npos)
+      << m.to_json();
+  EXPECT_TRUE(core::solve_log().empty());
 }
 
 // Saturation stress: a single blocked worker, a two-slot queue and a flood
