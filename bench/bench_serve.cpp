@@ -21,7 +21,7 @@
 //
 // Reported (and written to --json): throughput, client-observed latency
 // p50/p99, shed rate, routing locality, failover/transport-error counts,
-// and the fleet-summed cache/coalescing/batching counters.
+// and the fleet-summed cache/coalescing counters.
 //
 // Flags: --replicas N  --clients M (processes)  --requests N (per client)
 //        --dup R (0..1)  --workers N (per replica)  --tcp
@@ -409,9 +409,6 @@ int main(int argc, char** argv) {
     m.cache_hits += r.cache_hits;
     m.solves += r.solves;
     m.solve_errors += r.solve_errors;
-    m.batches += r.batches;
-    m.batched += r.batched;
-    m.max_batch = std::max(m.max_batch, r.max_batch);
   }
   const double locality =
       agg.primary + agg.failover == 0
@@ -450,8 +447,6 @@ int main(int argc, char** argv) {
   t.add_row({"cache hit rate",
              core::fmt(static_cast<double>(m.cache_hits + m.coalesced) /
                            static_cast<double>(total), 3)});
-  t.add_row({"batches / flights batched", std::to_string(m.batches) + " / " +
-                                              std::to_string(m.batched)});
   t.print(std::cout);
   for (std::size_t rep = 0; rep < per_replica.size(); ++rep) {
     std::cout << "\nreplica " << rep << " (" << endpoints[rep] << "):\n";
@@ -488,9 +483,6 @@ int main(int argc, char** argv) {
        << "  \"solves\": " << m.solves << ",\n"
        << "  \"coalesced\": " << m.coalesced << ",\n"
        << "  \"cache_hits\": " << m.cache_hits << ",\n"
-       << "  \"batches\": " << m.batches << ",\n"
-       << "  \"flights_batched\": " << m.batched << ",\n"
-       << "  \"max_batch\": " << m.max_batch << ",\n"
        << "  \"failures\": " << (agg.failures + worker_failures) << ",\n"
        << "  \"mismatches\": " << agg.mismatches << "\n"
        << "}\n";

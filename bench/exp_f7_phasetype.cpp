@@ -160,10 +160,7 @@ int main() {
     const imc::Imc m =
         multival::core::decorate_with_phase_type(scenario, delays);
     const auto closed = multival::core::close_model(m);
-    std::vector<bool> done(closed.ctmc.num_states(), false);
-    for (std::size_t st = 0; st < closed.ctmc.num_states(); ++st) {
-      done[st] = closed.ctmc.is_absorbing(static_cast<markov::MState>(st));
-    }
+    const std::vector<bool> done = markov::absorbing_states(closed.ctmc);
     c.add_row(
         {std::to_string(k), std::to_string(closed.ctmc.num_states()),
          fmt(markov::expected_absorption_time_from_initial(closed.ctmc)),

@@ -53,6 +53,7 @@
 //       (--lint is the default: MV030-033 structural checks, zero states;
 //        --compile prints the lowered proc program; --solve runs the
 //        steady-state throughput probe, plus burst latency with --items)
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -400,11 +401,8 @@ int cmd_solve(const std::string& path, bool stats, bool lump) {
   const core::ClosedModel closed = core::close_model(m);
   std::cout << "closed CTMC: " << closed.ctmc.num_states() << " states\n";
 
-  bool has_absorbing = false;
-  for (markov::MState s = 0; s < closed.ctmc.num_states(); ++s) {
-    has_absorbing = has_absorbing || closed.ctmc.is_absorbing(s);
-  }
-  if (has_absorbing) {
+  const std::vector<bool> absorbing = markov::absorbing_states(closed.ctmc);
+  if (std::find(absorbing.begin(), absorbing.end(), true) != absorbing.end()) {
     std::cout << "expected time to absorption: "
               << markov::expected_absorption_time_from_initial(closed.ctmc)
               << "\n";

@@ -473,9 +473,8 @@ struct WidenRec {
 
 class IntervalFixpoint {
  public:
-  IntervalFixpoint(const proc::Program& prog, const BoundOptions& opts,
-                   AnalysisStats* stats)
-      : prog_(prog), opts_(opts), stats_(stats) {}
+  IntervalFixpoint(const proc::Program& prog, AnalysisStats* stats)
+      : prog_(prog), stats_(stats) {}
 
   void run(const TermPtr& root) {
     bool changed = true;
@@ -582,6 +581,13 @@ class IntervalFixpoint {
     }
   }
 
+  // Unstable joins tolerated per definition parameter *per direction*
+  // before that direction is widened to infinity.  12 clears the guard
+  // constants of every in-tree model (queue capacities <= 8, counter
+  // guards < 10), so guard-bounded counters converge exactly; raising it
+  // trades fixpoint passes for exactness on larger constants.
+  static constexpr std::size_t kWidenAfter = 12;
+
   bool apply(const Contribution& c) {
     const std::string& callee = c.site->callee();
     if (!prog_.has_definition(callee)) {
@@ -608,11 +614,11 @@ class IntervalFixpoint {
       if (nj == cur[i]) {
         continue;
       }
-      if (nj.lo < cur[i].lo && ++lo_ticks_[callee][i] > opts_.widen_after) {
+      if (nj.lo < cur[i].lo && ++lo_ticks_[callee][i] > kWidenAfter) {
         nj.lo = kNegInf;
         record_widen(callee, d, i, c);
       }
-      if (nj.hi > cur[i].hi && ++hi_ticks_[callee][i] > opts_.widen_after) {
+      if (nj.hi > cur[i].hi && ++hi_ticks_[callee][i] > kWidenAfter) {
         nj.hi = kPosInf;
         record_widen(callee, d, i, c);
       }
@@ -644,7 +650,6 @@ class IntervalFixpoint {
   }
 
   const proc::Program& prog_;
-  const BoundOptions& opts_;
   AnalysisStats* stats_;
   std::string caller_;
   std::map<std::string, std::vector<Interval>> params_;
@@ -1075,7 +1080,7 @@ BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
   }
   BoundReport r;
 
-  IntervalFixpoint fix(program, opts, &r.stats);
+  IntervalFixpoint fix(program, &r.stats);
   fix.run(root);
   r.stats.definitions = fix.params().size();
 

@@ -116,12 +116,6 @@ struct BoundOptions {
   /// exceeds this many states; 0 disables the check (MV040/MV041 still
   /// report).
   std::uint64_t component_budget = 0;
-  /// Unstable joins tolerated per definition parameter *per direction*
-  /// before that direction is widened to infinity.  The default clears the
-  /// guard constants of every in-tree model (queue capacities <= 8, counter
-  /// guards < 10), so guard-bounded counters converge exactly; raising it
-  /// trades fixpoint passes for exactness on larger constants.
-  std::size_t widen_after = 12;
   /// Gates the caller already knows can never fire (e.g. the sync context
   /// of an enclosing composition a component was cut out of).
   GateSet blocked;

@@ -302,6 +302,10 @@ struct StaticSkip {
   std::vector<std::uint64_t> component_bounds;
 };
 
+// The merge score's weights w_sync and w_hide (see plan.hpp's header).
+constexpr double kSyncWeight = 1.0;
+constexpr double kHideWeight = 0.5;
+
 Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
                 const PlanOptions& opts) {
   const std::map<std::string, GateSet> defs = analyze::alphabets(*program);
@@ -390,8 +394,8 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
             newly_hideable(flat.hide_scopes, hidden, members).size();
         const double denom = uni.empty() ? 1.0 : double(uni.size());
         const double score =
-            (opts.sync_weight * double(inter.size()) +
-             opts.hide_weight * double(hideable)) /
+            (kSyncWeight * double(inter.size()) +
+             kHideWeight * double(hideable)) /
             denom;
         // Equal scores are common (symmetric components): break the tie
         // towards the pair with the smaller predicted product, so the

@@ -57,9 +57,6 @@ enum class Strategy {
 struct PlanOptions {
   /// Equivalence of the per-join and final minimisation points.
   bisim::Equivalence equivalence = bisim::Equivalence::kDivergenceBranching;
-  /// Heuristic weights (see file header).
-  double sync_weight = 1.0;
-  double hide_weight = 0.5;
   /// State cap per intermediate product.
   std::size_t max_states = 1u << 22;
   /// Tighter cap on *standalone component* generation.  A component whose

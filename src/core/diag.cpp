@@ -2,10 +2,8 @@
 
 namespace multival::core {
 
-namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
+std::string json_string(std::string_view s) {
+  std::string out = "\"";
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -20,6 +18,9 @@ void append_json_string(std::string& out, std::string_view s) {
       case '\t':
         out += "\\t";
         break;
+      case '\r':
+        out += "\\r";
+        break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           static const char* hex = "0123456789abcdef";
@@ -32,9 +33,8 @@ void append_json_string(std::string& out, std::string_view s) {
     }
   }
   out += '"';
+  return out;
 }
-
-}  // namespace
 
 std::string_view to_string(Severity s) {
   switch (s) {
@@ -76,18 +76,13 @@ std::string Diagnostic::to_text() const {
 }
 
 std::string Diagnostic::to_json() const {
-  std::string out = "{\"code\":";
-  append_json_string(out, code);
-  out += ",\"severity\":";
-  append_json_string(out, to_string(severity));
-  out += ",\"message\":";
-  append_json_string(out, message);
-  out += ",\"path\":";
-  append_json_string(out, path);
+  std::string out = "{\"code\":" + json_string(code);
+  out += ",\"severity\":" + json_string(to_string(severity));
+  out += ",\"message\":" + json_string(message);
+  out += ",\"path\":" + json_string(path);
   out += ",\"line\":" + std::to_string(line);
   out += ",\"column\":" + std::to_string(column);
-  out += ",\"hint\":";
-  append_json_string(out, hint);
+  out += ",\"hint\":" + json_string(hint);
   out += '}';
   return out;
 }

@@ -44,6 +44,11 @@ struct Diagnostic {
 /// Renders a JSON array of diagnostic objects.
 [[nodiscard]] std::string render_json(std::span<const Diagnostic> diags);
 
+/// @p s as a quoted JSON string: '"', '\\', newline, tab and carriage
+/// return get their two-character escapes, every other byte below 0x20 is
+/// written as \u00XX, and all other bytes (UTF-8 included) pass through.
+[[nodiscard]] std::string json_string(std::string_view s);
+
 /// True if any diagnostic has severity kError.
 [[nodiscard]] bool has_errors(std::span<const Diagnostic> diags);
 

@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "analyze/analyze.hpp"
+#include "core/diag.hpp"
 #include "core/parallel.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -147,39 +148,6 @@ void dispatch_socket(const DriverOptions& options, std::vector<Slot>& slots,
 
 // ---- rendering --------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_number(double v) {
   if (!std::isfinite(v)) {
     return "\"" + serve::format_double(v) + "\"";  // inf/nan are not JSON
@@ -194,7 +162,7 @@ std::string json_axis_value(const AxisValue& v) {
   if (const double* d = std::get_if<double>(&v)) {
     return json_number(*d);
   }
-  return "\"" + json_escape(std::get<std::string>(v)) + "\"";
+  return core::json_string(std::get<std::string>(v));
 }
 
 }  // namespace
@@ -345,11 +313,11 @@ SweepResult run_sweep(const SweepSpec& spec, const DriverOptions& options) {
 std::string to_json(const SweepResult& r, bool include_timing) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"sweep\": \"" << json_escape(r.name) << "\",\n";
+  os << "  \"sweep\": " << core::json_string(r.name) << ",\n";
   os << "  \"objectives\": [";
   for (std::size_t i = 0; i < r.objectives.size(); ++i) {
-    os << (i != 0 ? ", " : "") << "{\"metric\": \""
-       << json_escape(r.objectives[i].metric) << "\", \"direction\": \""
+    os << (i != 0 ? ", " : "") << "{\"metric\": "
+       << core::json_string(r.objectives[i].metric) << ", \"direction\": \""
        << (r.objectives[i].maximise ? "max" : "min") << "\"}";
   }
   os << "],\n";
@@ -360,21 +328,21 @@ std::string to_json(const SweepResult& r, bool include_timing) {
   os << "  \"probes_submitted\": " << r.probes_submitted << ",\n";
   os << "  \"front\": [";
   for (std::size_t i = 0; i < r.front.size(); ++i) {
-    os << (i != 0 ? ", " : "") << "\"" << json_escape(r.front[i]) << "\"";
+    os << (i != 0 ? ", " : "") << core::json_string(r.front[i]);
   }
   os << "],\n";
   os << "  \"points\": [";
   for (std::size_t i = 0; i < r.points.size(); ++i) {
     const PointResult& p = r.points[i];
-    os << (i != 0 ? "," : "") << "\n    {\"id\": \""
-       << json_escape(p.point.id) << "\", \"family\": \""
-       << json_escape(p.point.family) << "\", \"status\": \"" << p.status
+    os << (i != 0 ? "," : "") << "\n    {\"id\": "
+       << core::json_string(p.point.id) << ", \"family\": "
+       << core::json_string(p.point.family) << ", \"status\": \"" << p.status
        << "\", \"rank\": " << p.rank << ", \"model_states\": "
        << p.model_states << ",\n     \"axes\": {";
     bool first = true;
     for (const std::string& axis : p.point.axis_order) {
-      os << (first ? "" : ", ") << "\"" << json_escape(axis)
-         << "\": " << json_axis_value(p.point.axes.at(axis));
+      os << (first ? "" : ", ") << core::json_string(axis) << ": "
+         << json_axis_value(p.point.axes.at(axis));
       first = false;
     }
     os << "},\n     \"metrics\": {\"latency\": " << json_number(
@@ -386,8 +354,7 @@ std::string to_json(const SweepResult& r, bool include_timing) {
     if (!p.gate_errors.empty()) {
       os << "     \"gate_errors\": [";
       for (std::size_t g = 0; g < p.gate_errors.size(); ++g) {
-        os << (g != 0 ? ", " : "") << "\"" << json_escape(p.gate_errors[g])
-           << "\"";
+        os << (g != 0 ? ", " : "") << core::json_string(p.gate_errors[g]);
       }
       os << "],\n";
     }

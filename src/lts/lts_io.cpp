@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -46,9 +47,14 @@ std::uint64_t parse_number(const std::string& s, std::size_t& i) {
   if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
     malformed(s);
   }
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t v = 0;
   while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-    v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
+    const auto d = static_cast<std::uint64_t>(s[i] - '0');
+    if (v > (kMax - d) / 10) {
+      malformed(s);  // would wrap past 64 bits
+    }
+    v = v * 10 + d;
     ++i;
   }
   return v;
@@ -116,6 +122,10 @@ Lts read_aut(std::istream& is) {
   const std::uint64_t nstates = parse_number(line, i);
   expect(line, i, ')');
 
+  // kNoState is a sentinel, so ids run below it.
+  if (nstates > kNoState) {
+    throw std::runtime_error("read_aut: state count out of range");
+  }
   Lts l;
   l.add_states(nstates);
   if (initial >= nstates) {

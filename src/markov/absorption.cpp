@@ -10,19 +10,13 @@
 
 namespace multival::markov {
 
-namespace {
-
-std::vector<bool> absorbing_set(const Ctmc& c) {
-  // One pass over the transitions instead of is_absorbing per state
-  // (which rescans the whole transition list each call).
+std::vector<bool> absorbing_states(const Ctmc& c) {
   std::vector<bool> absorbing(c.num_states(), true);
   for (const RateTransition& t : c.transitions()) {
     absorbing[t.src] = false;
   }
   return absorbing;
 }
-
-}  // namespace
 
 std::vector<double> expected_gain_to_absorption(const Ctmc& c,
                                                std::span<const double> gain,
@@ -31,7 +25,7 @@ std::vector<double> expected_gain_to_absorption(const Ctmc& c,
   const std::size_t n = c.num_states();
   interval::Solve solve(solver, interval::Quantity::kTime, opts);
   const std::vector<double> exits = c.exit_rates();
-  const std::vector<bool> absorbing = absorbing_set(c);
+  const std::vector<bool> absorbing = absorbing_states(c);
   // Exact graph-based divergence classification: a state has a finite
   // value iff it absorbs almost surely, i.e. iff it cannot reach a bottom
   // SCC that is not an absorbing singleton.  No numeric probability
@@ -146,7 +140,7 @@ std::vector<double> mean_first_passage_time(const Ctmc& c,
 
 
 double absorption_probability_by(const Ctmc& c, double t, double epsilon) {
-  return transient_probability(c, absorbing_set(c), t, epsilon);
+  return transient_probability(c, absorbing_states(c), t, epsilon);
 }
 
 double absorption_time_quantile(const Ctmc& c, double q, double max_horizon) {
@@ -157,7 +151,7 @@ double absorption_time_quantile(const Ctmc& c, double q, double max_horizon) {
   // Bracket the quantile by doubling, then bisect.  The absorbing set is
   // computed once and every probe reuses the chain's cached uniformised
   // DTMC; only the Poisson weights differ per probe.
-  const std::vector<bool> absorbing = absorbing_set(c);
+  const std::vector<bool> absorbing = absorbing_states(c);
   const auto probe = [&](double horizon) {
     return transient_probability(c, absorbing, horizon, 1e-12);
   };

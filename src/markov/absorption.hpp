@@ -14,6 +14,10 @@ namespace multival::markov {
 
 inline constexpr double kInfiniteTime = std::numeric_limits<double>::infinity();
 
+/// The states with no outgoing transition, in one pass over the
+/// transitions.
+[[nodiscard]] std::vector<bool> absorbing_states(const Ctmc& c);
+
 /// Expected time, from each state, until reaching an absorbing state
 /// (no outgoing transitions).  States that do not absorb almost surely get
 /// kInfiniteTime.

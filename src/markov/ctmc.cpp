@@ -48,7 +48,6 @@ Ctmc& Ctmc::operator=(Ctmc&& other) noexcept {
 
 void Ctmc::invalidate_cache() {
   const core::MutexLock lock(cache_mutex_);
-  cache_.rate.reset();
   cache_.uniformized.reset();
   cache_.lambda = 0.0;
   cache_.factor = 0.0;
@@ -127,20 +126,6 @@ std::vector<double> Ctmc::exit_rates() const {
   return e;
 }
 
-const SparseMatrix& Ctmc::rate_matrix() const {
-  const core::MutexLock lock(cache_mutex_);
-  if (!cache_.rate) {
-    std::vector<Triplet> ts;
-    ts.reserve(transitions_.size());
-    for (const RateTransition& t : transitions_) {
-      ts.push_back(Triplet{t.src, t.dst, t.rate});
-    }
-    cache_.rate = std::make_unique<const SparseMatrix>(
-        SparseMatrix::from_triplets(num_states_, num_states_, std::move(ts)));
-  }
-  return *cache_.rate;
-}
-
 const SparseMatrix& Ctmc::uniformized_dtmc(double& lambda_out,
                                            double factor) const {
   const core::MutexLock lock(cache_mutex_);
@@ -170,16 +155,6 @@ const SparseMatrix& Ctmc::uniformized_dtmc(double& lambda_out,
   }
   lambda_out = cache_.lambda;
   return *cache_.uniformized;
-}
-
-bool Ctmc::is_absorbing(MState s) const {
-  check_state(s, "is_absorbing");
-  for (const RateTransition& t : transitions_) {
-    if (t.src == s) {
-      return false;
-    }
-  }
-  return true;
 }
 
 double expected_reward(std::span<const double> pi,

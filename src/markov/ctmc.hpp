@@ -53,19 +53,13 @@ class Ctmc {
   /// Total outgoing rate of each state.
   [[nodiscard]] std::vector<double> exit_rates() const;
 
-  /// Rate matrix R (R[s][t] = sum of rates s->t), as CSR.  Built on first
-  /// use and cached; the reference stays valid until the chain is mutated.
-  [[nodiscard]] const SparseMatrix& rate_matrix() const;
-
   /// Uniformised DTMC P = I + Q/lambda with lambda = factor * max exit rate
   /// (at least kMinLambda); returns P and stores lambda in @p lambda_out.
-  /// Cached per @p factor like rate_matrix(), so repeated transient solves
-  /// (e.g. quantile bisection) do not rebuild the triplets.
+  /// Built on first use and cached per @p factor, so repeated transient
+  /// solves (e.g. quantile bisection) do not rebuild the triplets; the
+  /// reference stays valid until the chain is mutated.
   [[nodiscard]] const SparseMatrix& uniformized_dtmc(double& lambda_out,
                                                      double factor = 1.02) const;
-
-  /// True if @p s has no outgoing transition.
-  [[nodiscard]] bool is_absorbing(MState s) const;
 
  private:
   void check_state(MState s, const char* what) const;
@@ -80,7 +74,6 @@ class Ctmc {
   // on demand); mutation invalidates it.  Guarded so concurrent *solves*
   // on one const chain are safe; concurrent mutation is not (as before).
   struct MatrixCache {
-    std::unique_ptr<const SparseMatrix> rate;
     std::unique_ptr<const SparseMatrix> uniformized;
     double lambda = 0.0;
     double factor = 0.0;

@@ -754,8 +754,12 @@ class Generator {
     return s;
   }
 
+  // Bound on sequential unfolding (guards/choices/calls) when computing the
+  // transitions of a single state.
+  static constexpr std::size_t kMaxUnfoldDepth = 2048;
+
   void bump(std::size_t depth) const {
-    if (depth > options_.max_unfold_depth) {
+    if (depth > kMaxUnfoldDepth) {
       throw UnguardedRecursion(
           "generate: unfolding depth exceeded (unguarded recursion?)");
     }

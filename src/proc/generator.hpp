@@ -42,15 +42,14 @@ struct GenerateOptions {
   /// Hard cap on the number of distinct states; exceeded -> throws
   /// StateSpaceLimit.
   std::size_t max_states = 1u << 22;
-  /// Bound on sequential unfolding (guards/choices/calls) when computing the
-  /// transitions of a single state; exceeded -> throws UnguardedRecursion.
-  std::size_t max_unfold_depth = 2048;
 };
 
 /// Thrown when the state space exceeds GenerateOptions::max_states.
 using StateSpaceLimit = lts::StateSpaceLimit;
 
-/// Thrown on (probable) unguarded recursion, e.g. P := P [] a;Q.
+/// Thrown on (probable) unguarded recursion, e.g. P := P [] a;Q: computing
+/// one state's transitions unfolded guards, choices and calls more than
+/// 2048 levels deep.
 struct UnguardedRecursion : std::runtime_error {
   using std::runtime_error::runtime_error;
 };

@@ -7,13 +7,17 @@
 
 namespace multival::serve {
 
+namespace {
+
+// Virtual ring points per replica; more points = smoother key spread.
+constexpr unsigned kVnodes = 64;
+
+}  // namespace
+
 Router::Router(std::vector<std::string> endpoints, RouterOptions opts)
     : opts_(opts), endpoints_(std::move(endpoints)) {
   if (endpoints_.empty()) {
     throw std::runtime_error("serve router: no replica endpoints");
-  }
-  if (opts_.vnodes == 0) {
-    throw std::runtime_error("serve router: vnodes must be >= 1");
   }
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
     for (std::size_t j = i + 1; j < endpoints_.size(); ++j) {
@@ -23,9 +27,9 @@ Router::Router(std::vector<std::string> endpoints, RouterOptions opts)
       }
     }
   }
-  ring_.reserve(endpoints_.size() * opts_.vnodes);
+  ring_.reserve(endpoints_.size() * kVnodes);
   for (std::size_t r = 0; r < endpoints_.size(); ++r) {
-    for (unsigned v = 0; v < opts_.vnodes; ++v) {
+    for (unsigned v = 0; v < kVnodes; ++v) {
       Hasher h;
       h.str("ring-v1");
       h.str(endpoints_[r]);

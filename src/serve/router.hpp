@@ -1,7 +1,7 @@
 // Consistent-hash routing across serve replicas.
 //
 // A Router owns a hash ring built from the replica endpoint strings (each
-// replica contributes Options::vnodes virtual points, hashed with the same
+// replica contributes 64 virtual points, hashed with the same
 // canonical Hasher the cache keys use).  A request's 128-bit content
 // CacheKey maps to a ring position; the owning replica is the first ring
 // node at or clockwise after that position.  Identical models therefore
@@ -36,8 +36,6 @@
 namespace multival::serve {
 
 struct RouterOptions {
-  /// Virtual ring points per replica; more points = smoother key spread.
-  unsigned vnodes = 64;
   /// How long a replica stays out of the rotation after a failure.
   std::chrono::milliseconds down_cooldown{2000};
 };

@@ -31,6 +31,9 @@ using Clock = std::chrono::steady_clock;
 constexpr std::chrono::milliseconds kReceiveGrace{10000};
 constexpr std::chrono::milliseconds kReceiveCeiling{60000};
 
+// Pending connections the kernel holds for accept().
+constexpr int kListenBacklog = 64;
+
 // sockaddr_un::sun_path is ~108 bytes; a longer path cannot be bound.
 sockaddr_un make_unix_address(const std::string& path) {
   sockaddr_un addr{};
@@ -131,7 +134,7 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
     ::unlink(bound_.path.c_str());  // stale socket from a previous run
     if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
                sizeof addr) != 0 ||
-        ::listen(listen_fd_, opts_.listen_backlog) != 0) {
+        ::listen(listen_fd_, kListenBacklog) != 0) {
       const std::string err = std::system_category().message(errno);
       ::close(listen_fd_);
       listen_fd_ = -1;
@@ -149,7 +152,7 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
                        sizeof one);
     if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
                sizeof addr) != 0 ||
-        ::listen(listen_fd_, opts_.listen_backlog) != 0) {
+        ::listen(listen_fd_, kListenBacklog) != 0) {
       const std::string err = std::system_category().message(errno);
       ::close(listen_fd_);
       listen_fd_ = -1;

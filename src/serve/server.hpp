@@ -55,7 +55,6 @@ struct ServerOptions {
   /// is unlinked and re-bound on start; TCP binds with SO_REUSEADDR.
   std::string endpoint;
   ServiceOptions service;
-  int listen_backlog = 64;
 };
 
 class Server {

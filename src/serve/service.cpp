@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/diag.hpp"
@@ -69,9 +68,6 @@ core::Table ServiceMetrics::to_table() const {
   t.add_row({"cache hits", std::to_string(cache_hits)});
   t.add_row({"solves", std::to_string(solves)});
   t.add_row({"solve errors", std::to_string(solve_errors)});
-  t.add_row({"batches / flights batched", std::to_string(batches) + " / " +
-                                              std::to_string(batched)});
-  t.add_row({"max batch size", std::to_string(max_batch)});
   const std::uint64_t keyed = cache_hits + coalesced + solves;
   t.add_row({"cache hit rate",
              keyed == 0 ? "n/a"
@@ -126,9 +122,6 @@ std::string ServiceMetrics::to_json() const {
   u64("cache_hits", cache_hits);
   u64("solves", solves);
   u64("solve_errors", solve_errors);
-  u64("batches", batches);
-  u64("batched", batched);
-  u64("max_batch", max_batch);
   ms("queue_wait_p50_ms", queue_wait_p50_ms);
   ms("queue_wait_p99_ms", queue_wait_p99_ms);
   ms("solve_p50_ms", solve_p50_ms);
@@ -280,9 +273,6 @@ void Service::submit_async(Request r, std::function<void(Response)> done) {
       auto flight = std::make_shared<Flight>();
       flight->key = prepared.key;
       flight->run = std::move(prepared.run);
-      flight->batch_key = prepared.batch_key;
-      flight->setup = std::move(prepared.setup);
-      flight->run_shared = std::move(prepared.run_shared);
       flight->waiters.push_back(Waiter{r.id, now, deadline, std::move(done)});
       in_flight_.emplace(prepared.key, flight);
       queue_.push_back(std::move(flight));
@@ -311,10 +301,7 @@ Response Service::evaluate(const Request& r) {
 void Service::worker_loop() {
   const core::SolveSink::Scope solves_to_sink(solve_sink_);
   for (;;) {
-    // Dequeue one flight; if it is batchable, sweep the queue for every
-    // other flight of the same batch (same model, same verb family) so the
-    // shared per-model state is built once for the whole group.
-    std::vector<FlightPtr> group;
+    FlightPtr flight;
     {
       core::MutexLock lock(mu_);
       cv_.wait(mu_, [this]() MV_REQUIRES(mu_) {
@@ -326,130 +313,87 @@ void Service::worker_loop() {
         }
         continue;
       }
-      group.push_back(queue_.front());
+      flight = std::move(queue_.front());
       queue_.pop_front();
-      const CacheKey batch_key = group.front()->batch_key;
-      if (batch_key != CacheKey{} && opts_.max_batch > 1) {
-        for (auto it = queue_.begin();
-             it != queue_.end() && group.size() < opts_.max_batch;) {
-          if ((*it)->batch_key == batch_key) {
-            group.push_back(*it);
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
     }
     if (opts_.pre_solve_hook) {
-      for (const FlightPtr& flight : group) {
-        opts_.pre_solve_hook(flight->key);
-      }
+      opts_.pre_solve_hook(flight->key);
     }
 
     // Deadline check at solve start: expired waiters get kTimeout; a flight
-    // with no live waiter left is dropped from the group (shed work, not
-    // just shed queueing).
+    // with no live waiter left is not solved (shed work, not just shed
+    // queueing).
     const auto start = Clock::now();
     std::vector<Waiter> expired;
-    std::vector<FlightPtr> live;
+    bool live = true;
     {
       core::MutexLock lock(mu_);
-      for (FlightPtr& flight : group) {
-        auto& waiters = flight->waiters;
-        for (auto it = waiters.begin(); it != waiters.end();) {
-          if (it->deadline < start) {
-            expired.push_back(std::move(*it));
-            it = waiters.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        if (waiters.empty()) {
-          in_flight_.erase(flight->key);
+      auto& waiters = flight->waiters;
+      for (auto it = waiters.begin(); it != waiters.end();) {
+        if (it->deadline < start) {
+          expired.push_back(std::move(*it));
+          it = waiters.erase(it);
         } else {
-          live.push_back(std::move(flight));
+          ++it;
         }
+      }
+      if (waiters.empty()) {
+        in_flight_.erase(flight->key);
+        live = false;
       }
       timed_out_ += expired.size();
       for (const Waiter& w : expired) {
         queue_wait_ms_.add(ms_between(w.submitted, start));
         latency_ms_.add(ms_between(w.submitted, start));
       }
-      if (live.size() >= 2) {
-        ++batches_;
-        batched_ += live.size();
-      }
-      max_batch_ = std::max<std::uint64_t>(max_batch_, live.size());
     }
     for (Waiter& w : expired) {
       w.done(Response{w.id, Status::kTimeout,
                       "deadline expired before the solve started"});
     }
-    if (live.empty()) {
+    if (!live) {
       continue;
     }
 
-    // Shared setup runs once per sweep; a setup failure fails every flight
-    // of the group with the same error a solo run() would have raised.
-    const bool batched_run = static_cast<bool>(live.front()->run_shared);
-    std::shared_ptr<void> shared;
-    std::string setup_error;
-    if (batched_run) {
-      try {
-        shared = live.front()->setup();
-      } catch (const std::exception& e) {
-        setup_error = e.what();
+    std::string body;
+    bool ok = true;
+    try {
+      body = flight->run();
+    } catch (const std::exception& e) {
+      ok = false;
+      body = e.what();
+    }
+    const auto end = Clock::now();
+
+    std::vector<Waiter> waiters;
+    {
+      core::MutexLock lock(mu_);
+      ++solves_;
+      if (ok) {
+        cache_.insert(flight->key, body);
+      } else {
+        ++solve_errors_;
+      }
+      // Publishing the result and retiring the flight happen atomically
+      // with respect to submit_async's cache-or-coalesce check, so a
+      // concurrent identical request either joined this flight or will
+      // hit the cache — never a second solve.
+      in_flight_.erase(flight->key);
+      waiters = std::move(flight->waiters);
+      solve_ms_.add(ms_between(start, end));
+      for (const Waiter& w : waiters) {
+        queue_wait_ms_.add(ms_between(w.submitted, start));
+        latency_ms_.add(ms_between(w.submitted, end));
+        if (ok) {
+          ++completed_ok_;
+        } else {
+          ++failed_;
+        }
       }
     }
-
-    for (FlightPtr& flight : live) {
-      const auto t0 = Clock::now();
-      std::string body;
-      bool ok = true;
-      if (!setup_error.empty()) {
-        ok = false;
-        body = setup_error;
-      } else {
-        try {
-          body = batched_run ? flight->run_shared(shared.get()) : flight->run();
-        } catch (const std::exception& e) {
-          ok = false;
-          body = e.what();
-        }
-      }
-      const auto end = Clock::now();
-
-      std::vector<Waiter> waiters;
-      {
-        core::MutexLock lock(mu_);
-        ++solves_;
-        if (ok) {
-          cache_.insert(flight->key, body);
-        } else {
-          ++solve_errors_;
-        }
-        // Publishing the result and retiring the flight happen atomically
-        // with respect to submit_async's cache-or-coalesce check, so a
-        // concurrent identical request either joined this flight or will
-        // hit the cache — never a second solve.
-        in_flight_.erase(flight->key);
-        waiters = std::move(flight->waiters);
-        solve_ms_.add(ms_between(t0, end));
-        for (const Waiter& w : waiters) {
-          queue_wait_ms_.add(ms_between(w.submitted, start));
-          latency_ms_.add(ms_between(w.submitted, end));
-          if (ok) {
-            ++completed_ok_;
-          } else {
-            ++failed_;
-          }
-        }
-      }
-      const Status status = ok ? Status::kOk : Status::kError;
-      for (Waiter& w : waiters) {
-        w.done(Response{w.id, status, body});
-      }
+    const Status status = ok ? Status::kOk : Status::kError;
+    for (Waiter& w : waiters) {
+      w.done(Response{w.id, status, body});
     }
   }
 }
@@ -468,9 +412,6 @@ ServiceMetrics Service::metrics() const {
     m.cache_hits = cache_hits_;
     m.solves = solves_;
     m.solve_errors = solve_errors_;
-    m.batches = batches_;
-    m.batched = batched_;
-    m.max_batch = max_batch_;
     m.queue_wait_p50_ms = queue_wait_ms_.percentile(0.50);
     m.queue_wait_p99_ms = queue_wait_ms_.percentile(0.99);
     m.solve_p50_ms = solve_ms_.percentile(0.50);

@@ -16,19 +16,12 @@
 //      kOverloaded (bounded memory, no unbounded queueing, the caller
 //      learns about saturation within its deadline instead of hanging).
 //
-// Deadlines are enforced when a flight reaches the head of the queue:
-// waiters whose deadline has passed get kTimeout, and if no live waiter
-// remains the solve is skipped entirely.  A result that completes after a
-// waiter's deadline is still delivered (it is already paid for).
-//
-// Batching: when the dequeued flight is batchable (Prepared::batch_key is
-// non-zero), the worker pulls every queued flight with the same batch_key
-// (up to ServiceOptions::max_batch) and answers the whole group in one
-// sweep — the shared per-model state (the closed CTMC with its cached
-// uniformised DTMC) is built once, each flight is solved against it, and
-// each result is published the moment it is ready.  Answers are
-// byte-identical to unbatched solves; batch-size telemetry is in
-// ServiceMetrics (batches / batched / max_batch).
+// A worker takes one flight at a time from the head of the queue.
+// Deadlines are enforced then: waiters whose deadline has passed get
+// kTimeout, and if no live waiter remains the solve is skipped entirely.
+// Otherwise the worker runs Prepared::run once and publishes the result to
+// the cache and to every waiter.  A result that completes after a waiter's
+// deadline is still delivered (it is already paid for).
 //
 // Per-request metrics (queue wait, solve time, end-to-end latency with
 // p50/p99 from constant-memory histograms, cache/coalescing/shed counters,
@@ -62,9 +55,6 @@ struct ServiceOptions {
   std::size_t queue_capacity = 256;
   /// Deadline applied to requests that do not carry their own.
   std::chrono::milliseconds default_deadline{10000};
-  /// Largest group of queued same-model flights a worker answers in one
-  /// sweep (see Prepared::batch_key); 1 disables batching.
-  std::size_t max_batch = 16;
   /// Admission gate: a solve request whose parsed model exceeds this many
   /// states is rejected pre-queue with Status::kInvalid and an MV042
   /// diagnostic (never reaches a worker).  0 disables the gate.
@@ -107,9 +97,6 @@ struct ServiceMetrics {
   std::uint64_t cache_hits = 0;
   std::uint64_t solves = 0;        ///< solver invocations (≤ distinct keys)
   std::uint64_t solve_errors = 0;
-  std::uint64_t batches = 0;       ///< multi-flight sweeps (size >= 2)
-  std::uint64_t batched = 0;       ///< flights answered inside such sweeps
-  std::uint64_t max_batch = 0;     ///< largest sweep observed
   double queue_wait_p50_ms = 0.0;
   double queue_wait_p99_ms = 0.0;
   double solve_p50_ms = 0.0;
@@ -168,9 +155,6 @@ class Service {
   struct Flight {
     CacheKey key;
     std::function<std::string()> run;
-    CacheKey batch_key;  ///< zero = not batchable
-    std::function<std::shared_ptr<void>()> setup;
-    std::function<std::string(void*)> run_shared;
     std::vector<Waiter> waiters;
   };
   using FlightPtr = std::shared_ptr<Flight>;
@@ -203,9 +187,6 @@ class Service {
   std::uint64_t cache_hits_ MV_GUARDED_BY(mu_) = 0;
   std::uint64_t solves_ MV_GUARDED_BY(mu_) = 0;
   std::uint64_t solve_errors_ MV_GUARDED_BY(mu_) = 0;
-  std::uint64_t batches_ MV_GUARDED_BY(mu_) = 0;
-  std::uint64_t batched_ MV_GUARDED_BY(mu_) = 0;
-  std::uint64_t max_batch_ MV_GUARDED_BY(mu_) = 0;
   LatencyHistogram queue_wait_ms_ MV_GUARDED_BY(mu_);
   LatencyHistogram solve_ms_ MV_GUARDED_BY(mu_);
   LatencyHistogram latency_ms_ MV_GUARDED_BY(mu_);

@@ -1,5 +1,6 @@
 #include "serve/solvers.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -80,26 +81,6 @@ double parse_time_bound(const std::string& arg) {
   return t;
 }
 
-std::vector<bool> absorbing_states(const markov::Ctmc& c) {
-  std::vector<bool> target(c.num_states(), false);
-  bool any = false;
-  for (markov::MState s = 0; s < c.num_states(); ++s) {
-    target[s] = c.is_absorbing(s);
-    any = any || target[s];
-  }
-  if (!any) {
-    throw std::runtime_error("serve: model has no absorbing state");
-  }
-  return target;
-}
-
-// Shared state of a reach batch: every time bound over one model reuses
-// the closed CTMC (whose uniformised DTMC/CSR matrix is cached inside
-// markov::Ctmc, so the expensive build happens once per sweep).
-struct ReachShared {
-  core::ClosedModel closed;
-};
-
 Prepared prepare_reach(const Request& r) {
   auto m = parse_imc_payload(r);
   require_deterministic(*m, "reach");
@@ -115,22 +96,20 @@ Prepared prepare_reach(const Request& r) {
   Prepared p;
   p.key = h.key();
   p.model_states = m->num_states();
-  Hasher hb;
-  hb.str(kKeySchema);
-  hb.str("batch-reach");
-  hash_append(hb, *m);
-  p.batch_key = hb.key();
   p.setup = [m]() -> std::shared_ptr<void> {
-    return std::make_shared<ReachShared>(ReachShared{core::close_model(*m)});
+    return std::make_shared<core::ClosedModel>(core::close_model(*m));
   };
   p.run_shared = [bounded, t](void* shared) {
-    const auto& closed = static_cast<ReachShared*>(shared)->closed;
+    const auto& closed = *static_cast<const core::ClosedModel*>(shared);
     if (bounded) {
       const double p = markov::absorption_probability_by(closed.ctmc, t);
       return "P[absorbed by t=" + format_double(t) +
              "] = " + format_double(p);
     }
-    const std::vector<bool> target = absorbing_states(closed.ctmc);
+    const std::vector<bool> target = markov::absorbing_states(closed.ctmc);
+    if (std::find(target.begin(), target.end(), true) == target.end()) {
+      throw std::runtime_error("serve: model has no absorbing state");
+    }
     const std::vector<double> per_state =
         markov::reachability_probability(closed.ctmc, target);
     const std::vector<double> pi0 = closed.ctmc.initial_distribution();
@@ -140,8 +119,6 @@ Prepared prepare_reach(const Request& r) {
     }
     return "P[reach absorbing] = " + format_double(prob);
   };
-  // The solo path runs the exact batch code against a one-flight batch, so
-  // batched and unbatched answers are byte-identical by construction.
   p.run = [setup = p.setup, run_shared = p.run_shared]() {
     return run_shared(setup().get());
   };
@@ -205,14 +182,6 @@ Prepared prepare_check(const Request& r) {
   return p;
 }
 
-// Shared state of a throughput batch: one closed chain and one steady-state
-// solve answer every label glob in the sweep.
-struct ThroughputShared {
-  core::ClosedModel closed;
-  std::vector<double> pi;
-  bool have_pi = false;
-};
-
 Prepared prepare_throughput(const Request& r) {
   auto m = parse_imc_payload(r);
   // An explicit "uniform:" prefix on the glob opts into resolving residual
@@ -241,27 +210,13 @@ Prepared prepare_throughput(const Request& r) {
   Prepared p;
   p.key = h.key();
   p.model_states = m->num_states();
-  // The closed chain (and its steady state) depends on the scheduler
-  // policy, so batches never mix the two.
-  Hasher hb;
-  hb.str(kKeySchema);
-  hb.str(kSteadySolver);
-  hb.str(uniform ? "batch-throughput-uniform" : "batch-throughput");
-  hash_append(hb, *m);
-  p.batch_key = hb.key();
   p.setup = [m, policy]() -> std::shared_ptr<void> {
-    return std::make_shared<ThroughputShared>(
-        ThroughputShared{core::close_model(*m, policy), {}, false});
+    return std::make_shared<core::ClosedModel>(core::close_model(*m, policy));
   };
   p.run_shared = [glob](void* shared) {
-    auto& sh = *static_cast<ThroughputShared*>(shared);
-    // Batches are swept by one worker, so plain lazy init is safe; every
-    // glob over the same model reuses one steady-state solve.
-    if (!sh.have_pi) {
-      sh.pi = markov::steady_state(sh.closed.ctmc);
-      sh.have_pi = true;
-    }
-    const double v = markov::throughput(sh.closed.ctmc, sh.pi, glob);
+    const auto& closed = *static_cast<const core::ClosedModel*>(shared);
+    const std::vector<double> pi = markov::steady_state(closed.ctmc);
+    const double v = markov::throughput(closed.ctmc, pi, glob);
     return "throughput(" + glob + ") = " + format_double(v);
   };
   p.run = [setup = p.setup, run_shared = p.run_shared]() {

@@ -45,16 +45,8 @@ class InvalidRequest : public std::runtime_error {
   std::vector<core::Diagnostic> diagnostics_;
 };
 
-/// A parsed, keyed request ready to run on any worker thread.
-///
-/// Batching: requests that share the *model* (but differ in argument — e.g.
-/// reach with several time bounds, throughput with several label globs)
-/// carry the same non-zero batch_key.  The service groups queued flights by
-/// batch_key and answers a whole group in one sweep: setup() builds the
-/// shared per-model state (the closed CTMC with its cached uniformised
-/// DTMC/CSR matrix) exactly once, then each flight's run_shared() reuses
-/// it.  Flights without batch support leave batch_key zero and are solved
-/// through run().
+/// A parsed, keyed request ready to run on any worker thread.  The service
+/// solves each distinct key once, through run().
 struct Prepared {
   CacheKey key;
   std::function<std::string()> run;  ///< deterministic; throws on failure
@@ -66,12 +58,13 @@ struct Prepared {
   /// requests with Status::kInvalid and an MV042 diagnostic pre-queue.
   std::size_t model_states = 0;
 
-  CacheKey batch_key;  ///< zero = not batchable
-  /// Builds the state shared by every flight of the batch (e.g. the closed
-  /// CTMC).  Run once per sweep, on the solving worker.
+  /// reach and throughput only (empty for the other verbs): run() split in
+  /// two, so that a caller can time its stages apart.  setup() closes the
+  /// model into a CTMC; run_shared() solves on the state setup() returned,
+  /// and run() is run_shared(setup().get()), so the two give run()'s body
+  /// byte for byte.  The traced serve-solve benchmark times closing and
+  /// solving through these two fields.
   std::function<std::shared_ptr<void>()> setup;
-  /// Solves this flight against the shared state; deterministic, and
-  /// byte-identical to run() on the same request.
   std::function<std::string(void*)> run_shared;
 };
 

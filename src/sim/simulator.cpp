@@ -14,6 +14,12 @@ using markov::Ctmc;
 using markov::MState;
 using markov::RateTransition;
 
+/// Share of the steady-state horizon simulated and discarded before the
+/// first batch.
+constexpr double kWarmupFraction = 0.1;
+/// Safety bound on simulated jumps per trajectory.
+constexpr std::size_t kMaxJumps = 50'000'000;
+
 /// Per-state outgoing transitions, pre-indexed for sampling.
 struct Walker {
   explicit Walker(const Ctmc& c) : out(c.num_states()) {
@@ -100,14 +106,14 @@ Estimate batch_means_run(const Ctmc& c, const SimOptions& opts,
   std::mt19937_64 rng(opts.seed);
   MState s = sample_initial(c, rng);
 
-  const double warmup = opts.horizon * opts.warmup_fraction;
+  const double warmup = opts.horizon * kWarmupFraction;
   const double batch_len = (opts.horizon - warmup) /
                            static_cast<double>(opts.batches);
   // Warm-up.
   double t = 0.0;
   std::size_t jumps = 0;
   while (t < warmup && !w.out[s].empty()) {
-    if (++jumps > opts.max_jumps) {
+    if (++jumps > kMaxJumps) {
       throw std::runtime_error("simulate: jump budget exhausted in warmup");
     }
     t += sample_sojourn(w.exit[s], rng);
@@ -128,7 +134,7 @@ Estimate batch_means_run(const Ctmc& c, const SimOptions& opts,
         bt = batch_len;
         break;
       }
-      if (++jumps > opts.max_jumps) {
+      if (++jumps > kMaxJumps) {
         throw std::runtime_error("simulate: jump budget exhausted");
       }
       const double dt = sample_sojourn(w.exit[s], rng);
@@ -192,7 +198,7 @@ Estimate simulate_absorption_time(const Ctmc& c, const SimOptions& opts) {
     double t = 0.0;
     std::size_t jumps = 0;
     while (!w.out[s].empty()) {
-      if (++jumps > opts.max_jumps) {
+      if (++jumps > kMaxJumps) {
         throw std::runtime_error(
             "simulate_absorption_time: trajectory did not absorb");
       }
@@ -219,7 +225,7 @@ Estimate simulate_transient_probability(const Ctmc& c,
     double now = 0.0;
     std::size_t jumps = 0;
     while (!w.out[s].empty()) {
-      if (++jumps > opts.max_jumps) {
+      if (++jumps > kMaxJumps) {
         throw std::runtime_error("simulate_transient_probability: budget");
       }
       const double dt = sample_sojourn(w.exit[s], rng);

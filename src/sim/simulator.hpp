@@ -27,11 +27,8 @@ struct SimOptions {
   /// Batch-means parameters for steady-state estimation.
   double horizon = 5000.0;
   std::size_t batches = 20;
-  double warmup_fraction = 0.1;
   /// Replications for transient / absorption estimation.
   std::size_t replications = 2000;
-  /// Safety bound on simulated jumps per trajectory.
-  std::size_t max_jumps = 50'000'000;
 };
 
 /// Long-run time-average of @p reward (batch means).

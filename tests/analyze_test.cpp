@@ -288,6 +288,12 @@ TEST(LintRender, JsonEscapesAndListsEveryField) {
   EXPECT_NE(s.find("p\\\\q"), std::string::npos);
 }
 
+TEST(LintRender, JsonStringEscapesControlBytesAndPassesUtf8Through) {
+  // The one escaper behind diagnostics and dse --json.
+  EXPECT_EQ(core::json_string("\"\\\n\t\r\x01" "\xc3\xa9"),
+            "\"\\\"\\\\\\n\\t\\r\\u0001\xc3\xa9\"");
+}
+
 TEST(LintRender, SummaryCountsBySeverity) {
   const auto a = lint_text(R"(
     process P := hide GHOST in A ; Missing endproc

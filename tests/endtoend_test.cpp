@@ -98,10 +98,7 @@ TEST(EndToEnd, ConstraintOrientedDelayAndBoundedReachability) {
   const imc::Imc m = core::insert_delays(
       proc::generate(p, "Once"), {{"S_START", "S_END", service}});
   const auto closed = core::close_model(m);
-  std::vector<bool> done(closed.ctmc.num_states(), false);
-  for (markov::MState s = 0; s < closed.ctmc.num_states(); ++s) {
-    done[s] = closed.ctmc.is_absorbing(s);
-  }
+  const std::vector<bool> done = markov::absorbing_states(closed.ctmc);
   for (const double t : {0.2, 0.5, 1.0}) {
     EXPECT_NEAR(markov::bounded_reachability(closed.ctmc, done, t),
                 service.cdf(t), 1e-9)

@@ -175,6 +175,16 @@ TEST(ImcIo, BadRateRejected) {
                std::runtime_error);
 }
 
+TEST(ImcIo, OutOfRangeNumbersRejected) {
+  for (const char* text : {"des (0, 1, 18446744073709551618)\n"
+                           "(0, \"rate 1\", 18446744073709551617)\n",
+                           "des (0, 1, 2)\n"
+                           "(0, \"rate 1\", 18446744073709551617)\n",
+                           "des (0, 0, 4294967296)\n"}) {
+    EXPECT_THROW((void)imc::from_aut(text), std::runtime_error) << text;
+  }
+}
+
 TEST(ImcIo, RoundTripPreservesSemantics) {
   imc::Imc m;
   m.add_states(2);

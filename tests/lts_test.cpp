@@ -446,6 +446,15 @@ TEST(Io, RejectsOutOfRangeStates) {
   EXPECT_THROW((void)from_aut("des (0, 1, 2)\n(0, a, 5)\n"),
                std::runtime_error);
   EXPECT_THROW((void)from_aut("des (9, 0, 2)\n"), std::runtime_error);
+  // Numbers past 64 bits must not wrap into a different, valid model.
+  EXPECT_THROW((void)from_aut("des (0, 1, 18446744073709551618)\n"
+                              "(0, \"a\", 18446744073709551617)\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      (void)from_aut("des (0, 1, 2)\n(0, \"a\", 18446744073709551617)\n"),
+      std::runtime_error);
+  // A state count past the StateId range is rejected before allocation.
+  EXPECT_THROW((void)from_aut("des (0, 0, 4294967296)\n"), std::runtime_error);
 }
 
 TEST(Io, RejectsTruncatedInput) {

@@ -87,8 +87,7 @@ TEST(CtmcTest, ExitRates) {
   const auto e = c.exit_rates();
   EXPECT_DOUBLE_EQ(e[0], 5.0);
   EXPECT_DOUBLE_EQ(e[1], 0.0);
-  EXPECT_FALSE(c.is_absorbing(0));
-  EXPECT_TRUE(c.is_absorbing(1));
+  EXPECT_EQ(absorbing_states(c), (std::vector<bool>{false, true}));
 }
 
 TEST(CtmcTest, InitialDistribution) {
@@ -810,17 +809,18 @@ TEST(Ctmc, MatrixCacheInvalidatedOnMutation) {
   Ctmc c;
   c.add_states(2);
   c.add_transition(0, 1, 1.0);
+  // 0 -> 1 plus a self-loop on each state.
   double lambda1 = 0.0;
-  (void)c.uniformized_dtmc(lambda1);
-  EXPECT_EQ(c.rate_matrix().num_nonzeros(), 1u);
-  c.add_transition(1, 0, 2.0);  // must invalidate both cached matrices
+  EXPECT_EQ(c.uniformized_dtmc(lambda1).num_nonzeros(), 3u);
+  c.add_transition(1, 0, 2.0);  // must invalidate the cached matrix
   double lambda2 = 0.0;
-  (void)c.uniformized_dtmc(lambda2);
-  EXPECT_EQ(c.rate_matrix().num_nonzeros(), 2u);
+  EXPECT_EQ(c.uniformized_dtmc(lambda2).num_nonzeros(), 4u);
   EXPECT_GT(lambda2, lambda1);
   // Copies drop the cache but solve identically.
   const Ctmc d = c;
-  EXPECT_EQ(d.rate_matrix().num_nonzeros(), 2u);
+  double lambda3 = 0.0;
+  EXPECT_EQ(d.uniformized_dtmc(lambda3).num_nonzeros(), 4u);
+  EXPECT_EQ(lambda3, lambda2);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the src/serve subsystem: canonical content hashing, the
-// two-tier result cache, the wire protocol, the coalescing/batching job
-// scheduler (bitwise-identical served results, backpressure, deadlines),
-// the Unix-domain and TCP socket front ends, the client receive deadline
-// and the consistent-hash replica router.
+// two-tier result cache, the wire protocol, the coalescing job scheduler
+// (bitwise-identical served results, backpressure, deadlines), the
+// Unix-domain and TCP socket front ends, the client receive deadline and
+// the consistent-hash replica router.
 //
 // Every suite here is named Serve* so the CI thread-sanitizer job can run
 // the whole subsystem with --gtest_filter='Serve*'.
@@ -573,12 +573,17 @@ TEST(ServeService, QueuedRequestPastItsDeadlineTimesOut) {
 
 TEST(ServeService, MalformedPayloadIsInvalidWithoutTouchingTheQueue) {
   serve::Service service;
-  const serve::Response resp =
-      service.evaluate(make_request(serve::Verb::kReach, "des (not aut"));
-  EXPECT_EQ(resp.status, serve::Status::kInvalid);
-  EXPECT_NE(resp.body.find("MV010"), std::string::npos);
+  // The second payload wraps to "des (0, 1, 2)" if numbers overflow.
+  for (const char* payload : {"des (not aut",
+                              "des (0, 1, 18446744073709551618)\n"
+                              "(0, \"rate 1\", 18446744073709551617)\n"}) {
+    const serve::Response resp =
+        service.evaluate(make_request(serve::Verb::kReach, payload));
+    EXPECT_EQ(resp.status, serve::Status::kInvalid) << resp.body;
+    EXPECT_NE(resp.body.find("MV010"), std::string::npos);
+  }
   const serve::ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.invalid, 1u);
+  EXPECT_EQ(m.invalid, 2u);
   EXPECT_EQ(m.failed, 0u);
   EXPECT_EQ(m.solves, 0u);
 }
@@ -1035,13 +1040,13 @@ TEST(ServeRouter, RoutedClientSendsIdenticalModelsToTheOwningReplica) {
   threads[1 - owner].join();
 }
 
-// --- batched solver execution --------------------------------------------
+// --- one flight per solve ------------------------------------------------
 
-TEST(ServeService, SameModelFlightsAreBatchedIntoOneSweep) {
-  // Hold the single worker on an unbatchable blocker while a sweep of four
-  // same-model reach requests (different time bounds) queues up behind it;
-  // on release the worker must answer all four as ONE batch over one shared
-  // closed model — byte-identical to the direct solves.
+TEST(ServeService, SameModelFlightsAreSolvedOneByOne) {
+  // Hold the single worker on a blocker while four same-model reach
+  // requests (different time bounds) queue up behind it; on release the
+  // worker must solve each one on its own, byte-identical to the direct
+  // solves.
   constexpr int kSweep = 4;
   std::counting_semaphore<kSweep + 2> gate(0);
   serve::ServiceOptions opts;
@@ -1060,47 +1065,16 @@ TEST(ServeService, SameModelFlightsAreBatchedIntoOneSweep) {
                                     static_cast<std::uint64_t>(i + 2)));
     futures.push_back(service.submit(requests.back()));
   }
-  gate.release(kSweep + 1);  // one for the blocker, one per sweep flight
+  gate.release(kSweep + 1);  // one for the blocker, one per queued flight
 
   EXPECT_EQ(blocker.get().status, serve::Status::kOk);
   for (int i = 0; i < kSweep; ++i) {
     const serve::Response resp = futures[i].get();
     EXPECT_EQ(resp.status, serve::Status::kOk) << resp.body;
     EXPECT_EQ(resp.body, serve::solve_request(requests[i]))
-        << "batched result must be byte-identical to the direct solve";
+        << "served result must be byte-identical to the direct solve";
   }
-
-  const serve::ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.solves, static_cast<std::uint64_t>(kSweep) + 1);
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched, static_cast<std::uint64_t>(kSweep));
-  EXPECT_EQ(m.max_batch, static_cast<std::uint64_t>(kSweep));
-}
-
-TEST(ServeService, MaxBatchOneDisablesBatching) {
-  std::counting_semaphore<8> gate(0);
-  serve::ServiceOptions opts;
-  opts.workers = 1;
-  opts.max_batch = 1;
-  opts.pre_solve_hook = [&gate](const serve::CacheKey&) { gate.acquire(); };
-  serve::Service service(opts);
-
-  auto blocker =
-      service.submit(make_request(serve::Verb::kBounds, kNondetModel));
-  std::vector<std::shared_future<serve::Response>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(service.submit(make_request(
-        serve::Verb::kReach, kCtmcModel, "0." + std::to_string(i + 1))));
-  }
-  gate.release(4);
-  EXPECT_EQ(blocker.get().status, serve::Status::kOk);
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, serve::Status::kOk);
-  }
-  const serve::ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.batches, 0u);
-  EXPECT_EQ(m.batched, 0u);
-  EXPECT_EQ(m.max_batch, 1u);
+  EXPECT_EQ(service.metrics().solves, static_cast<std::uint64_t>(kSweep) + 1);
 }
 
 // --- disk-tier tmp sweep -------------------------------------------------

@@ -144,15 +144,6 @@ markov::Ctmc random_ctmc(std::uint32_t seed) {
   return c;
 }
 
-/// The absorbing states of @p c.
-std::vector<bool> absorbing_states(const markov::Ctmc& c) {
-  std::vector<bool> absorbing(c.num_states(), true);
-  for (const markov::RateTransition& t : c.transitions()) {
-    absorbing[t.src] = false;
-  }
-  return absorbing;
-}
-
 /// A random IMC of 6..13 states from initial state 0, built like
 /// random_ctmc: the last state is dead, and in half the IMCs two more
 /// states form a closed Markovian cycle.  Every other state is interactive
@@ -253,7 +244,7 @@ TEST(SolverGolden, CtmcFamily) {
     live_bottom =
         live_bottom || has_live_bottom_scc(markov::transition_graph(c));
     expect_golden(golden, "ctmc" + std::to_string(seed),
-                  ctmc_digest(c, absorbing_states(c)));
+                  ctmc_digest(c, markov::absorbing_states(c)));
   }
   EXPECT_TRUE(absorbing_chain);
   EXPECT_TRUE(live_bottom);
