@@ -26,7 +26,6 @@
 
 #include "analyze/analyze.hpp"
 #include "analyze/bounds.hpp"
-#include "core/parallel.hpp"
 #include "fame/coherence.hpp"
 #include "noc/mesh.hpp"
 #include "proc/parser.hpp"
@@ -232,7 +231,6 @@ int run_json(const std::string& json_path) {
   }
   out << "{\n  \"bench\": \"analyze\",\n  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency()
-      << ",\n  \"threads_used\": " << core::parallel_threads()
       << ",\n  \"bounds\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const JsonCase& c = cases[i];

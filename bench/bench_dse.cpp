@@ -26,7 +26,7 @@
 #include <utility>
 
 #include "cli_util.hpp"
-#include "core/parallel.hpp"
+#include "core/sync.hpp"
 #include "core/report.hpp"
 #include "dse/driver.hpp"
 #include "dse/grid.hpp"
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   write_file(json_path,
              dse_json(r, opts.repeat,
                       opts.workers != 0 ? opts.workers
-                                        : core::parallel_threads(),
+                                        : core::hardware_threads(),
                       points_per_sec, cache_hit_ratio, shed_rate));
   write_file(serve_json_path, serve_json(r.service));
   std::cout << "written to " << json_path << " and " << serve_json_path

@@ -43,7 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/parallel.hpp"
+#include "core/sync.hpp"
 #include "core/report.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
@@ -304,10 +304,10 @@ int main(int argc, char** argv) {
   // Start the replica fleet.  Binding happens in the Server constructor, so
   // every endpoint (including TCP ephemeral ports) is connectable before
   // any client process is spawned.
-  // 0 resolves to the parallel default inside serve::Service; record the
-  // actual per-replica worker-thread count for the JSON payload.
+  // 0 resolves to the hardware thread count inside serve::Service; record
+  // the actual per-replica worker-thread count for the JSON payload.
   const unsigned resolved_workers =
-      workers != 0 ? workers : core::parallel_threads();
+      workers != 0 ? workers : core::hardware_threads();
   const std::string tag = std::to_string(::getpid());
   std::vector<std::unique_ptr<serve::Server>> fleet;
   std::vector<std::thread> accept_threads;

@@ -44,60 +44,4 @@ std::size_t Partition::normalize() {
   return num_blocks_;
 }
 
-bool Partition::same_grouping(const Partition& other) const {
-  if (block_of_.size() != other.block_of_.size()) {
-    return false;
-  }
-  // Two partitions are equal iff the mapping between their block ids is a
-  // bijection consistent across all states.
-  std::unordered_map<BlockId, BlockId> fwd;
-  std::unordered_map<BlockId, BlockId> bwd;
-  for (std::size_t s = 0; s < block_of_.size(); ++s) {
-    const BlockId a = block_of_[s];
-    const BlockId b = other.block_of_[s];
-    const auto fit = fwd.find(a);
-    if (fit == fwd.end()) {
-      fwd.emplace(a, b);
-    } else if (fit->second != b) {
-      return false;
-    }
-    const auto bit = bwd.find(b);
-    if (bit == bwd.end()) {
-      bwd.emplace(b, a);
-    } else if (bit->second != a) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<std::vector<lts::StateId>> Partition::blocks() const {
-  std::vector<std::vector<lts::StateId>> out(num_blocks_);
-  for (std::size_t s = 0; s < block_of_.size(); ++s) {
-    out[block_of_[s]].push_back(static_cast<lts::StateId>(s));
-  }
-  return out;
-}
-
-Partition Partition::intersect(const Partition& a, const Partition& b) {
-  if (a.num_states() != b.num_states()) {
-    throw std::invalid_argument("Partition::intersect: size mismatch");
-  }
-  std::vector<BlockId> out(a.num_states(), 0);
-  std::unordered_map<std::uint64_t, BlockId> pairs;
-  for (std::size_t s = 0; s < a.num_states(); ++s) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(a.block_of_[s]) << 32) | b.block_of_[s];
-    const auto it = pairs.find(key);
-    if (it == pairs.end()) {
-      const auto nb = static_cast<BlockId>(pairs.size());
-      pairs.emplace(key, nb);
-      out[s] = nb;
-    } else {
-      out[s] = it->second;
-    }
-  }
-  return Partition(std::move(out), pairs.empty() ? 0 : pairs.size());
-}
-
 }  // namespace multival::bisim

@@ -37,16 +37,6 @@ class Partition {
   /// the number of blocks.
   std::size_t normalize();
 
-  /// True if both partitions induce the same grouping of states.
-  [[nodiscard]] bool same_grouping(const Partition& other) const;
-
-  /// The states of each block.
-  [[nodiscard]] std::vector<std::vector<lts::StateId>> blocks() const;
-
-  /// Intersection refinement: the coarsest partition finer than both.
-  [[nodiscard]] static Partition intersect(const Partition& a,
-                                           const Partition& b);
-
  private:
   std::vector<BlockId> block_of_;
   std::size_t num_blocks_ = 0;

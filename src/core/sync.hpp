@@ -1,5 +1,6 @@
 // Clang thread-safety analysis wrappers: a std::mutex / condition_variable
-// pair whose lock discipline the compiler can check statically.
+// pair whose lock discipline the compiler can check statically.  Also the
+// hardware thread count that sizes the serve and dse worker pools.
 //
 // The annotations follow the capability model of
 // clang.llvm.org/docs/ThreadSafetyAnalysis.html: a Mutex is a capability,
@@ -26,9 +27,11 @@
 // as standalone functions.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define MV_THREAD_ANNOTATION(x) __attribute__((x))
@@ -51,6 +54,12 @@
   MV_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace multival::core {
+
+/// std::thread::hardware_concurrency(), or 1 where it is unknown: the size
+/// of a serve or dse worker pool asked for with 0 workers.
+[[nodiscard]] inline unsigned hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /// std::mutex annotated as a thread-safety capability.
 class MV_CAPABILITY("mutex") Mutex {

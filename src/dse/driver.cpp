@@ -11,7 +11,7 @@
 
 #include "analyze/analyze.hpp"
 #include "core/diag.hpp"
-#include "core/parallel.hpp"
+#include "core/sync.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "serve/solvers.hpp"
@@ -100,7 +100,7 @@ std::vector<std::string> split_endpoints(const std::string& csv) {
 void dispatch_socket(const DriverOptions& options, std::vector<Slot>& slots,
                      std::vector<ProbeResult*>& results) {
   const unsigned workers =
-      options.workers != 0 ? options.workers : core::parallel_threads();
+      options.workers != 0 ? options.workers : core::hardware_threads();
   const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
       std::max(1u, workers), std::max<std::size_t>(slots.size(), 1)));
   // One shared ring (and shared replica-health state), one RoutedClient —

@@ -35,7 +35,7 @@ namespace multival::dse {
 
 struct DriverOptions {
   /// Service worker threads (in-process) or client threads (socket);
-  /// 0 = core::parallel_threads().
+  /// 0 = one per hardware thread (core::hardware_threads()).
   unsigned workers = 0;
   /// Non-empty: evaluate over the serve transport instead of in-process.
   /// One endpoint (Unix path or "host:port"), or a comma-separated replica

@@ -59,16 +59,6 @@ std::vector<Transition> Lts::all_transitions() const {
   return ts;
 }
 
-std::vector<std::vector<OutEdge>> Lts::predecessors() const {
-  std::vector<std::vector<OutEdge>> in(out_.size());
-  for (StateId s = 0; s < out_.size(); ++s) {
-    for (const OutEdge& e : out_[s]) {
-      in[e.dst].push_back(OutEdge{e.action, s});
-    }
-  }
-  return in;
-}
-
 void hash_append(core::Hasher& h, const Lts& l) {
   h.str("lts");
   h.u64(l.num_states());

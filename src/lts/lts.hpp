@@ -86,10 +86,6 @@ class Lts {
   /// All transitions, flattened (src-major, insertion order).
   [[nodiscard]] std::vector<Transition> all_transitions() const;
 
-  /// Per-state incoming transition lists (src stored in OutEdge::dst slot).
-  /// Entry [s] holds pairs (action, predecessor).
-  [[nodiscard]] std::vector<std::vector<OutEdge>> predecessors() const;
-
  private:
   void check_state(StateId s, const char* what) const;
 

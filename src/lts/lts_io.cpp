@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace multival::lts {
 
@@ -32,17 +33,20 @@ std::string to_aut(const Lts& l) {
 
 namespace {
 
-[[noreturn]] void malformed(const std::string& line) {
-  throw std::runtime_error("read_aut: malformed line: " + line);
+// The bytes that make a line blank.
+constexpr std::string_view kBlank = " \t\r\n";
+
+[[noreturn]] void malformed(std::string_view line) {
+  throw std::runtime_error("read_aut: malformed line: " + std::string(line));
 }
 
-void skip_ws(const std::string& s, std::size_t& i) {
+void skip_ws(std::string_view s, std::size_t& i) {
   while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
     ++i;
   }
 }
 
-std::uint64_t parse_number(const std::string& s, std::size_t& i) {
+std::uint64_t parse_number(std::string_view s, std::size_t& i) {
   skip_ws(s, i);
   if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
     malformed(s);
@@ -60,7 +64,7 @@ std::uint64_t parse_number(const std::string& s, std::size_t& i) {
   return v;
 }
 
-void expect(const std::string& s, std::size_t& i, char c) {
+void expect(std::string_view s, std::size_t& i, char c) {
   skip_ws(s, i);
   if (i >= s.size() || s[i] != c) {
     malformed(s);
@@ -100,41 +104,54 @@ std::string parse_label(const std::string& s, std::size_t& i) {
 
 }  // namespace
 
+AutHeader parse_aut_header(std::string_view text) {
+  const std::size_t first = text.find_first_not_of(kBlank);
+  if (first == std::string_view::npos) {
+    throw std::runtime_error("read_aut: missing 'des' header");
+  }
+  // The whole line holding `first`; rfind gives npos, and npos + 1 == 0,
+  // when it is the first line.
+  const std::size_t begin = text.rfind('\n', first) + 1;
+  const std::string_view line =
+      text.substr(begin, text.find('\n', first) - begin);
+  std::size_t i = line.find("des");
+  if (i == std::string_view::npos) {
+    throw std::runtime_error("read_aut: missing 'des' header");
+  }
+  i += 3;
+  AutHeader h;
+  expect(line, i, '(');
+  h.initial = parse_number(line, i);
+  expect(line, i, ',');
+  h.transitions = parse_number(line, i);
+  expect(line, i, ',');
+  h.states = parse_number(line, i);
+  expect(line, i, ')');
+  return h;
+}
+
 Lts read_aut(std::istream& is) {
   std::string line;
-  // Header.
   do {
     if (!std::getline(is, line)) {
       throw std::runtime_error("read_aut: missing 'des' header");
     }
-  } while (line.find_first_not_of(" \t\r\n") == std::string::npos);
-
-  std::size_t i = line.find("des");
-  if (i == std::string::npos) {
-    throw std::runtime_error("read_aut: missing 'des' header");
-  }
-  i += 3;
-  expect(line, i, '(');
-  const std::uint64_t initial = parse_number(line, i);
-  expect(line, i, ',');
-  const std::uint64_t ntrans = parse_number(line, i);
-  expect(line, i, ',');
-  const std::uint64_t nstates = parse_number(line, i);
-  expect(line, i, ')');
+  } while (line.find_first_not_of(kBlank) == std::string::npos);
+  const AutHeader h = parse_aut_header(line);
 
   // kNoState is a sentinel, so ids run below it.
-  if (nstates > kNoState) {
+  if (h.states > kNoState) {
     throw std::runtime_error("read_aut: state count out of range");
   }
   Lts l;
-  l.add_states(nstates);
-  if (initial >= nstates) {
+  l.add_states(h.states);
+  if (h.initial >= h.states) {
     throw std::runtime_error("read_aut: initial state out of range");
   }
-  l.set_initial_state(static_cast<StateId>(initial));
+  l.set_initial_state(static_cast<StateId>(h.initial));
 
   std::uint64_t parsed = 0;
-  while (parsed < ntrans) {
+  while (parsed < h.transitions) {
     if (!std::getline(is, line)) {
       throw std::runtime_error("read_aut: fewer transitions than declared");
     }
@@ -150,7 +167,7 @@ Lts read_aut(std::istream& is) {
     expect(line, j, ',');
     const std::uint64_t dst = parse_number(line, j);
     expect(line, j, ')');
-    if (src >= nstates || dst >= nstates) {
+    if (src >= h.states || dst >= h.states) {
       throw std::runtime_error("read_aut: state id out of range");
     }
     l.add_transition(static_cast<StateId>(src), std::string_view(label),

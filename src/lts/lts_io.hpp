@@ -8,8 +8,10 @@
 // quoted labels except for "i".
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "lts/lts.hpp"
 
@@ -20,6 +22,19 @@ void write_aut(std::ostream& os, const Lts& l);
 
 /// Renders @p l as a .aut string.
 [[nodiscard]] std::string to_aut(const Lts& l);
+
+/// The three numbers of a .aut header, as declared.
+struct AutHeader {
+  std::uint64_t initial = 0;
+  std::uint64_t transitions = 0;
+  std::uint64_t states = 0;
+};
+
+/// Parses the header, the first non-blank line of @p text, without
+/// reading further, so that a caller can judge the declared size before
+/// anything is allocated.  Throws std::runtime_error if it is missing or
+/// malformed; the counts are not range-checked.
+[[nodiscard]] AutHeader parse_aut_header(std::string_view text);
 
 /// Parses a .aut description.  Throws std::runtime_error on malformed input.
 [[nodiscard]] Lts read_aut(std::istream& is);

@@ -195,16 +195,6 @@ Lts hide(const Lts& l, std::span<const std::string> gates) {
   });
 }
 
-Lts hide_all_but(const Lts& l, std::span<const std::string> gates) {
-  const auto keep = to_set(gates);
-  return relabel(l, [&](std::string_view label) -> std::string {
-    if (label == "i" || label == "exit") {
-      return std::string(label);
-    }
-    return gate_in(keep, label_gate(label)) ? std::string(label) : "i";
-  });
-}
-
 Lts rename(const Lts& l,
            const std::unordered_map<std::string, std::string>& gate_map) {
   return relabel(l, [&](std::string_view label) -> std::string {

@@ -44,10 +44,6 @@ namespace multival::lts {
 /// Renames every label whose gate is in @p gates to "i".
 [[nodiscard]] Lts hide(const Lts& l, std::span<const std::string> gates);
 
-/// Hides every visible label except those whose gate is in @p gates.
-[[nodiscard]] Lts hide_all_but(const Lts& l,
-                               std::span<const std::string> gates);
-
 /// Renames gates according to @p gate_map (offers are preserved).
 [[nodiscard]] Lts rename(
     const Lts& l, const std::unordered_map<std::string, std::string>& gate_map);

@@ -148,12 +148,22 @@ double absorption_time_quantile(const Ctmc& c, double q, double max_horizon) {
     throw std::invalid_argument(
         "absorption_time_quantile: q must be in (0, 1)");
   }
-  // Bracket the quantile by doubling, then bisect.  The absorbing set is
-  // computed once and every probe reuses the chain's cached uniformised
-  // DTMC; only the Poisson weights differ per probe.
+  // Bracket the quantile by doubling, then bisect.  The absorbing set and
+  // the uniformised DTMC are built once; only the Poisson weights differ
+  // per probe.
   const std::vector<bool> absorbing = absorbing_states(c);
+  const Uniformized u = uniformize(c);
+  const std::vector<double> pi0 = c.initial_distribution();
   const auto probe = [&](double horizon) {
-    return transient_probability(c, absorbing, horizon, 1e-12);
+    const std::vector<double> pi =
+        transient_distribution(u, pi0, horizon, 1e-12);
+    double p = 0.0;
+    for (std::size_t s = 0; s < pi.size(); ++s) {
+      if (absorbing[s]) {
+        p += pi[s];
+      }
+    }
+    return p;
   };
   double lo = 0.0;
   double hi = std::max(1e-6, expected_absorption_time_from_initial(c));

@@ -1,57 +1,11 @@
 #include "markov/ctmc.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "mc/formula.hpp"
 
 namespace multival::markov {
-
-namespace {
-constexpr double kMinLambda = 1e-9;
-}
-
-Ctmc::Ctmc(const Ctmc& other)
-    : num_states_(other.num_states_),
-      transitions_(other.transitions_),
-      initial_(other.initial_),
-      initial_state_(other.initial_state_) {}
-
-Ctmc& Ctmc::operator=(const Ctmc& other) {
-  if (this != &other) {
-    num_states_ = other.num_states_;
-    transitions_ = other.transitions_;
-    initial_ = other.initial_;
-    initial_state_ = other.initial_state_;
-    invalidate_cache();
-  }
-  return *this;
-}
-
-Ctmc::Ctmc(Ctmc&& other) noexcept
-    : num_states_(other.num_states_),
-      transitions_(std::move(other.transitions_)),
-      initial_(std::move(other.initial_)),
-      initial_state_(other.initial_state_) {}
-
-Ctmc& Ctmc::operator=(Ctmc&& other) noexcept {
-  if (this != &other) {
-    num_states_ = other.num_states_;
-    transitions_ = std::move(other.transitions_);
-    initial_ = std::move(other.initial_);
-    initial_state_ = other.initial_state_;
-    invalidate_cache();
-  }
-  return *this;
-}
-
-void Ctmc::invalidate_cache() {
-  const core::MutexLock lock(cache_mutex_);
-  cache_.uniformized.reset();
-  cache_.lambda = 0.0;
-  cache_.factor = 0.0;
-}
 
 MState Ctmc::add_state() {
   return add_states(1);
@@ -60,7 +14,6 @@ MState Ctmc::add_state() {
 MState Ctmc::add_states(std::size_t n) {
   const auto first = static_cast<MState>(num_states_);
   num_states_ += n;
-  invalidate_cache();
   return first;
 }
 
@@ -79,7 +32,6 @@ void Ctmc::add_transition(MState src, MState dst, double rate,
   }
   transitions_.push_back(
       RateTransition{src, dst, rate, std::string(label)});
-  invalidate_cache();
 }
 
 void Ctmc::set_initial_state(MState s) {
@@ -124,37 +76,6 @@ std::vector<double> Ctmc::exit_rates() const {
     e[t.src] += t.rate;
   }
   return e;
-}
-
-const SparseMatrix& Ctmc::uniformized_dtmc(double& lambda_out,
-                                           double factor) const {
-  const core::MutexLock lock(cache_mutex_);
-  if (!cache_.uniformized || cache_.factor != factor) {
-    const std::vector<double> exits = exit_rates();
-    double max_exit = 0.0;
-    for (const double e : exits) {
-      max_exit = std::max(max_exit, e);
-    }
-    const double lambda = std::max(max_exit * factor, kMinLambda);
-
-    std::vector<Triplet> ts;
-    ts.reserve(transitions_.size() + num_states_);
-    for (const RateTransition& t : transitions_) {
-      ts.push_back(Triplet{t.src, t.dst, t.rate / lambda});
-    }
-    for (MState s = 0; s < num_states_; ++s) {
-      const double self = 1.0 - exits[s] / lambda;
-      if (self > 0.0) {
-        ts.push_back(Triplet{s, s, self});
-      }
-    }
-    cache_.uniformized = std::make_unique<const SparseMatrix>(
-        SparseMatrix::from_triplets(num_states_, num_states_, std::move(ts)));
-    cache_.lambda = lambda;
-    cache_.factor = factor;
-  }
-  lambda_out = cache_.lambda;
-  return *cache_.uniformized;
 }
 
 double expected_reward(std::span<const double> pi,

@@ -6,14 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "core/sync.hpp"
-#include "markov/sparse.hpp"
 
 namespace multival::markov {
 
@@ -53,39 +49,13 @@ class Ctmc {
   /// Total outgoing rate of each state.
   [[nodiscard]] std::vector<double> exit_rates() const;
 
-  /// Uniformised DTMC P = I + Q/lambda with lambda = factor * max exit rate
-  /// (at least kMinLambda); returns P and stores lambda in @p lambda_out.
-  /// Built on first use and cached per @p factor, so repeated transient
-  /// solves (e.g. quantile bisection) do not rebuild the triplets; the
-  /// reference stays valid until the chain is mutated.
-  [[nodiscard]] const SparseMatrix& uniformized_dtmc(double& lambda_out,
-                                                     double factor = 1.02) const;
-
  private:
   void check_state(MState s, const char* what) const;
-  void invalidate_cache();
 
   std::size_t num_states_ = 0;
   std::vector<RateTransition> transitions_;
   std::vector<double> initial_;  // empty = point mass on initial_state_
   MState initial_state_ = 0;
-
-  // Derived-matrix cache.  Copying a chain drops the cache (it is rebuilt
-  // on demand); mutation invalidates it.  Guarded so concurrent *solves*
-  // on one const chain are safe; concurrent mutation is not (as before).
-  struct MatrixCache {
-    std::unique_ptr<const SparseMatrix> uniformized;
-    double lambda = 0.0;
-    double factor = 0.0;
-  };
-  mutable core::Mutex cache_mutex_;
-  mutable MatrixCache cache_ MV_GUARDED_BY(cache_mutex_);
-
- public:
-  Ctmc(const Ctmc& other);
-  Ctmc& operator=(const Ctmc& other);
-  Ctmc(Ctmc&& other) noexcept;
-  Ctmc& operator=(Ctmc&& other) noexcept;
 };
 
 /// Expected value of @p reward under distribution @p pi.

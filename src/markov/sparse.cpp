@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
-
 namespace multival::markov {
 
 SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
@@ -14,119 +12,59 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
       throw std::out_of_range("SparseMatrix: triplet out of range");
     }
   }
+  // Sum each run of duplicates in (row, col) sort order, in place.
   std::sort(ts.begin(), ts.end(), [](const Triplet& a, const Triplet& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
-  SparseMatrix m;
-  m.cols_ = cols;
-  m.row_ptr_.assign(rows + 1, 0);
-  m.entries_.reserve(ts.size());
-  for (std::size_t i = 0; i < ts.size();) {
-    std::size_t j = i;
-    double sum = 0.0;
-    while (j < ts.size() && ts[j].row == ts[i].row && ts[j].col == ts[i].col) {
-      sum += ts[j].value;
-      ++j;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ts.size(); ++kept) {
+    Triplet sum{ts[i].row, ts[i].col, 0.0};
+    for (; i < ts.size() && ts[i].row == sum.row && ts[i].col == sum.col;
+         ++i) {
+      sum.value += ts[i].value;
     }
-    m.entries_.push_back(Entry{ts[i].col, sum});
-    ++m.row_ptr_[ts[i].row + 1];
-    i = j;
+    ts[kept] = sum;
   }
-  for (std::size_t r = 0; r < rows; ++r) {
-    m.row_ptr_[r + 1] += m.row_ptr_[r];
-  }
-  // CSC side by counting sort of the deduplicated CSR entries; within each
-  // column the entries stay in increasing row order, which fixes the
-  // accumulation order of multiply_left.
+  ts.resize(kept);
+  // A counting sort by column keeps each column in increasing row order.
+  SparseMatrix m;
+  m.rows_ = rows;
   m.col_ptr_.assign(cols + 1, 0);
-  for (const Entry& e : m.entries_) {
-    ++m.col_ptr_[e.col + 1];
+  for (const Triplet& t : ts) {
+    ++m.col_ptr_[t.col + 1];
   }
   for (std::size_t c = 0; c < cols; ++c) {
     m.col_ptr_[c + 1] += m.col_ptr_[c];
   }
-  m.centries_.resize(m.entries_.size());
+  m.entries_.resize(ts.size());
   std::vector<std::size_t> next(m.col_ptr_.begin(), m.col_ptr_.end() - 1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t k = m.row_ptr_[r]; k < m.row_ptr_[r + 1]; ++k) {
-      const Entry& e = m.entries_[k];
-      m.centries_[next[e.col]++] =
-          Entry{static_cast<std::uint32_t>(r), e.value};
-    }
+  for (const Triplet& t : ts) {
+    m.entries_[next[t.col]++] = Entry{t.row, t.value};
   }
   return m;
-}
-
-std::span<const Entry> SparseMatrix::row(std::size_t i) const {
-  if (i + 1 >= row_ptr_.size()) {
-    throw std::out_of_range("SparseMatrix::row");
-  }
-  return {entries_.data() + row_ptr_[i], row_ptr_[i + 1] - row_ptr_[i]};
 }
 
 std::span<const Entry> SparseMatrix::column(std::size_t j) const {
   if (j + 1 >= col_ptr_.size()) {
     throw std::out_of_range("SparseMatrix::column");
   }
-  return {centries_.data() + col_ptr_[j], col_ptr_[j + 1] - col_ptr_[j]};
+  return {entries_.data() + col_ptr_[j], col_ptr_[j + 1] - col_ptr_[j]};
 }
 
 std::vector<double> SparseMatrix::multiply_left(
     std::span<const double> x) const {
-  if (x.size() != num_rows()) {
+  if (x.size() != rows_) {
     throw std::invalid_argument("multiply_left: size mismatch");
   }
-  std::vector<double> y(cols_, 0.0);
-  const std::size_t grain =
-      num_nonzeros() < kParallelNonzeros ? cols_ + 1 : 512;
-  core::parallel_for(cols_, grain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      double acc = 0.0;
-      for (std::size_t k = col_ptr_[c]; k < col_ptr_[c + 1]; ++k) {
-        acc += x[centries_[k].col] * centries_[k].value;
-      }
-      y[c] = acc;
+  std::vector<double> y(num_cols(), 0.0);
+  for (std::size_t c = 0; c < y.size(); ++c) {
+    double acc = 0.0;
+    for (std::size_t k = col_ptr_[c]; k < col_ptr_[c + 1]; ++k) {
+      acc += x[entries_[k].col] * entries_[k].value;
     }
-  });
+    y[c] = acc;
+  }
   return y;
-}
-
-std::vector<double> SparseMatrix::multiply_right(
-    std::span<const double> x) const {
-  if (x.size() != cols_) {
-    throw std::invalid_argument("multiply_right: size mismatch");
-  }
-  const std::size_t rows = num_rows();
-  std::vector<double> y(rows, 0.0);
-  const std::size_t grain =
-      num_nonzeros() < kParallelNonzeros ? rows + 1 : 512;
-  core::parallel_for(rows, grain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      double acc = 0.0;
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        acc += entries_[k].value * x[entries_[k].col];
-      }
-      y[r] = acc;
-    }
-  });
-  return y;
-}
-
-SparseMatrix SparseMatrix::transpose() const {
-  // The CSC layout *is* the transposed CSR layout: swap the two sides.
-  SparseMatrix t;
-  t.cols_ = num_rows();
-  t.row_ptr_ = col_ptr_;
-  t.entries_ = centries_;
-  t.col_ptr_ = row_ptr_;
-  t.centries_ = entries_;
-  if (t.row_ptr_.empty()) {
-    t.row_ptr_.assign(1, 0);
-  }
-  if (t.col_ptr_.empty()) {
-    t.col_ptr_.assign(1, 0);
-  }
-  return t;
 }
 
 }  // namespace multival::markov

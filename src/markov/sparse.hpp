@@ -1,4 +1,4 @@
-// Minimal sparse-matrix support for the Markov solvers (CSR + CSC, double).
+// Minimal sparse-matrix support for the Markov solvers (CSC, double).
 #pragma once
 
 #include <cstdint>
@@ -13,20 +13,18 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// One stored entry of a CSR row (or, with `col` holding the row index,
-/// of a CSC column).
+/// One stored (index, value) pair.  In a SparseMatrix column `col` holds
+/// the row index; the steady-state and absorption solvers reuse the type
+/// for their per-state adjacency lists, with `col` the other state.
 struct Entry {
   std::uint32_t col = 0;
   double value = 0.0;
 };
 
-/// Immutable sparse matrix.  Duplicate (row, col) triplets are summed.
-///
-/// Both a row-major (CSR) and a column-major (CSC) layout are stored: the
-/// CSR side drives y = A x (one output per row), the CSC side drives
-/// y = x A (one output per column).  Each output element is accumulated in
-/// a fixed index order, so the parallel products below are bitwise
-/// identical for any thread count (see core/parallel.hpp).
+/// Immutable sparse matrix in column-major (CSC) layout, the layout that
+/// y = x A reads.  Duplicate (row, col) triplets are summed in (row, col)
+/// sort order, and each column keeps its entries in increasing row order,
+/// so every product is summed in one fixed order.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -35,37 +33,23 @@ class SparseMatrix {
                                                   std::size_t cols,
                                                   std::vector<Triplet> ts);
 
-  [[nodiscard]] std::size_t num_rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
-  [[nodiscard]] std::size_t num_cols() const { return cols_; }
+  [[nodiscard]] std::size_t num_rows() const { return rows_; }
+  [[nodiscard]] std::size_t num_cols() const {
+    return col_ptr_.empty() ? 0 : col_ptr_.size() - 1;
+  }
   [[nodiscard]] std::size_t num_nonzeros() const { return entries_.size(); }
-
-  [[nodiscard]] std::span<const Entry> row(std::size_t i) const;
 
   /// Column @p j as (row, value) entries sorted by row.
   [[nodiscard]] std::span<const Entry> column(std::size_t j) const;
 
   /// y = x A (row vector times matrix); x.size() == num_rows().
-  /// Parallel over columns above kParallelNonzeros stored entries.
   [[nodiscard]] std::vector<double> multiply_left(
       std::span<const double> x) const;
 
-  /// y = A x; x.size() == num_cols().  Parallel over rows above
-  /// kParallelNonzeros stored entries.
-  [[nodiscard]] std::vector<double> multiply_right(
-      std::span<const double> x) const;
-
-  [[nodiscard]] SparseMatrix transpose() const;
-
-  /// Matrices below this many stored entries multiply serially: the thread
-  /// fan-out costs more than the product on small chains.
-  static constexpr std::size_t kParallelNonzeros = 1u << 15;
-
  private:
-  std::size_t cols_ = 0;
-  std::vector<std::size_t> row_ptr_;  // size rows+1
-  std::vector<Entry> entries_;        // CSR: (col, value) by row
+  std::size_t rows_ = 0;
   std::vector<std::size_t> col_ptr_;  // size cols+1
-  std::vector<Entry> centries_;       // CSC: (row, value) by column
+  std::vector<Entry> entries_;        // (row, value) by column
 };
 
 }  // namespace multival::markov

@@ -11,6 +11,7 @@
 
 #include "core/report.hpp"
 #include "markov/interval.hpp"
+#include "markov/sparse.hpp"
 
 namespace multival::markov {
 

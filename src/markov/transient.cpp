@@ -1,13 +1,24 @@
 #include "markov/transient.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
-#include "core/parallel.hpp"
 #include "core/report.hpp"
 
 namespace multival::markov {
+
+namespace {
+
+// lambda exceeds the largest exit rate by this factor, so that every state
+// of P keeps a self-loop; kMinLambda keeps P defined on a chain without
+// transitions.
+constexpr double kUniformizationFactor = 1.02;
+constexpr double kMinLambda = 1e-9;
+
+}  // namespace
 
 PoissonWeights poisson_weights(double lambda_t, double epsilon) {
   if (lambda_t < 0.0 || !std::isfinite(lambda_t)) {
@@ -82,35 +93,64 @@ PoissonWeights poisson_weights(double lambda_t, double epsilon) {
   return out;
 }
 
+Uniformized uniformize(const Ctmc& c) {
+  const std::vector<double> exits = c.exit_rates();
+  double max_exit = 0.0;
+  for (const double e : exits) {
+    max_exit = std::max(max_exit, e);
+  }
+  Uniformized u;
+  u.lambda = std::max(max_exit * kUniformizationFactor, kMinLambda);
+  std::vector<Triplet> ts;
+  ts.reserve(c.num_transitions() + c.num_states());
+  for (const RateTransition& t : c.transitions()) {
+    ts.push_back(Triplet{t.src, t.dst, t.rate / u.lambda});
+  }
+  for (MState s = 0; s < c.num_states(); ++s) {
+    const double self = 1.0 - exits[s] / u.lambda;
+    if (self > 0.0) {
+      ts.push_back(Triplet{s, s, self});
+    }
+  }
+  u.p = SparseMatrix::from_triplets(c.num_states(), c.num_states(),
+                                    std::move(ts));
+  return u;
+}
+
 std::vector<double> transient_distribution(const Ctmc& c, double t,
+                                           double epsilon) {
+  return transient_distribution(uniformize(c), c.initial_distribution(), t,
+                                epsilon);
+}
+
+std::vector<double> transient_distribution(const Uniformized& u,
+                                           std::vector<double> pi0, double t,
                                            double epsilon) {
   if (t < 0.0) {
     throw std::invalid_argument("transient_distribution: negative time");
   }
-  std::vector<double> v = c.initial_distribution();
-  if (t == 0.0 || c.num_states() == 0) {
-    return v;
+  const std::size_t n = u.p.num_rows();
+  if (pi0.size() != n) {
+    throw std::invalid_argument("transient_distribution: size mismatch");
+  }
+  if (t == 0.0 || n == 0) {
+    return pi0;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  double lambda = 0.0;
-  const SparseMatrix& p = c.uniformized_dtmc(lambda);
-  const PoissonWeights pw = poisson_weights(lambda * t, epsilon);
+  const PoissonWeights pw = poisson_weights(u.lambda * t, epsilon);
 
-  const std::size_t n = c.num_states();
+  std::vector<double> v = std::move(pi0);
   std::vector<double> acc(n, 0.0);
-  const std::size_t grain = n < (1u << 14) ? n + 1 : 4096;
   const std::size_t last = pw.left + pw.weights.size() - 1;
   for (std::size_t k = 0; k <= last; ++k) {
     if (k >= pw.left) {
       const double w = pw.weights[k - pw.left];
-      core::parallel_for(n, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          acc[s] += w * v[s];
-        }
-      });
+      for (std::size_t s = 0; s < n; ++s) {
+        acc[s] += w * v[s];
+      }
     }
     if (k < last) {
-      v = p.multiply_left(v);
+      v = u.p.multiply_left(v);
     }
   }
   core::record_solve(core::SolveStat{

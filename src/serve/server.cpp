@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <system_error>
 #include <stdexcept>
 #include <thread>
@@ -228,10 +229,11 @@ void Server::run() {
 }
 
 void Server::serve_connection(const ConnPtr& conn) {
-  // The buffer survives across recv() calls, so a request split over many
+  // `line` survives across recv() calls, so a request split over many
   // segments (down to one byte each) and several requests coalesced into a
-  // single segment both frame correctly.
-  std::string buffer;
+  // single segment both frame correctly.  Only the bytes each recv() adds
+  // are searched for the newline, and `line` never grows past the cap.
+  std::string line;
   char chunk[4096];
   for (;;) {
     const ssize_t k = ::recv(conn->fd, chunk, sizeof chunk, 0);
@@ -241,17 +243,32 @@ void Server::serve_connection(const ConnPtr& conn) {
     if (k <= 0) {
       break;  // peer closed, error, or teardown shutdown()
     }
-    buffer.append(chunk, static_cast<std::size_t>(k));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos; nl = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
+    std::string_view rest(chunk, static_cast<std::size_t>(k));
+    for (std::size_t nl = rest.find('\n');
+         nl != std::string_view::npos && line.size() + nl <= kMaxRequestLine;
+         nl = rest.find('\n')) {
+      line.append(rest.substr(0, nl));
+      rest.remove_prefix(nl + 1);
       if (!line.empty()) {
         handle_line(conn, line);
       }
+      line.clear();
     }
-    buffer.erase(0, start);
+    // `rest` now holds no newline, or starts with a line over the cap.
+    if (line.size() + rest.size() > kMaxRequestLine) {
+      write_response(conn, Response{0, Status::kError,
+                                    "request line longer than " +
+                                        std::to_string(kMaxRequestLine) +
+                                        " bytes"});
+      break;
+    }
+    if (line.size() + rest.size() > (std::size_t{1} << 20)) {
+      // Past 1 MiB, take the whole cap in one allocation: growing by
+      // doubling frees blocks about as large as the line, which malloc
+      // keeps resident once large frees have raised its mmap threshold.
+      line.reserve(kMaxRequestLine);
+    }
+    line.append(rest);
   }
   // The reader owns the fd: closing only here (under the write lock) means
   // a completion callback can never write to a recycled descriptor.
@@ -363,16 +380,19 @@ Response Client::call(const Request& r) {
                                     : kReceiveCeiling);
   const auto deadline = Clock::now() + budget;
   char chunk[4096];
+  std::size_t scanned = 0;  // buffer_[0, scanned) holds no newline
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', scanned);
     if (nl != std::string::npos) {
       const std::string resp_line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
+      scanned = 0;
       if (resp_line.empty()) {
         continue;
       }
       return decode_response(resp_line);
     }
+    scanned = buffer_.size();
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
     if (remaining.count() <= 0) {

@@ -12,7 +12,10 @@
 // The server accepts stream connections; each connection carries
 // newline-delimited protocol lines.  The reader is robust to arbitrary
 // packetisation: requests delivered one byte at a time and several requests
-// coalesced into one segment are both reassembled from the same buffer.
+// coalesced into one segment are both reassembled from the same buffer,
+// and each received byte is searched for the newline once.  A line longer
+// than kMaxRequestLine gets one error response, and the server then closes
+// the connection.
 // Requests are submitted to the service and responses are written back on
 // whichever thread completes them (a per-connection write lock keeps lines
 // intact), so responses to one connection may arrive out of request order —
@@ -22,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -33,6 +37,9 @@
 #include "serve/service.hpp"
 
 namespace multival::serve {
+
+/// The longest request line a server accepts, in bytes, newline excluded.
+inline constexpr std::size_t kMaxRequestLine = std::size_t{16} << 20;
 
 /// A parsed transport address: a Unix socket path or a TCP host:port.
 struct Endpoint {

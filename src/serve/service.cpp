@@ -1,9 +1,10 @@
 #include "serve/service.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/diag.hpp"
-#include "core/parallel.hpp"
+#include "lts/lts_io.hpp"
 
 namespace multival::serve {
 
@@ -18,6 +19,16 @@ double ms_between(std::chrono::steady_clock::time_point a,
 // kFloorMs·2^(b/16)); bucket 0 holds everything below kFloorMs.
 constexpr double kFloorMs = 1e-3;
 constexpr double kBucketsPerOctave = 16.0;
+
+/// The state count a .aut payload's header declares, or 0 when the header
+/// does not parse: prepare_request then rejects the payload (MV010).
+std::uint64_t declared_states(const std::string& payload) {
+  try {
+    return lts::parse_aut_header(payload).states;
+  } catch (const std::exception&) {
+    return 0;
+  }
+}
 
 }  // namespace
 
@@ -147,7 +158,7 @@ std::string ServiceMetrics::to_json() const {
 Service::Service(ServiceOptions opts)
     : opts_(std::move(opts)), cache_(opts_.cache) {
   const unsigned n =
-      opts_.workers == 0 ? core::parallel_threads() : opts_.workers;
+      opts_.workers == 0 ? core::hardware_threads() : opts_.workers;
   workers_.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -190,6 +201,33 @@ void Service::submit_async(Request r, std::function<void(Response)> done) {
     return;
   }
 
+  // Over-budget model: every solve payload is an already-generated .aut
+  // model, so its header declares the exact state count.  Reading only the
+  // header rejects the model before the reader allocates its states, the
+  // same way the static bound analyzer steers the compositional planner
+  // (MV042).
+  const std::uint64_t states =
+      opts_.admission_budget > 0 ? declared_states(r.payload) : 0;
+  if (states > opts_.admission_budget) {
+    {
+      core::MutexLock lock(mu_);
+      ++accepted_;
+      ++invalid_;
+    }
+    core::Diagnostic d;
+    d.code = "MV042";
+    d.severity = core::Severity::kAdvice;
+    d.message = "model has " + std::to_string(states) +
+                " states, above the admission budget of " +
+                std::to_string(opts_.admission_budget);
+    d.hint =
+        "minimise or decompose the model before submitting, or raise the "
+        "service's admission budget";
+    const std::vector<core::Diagnostic> diags{d};
+    done(Response{r.id, Status::kInvalid, core::render_text(diags)});
+    return;
+  }
+
   Prepared prepared;
   try {
     prepared = prepare_request(r);
@@ -210,30 +248,6 @@ void Service::submit_async(Request r, std::function<void(Response)> done) {
       ++failed_;
     }
     done(Response{r.id, Status::kError, e.what()});
-    return;
-  }
-
-  if (opts_.admission_budget > 0 &&
-      prepared.model_states > opts_.admission_budget) {
-    // Over-budget model: the size is known exactly before queuing (the
-    // payload is an already-generated model), so reject it the same way
-    // the static bound analyzer steers the compositional planner (MV042).
-    {
-      core::MutexLock lock(mu_);
-      ++accepted_;
-      ++invalid_;
-    }
-    core::Diagnostic d;
-    d.code = "MV042";
-    d.severity = core::Severity::kAdvice;
-    d.message = "model has " + std::to_string(prepared.model_states) +
-                " states, above the admission budget of " +
-                std::to_string(opts_.admission_budget);
-    d.hint =
-        "minimise or decompose the model before submitting, or raise the "
-        "service's admission budget";
-    const std::vector<core::Diagnostic> diags{d};
-    done(Response{r.id, Status::kInvalid, core::render_text(diags)});
     return;
   }
 

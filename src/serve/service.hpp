@@ -49,15 +49,17 @@
 namespace multival::serve {
 
 struct ServiceOptions {
-  /// Worker threads; 0 = core::parallel_threads().
+  /// Worker threads; 0 = one per hardware thread
+  /// (core::hardware_threads()).
   unsigned workers = 0;
   /// Maximum queued (not yet solving) flights before shedding.
   std::size_t queue_capacity = 256;
   /// Deadline applied to requests that do not carry their own.
   std::chrono::milliseconds default_deadline{10000};
-  /// Admission gate: a solve request whose parsed model exceeds this many
-  /// states is rejected pre-queue with Status::kInvalid and an MV042
-  /// diagnostic (never reaches a worker).  0 disables the gate.
+  /// Admission gate: a solve request whose model header declares more than
+  /// this many states is rejected with Status::kInvalid and an MV042
+  /// diagnostic before its payload is parsed (it never reaches a worker).
+  /// 0 disables the gate.
   std::size_t admission_budget = 0;
   ResultCache::Options cache;
   /// Test seam: invoked by a worker after dequeuing a flight, before the

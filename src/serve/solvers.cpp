@@ -95,7 +95,6 @@ Prepared prepare_reach(const Request& r) {
   hash_append(h, *m);
   Prepared p;
   p.key = h.key();
-  p.model_states = m->num_states();
   p.setup = [m]() -> std::shared_ptr<void> {
     return std::make_shared<core::ClosedModel>(core::close_model(*m));
   };
@@ -133,7 +132,6 @@ Prepared prepare_bounds(const Request& r) {
   hash_append(h, *m);
   Prepared p;
   p.key = h.key();
-  p.model_states = m->num_states();
   p.run = [m]() {
     std::vector<bool> absorbing(m->num_states(), false);
     for (imc::StateId s = 0; s < m->num_states(); ++s) {
@@ -171,7 +169,6 @@ Prepared prepare_check(const Request& r) {
   hash_append(h, *l);
   Prepared p;
   p.key = h.key();
-  p.model_states = l->num_states();
   p.run = [l, f]() {
     const mc::StateSet sat = mc::evaluate(*l, f);
     const bool holds = l->num_states() > 0 && sat.contains(l->initial_state());
@@ -209,7 +206,6 @@ Prepared prepare_throughput(const Request& r) {
       uniform ? imc::NondetPolicy::kUniform : imc::NondetPolicy::kReject;
   Prepared p;
   p.key = h.key();
-  p.model_states = m->num_states();
   p.setup = [m, policy]() -> std::shared_ptr<void> {
     return std::make_shared<core::ClosedModel>(core::close_model(*m, policy));
   };

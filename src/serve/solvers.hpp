@@ -3,9 +3,9 @@
 //
 // The same code path is used by the service workers and by tests that
 // assert served results are bitwise identical to direct in-process solves:
-// every solver underneath is deterministic for any thread count (see
-// core/parallel), and results are formatted with round-trip precision
-// (%.17g), so equal models always produce byte-identical bodies.
+// every solver underneath runs serially on the calling worker, and results
+// are formatted with round-trip precision (%.17g), so equal models always
+// produce byte-identical bodies.
 #pragma once
 
 #include <cstddef>
@@ -50,13 +50,6 @@ class InvalidRequest : public std::runtime_error {
 struct Prepared {
   CacheKey key;
   std::function<std::string()> run;  ///< deterministic; throws on failure
-
-  /// States of the parsed model payload, known before any worker runs (the
-  /// serve tier receives already-generated models, so the "predicted size"
-  /// of a request is exact).  The service's admission gate compares it
-  /// against ServiceOptions::admission_budget and rejects over-budget
-  /// requests with Status::kInvalid and an MV042 diagnostic pre-queue.
-  std::size_t model_states = 0;
 
   /// reach and throughput only (empty for the other verbs): run() split in
   /// two, so that a caller can time its stages apart.  setup() closes the

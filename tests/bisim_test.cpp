@@ -42,34 +42,6 @@ TEST(Partition, RejectsOutOfRangeBlocks) {
   EXPECT_THROW(Partition({0, 3}, 2), std::invalid_argument);
 }
 
-TEST(Partition, SameGroupingIgnoresBlockNames) {
-  Partition a({0, 0, 1}, 2);
-  Partition b({1, 1, 0}, 2);
-  Partition c({0, 1, 1}, 2);
-  EXPECT_TRUE(a.same_grouping(b));
-  EXPECT_FALSE(a.same_grouping(c));
-}
-
-TEST(Partition, BlocksListsMembers) {
-  Partition p({0, 1, 0}, 2);
-  const auto bs = p.blocks();
-  ASSERT_EQ(bs.size(), 2u);
-  EXPECT_EQ(bs[0].size(), 2u);
-  EXPECT_EQ(bs[1].size(), 1u);
-}
-
-TEST(Partition, IntersectRefinesBoth) {
-  Partition a({0, 0, 1, 1}, 2);
-  Partition b({0, 1, 0, 1}, 2);
-  const Partition c = Partition::intersect(a, b);
-  EXPECT_EQ(c.num_blocks(), 4u);
-}
-
-TEST(Partition, IntersectWithSelfIsIdentity) {
-  Partition a({0, 1, 0, 2}, 3);
-  EXPECT_TRUE(Partition::intersect(a, a).same_grouping(a));
-}
-
 // --- Strong bisimulation ------------------------------------------------------
 
 // Two parallel "coin" states with identical behaviour must merge.

@@ -82,8 +82,8 @@ TEST(EdgeCases, HideEverythingThenMinimise) {
   l.add_transition(0, "A", 1);
   l.add_transition(1, "B", 2);
   l.add_transition(2, "C", 0);
-  const std::vector<std::string> none{};
-  const Lts h = lts::hide_all_but(l, none);
+  const std::vector<std::string> gates{"A", "B", "C"};
+  const Lts h = lts::hide(l, gates);
   // All tau, one cycle: divergence-blind branching collapses to one silent
   // state; divergence-sensitive keeps the livelock visible as a tau loop.
   const auto blind = bisim::minimize(h, bisim::Equivalence::kBranching);

@@ -113,18 +113,6 @@ TEST(Lts, AllTransitionsFlatten) {
   EXPECT_EQ(ts[2].action, ActionTable::kTau);
 }
 
-TEST(Lts, PredecessorsInvertEdges) {
-  Lts l;
-  l.add_states(3);
-  l.add_transition(0, "A", 2);
-  l.add_transition(1, "B", 2);
-  const auto preds = l.predecessors();
-  EXPECT_TRUE(preds[0].empty());
-  ASSERT_EQ(preds[2].size(), 2u);
-  EXPECT_EQ(preds[2][0].dst, 0u);  // predecessor stored in dst slot
-  EXPECT_EQ(preds[2][1].dst, 1u);
-}
-
 TEST(Lts, DeadlockPredicate) {
   Lts l;
   l.add_states(2);
@@ -260,23 +248,12 @@ TEST(Product, HideMapsGateToTau) {
   EXPECT_EQ(h.actions().name(h.out(1)[0].action), "POP !1");
 }
 
-TEST(Product, HideAllBut) {
-  Lts l;
-  l.add_states(2);
-  l.add_transition(0, "A", 1);
-  l.add_transition(0, "B", 1);
-  const std::vector<std::string> keep{"A"};
-  const Lts h = hide_all_but(l, keep);
-  EXPECT_EQ(h.actions().name(h.out(0)[0].action), "A");
-  EXPECT_EQ(h.actions().name(h.out(0)[1].action), "i");
-}
-
 TEST(Product, HideNeverTouchesExit) {
   Lts l;
   l.add_states(2);
   l.add_transition(0, "exit", 1);
-  const std::vector<std::string> none{};
-  const Lts h = hide_all_but(l, none);
+  const std::vector<std::string> gates{"exit"};
+  const Lts h = hide(l, gates);
   EXPECT_EQ(h.actions().name(h.out(0)[0].action), "exit");
 }
 

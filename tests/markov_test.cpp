@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/report.hpp"
 #include "markov/absorption.hpp"
 #include "markov/ctmc.hpp"
@@ -28,9 +27,9 @@ TEST(Sparse, FromTripletsSumsDuplicates) {
   const SparseMatrix m = SparseMatrix::from_triplets(
       2, 2, {{0, 1, 1.0}, {0, 1, 2.0}, {1, 0, 5.0}});
   EXPECT_EQ(m.num_nonzeros(), 2u);
-  ASSERT_EQ(m.row(0).size(), 1u);
-  EXPECT_DOUBLE_EQ(m.row(0)[0].value, 3.0);
-  EXPECT_EQ(m.row(0)[0].col, 1u);
+  ASSERT_EQ(m.column(1).size(), 1u);
+  EXPECT_DOUBLE_EQ(m.column(1)[0].value, 3.0);
+  EXPECT_EQ(m.column(1)[0].col, 0u);  // a column entry holds its row
 }
 
 TEST(Sparse, OutOfRangeTripletThrows) {
@@ -38,7 +37,7 @@ TEST(Sparse, OutOfRangeTripletThrows) {
                std::out_of_range);
 }
 
-TEST(Sparse, MultiplyLeftAndRight) {
+TEST(Sparse, MultiplyLeft) {
   // [[0,2],[3,0]]
   const SparseMatrix m =
       SparseMatrix::from_triplets(2, 2, {{0, 1, 2.0}, {1, 0, 3.0}});
@@ -46,27 +45,12 @@ TEST(Sparse, MultiplyLeftAndRight) {
   const auto left = m.multiply_left(x);  // x*M = [30, 2]
   EXPECT_DOUBLE_EQ(left[0], 30.0);
   EXPECT_DOUBLE_EQ(left[1], 2.0);
-  const auto right = m.multiply_right(x);  // M*x = [20, 3]
-  EXPECT_DOUBLE_EQ(right[0], 20.0);
-  EXPECT_DOUBLE_EQ(right[1], 3.0);
 }
 
 TEST(Sparse, MultiplySizeChecked) {
   const SparseMatrix m = SparseMatrix::from_triplets(2, 3, {{0, 0, 1.0}});
   const std::vector<double> bad{1.0};
   EXPECT_THROW((void)m.multiply_left(bad), std::invalid_argument);
-  EXPECT_THROW((void)m.multiply_right(bad), std::invalid_argument);
-}
-
-TEST(Sparse, Transpose) {
-  const SparseMatrix m =
-      SparseMatrix::from_triplets(2, 3, {{0, 2, 4.0}, {1, 0, 5.0}});
-  const SparseMatrix t = m.transpose();
-  EXPECT_EQ(t.num_rows(), 3u);
-  EXPECT_EQ(t.num_cols(), 2u);
-  ASSERT_EQ(t.row(2).size(), 1u);
-  EXPECT_DOUBLE_EQ(t.row(2)[0].value, 4.0);
-  EXPECT_EQ(t.row(2)[0].col, 0u);
 }
 
 // --- Ctmc basics -------------------------------------------------------------
@@ -108,14 +92,15 @@ TEST(CtmcTest, UniformizedDtmcRowsSumToOne) {
   c.add_states(2);
   c.add_transition(0, 1, 4.0);
   c.add_transition(1, 0, 1.0);
-  double lambda = 0.0;
-  const SparseMatrix p = c.uniformized_dtmc(lambda);
-  EXPECT_GE(lambda, 4.0);
-  for (std::size_t r = 0; r < 2; ++r) {
-    double sum = 0.0;
-    for (const Entry& e : p.row(r)) {
-      sum += e.value;
+  const Uniformized u = uniformize(c);
+  EXPECT_GE(u.lambda, 4.0);
+  std::vector<double> row_sum(2, 0.0);
+  for (std::size_t j = 0; j < 2; ++j) {
+    for (const Entry& e : u.p.column(j)) {
+      row_sum[e.col] += e.value;
     }
+  }
+  for (const double sum : row_sum) {
     EXPECT_NEAR(sum, 1.0, 1e-12);
   }
 }
@@ -560,6 +545,39 @@ TEST(Transient, NegativeTimeThrows) {
   EXPECT_THROW((void)transient_distribution(c, -1.0), std::invalid_argument);
 }
 
+TEST(Transient, PrebuiltUniformisationMatchesChainForm) {
+  std::vector<Ctmc> chains;
+  Ctmc two_state;  // TwoStateClosedForm
+  two_state.add_states(2);
+  two_state.add_transition(0, 1, 2.0);
+  two_state.add_transition(1, 0, 0.5);
+  chains.push_back(two_state);
+  Ctmc parallel_edges;  // ExitRates, plus a self-loop and a spread start
+  parallel_edges.add_states(2);
+  parallel_edges.add_transition(0, 1, 2.0);
+  parallel_edges.add_transition(0, 1, 3.0);
+  parallel_edges.add_transition(1, 1, 1.0);
+  parallel_edges.set_initial_distribution({0.25, 0.75});
+  chains.push_back(parallel_edges);
+  chains.push_back(birth_death_chain(40, 0.9, 1.0));
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    const Ctmc& c = chains[i];
+    const Uniformized u = uniformize(c);
+    for (const double t : {0.0, 0.5, 10.0, 200.0}) {
+      const std::vector<double> chain_form = transient_distribution(c, t);
+      const std::vector<double> prebuilt =
+          transient_distribution(u, c.initial_distribution(), t);
+      ASSERT_EQ(prebuilt.size(), chain_form.size());
+      EXPECT_EQ(std::memcmp(prebuilt.data(), chain_form.data(),
+                            prebuilt.size() * sizeof(double)),
+                0)
+          << "chain " << i << ", t = " << t;
+    }
+  }
+  EXPECT_THROW((void)transient_distribution(uniformize(chains[0]), {1.0}, 1.0),
+               std::invalid_argument);
+}
+
 // --- absorption ------------------------------------------------------------------------
 
 TEST(Absorption, ErlangChain) {
@@ -698,7 +716,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BdParam{2.0, 1.0, 4}, BdParam{0.9, 1.1, 8},
                       BdParam{5.0, 1.0, 2}, BdParam{0.1, 2.0, 6}));
 
-// --- Fox-Glynn truncation and parallel determinism --------------------------
+// --- Fox-Glynn truncation --------------------------------------------------
 
 // Erlang-k completion probability by time t computed through uniformisation
 // must match the analytic Poisson tail P[Poisson(r*t) >= k] to the requested
@@ -752,75 +770,6 @@ TEST(Transient, PoissonWeightsRejectsBadEpsilon) {
   EXPECT_THROW((void)poisson_weights(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)poisson_weights(1.0, 1.0), std::invalid_argument);
   EXPECT_THROW((void)poisson_weights(1.0, -1e-3), std::invalid_argument);
-}
-
-TEST(Sparse, ParallelMultiplyIsBitwiseDeterministic) {
-  // Big enough to clear the serial threshold (kParallelNonzeros).
-  const std::size_t n = 20000;
-  std::vector<Triplet> ts;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    ts.push_back({static_cast<std::uint32_t>(i),
-                  static_cast<std::uint32_t>(i + 1), 0.25});
-    ts.push_back({static_cast<std::uint32_t>(i + 1),
-                  static_cast<std::uint32_t>(i), 1.0 / 3.0});
-    ts.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i),
-                  1.0 / 7.0});
-  }
-  const SparseMatrix m = SparseMatrix::from_triplets(n, n, std::move(ts));
-  ASSERT_GE(m.num_nonzeros(), SparseMatrix::kParallelNonzeros);
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 / static_cast<double>(i + 1);
-  }
-  const unsigned prev = multival::core::set_parallel_threads(1);
-  const std::vector<double> left1 = m.multiply_left(x);
-  const std::vector<double> right1 = m.multiply_right(x);
-  for (const unsigned threads : {2u, 3u, 8u}) {
-    multival::core::set_parallel_threads(threads);
-    const std::vector<double> left = m.multiply_left(x);
-    const std::vector<double> right = m.multiply_right(x);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(left[i], left1[i]) << "threads=" << threads << " col " << i;
-      ASSERT_EQ(right[i], right1[i]) << "threads=" << threads << " row " << i;
-    }
-  }
-  multival::core::set_parallel_threads(prev);
-}
-
-TEST(Sparse, TransposeRoundTripWithCscLayout) {
-  const SparseMatrix m = SparseMatrix::from_triplets(
-      3, 2, {{0, 1, 1.0}, {2, 0, 2.0}, {1, 1, 3.0}});
-  const SparseMatrix t = m.transpose();
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.num_cols(), 3u);
-  const SparseMatrix back = t.transpose();
-  for (std::size_t r = 0; r < 3; ++r) {
-    const auto a = m.row(r);
-    const auto b = back.row(r);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].col, b[i].col);
-      EXPECT_DOUBLE_EQ(a[i].value, b[i].value);
-    }
-  }
-}
-
-TEST(Ctmc, MatrixCacheInvalidatedOnMutation) {
-  Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, 1.0);
-  // 0 -> 1 plus a self-loop on each state.
-  double lambda1 = 0.0;
-  EXPECT_EQ(c.uniformized_dtmc(lambda1).num_nonzeros(), 3u);
-  c.add_transition(1, 0, 2.0);  // must invalidate the cached matrix
-  double lambda2 = 0.0;
-  EXPECT_EQ(c.uniformized_dtmc(lambda2).num_nonzeros(), 4u);
-  EXPECT_GT(lambda2, lambda1);
-  // Copies drop the cache but solve identically.
-  const Ctmc d = c;
-  double lambda3 = 0.0;
-  EXPECT_EQ(d.uniformized_dtmc(lambda3).num_nonzeros(), 4u);
-  EXPECT_EQ(lambda3, lambda2);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -598,8 +600,17 @@ TEST(ServeService, AdmissionBudgetRejectsOversizedModelsPreQueue) {
   EXPECT_EQ(resp.status, serve::Status::kInvalid);
   EXPECT_NE(resp.body.find("MV042"), std::string::npos);
   EXPECT_NE(resp.body.find("admission budget"), std::string::npos);
+
+  // The gate reads the header alone: a model that declares 3 states is
+  // refused before its (here malformed) transitions are parsed, so a
+  // header cannot make the reader allocate past the budget.
+  const serve::Response header = service.evaluate(
+      make_request(serve::Verb::kReach, "des (0, 1, 3)\n(0, \"rate 1.0\"\n"));
+  EXPECT_EQ(header.status, serve::Status::kInvalid);
+  EXPECT_NE(header.body.find("MV042"), std::string::npos) << header.body;
+  EXPECT_NE(header.body.find("model has 3 states"), std::string::npos);
   const serve::ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.invalid, 1u);
+  EXPECT_EQ(m.invalid, 2u);
   EXPECT_EQ(m.solves, 0u);  // never reached a worker
 
   // Raising the budget admits the same request unchanged.
@@ -746,6 +757,58 @@ TEST(ServeSocket, DeepNestingFormulaIsInvalidAndServerStaysUp) {
   }
   server_thread.join();
   EXPECT_EQ(server.service().metrics().invalid, 1u);
+}
+
+TEST(ServeSocket, OverlongLineGetsOneErrorThenEof) {
+  // One byte past the line cap, with no newline: the server answers one
+  // error line and closes the connection instead of buffering on.
+  const std::string socket_path =
+      "/tmp/mvserve_long_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.endpoint = socket_path;
+  opts.service.workers = 1;
+  serve::Server server(opts);
+  std::thread server_thread([&server] { server.run(); });
+
+  // The server listens from its constructor on, so connect() succeeds.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  socket_path.copy(addr.sun_path, sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const timeval patience{10, 0};  // fail, rather than hang, on no reply
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof patience),
+            0);
+  const std::string line(serve::kMaxRequestLine + 1, 'x');
+  for (std::size_t sent = 0; sent < line.size();) {
+    const ssize_t k = ::send(fd, line.data() + sent, line.size() - sent, 0);
+    ASSERT_GT(k, 0);
+    sent += static_cast<std::size_t>(k);
+  }
+  std::string reply;
+  char buf[256];
+  for (ssize_t k = 0; (k = ::read(fd, buf, sizeof buf)) > 0;) {
+    reply.append(buf, static_cast<std::size_t>(k));
+  }
+  ::close(fd);  // read() returned 0: the server closed the connection
+  ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  ASSERT_EQ(reply.back(), '\n');
+  const serve::Response error =
+      serve::decode_response(reply.substr(0, reply.size() - 1));
+  EXPECT_EQ(error.status, serve::Status::kError);
+  EXPECT_NE(error.body.find("request line longer than"), std::string::npos);
+
+  {
+    // A new connection is served as before.
+    serve::Client client(socket_path);
+    EXPECT_EQ(client.call(make_request(serve::Verb::kPing, "")).body, "pong");
+    const serve::Response bye =
+        client.call(make_request(serve::Verb::kShutdown, ""));
+    EXPECT_EQ(bye.status, serve::Status::kOk);
+  }
+  server_thread.join();
 }
 
 // --- endpoint grammar ----------------------------------------------------
