@@ -3,12 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "core/flow.hpp"
+#include "core/hash.hpp"
+#include "fame/mpi.hpp"
+#include "fame/topology.hpp"
 #include "imc/compose.hpp"
 #include "imc/imc.hpp"
+#include "imc/imc_io.hpp"
 #include "imc/lump.hpp"
 #include "markov/absorption.hpp"
 #include "markov/steady.hpp"
+#include "phase/fit.hpp"
+#include "proc/generator.hpp"
 
 namespace {
 
@@ -313,6 +324,187 @@ TEST(Lump, ErlangChainDoesNotCollapse) {
   m.add_markovian(2, 1.0, 3);
   const auto p = lump_branching(m);
   EXPECT_EQ(p.num_blocks(), 4u);
+}
+
+// --- golden operator outputs -------------------------------------------------------
+
+/// What an operator's result shows a reader: its .imc text and its action
+/// table, name by name in id order (quotient_imc orders a block's edges by
+/// action id, so the interning order is part of the answer).
+void append_imc(core::Hasher& h, const Imc& m) {
+  h.str(to_aut(m));
+  h.u64(m.actions().size());
+  for (lts::ActionId a = 0; a < m.actions().size(); ++a) {
+    h.str(m.actions().name(a));
+  }
+}
+
+/// A random open IMC: value offers, tau, exit, and labelled and unlabelled
+/// rates.  Part of the label pool is interned ahead of use, in shuffled
+/// order, so the table's order is not the order of first use.
+Imc random_open_imc(std::mt19937& rng, std::size_t states) {
+  const std::vector<std::string> pool = {"i",     "exit",  "A",    "A !0",
+                                         "A !1",  "B",     "B !2", "C"};
+  const double rates[] = {0.5, 1.0, 2.0, 3.25};
+  const char* probes[] = {"", "", "x", "A !1"};
+  Imc m;
+  m.add_states(states);
+  std::vector<std::string> ahead = pool;
+  std::shuffle(ahead.begin(), ahead.end(), rng);
+  std::uniform_int_distribution<std::size_t> count(0, 4);
+  const std::size_t n_ahead = count(rng);
+  for (std::size_t k = 0; k < n_ahead; ++k) {
+    m.actions().intern(ahead[k]);
+  }
+  std::uniform_int_distribution<StateId> state(
+      0, static_cast<StateId>(states - 1));
+  std::uniform_int_distribution<std::size_t> label(0, pool.size() - 1);
+  std::uniform_int_distribution<int> pick(0, 3);
+  for (std::size_t k = 0; k < states * 2; ++k) {
+    // One draw per statement: argument evaluation order is unspecified.
+    const StateId src = state(rng);
+    const std::string& action = pool[label(rng)];
+    m.add_interactive(src, action, state(rng));
+    if (pick(rng) < 2) {
+      const StateId from = state(rng);
+      const double rate = rates[pick(rng)];
+      const StateId to = state(rng);
+      m.add_markovian(from, rate, to, probes[pick(rng)]);
+    }
+  }
+  return m;
+}
+
+/// exp_f7's M/Er(k)/1/3 station: a queue of capacity 3 fed by a generator
+/// whose inter-arrival and service delays are ASTART/AEND and SSTART/SEND.
+lts::Lts erlang_station() {
+  using namespace multival::proc;
+  const int cap = 3;
+  Program p;
+  std::vector<TermPtr> branches;
+  branches.push_back(guard(
+      evar("n") < lit(cap),
+      prefix("ARR", call("Q", {evar("n") + lit(1), evar("b")}))));
+  branches.push_back(guard(evar("n") > lit(0) && evar("b") == lit(0),
+                           prefix("SSTART", call("Q", {evar("n"), lit(1)}))));
+  branches.push_back(guard(
+      evar("b") == lit(1),
+      prefix("SEND",
+             prefix("SRVEND", call("Q", {evar("n") - lit(1), lit(0)})))));
+  p.define("Q", {"n", "b"}, choice(std::move(branches)));
+  p.define("Gen", {},
+           prefix("ASTART", prefix("AEND", prefix("ARR", call("Gen")))));
+  p.define("Station", {},
+           par(call("Q", {lit(0), lit(0)}), {"ARR"}, call("Gen")));
+  return generate(p, "Station");
+}
+
+void expect_golden(const std::map<std::string, std::string>& golden,
+                   const std::string& name, const core::Hasher& h) {
+  const std::string actual = h.key().hex();
+  const auto it = golden.find(name);
+  if (it == golden.end() || it->second != actual) {
+    ADD_FAILURE() << "digest changed: {\"" << name << "\", \"" << actual
+                  << "\"},";
+  }
+}
+
+// Pins every IMC operator's output, action table included, on random IMC
+// pairs, exp_f7's Erlang station, an .imc text and the ping-pong scenario.
+// On a mismatch the failure prints the line to paste, but only paste it
+// when the change of output is intended.
+TEST(ImcGolden, OperatorsMatchTheParent) {
+  const std::map<std::string, std::string> golden = {
+      {"pingpong/decorate_with_phase_type", "81ef3ba5e793d35eded0511d554df05b"},
+      {"pingpong/decorate_with_rates", "b5836b946143bfdc8cd0b189c71bf8fb"},
+      {"pingpong/from_lts", "908f0672e02ed61ac64af97f2b74e27c"},
+      {"random/from_aut", "7fd24a96f78a4c71eff08606a03fba78"},
+      {"random/hide", "12eeb89041f4eef969ad9af8cf533758"},
+      {"random/hide_all", "ea54fdddad135bcab749908b79cbdba6"},
+      {"random/maximal_progress", "4af50dcf3bf9fe24c3f0f7e85a70fcfc"},
+      {"random/minimize_imc", "cc499460189422f00713ab221abfd724"},
+      {"random/parallel", "618b4e62e4c754565e5ef39244a0aa3b"},
+      {"random/trim", "ecf19f6a5acd5193b1f45244e91dc8cf"},
+      {"station/closed", "c6ae1c3f281a1444de92c19c10eb465c"},
+      {"station/from_lts", "c889e9421764e2de82da538edb9507c5"},
+      {"station/insert_delays", "c23b9d1c549e9b17207c524028bcb08d"},
+      {"station/minimize_imc", "1ddf3cd15d659df4637216235e3922d2"},
+      {"station/trim", "c23b9d1c549e9b17207c524028bcb08d"},
+      {"text/from_aut", "1340eb42a3cd33566254d868d6904cd9"},
+      {"text/maximal_progress", "ab55f37f54bfb68bcdde7ea2c0e83575"},
+  };
+  const std::vector<std::vector<std::string>> sync_sets = {
+      {}, {"A"}, {"B"}, {"A", "B"}, {"A", "B", "C", "exit"}};
+  std::map<std::string, core::Hasher> h;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937 rng(seed);
+    const Imc a = random_open_imc(rng, 5 + seed % 4);
+    const Imc b = random_open_imc(rng, 4 + seed % 3);
+    const std::vector<std::string>& sync = sync_sets[seed % sync_sets.size()];
+    const Imc p = parallel(a, b, sync);
+    append_imc(h["random/parallel"], p);
+    append_imc(h["random/hide"], hide(a, sync));
+    append_imc(h["random/hide"], hide(p, sync));
+    append_imc(h["random/hide_all"], hide_all(a));
+    append_imc(h["random/hide_all"], hide_all(p));
+    append_imc(h["random/maximal_progress"], maximal_progress(a));
+    append_imc(h["random/maximal_progress"], maximal_progress(p));
+    append_imc(h["random/trim"], trim(a));
+    append_imc(h["random/trim"], trim(hide(p, sync)));
+    append_imc(h["random/minimize_imc"], minimize_imc(a).quotient);
+    append_imc(h["random/minimize_imc"], minimize_imc(p).quotient);
+    append_imc(h["random/from_aut"], from_aut(to_aut(a)));
+    append_imc(h["random/from_aut"], from_aut(to_aut(p)));
+  }
+
+  const lts::Lts station = erlang_station();
+  h["station/from_lts"].str(to_aut(Imc::from_lts(station)));
+  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+    const std::vector<core::DelaySpec> delays{
+        {"ASTART", "AEND", phase::PhaseType::exponential(0.8)},
+        {"SSTART", "SEND", phase::erlang_for_fixed_delay(1.0, k)},
+    };
+    const Imc m = core::insert_delays(station, delays);
+    append_imc(h["station/insert_delays"], m);
+    append_imc(h["station/trim"], trim(m));
+    append_imc(h["station/closed"], maximal_progress(hide_all(trim(m))));
+    append_imc(h["station/minimize_imc"],
+               minimize_imc(hide_all(trim(m))).quotient);
+  }
+
+  // Transitions out of state order, and one rate label on two edges.
+  const Imc text = from_aut(
+      "des (2, 8, 4)\n"
+      "(3, \"rate 2\", 0)\n"
+      "(2, \"GO !1\", 1)\n"
+      "(1, \"DONE; rate 1.5\", 3)\n"
+      "(0, i, 2)\n"
+      "(2, \"rate 2\", 3)\n"
+      "(1, \"DONE; rate 1.5\", 0)\n"
+      "(3, exit, 3)\n"
+      "(0, \"GO !1\", 3)\n");
+  append_imc(h["text/from_aut"], text);
+  append_imc(h["text/from_aut"], from_aut(to_aut(text)));
+  append_imc(h["text/maximal_progress"], maximal_progress(text));
+
+  const fame::PingPongConfig pp;
+  const lts::Lts pingpong = fame::pingpong_lts(pp);
+  h["pingpong/from_lts"].str(to_aut(Imc::from_lts(pingpong)));
+  const auto rates =
+      fame::topology_rates(pp.topology, {"M", "S0", "S1"}, pp.base_rate);
+  append_imc(h["pingpong/decorate_with_rates"],
+             core::decorate_with_rates(pingpong, rates));
+  std::map<std::string, phase::PhaseType> delays;
+  for (const auto& [gate, rate] : rates) {
+    delays.emplace(gate, phase::erlang_for_fixed_delay(1.0 / rate, 2));
+  }
+  append_imc(h["pingpong/decorate_with_phase_type"],
+             core::decorate_with_phase_type(pingpong, delays));
+
+  for (const auto& [name, hasher] : h) {
+    expect_golden(golden, name, hasher);
+  }
+  EXPECT_EQ(h.size(), golden.size());
 }
 
 }  // namespace
