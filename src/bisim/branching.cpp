@@ -24,13 +24,6 @@ std::uint64_t edge_elem(ActionId a, BlockId b) {
   return kEdgeTag | (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-lts::TauContraction contract(const Lts& l,
-                             const std::function<bool(StateId, StateId)>&
-                                 same_block = {}) {
-  return lts::contract_tau_cycles(
-      l.num_states(), [&l](StateId s) { return l.out(s); }, same_block);
-}
-
 }  // namespace
 
 Partition branching_partition(const Lts& l, const Partition& initial,
@@ -45,7 +38,7 @@ Partition branching_partition(const Lts& l, const Partition& initial,
   }
   Partition p = initial;
   p.normalize();
-  const lts::TauContraction c = contract(
+  const lts::TauContraction c = lts::contract_tau_cycles(
       l, [&](StateId a, StateId b) { return p.block_of(a) == p.block_of(b); });
 
   // Refine over components, seeded from the initial state partition (every
@@ -89,7 +82,7 @@ MinimizeResult minimize_branching(const Lts& l, const BranchingOptions& opts) {
   Lts q = quotient_lts(l, p, /*skip_inert_tau=*/true);
   if (opts.divergence_sensitive) {
     // Re-add a tau self-loop on every divergent block so livelocks survive.
-    const lts::TauContraction c = contract(l);
+    const lts::TauContraction c = lts::contract_tau_cycles(l);
     std::vector<bool> block_divergent(p.num_blocks(), false);
     for (StateId s = 0; s < l.num_states(); ++s) {
       if (c.divergent[c.node_of[s]]) {

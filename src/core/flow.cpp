@@ -1,5 +1,6 @@
 #include "core/flow.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "bisim/equivalence.hpp"
@@ -52,28 +53,18 @@ imc::Imc decorate_with_rates(const lts::Lts& l,
                                   gate + " must be > 0");
     }
   }
-  imc::Imc m;
-  m.add_states(l.num_states());
-  if (l.num_states() > 0) {
-    m.set_initial_state(l.initial_state());
-  }
-  for (lts::StateId s = 0; s < l.num_states(); ++s) {
-    for (const lts::OutEdge& e : l.out(s)) {
-      const std::string_view label = l.actions().name(e.action);
-      const auto it = gate_rates.find(std::string(lts::label_gate(label)));
-      if (it != gate_rates.end() && !lts::ActionTable::is_tau(e.action)) {
-        m.add_markovian(s, it->second, e.dst, label);
-      } else {
-        m.add_interactive(s, label, e.dst);
-      }
+  return imc::lift(l, [&](std::string_view label) -> std::optional<imc::Delay> {
+    const auto it = gate_rates.find(std::string(lts::label_gate(label)));
+    if (it == gate_rates.end()) {
+      return std::nullopt;
     }
-  }
-  return m;
+    return imc::Delay{it->second, std::string(label)};
+  });
 }
 
 imc::Imc insert_delays(const lts::Lts& l,
                        const std::vector<DelaySpec>& delays) {
-  imc::Imc m = imc::Imc::from_lts(l);
+  imc::Imc m(l);
   std::vector<std::string> delay_gates;
   for (const DelaySpec& spec : delays) {
     const imc::Imc d =

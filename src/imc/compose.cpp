@@ -1,9 +1,7 @@
 #include "imc/compose.hpp"
 
-#include <cstdint>
-#include <functional>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/graph.hpp"
@@ -13,154 +11,13 @@ namespace multival::imc {
 
 namespace {
 
-using lts::ActionTable;
-
-using PairKey = std::uint64_t;
-
-PairKey pair_key(StateId a, StateId b) {
-  return (static_cast<PairKey>(a) << 32) | b;
-}
-
-bool gate_in(const std::unordered_set<std::string>& set,
-             std::string_view gate) {
-  return set.find(std::string(gate)) != set.end();
-}
-
-}  // namespace
-
-Imc parallel(const Imc& a, const Imc& b,
-             std::span<const std::string> sync_gates) {
-  const std::unordered_set<std::string> sync(sync_gates.begin(),
-                                             sync_gates.end());
-  const auto must_sync = [&](const Imc& side, ActionId act) {
-    if (ActionTable::is_tau(act)) {
-      return false;
-    }
-    if (ActionTable::is_exit(act)) {
-      return true;
-    }
-    return gate_in(sync, lts::label_gate(side.actions().name(act)));
-  };
-
-  Imc result;
-  std::unordered_map<PairKey, StateId> ids;
-  std::vector<std::pair<StateId, StateId>> worklist;
-
-  const auto state_of = [&](StateId sa, StateId sb) {
-    const PairKey key = pair_key(sa, sb);
-    const auto it = ids.find(key);
-    if (it != ids.end()) {
-      return it->second;
-    }
-    const StateId ns = result.add_state();
-    ids.emplace(key, ns);
-    worklist.emplace_back(sa, sb);
-    return ns;
-  };
-
-  result.set_initial_state(state_of(a.initial_state(), b.initial_state()));
-
-  std::vector<ActionId> map_a(a.actions().size(), lts::kNoState);
-  std::vector<ActionId> map_b(b.actions().size(), lts::kNoState);
-  const auto xlat = [&](const Imc& side, std::vector<ActionId>& cache,
-                        ActionId act) {
-    if (cache[act] == lts::kNoState) {
-      cache[act] = result.actions().intern(side.actions().name(act));
-    }
-    return cache[act];
-  };
-
-  while (!worklist.empty()) {
-    const auto [sa, sb] = worklist.back();
-    worklist.pop_back();
-    const StateId src = ids.at(pair_key(sa, sb));
-
-    // Markovian transitions interleave unconditionally (memorylessness).
-    for (const MarkEdge& e : a.markovian(sa)) {
-      result.add_markovian(src, e.rate, state_of(e.dst, sb), e.label);
-    }
-    for (const MarkEdge& e : b.markovian(sb)) {
-      result.add_markovian(src, e.rate, state_of(sa, e.dst), e.label);
-    }
-    // Independent interactive moves.
-    for (const InterEdge& ea : a.interactive(sa)) {
-      if (!must_sync(a, ea.action)) {
-        result.add_interactive(src, xlat(a, map_a, ea.action),
-                               state_of(ea.dst, sb));
-      }
-    }
-    for (const InterEdge& eb : b.interactive(sb)) {
-      if (!must_sync(b, eb.action)) {
-        result.add_interactive(src, xlat(b, map_b, eb.action),
-                               state_of(sa, eb.dst));
-      }
-    }
-    // Synchronised interactive moves (full-label value matching).
-    for (const InterEdge& ea : a.interactive(sa)) {
-      if (!must_sync(a, ea.action)) {
-        continue;
-      }
-      const std::string_view label = a.actions().name(ea.action);
-      for (const InterEdge& eb : b.interactive(sb)) {
-        if (!must_sync(b, eb.action) ||
-            b.actions().name(eb.action) != label) {
-          continue;
-        }
-        result.add_interactive(src, xlat(a, map_a, ea.action),
-                               state_of(ea.dst, eb.dst));
-      }
-    }
-  }
-  return result;
-}
-
-namespace {
-
-std::unordered_set<std::string> interactive_gates_of(const Imc& m) {
-  std::unordered_set<std::string> gates;
+/// @p inter, a relabelling of @p m's interactive part, with @p m's
+/// Markovian edges: at every state, or at its stable states only.
+Imc with_markovian_of(lts::Lts inter, const Imc& m, bool stable_only) {
+  Imc out(std::move(inter));
   for (StateId s = 0; s < m.num_states(); ++s) {
-    for (const InterEdge& e : m.interactive(s)) {
-      gates.emplace(lts::label_gate(m.actions().name(e.action)));
-    }
-  }
-  return gates;
-}
-
-}  // namespace
-
-Imc parallel_all(std::span<const Imc> components,
-                 std::span<const std::string> sync_gates) {
-  if (components.empty()) {
-    throw std::invalid_argument("imc::parallel_all: no components");
-  }
-  Imc acc = components[0];
-  auto acc_gates = interactive_gates_of(acc);
-  for (std::size_t i = 1; i < components.size(); ++i) {
-    const auto next_gates = interactive_gates_of(components[i]);
-    std::vector<std::string> join;
-    for (const std::string& g : sync_gates) {
-      if (acc_gates.count(g) > 0 && next_gates.count(g) > 0) {
-        join.push_back(g);
-      }
-    }
-    acc = parallel(acc, components[i], join);
-    acc_gates.insert(next_gates.begin(), next_gates.end());
-  }
-  return acc;
-}
-
-namespace {
-
-Imc relabel_interactive(
-    const Imc& m, const std::function<std::string(std::string_view)>& f) {
-  Imc out;
-  out.add_states(m.num_states());
-  if (m.num_states() > 0) {
-    out.set_initial_state(m.initial_state());
-  }
-  for (StateId s = 0; s < m.num_states(); ++s) {
-    for (const InterEdge& e : m.interactive(s)) {
-      out.add_interactive(s, f(m.actions().name(e.action)), e.dst);
+    if (stable_only && !m.is_stable(s)) {
+      continue;
     }
     for (const MarkEdge& e : m.markovian(s)) {
       out.add_markovian(s, e.rate, e.dst, e.label);
@@ -171,42 +28,56 @@ Imc relabel_interactive(
 
 }  // namespace
 
+Imc parallel(const Imc& a, const Imc& b,
+             std::span<const std::string> sync_gates) {
+  // Markovian transitions interleave unconditionally (memorylessness).  The
+  // hook numbers their targets before the state's interactive moves; the
+  // edges are added once the interactive product is built.
+  struct Move {
+    StateId src;
+    const MarkEdge* edge;
+    StateId dst;
+  };
+  std::vector<Move> moves;
+  lts::Lts inter = lts::parallel(
+      a.interactive_lts(), b.interactive_lts(), sync_gates,
+      std::numeric_limits<std::size_t>::max(),
+      [&](StateId src, StateId sa, StateId sb,
+          const lts::PairState& state_of) {
+        for (const MarkEdge& e : a.markovian(sa)) {
+          moves.push_back(Move{src, &e, state_of(e.dst, sb)});
+        }
+        for (const MarkEdge& e : b.markovian(sb)) {
+          moves.push_back(Move{src, &e, state_of(sa, e.dst)});
+        }
+      });
+  Imc out(std::move(inter));
+  for (const Move& m : moves) {
+    out.add_markovian(m.src, m.edge->rate, m.dst, m.edge->label);
+  }
+  return out;
+}
+
 Imc hide(const Imc& m, std::span<const std::string> gates) {
-  const std::unordered_set<std::string> set(gates.begin(), gates.end());
-  return relabel_interactive(m, [&](std::string_view label) -> std::string {
-    if (label == "i" || label == "exit") {
-      return std::string(label);
-    }
-    return gate_in(set, lts::label_gate(label)) ? "i" : std::string(label);
-  });
+  return with_markovian_of(lts::hide(m.interactive_lts(), gates), m, false);
 }
 
 Imc hide_all(const Imc& m) {
-  return relabel_interactive(m, [](std::string_view label) -> std::string {
-    if (label == "exit") {
-      return std::string(label);
-    }
-    return "i";
-  });
+  return with_markovian_of(
+      lts::relabel(m.interactive_lts(),
+                   [](std::string_view label) -> std::string {
+                     return label == "exit" ? "exit" : "i";
+                   }),
+      m, false);
 }
 
 Imc maximal_progress(const Imc& m) {
-  Imc out;
-  out.add_states(m.num_states());
-  if (m.num_states() > 0) {
-    out.set_initial_state(m.initial_state());
-  }
-  for (StateId s = 0; s < m.num_states(); ++s) {
-    for (const InterEdge& e : m.interactive(s)) {
-      out.add_interactive(s, m.actions().name(e.action), e.dst);
-    }
-    if (m.is_stable(s)) {
-      for (const MarkEdge& e : m.markovian(s)) {
-        out.add_markovian(s, e.rate, e.dst, e.label);
-      }
-    }
-  }
-  return out;
+  // The identity relabelling, not a copy: every operator interns labels in
+  // first-use order, which quotient_imc's edge order depends on.
+  return with_markovian_of(
+      lts::relabel(m.interactive_lts(),
+                   [](std::string_view label) { return std::string(label); }),
+      m, true);
 }
 
 Imc trim(const Imc& m) {

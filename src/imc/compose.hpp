@@ -15,15 +15,9 @@ namespace multival::imc {
 
 /// Parallel composition synchronising interactive transitions on the gates
 /// in @p sync_gates (plus "exit"); Markovian transitions interleave.
-/// Only the reachable part is built.
+/// Only the reachable part is built, by lts::parallel's pair-product loop.
 [[nodiscard]] Imc parallel(const Imc& a, const Imc& b,
                            std::span<const std::string> sync_gates);
-
-/// N-ary composition: folds `parallel` left to right, synchronising each
-/// join only on the requested gates both sides actually use (mirrors
-/// lts::parallel_all).
-[[nodiscard]] Imc parallel_all(std::span<const Imc> components,
-                               std::span<const std::string> sync_gates);
 
 /// Renames interactive labels whose gate is in @p gates to tau.
 [[nodiscard]] Imc hide(const Imc& m, std::span<const std::string> gates);

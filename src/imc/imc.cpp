@@ -2,46 +2,28 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace multival::imc {
 
+Imc::Imc(lts::Lts interactive)
+    : lts_(std::move(interactive)), mark_(lts_.num_states()) {}
+
 StateId Imc::add_state() {
-  inter_.emplace_back();
   mark_.emplace_back();
-  return static_cast<StateId>(inter_.size() - 1);
+  return lts_.add_state();
 }
 
 StateId Imc::add_states(std::size_t n) {
-  const auto first = static_cast<StateId>(inter_.size());
-  inter_.resize(inter_.size() + n);
   mark_.resize(mark_.size() + n);
-  return first;
-}
-
-void Imc::check_state(StateId s, const char* what) const {
-  if (s >= inter_.size()) {
-    throw std::out_of_range(std::string("Imc: unknown state in ") + what);
-  }
-}
-
-void Imc::add_interactive(StateId src, ActionId a, StateId dst) {
-  check_state(src, "add_interactive(src)");
-  check_state(dst, "add_interactive(dst)");
-  if (a >= actions_.size()) {
-    throw std::out_of_range("Imc::add_interactive: unknown action id");
-  }
-  inter_[src].push_back(InterEdge{a, dst});
-  ++n_inter_;
-}
-
-void Imc::add_interactive(StateId src, std::string_view label, StateId dst) {
-  add_interactive(src, actions_.intern(label), dst);
+  return lts_.add_states(n);
 }
 
 void Imc::add_markovian(StateId src, double rate, StateId dst,
                         std::string_view label) {
-  check_state(src, "add_markovian(src)");
-  check_state(dst, "add_markovian(dst)");
+  if (src >= mark_.size() || dst >= mark_.size()) {
+    throw std::out_of_range("Imc::add_markovian: unknown state");
+  }
   if (!(rate > 0.0) || !std::isfinite(rate)) {
     throw std::invalid_argument("Imc::add_markovian: rate must be > 0");
   }
@@ -49,18 +31,10 @@ void Imc::add_markovian(StateId src, double rate, StateId dst,
   ++n_mark_;
 }
 
-void Imc::set_initial_state(StateId s) {
-  check_state(s, "set_initial_state");
-  initial_ = s;
-}
-
-std::span<const InterEdge> Imc::interactive(StateId s) const {
-  check_state(s, "interactive");
-  return inter_[s];
-}
-
 std::span<const MarkEdge> Imc::markovian(StateId s) const {
-  check_state(s, "markovian");
+  if (s >= mark_.size()) {
+    throw std::out_of_range("Imc: unknown state in markovian");
+  }
   return mark_[s];
 }
 
@@ -77,32 +51,34 @@ bool Imc::is_markovian_only(StateId s) const {
   return interactive(s).empty();
 }
 
-Imc Imc::from_lts(const lts::Lts& l) {
+Imc lift(const lts::Lts& l, const DelayOf& delay_of) {
   Imc m;
   m.add_states(l.num_states());
-  for (StateId s = 0; s < l.num_states(); ++s) {
-    for (const lts::OutEdge& e : l.out(s)) {
-      m.add_interactive(s, l.actions().name(e.action), e.dst);
-    }
-  }
   if (l.num_states() > 0) {
     m.set_initial_state(l.initial_state());
   }
-  return m;
-}
-
-lts::Lts Imc::interactive_lts() const {
-  lts::Lts l;
-  l.add_states(num_states());
-  for (StateId s = 0; s < num_states(); ++s) {
-    for (const InterEdge& e : inter_[s]) {
-      l.add_transition(s, actions_.name(e.action), e.dst);
+  // Per action of @p l: its Markovian reading, or its id in m's table.
+  std::vector<std::optional<Delay>> delay(l.actions().size());
+  std::vector<ActionId> inter(l.actions().size(), lts::kNoState);
+  for (StateId s = 0; s < l.num_states(); ++s) {
+    for (const lts::OutEdge& e : l.out(s)) {
+      if (inter[e.action] == lts::kNoState && !delay[e.action]) {
+        const std::string_view label = l.actions().name(e.action);
+        if (!lts::ActionTable::is_tau(e.action)) {
+          delay[e.action] = delay_of(label);
+        }
+        if (!delay[e.action]) {
+          inter[e.action] = m.actions().intern(label);
+        }
+      }
+      if (const std::optional<Delay>& d = delay[e.action]) {
+        m.add_markovian(s, d->rate, e.dst, d->label);
+      } else {
+        m.add_interactive(s, inter[e.action], e.dst);
+      }
     }
   }
-  if (num_states() > 0) {
-    l.set_initial_state(initial_);
-  }
-  return l;
+  return m;
 }
 
 }  // namespace multival::imc

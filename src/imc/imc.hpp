@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,30 +33,46 @@ struct MarkEdge {
   std::string label;  // empty = unlabelled
 };
 
+/// An IMC is an LTS (its interactive part, action table included) plus one
+/// list of Markovian edges per state, so the LTS operators and analyses
+/// run on the interactive part as they are.
 class Imc {
  public:
   Imc() = default;
 
+  /// Lifts an LTS to an IMC (all transitions interactive).
+  explicit Imc(lts::Lts interactive);
+
   StateId add_state();
   StateId add_states(std::size_t n);
 
-  void add_interactive(StateId src, ActionId a, StateId dst);
-  void add_interactive(StateId src, std::string_view label, StateId dst);
+  void add_interactive(StateId src, ActionId a, StateId dst) {
+    lts_.add_transition(src, a, dst);
+  }
+  void add_interactive(StateId src, std::string_view label, StateId dst) {
+    lts_.add_transition(src, label, dst);
+  }
   void add_markovian(StateId src, double rate, StateId dst,
                      std::string_view label = {});
 
-  void set_initial_state(StateId s);
-  [[nodiscard]] StateId initial_state() const { return initial_; }
+  void set_initial_state(StateId s) { lts_.set_initial_state(s); }
+  [[nodiscard]] StateId initial_state() const { return lts_.initial_state(); }
 
-  [[nodiscard]] std::size_t num_states() const { return inter_.size(); }
-  [[nodiscard]] std::size_t num_interactive() const { return n_inter_; }
+  [[nodiscard]] std::size_t num_states() const { return lts_.num_states(); }
+  [[nodiscard]] std::size_t num_interactive() const {
+    return lts_.num_transitions();
+  }
   [[nodiscard]] std::size_t num_markovian() const { return n_mark_; }
 
-  [[nodiscard]] std::span<const InterEdge> interactive(StateId s) const;
+  [[nodiscard]] std::span<const InterEdge> interactive(StateId s) const {
+    return lts_.out(s);
+  }
   [[nodiscard]] std::span<const MarkEdge> markovian(StateId s) const;
 
-  [[nodiscard]] lts::ActionTable& actions() { return actions_; }
-  [[nodiscard]] const lts::ActionTable& actions() const { return actions_; }
+  [[nodiscard]] lts::ActionTable& actions() { return lts_.actions(); }
+  [[nodiscard]] const lts::ActionTable& actions() const {
+    return lts_.actions();
+  }
 
   /// True if @p s has no outgoing tau transition (Markovian delays at
   /// unstable states are cut by maximal progress).
@@ -63,22 +81,29 @@ class Imc {
   /// True if @p s has no outgoing interactive transition at all.
   [[nodiscard]] bool is_markovian_only(StateId s) const;
 
-  /// Lifts an LTS to an IMC (all transitions interactive).
-  [[nodiscard]] static Imc from_lts(const lts::Lts& l);
-
-  /// Projects the interactive part onto an LTS (Markovian transitions are
-  /// dropped); used to reuse LTS analyses.
-  [[nodiscard]] lts::Lts interactive_lts() const;
+  /// The interactive part (Markovian transitions dropped).
+  [[nodiscard]] const lts::Lts& interactive_lts() const { return lts_; }
 
  private:
-  void check_state(StateId s, const char* what) const;
-
-  lts::ActionTable actions_;
-  std::vector<std::vector<InterEdge>> inter_;
+  lts::Lts lts_;
   std::vector<std::vector<MarkEdge>> mark_;
-  StateId initial_ = 0;
-  std::size_t n_inter_ = 0;
   std::size_t n_mark_ = 0;
 };
+
+/// The Markovian reading of a label: a rate and a throughput-probe label.
+struct Delay {
+  double rate = 0.0;
+  std::string label;
+};
+
+/// Classifies a label: a Delay makes its edges Markovian, nullopt keeps
+/// them interactive.
+using DelayOf = std::function<std::optional<Delay>(std::string_view label)>;
+
+/// Lifts @p l to an IMC, splitting its edges into interactive and
+/// Markovian ones.  @p delay_of runs once per distinct label, and never on
+/// tau, which stays interactive.  Interactive labels are interned in order
+/// of first use, as lts::relabel interns them.
+[[nodiscard]] Imc lift(const lts::Lts& l, const DelayOf& delay_of);
 
 }  // namespace multival::imc

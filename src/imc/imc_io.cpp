@@ -1,9 +1,10 @@
 #include "imc/imc_io.hpp"
 
-#include <charconv>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "lts/lts.hpp"
 #include "lts/lts_io.hpp"
@@ -21,12 +22,11 @@ std::string rate_label(const MarkEdge& e) {
   return os.str();
 }
 
-/// If @p label encodes a Markovian transition, extracts (rate, probe
-/// label) and returns true.
-bool parse_rate_label(std::string_view label, double& rate,
-                      std::string& probe) {
+/// The rate and probe label that @p label encodes, if it encodes a
+/// Markovian transition.
+std::optional<Delay> parse_rate_label(std::string_view label) {
   std::string_view rest = label;
-  probe.clear();
+  std::string probe;
   const std::size_t semi = rest.find(';');
   if (semi != std::string_view::npos) {
     probe = std::string(rest.substr(0, semi));
@@ -40,12 +40,13 @@ bool parse_rate_label(std::string_view label, double& rate,
     }
   }
   if (!rest.starts_with("rate ")) {
-    return false;
+    return std::nullopt;
   }
   rest.remove_prefix(5);
   while (!rest.empty() && rest.front() == ' ') {
     rest.remove_prefix(1);
   }
+  double rate = 0.0;
   try {
     std::size_t consumed = 0;
     rate = std::stod(std::string(rest), &consumed);
@@ -57,7 +58,7 @@ bool parse_rate_label(std::string_view label, double& rate,
     throw std::runtime_error("imc read_aut: bad rate in \"" +
                              std::string(label) + '"');
   }
-  return true;
+  return Delay{rate, std::move(probe)};
 }
 
 }  // namespace
@@ -88,27 +89,7 @@ std::string to_aut(const Imc& m) {
 }
 
 Imc read_aut(std::istream& is) {
-  // Reuse the LTS reader, then reinterpret "rate" labels.
-  const lts::Lts l = lts::read_aut(is);
-  Imc m;
-  m.add_states(l.num_states());
-  if (l.num_states() > 0) {
-    m.set_initial_state(l.initial_state());
-  }
-  for (lts::StateId s = 0; s < l.num_states(); ++s) {
-    for (const lts::OutEdge& e : l.out(s)) {
-      const std::string_view label = l.actions().name(e.action);
-      double rate = 0.0;
-      std::string probe;
-      if (!lts::ActionTable::is_tau(e.action) &&
-          parse_rate_label(label, rate, probe)) {
-        m.add_markovian(s, rate, e.dst, probe);
-      } else {
-        m.add_interactive(s, label, e.dst);
-      }
-    }
-  }
-  return m;
+  return lift(lts::read_aut(is), parse_rate_label);
 }
 
 Imc from_aut(const std::string& text) {

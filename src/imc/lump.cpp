@@ -74,8 +74,7 @@ Graph refinement_graph(const Imc& m, const Partition& initial,
   Graph g;
   if (branching) {
     lts::TauContraction c = lts::contract_tau_cycles(
-        n, [&](StateId s) { return m.interactive(s); },
-        [&](StateId a, StateId b) {
+        m.interactive_lts(), [&](StateId a, StateId b) {
           return initial.block_of(a) == initial.block_of(b);
         });
     g.node_of = std::move(c.node_of);

@@ -67,18 +67,13 @@ SccResult strongly_connected_components(const Lts& l) {
 }
 
 TauContraction contract_tau_cycles(
-    std::size_t n, const std::function<std::span<const OutEdge>(StateId)>& out,
-    const std::function<bool(StateId, StateId)>& same_block) {
-  core::Components scc = core::scc(core::Digraph::build(n, [&](auto&& add) {
-    for (StateId s = 0; s < n; ++s) {
-      for (const OutEdge& e : out(s)) {
-        if (ActionTable::is_tau(e.action) &&
-            (!same_block || same_block(s, e.dst))) {
-          add(s, e.dst);
-        }
-      }
-    }
-  }));
+    const Lts& l, const std::function<bool(StateId, StateId)>& same_block) {
+  const std::size_t n = l.num_states();
+  core::Components scc =
+      core::scc(transition_graph(l, [&](StateId s, const OutEdge& e) {
+        return ActionTable::is_tau(e.action) &&
+               (!same_block || same_block(s, e.dst));
+      }));
   TauContraction c;
   c.node_of = std::move(scc.component_of);
   c.num_nodes = scc.num_components;
@@ -90,7 +85,7 @@ TauContraction contract_tau_cycles(
   }
   for (StateId s = 0; s < n; ++s) {
     const StateId cs = c.node_of[s];
-    for (const OutEdge& e : out(s)) {
+    for (const OutEdge& e : l.out(s)) {
       const StateId ct = c.node_of[e.dst];
       if (ActionTable::is_tau(e.action) && cs == ct) {
         c.divergent[cs] = c.divergent[cs] || size[cs] > 1 || e.dst == s;
@@ -103,8 +98,7 @@ TauContraction contract_tau_cycles(
 }
 
 std::vector<StateId> divergent_states(const Lts& l) {
-  const TauContraction c = contract_tau_cycles(
-      l.num_states(), [&l](StateId s) { return l.out(s); });
+  const TauContraction c = contract_tau_cycles(l);
   const std::vector<bool> seen = reachable_states(l);
   std::vector<StateId> out;
   for (StateId s = 0; s < l.num_states(); ++s) {

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "core/graph.hpp"
@@ -56,10 +55,10 @@ template <class Keep>
 using SccResult = core::Components;
 [[nodiscard]] SccResult strongly_connected_components(const Lts& l);
 
-/// The tau-SCCs of the @p n states whose edges @p out lists, contracted to
-/// single nodes numbered by core::scc.  A tau edge joins its ends only if
-/// @p same_block accepts them (unset: always).  Branching refinement,
-/// branching lumping and divergence detection run on it.
+/// The tau-SCCs of @p l, contracted to single nodes numbered by core::scc.
+/// A tau edge joins its ends only if @p same_block accepts them (unset:
+/// always).  Branching refinement, branching lumping (on an IMC's
+/// interactive part) and divergence detection run on it.
 struct TauContraction {
   std::vector<StateId> node_of;  // state -> node
   std::size_t num_nodes = 0;
@@ -69,8 +68,7 @@ struct TauContraction {
   std::vector<bool> divergent;
 };
 [[nodiscard]] TauContraction contract_tau_cycles(
-    std::size_t n, const std::function<std::span<const OutEdge>(StateId)>& out,
-    const std::function<bool(StateId, StateId)>& same_block = {});
+    const Lts& l, const std::function<bool(StateId, StateId)>& same_block = {});
 
 /// True if some reachable state lies on a cycle of invisible ("i")
 /// transitions — a potential livelock / divergence.

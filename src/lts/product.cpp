@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -34,7 +33,8 @@ bool gate_in(const std::unordered_set<std::string>& set,
 }  // namespace
 
 Lts parallel(const Lts& a, const Lts& b,
-             std::span<const std::string> sync_gates, std::size_t max_states) {
+             std::span<const std::string> sync_gates, std::size_t max_states,
+             const ProductHook& hook) {
   const auto sync = to_set(sync_gates);
   const auto must_sync = [&](const Lts& side, ActionId act) {
     if (ActionTable::is_tau(act)) {
@@ -68,6 +68,7 @@ Lts parallel(const Lts& a, const Lts& b,
 
   const StateId init = state_of(a.initial_state(), b.initial_state());
   result.set_initial_state(init);
+  const PairState pair_state = hook ? PairState(state_of) : PairState();
 
   // Cache label translation a/b action id -> result action id.
   std::vector<ActionId> map_a(a.actions().size(), kNoState);
@@ -84,6 +85,9 @@ Lts parallel(const Lts& a, const Lts& b,
     const auto [sa, sb] = worklist.back();
     worklist.pop_back();
     const StateId src = ids.at(pair_key(sa, sb));
+    if (hook) {
+      hook(src, sa, sb, pair_state);
+    }
 
     // Independent moves of a.
     for (const OutEdge& ea : a.out(sa)) {
@@ -122,55 +126,13 @@ Lts parallel(const Lts& a, const Lts& b,
   return result;
 }
 
-namespace {
-
-std::unordered_set<std::string> gates_of(const Lts& l) {
-  std::unordered_set<std::string> gates;
-  for (StateId s = 0; s < l.num_states(); ++s) {
-    for (const OutEdge& e : l.out(s)) {
-      gates.emplace(label_gate(l.actions().name(e.action)));
-    }
-  }
-  return gates;
-}
-
-}  // namespace
-
-Lts parallel_all(std::span<const Lts> components,
-                 std::span<const std::string> sync_gates) {
-  if (components.empty()) {
-    throw std::invalid_argument("parallel_all: no components");
-  }
-  Lts acc = components[0];
-  auto acc_gates = gates_of(acc);
-  for (std::size_t i = 1; i < components.size(); ++i) {
-    // Synchronise this join only on the requested gates that both sides
-    // actually use; a gate used by a single side interleaves freely instead
-    // of blocking (the usual pitfall of folding a global sync set).
-    const auto next_gates = gates_of(components[i]);
-    std::vector<std::string> join;
-    for (const std::string& g : sync_gates) {
-      if (acc_gates.count(g) > 0 && next_gates.count(g) > 0) {
-        join.push_back(g);
-      }
-    }
-    acc = parallel(acc, components[i], join);
-    acc_gates.insert(next_gates.begin(), next_gates.end());
-  }
-  return acc;
-}
-
-Lts interleave(const Lts& a, const Lts& b) {
-  return parallel(a, b, {});
-}
-
-namespace {
-
 Lts relabel(const Lts& l,
             const std::function<std::string(std::string_view)>& f) {
   Lts out;
   out.add_states(l.num_states());
-  out.set_initial_state(l.initial_state());
+  if (l.num_states() > 0) {
+    out.set_initial_state(l.initial_state());
+  }
   std::vector<ActionId> cache(l.actions().size(), kNoState);
   for (StateId s = 0; s < l.num_states(); ++s) {
     for (const OutEdge& e : l.out(s)) {
@@ -182,8 +144,6 @@ Lts relabel(const Lts& l,
   }
   return out;
 }
-
-}  // namespace
 
 Lts hide(const Lts& l, std::span<const std::string> gates) {
   const auto set = to_set(gates);

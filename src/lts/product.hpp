@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -25,21 +26,31 @@ namespace multival::lts {
 /// Gate part of a label: the prefix before the first space.
 [[nodiscard]] std::string_view label_gate(std::string_view label);
 
+/// The pair numbering of a product: the state of the pair (sa, sb), added
+/// to the product and to its worklist if new.
+using PairState = std::function<StateId(StateId sa, StateId sb)>;
+
+/// Runs once per product state, before that state's interactive moves are
+/// added, with the state, its pair (sa, sb) and the pair numbering.
+using ProductHook = std::function<void(StateId state, StateId sa, StateId sb,
+                                       const PairState& state_of)>;
+
 /// Parallel composition of @p a and @p b synchronising on the gates in
 /// @p sync_gates (plus "exit").  Only the reachable part is built; a
 /// product with more than @p max_states states throws StateSpaceLimit.
+/// @p hook, if set, runs on each product state and may add states through
+/// the numbering it is given (imc::parallel adds its Markovian
+/// interleavings this way).
 [[nodiscard]] Lts parallel(
     const Lts& a, const Lts& b, std::span<const std::string> sync_gates,
-    std::size_t max_states = std::numeric_limits<std::size_t>::max());
+    std::size_t max_states = std::numeric_limits<std::size_t>::max(),
+    const ProductHook& hook = {});
 
-/// N-ary composition: folds `parallel` left to right with the same gate set.
-/// All components synchronise together on every gate in @p sync_gates only if
-/// each offers it; for pairwise-distinct channels use distinct gate names.
-[[nodiscard]] Lts parallel_all(std::span<const Lts> components,
-                               std::span<const std::string> sync_gates);
-
-/// Interleaving (no synchronisation except "exit").
-[[nodiscard]] Lts interleave(const Lts& a, const Lts& b);
+/// Relabels every transition of @p l by @p f, which runs once per distinct
+/// action.  The result interns labels in order of first use (states in
+/// order, each state's edges in order), not in @p l's table order.
+[[nodiscard]] Lts relabel(
+    const Lts& l, const std::function<std::string(std::string_view)>& f);
 
 /// Renames every label whose gate is in @p gates to "i".
 [[nodiscard]] Lts hide(const Lts& l, std::span<const std::string> gates);

@@ -186,6 +186,9 @@ Server::~Server() {
 void Server::stop() { stop_requested_.store(true); }
 
 void Server::run() {
+  // The cap bounds readers_, so admitting a connection never reallocates
+  // (a thread dropped by a failed push_back would end the program).
+  readers_.reserve(kMaxConnections);
   while (!stop_requested_.load()) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout ms=*/100);
@@ -199,32 +202,50 @@ void Server::run() {
     if (bound_.kind == Endpoint::Kind::kTcp) {
       set_nodelay(fd);
     }
+    reap_readers();
+    if (readers_.size() >= kMaxConnections) {
+      const std::string line =
+          encode_response(Response{0, Status::kOverloaded,
+                                   "more than " +
+                                       std::to_string(kMaxConnections) +
+                                       " connections"}) +
+          "\n";
+      (void)send_all(fd, line.data(), line.size());
+      ::close(fd);
+      continue;
+    }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { serve_connection(conn); });
+    readers_.push_back(
+        Reader{conn, std::thread([this, conn] { serve_connection(conn); })});
   }
   // Teardown: unblock every connection reader (each reader closes its own
   // fd on exit), join them, then drain the service so no completion
   // callback can outlive the connections.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const ConnPtr& conn : conns_) {
-      std::lock_guard<std::mutex> wlock(conn->write_mu);
-      if (conn->open) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-      }
+  for (const Reader& r : readers_) {
+    std::lock_guard<std::mutex> lock(r.conn->write_mu);
+    if (r.conn->open) {
+      ::shutdown(r.conn->fd, SHUT_RDWR);
     }
   }
-  for (std::thread& t : conn_threads_) {
-    t.join();
+  for (Reader& r : readers_) {
+    r.thread.join();
   }
-  conn_threads_.clear();
+  readers_.clear();
   service_->shutdown();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
+}
+
+void Server::reap_readers() {
+  for (std::size_t i = 0; i < readers_.size();) {
+    if (!readers_[i].conn->done.load()) {
+      ++i;
+      continue;
+    }
+    readers_[i].thread.join();
+    if (i + 1 < readers_.size()) {
+      readers_[i] = std::move(readers_.back());
+    }
+    readers_.pop_back();
   }
 }
 
@@ -272,9 +293,12 @@ void Server::serve_connection(const ConnPtr& conn) {
   }
   // The reader owns the fd: closing only here (under the write lock) means
   // a completion callback can never write to a recycled descriptor.
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  conn->open = false;
-  ::close(conn->fd);
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->open = false;
+    ::close(conn->fd);
+  }
+  conn->done.store(true);
 }
 
 void Server::handle_line(const ConnPtr& conn, const std::string& line) {

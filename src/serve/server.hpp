@@ -15,7 +15,9 @@
 // coalesced into one segment are both reassembled from the same buffer,
 // and each received byte is searched for the newline once.  A line longer
 // than kMaxRequestLine gets one error response, and the server then closes
-// the connection.
+// the connection.  Each connection has one reader thread; the accept loop
+// joins the readers of closed connections before it admits a new one, and
+// serves at most kMaxConnections at once.
 // Requests are submitted to the service and responses are written back on
 // whichever thread completes them (a per-connection write lock keeps lines
 // intact), so responses to one connection may arrive out of request order —
@@ -40,6 +42,10 @@ namespace multival::serve {
 
 /// The longest request line a server accepts, in bytes, newline excluded.
 inline constexpr std::size_t kMaxRequestLine = std::size_t{16} << 20;
+
+/// The most connections a server serves at once.  A connection past the cap
+/// gets one `overloaded` response line and is closed.
+inline constexpr std::size_t kMaxConnections = 256;
 
 /// A parsed transport address: a Unix socket path or a TCP host:port.
 struct Endpoint {
@@ -91,9 +97,18 @@ class Server {
     int fd = -1;
     std::mutex write_mu;
     bool open = true;  // guarded by write_mu
+    std::atomic<bool> done{false};  // the reader has closed fd
   };
   using ConnPtr = std::shared_ptr<Connection>;
 
+  /// A connection and the thread that reads it.
+  struct Reader {
+    ConnPtr conn;
+    std::thread thread;
+  };
+
+  /// Joins the readers whose connections have closed and drops them.
+  void reap_readers();
   void serve_connection(const ConnPtr& conn);
   void handle_line(const ConnPtr& conn, const std::string& line);
   static void write_response(const ConnPtr& conn, const Response& r);
@@ -103,9 +118,7 @@ class Server {
   std::unique_ptr<Service> service_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_requested_{false};
-  std::mutex conns_mu_;
-  std::vector<ConnPtr> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<Reader> readers_;  // touched by run() only
 };
 
 /// The client gave up waiting for a response: the transport (not the

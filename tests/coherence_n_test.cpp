@@ -30,8 +30,18 @@ TEST(CoherenceN, TwoNodeSystemMatchesDedicatedModel) {
       bisim::equivalent(general, dedicated, bisim::Equivalence::kStrong));
 }
 
-class CoherenceNSweep
-    : public ::testing::TestWithParam<std::tuple<Protocol, int>> {};
+struct SweepCase {
+  Protocol protocol;
+  int nodes;
+};
+
+/// Prints a case as mesi_3.  ctest names each case after this text; the
+/// default printer would dump the enum's bytes.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << (c.protocol == Protocol::kMsi ? "msi" : "mesi") << '_' << c.nodes;
+}
+
+class CoherenceNSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(CoherenceNSweep, CoherentAndLive) {
   const auto [protocol, nodes] = GetParam();
@@ -43,10 +53,11 @@ TEST_P(CoherenceNSweep, CoherentAndLive) {
   EXPECT_FALSE(lts::has_tau_cycle(l));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Protocols, CoherenceNSweep,
-    ::testing::Combine(::testing::Values(Protocol::kMsi, Protocol::kMesi),
-                       ::testing::Values(2, 3)));
+INSTANTIATE_TEST_SUITE_P(Protocols, CoherenceNSweep,
+                         ::testing::Values(SweepCase{Protocol::kMsi, 2},
+                                           SweepCase{Protocol::kMsi, 3},
+                                           SweepCase{Protocol::kMesi, 2},
+                                           SweepCase{Protocol::kMesi, 3}));
 
 TEST(CoherenceN, ThreeNodeSharersAllInvalidatedOnWrite) {
   // With three nodes the write-upgrade path issues INV to *both* other

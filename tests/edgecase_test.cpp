@@ -39,6 +39,8 @@ TEST(EdgeCases, EmptyLtsEverywhere) {
                 .quotient.num_states(),
             0u);
   EXPECT_EQ(bisim::determinize(empty).num_states(), 0u);
+  const std::vector<std::string> gates{"A"};
+  EXPECT_EQ(lts::hide(empty, gates).num_states(), 0u);
   EXPECT_TRUE(mc::check(empty, mc::deadlock_freedom()));
   // Two empty systems are equivalent under every notion.
   EXPECT_TRUE(bisim::equivalent(empty, empty, bisim::Equivalence::kWeak));

@@ -107,29 +107,24 @@ TEST(EndToEnd, ConstraintOrientedDelayAndBoundedReachability) {
 }
 
 TEST(EndToEnd, ImcParallelAllChainsDelays) {
-  // Three delay stages composed n-ary: total absorption time adds up.
-  std::vector<imc::Imc> stages;
-  const char* starts[] = {"A", "B", "C"};
-  for (int i = 0; i < 3; ++i) {
-    stages.push_back(phase::delay_process(phase::PhaseType::exponential(2.0),
-                                          starts[i],
-                                          std::string(starts[i]) + "E"));
+  // A driver sequences three delay stages, each joined on its own two
+  // gates: the total absorption time adds up.
+  imc::Imc sys;
+  sys.add_states(7);
+  sys.add_interactive(0, "A", 1);
+  sys.add_interactive(1, "AE", 2);
+  sys.add_interactive(2, "B", 3);
+  sys.add_interactive(3, "BE", 4);
+  sys.add_interactive(4, "C", 5);
+  sys.add_interactive(5, "CE", 6);
+  for (const std::string start : {"A", "B", "C"}) {
+    const std::vector<std::string> gates{start, start + "E"};
+    sys = imc::parallel(
+        sys,
+        phase::delay_process(phase::PhaseType::exponential(2.0), gates[0],
+                             gates[1]),
+        gates);
   }
-  // Driver sequencing the three delays then stopping.
-  imc::Imc driver;
-  driver.add_states(7);
-  driver.add_interactive(0, "A", 1);
-  driver.add_interactive(1, "AE", 2);
-  driver.add_interactive(2, "B", 3);
-  driver.add_interactive(3, "BE", 4);
-  driver.add_interactive(4, "C", 5);
-  driver.add_interactive(5, "CE", 6);
-  std::vector<imc::Imc> all{driver};
-  for (auto& s : stages) {
-    all.push_back(std::move(s));
-  }
-  const std::vector<std::string> sync{"A", "AE", "B", "BE", "C", "CE"};
-  const imc::Imc sys = imc::parallel_all(all, sync);
   const auto closed = core::close_model(sys);
   EXPECT_NEAR(markov::expected_absorption_time_from_initial(closed.ctmc),
               3.0 / 2.0, 1e-9);

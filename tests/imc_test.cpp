@@ -64,10 +64,10 @@ TEST(ImcBasics, FromLtsRoundTrip) {
   l.add_states(2);
   l.add_transition(0, "A", 1);
   l.add_transition(1, "i", 0);
-  const Imc m = Imc::from_lts(l);
+  const Imc m(l);
   EXPECT_EQ(m.num_interactive(), 2u);
   EXPECT_EQ(m.num_markovian(), 0u);
-  const lts::Lts back = m.interactive_lts();
+  const lts::Lts& back = m.interactive_lts();
   EXPECT_EQ(back.num_transitions(), 2u);
   EXPECT_EQ(back.actions().name(back.out(1)[0].action), "i");
 }
@@ -458,7 +458,7 @@ TEST(ImcGolden, OperatorsMatchTheParent) {
   }
 
   const lts::Lts station = erlang_station();
-  h["station/from_lts"].str(to_aut(Imc::from_lts(station)));
+  h["station/from_lts"].str(to_aut(Imc(station)));
   for (const std::size_t k : {1u, 2u, 4u, 8u}) {
     const std::vector<core::DelaySpec> delays{
         {"ASTART", "AEND", phase::PhaseType::exponential(0.8)},
@@ -489,7 +489,7 @@ TEST(ImcGolden, OperatorsMatchTheParent) {
 
   const fame::PingPongConfig pp;
   const lts::Lts pingpong = fame::pingpong_lts(pp);
-  h["pingpong/from_lts"].str(to_aut(Imc::from_lts(pingpong)));
+  h["pingpong/from_lts"].str(to_aut(Imc(pingpong)));
   const auto rates =
       fame::topology_rates(pp.topology, {"M", "S0", "S1"}, pp.base_rate);
   append_imc(h["pingpong/decorate_with_rates"],

@@ -293,7 +293,7 @@ TEST(Product, PipelineSynchronises) {
 TEST(Product, InterleavingHasProductSize) {
   const Lts a = one_place_buffer("A1", "A2");
   const Lts b = one_place_buffer("B1", "B2");
-  const Lts p = interleave(a, b);
+  const Lts p = parallel(a, b, {});
   EXPECT_EQ(p.num_states(), 4u);
   EXPECT_EQ(p.num_transitions(), 8u);
 }
@@ -320,7 +320,7 @@ TEST(Product, ExitAlwaysSynchronises) {
   Lts b;
   b.add_states(2);
   b.add_transition(0, "exit", 1);
-  const Lts p = interleave(a, b);
+  const Lts p = parallel(a, b, {});
   ASSERT_EQ(p.out(p.initial_state()).size(), 1u);
   EXPECT_EQ(p.actions().name(p.out(p.initial_state())[0].action), "exit");
   EXPECT_EQ(p.num_states(), 2u);
@@ -333,7 +333,7 @@ TEST(Product, TauNeverSynchronises) {
   Lts b;
   b.add_states(2);
   b.add_transition(0, "i", 1);
-  const Lts p = interleave(a, b);
+  const Lts p = parallel(a, b, {});
   EXPECT_EQ(p.num_states(), 4u);
   EXPECT_EQ(p.num_transitions(), 4u);
 }
@@ -349,23 +349,6 @@ TEST(Product, SyncWithoutPartnerBlocks) {
   const Lts p = parallel(a, b, sync);
   EXPECT_TRUE(p.is_deadlock(p.initial_state()));
   EXPECT_EQ(p.num_states(), 1u);
-}
-
-TEST(Product, ParallelAllFolds) {
-  const Lts a = one_place_buffer("IN", "M1");
-  const Lts b = one_place_buffer("M1", "M2");
-  const Lts c = one_place_buffer("M2", "OUT");
-  const std::vector<Lts> comps{a, b, c};
-  const std::vector<std::string> sync{"M1", "M2"};
-  const Lts p = parallel_all(comps, sync);
-  EXPECT_EQ(p.num_states(), 8u);
-  EXPECT_FALSE(p.is_deadlock(p.initial_state()));
-}
-
-TEST(Product, ParallelAllEmptyThrows) {
-  const std::vector<Lts> comps;
-  const std::vector<std::string> sync;
-  EXPECT_THROW((void)parallel_all(comps, sync), std::invalid_argument);
 }
 
 TEST(Product, ParallelStopsAtStateCap) {

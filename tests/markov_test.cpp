@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -686,6 +687,17 @@ struct BdParam {
   double mu;
   int capacity;
 };
+
+/// Prints a case as lambda0_5_mu1_n3.  ctest names each case after this
+/// text; the default printer would dump BdParam's bytes, padding included,
+/// so the names would change from build to build.
+void PrintTo(const BdParam& p, std::ostream* os) {
+  std::ostringstream name;
+  name << "lambda" << p.lambda << "_mu" << p.mu << "_n" << p.capacity;
+  std::string s = name.str();
+  std::replace(s.begin(), s.end(), '.', '_');
+  *os << s;
+}
 
 class BirthDeathProperty : public ::testing::TestWithParam<BdParam> {};
 

@@ -23,6 +23,8 @@
 #include <cmath>
 #include <ctime>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <semaphore>
 #include <sstream>
 #include <string>
@@ -808,6 +810,99 @@ TEST(ServeSocket, OverlongLineGetsOneErrorThenEof) {
         client.call(make_request(serve::Verb::kShutdown, ""));
     EXPECT_EQ(bye.status, serve::Status::kOk);
   }
+  server_thread.join();
+}
+
+/// Lines of this process's memory map: each thread that was never joined
+/// keeps its stack and guard page mapped.
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<std::size_t>(
+      std::count(std::istreambuf_iterator<char>(maps),
+                 std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST(ServeSocket, SequentialConnectionsAreReaped) {
+  // The accept loop joins the reader of every closed connection, so 2,000
+  // connections one after another leave the mappings flat.
+  const std::string socket_path =
+      "/tmp/mvserve_reap_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.endpoint = socket_path;
+  opts.service.workers = 1;
+  serve::Server server(opts);
+  std::thread server_thread([&server] { server.run(); });
+  const auto ping = [&socket_path] {
+    serve::Client client(socket_path);
+    EXPECT_EQ(client.call(make_request(serve::Verb::kPing, "")).body, "pong");
+  };
+  for (int i = 0; i < 10; ++i) {
+    ping();
+  }
+  const std::size_t after_ten = mapped_regions();
+  for (int i = 10; i < 2000; ++i) {
+    ping();
+  }
+  EXPECT_LE(mapped_regions(), after_ten + 100);
+  server.stop();
+  server_thread.join();
+}
+
+TEST(ServeSocket, ConnectionsPastTheCapAreRefused) {
+  const std::string socket_path =
+      "/tmp/mvserve_cap_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions opts;
+  opts.endpoint = socket_path;
+  opts.service.workers = 1;
+  serve::Server server(opts);
+  std::thread server_thread([&server] { server.run(); });
+  std::vector<std::unique_ptr<serve::Client>> held;
+  for (std::size_t i = 0; i < serve::kMaxConnections; ++i) {
+    held.push_back(std::make_unique<serve::Client>(socket_path));
+    ASSERT_EQ(held.back()->call(make_request(serve::Verb::kPing, "")).body,
+              "pong");
+  }
+
+  // One past the cap: one `overloaded` line, then EOF.  Nothing is sent,
+  // since a refused connection closes with the request unread.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  socket_path.copy(addr.sun_path, sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const timeval patience{10, 0};  // fail, rather than hang, on no reply
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof patience),
+            0);
+  std::string reply;
+  char buf[256];
+  for (ssize_t k = 0; (k = ::read(fd, buf, sizeof buf)) > 0;) {
+    reply.append(buf, static_cast<std::size_t>(k));
+  }
+  ::close(fd);
+  ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  ASSERT_EQ(reply.back(), '\n');
+  EXPECT_EQ(serve::decode_response(reply.substr(0, reply.size() - 1)).status,
+            serve::Status::kOverloaded);
+
+  // Once a held connection closes, its reader is reaped at a later accept,
+  // and a new connection is served.
+  held.pop_back();
+  bool served = false;
+  for (int attempt = 0; attempt < 1000 && !served; ++attempt) {
+    try {
+      serve::Client client(socket_path);
+      served = client.call(make_request(serve::Verb::kPing, "")).body == "pong";
+    } catch (const std::runtime_error&) {
+      // Refused before the reader finished: the send raced the close.
+    }
+    if (!served) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(served);
+  server.stop();
   server_thread.join();
 }
 
