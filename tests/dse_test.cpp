@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analyze/bounds.hpp"
+#include "core/hash.hpp"
 #include "core/report.hpp"
 #include "dse/driver.hpp"
 #include "dse/grid.hpp"
@@ -444,6 +445,27 @@ TEST(DseDriver, CsvListsEveryPointInExpansionOrder) {
   }
   EXPECT_EQ(lines, r.points.size() + 1);  // header + one row per point
   EXPECT_EQ(csv.find("id,family,status,rank"), 0u);
+}
+
+// Pins the timing-free JSON of the builtin sweeps: a rewrite of the point
+// builders that changed every payload alike would still pass the
+// worker-count comparison above, but not this.  On a mismatch the failure
+// prints the line to paste; paste it only when the change is meant to
+// alter the sweep's answers.
+TEST(DseGolden, SweepsMatchTheParent) {
+  const std::map<std::string, std::string> golden = {
+      {"default", "674e37e065d13559a343b75989e4bd5b"},
+      {"smoke", "3a082a486b4bd73636177666455c86f3"},
+  };
+  for (const auto& [name, digest] : golden) {
+    const dse::SweepSpec spec =
+        dse::parse_sweep_spec(dse::builtin_sweep_spec(name));
+    core::Hasher h;
+    h.str(dse::to_json(dse::run_sweep(spec), /*include_timing=*/false));
+    const std::string actual = h.key().hex();
+    EXPECT_EQ(actual, digest)
+        << "digest changed: {\"" << name << "\", \"" << actual << "\"},";
+  }
 }
 
 TEST(DseDriver, UnknownFamilyInSpecThrowsBeforeEvaluation) {

@@ -4,10 +4,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "bisim/equivalence.hpp"
+#include "builtin_models.hpp"
+#include "fame/mpi.hpp"
 #include "lts/analysis.hpp"
+#include "lts/lts_io.hpp"
 #include "mc/evaluator.hpp"
 #include "mc/properties.hpp"
 #include "proc/expr.hpp"
@@ -300,6 +305,43 @@ TEST(Generate, ParameterisedCounter) {
   const Lts l = generate(p, "Count", {0});
   EXPECT_EQ(l.num_states(), 4u);  // n = 0..3
   EXPECT_EQ(l.num_transitions(), 6u);
+}
+
+// The generator emits only the states it reached, numbered breadth-first
+// from 0, so lts::trim (which keeps the state order and copies the action
+// table) returns its input: the case-study builders hand the generator's
+// output on untrimmed.
+TEST(Generate, OutputIsAlreadyTrimmed) {
+  const auto action_names = [](const Lts& l) {
+    std::vector<std::string> names;
+    for (lts::ActionId a = 0; a < l.actions().size(); ++a) {
+      names.emplace_back(l.actions().name(a));
+    }
+    return names;
+  };
+  const auto expect_trimmed = [&](const std::string& name, const Lts& l) {
+    const Lts t = lts::trim(l).lts;
+    EXPECT_EQ(lts::to_aut(t), lts::to_aut(l)) << name;
+    EXPECT_EQ(action_names(t), action_names(l)) << name;
+  };
+  for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
+    expect_trimmed(m.name, generate(*m.program, m.entry));
+  }
+  for (const int rounds : {1, 2}) {
+    for (const auto protocol : {fame::Protocol::kMsi, fame::Protocol::kMesi}) {
+      for (const auto impl :
+           {fame::MpiImpl::kEager, fame::MpiImpl::kRendezvous}) {
+        fame::PingPongConfig config;
+        config.rounds = rounds;
+        config.protocol = protocol;
+        config.impl = impl;
+        expect_trimmed(std::string("pingpong ") + fame::to_string(protocol) +
+                           " " + fame::to_string(impl) + " x" +
+                           std::to_string(rounds),
+                       generate(fame::pingpong_program(config), "PingPong"));
+      }
+    }
+  }
 }
 
 TEST(Generate, CallArityChecked) {
