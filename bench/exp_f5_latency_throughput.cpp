@@ -46,10 +46,10 @@ int main() {
     PipelinePerfParams p;
     p.push_rate = lambda;
     p.pop_rate = 2.0;
-    const PipelinePerfResult r = analyze_pipeline(p);
+    const PipelineNPerfResult r = analyze_pipeline_n(p, 2);
     pipe.add_row({core::fmt(lambda, 1), core::fmt(r.throughput),
-                  core::fmt(r.mean_latency), core::fmt(r.mean_occ_stage1),
-                  core::fmt(r.mean_occ_stage2)});
+                  core::fmt(r.mean_latency), core::fmt(r.stage_occupancy[0]),
+                  core::fmt(r.stage_occupancy[1])});
   }
   pipe.print(std::cout);
   return 0;

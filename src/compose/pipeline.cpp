@@ -74,8 +74,6 @@ class StepTimer {
 
 void record(EvalStats* stats, const std::string& what, const lts::Lts& l,
             std::size_t states_before, double seconds) {
-  core::record_generation(core::GenerationStat{
-      "pipeline: " + what, l.num_states(), l.num_transitions(), seconds});
   if (stats == nullptr) {
     return;
   }

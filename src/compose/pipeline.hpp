@@ -77,7 +77,7 @@ struct EvalStats {
   [[nodiscard]] double total_seconds() const;
 
   /// step | states before -> after | time (ms) table for core::report-style
-  /// printing (every step is also pushed to core::record_generation).
+  /// printing.
   [[nodiscard]] core::Table to_table(const std::string& title) const;
 };
 

@@ -132,9 +132,12 @@ struct PlanResult {
     std::shared_ptr<const proc::Program> program, proc::TermPtr root,
     const PlanOptions& opts = {}, MinimizeCache* cache = nullptr);
 
-/// Strategy dispatcher used by the fame/noc/xstream generators:
+/// The one path from a process program to its LTS under a Strategy: the
+/// case-study builders that take one (noc, fame, xstream, xmas) and the dse
+/// point instantiation call it instead of choosing flat or planned
+/// themselves:
 ///   kPlanned -> evaluate_plan(plan_program(...)).lts  (minimal, canonical)
-///   kFlat    -> plain monolithic proc::generate (the legacy raw LTS)
+///   kFlat    -> proc::generate under opts.max_states  (the raw LTS)
 [[nodiscard]] lts::Lts pipeline_lts(
     std::shared_ptr<const proc::Program> program, std::string_view entry,
     Strategy strategy, const PlanOptions& opts = {},

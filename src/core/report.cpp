@@ -12,16 +12,6 @@ namespace multival::core {
 
 namespace {
 
-std::mutex& generation_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::vector<GenerationStat>& generation_entries() {
-  static std::vector<GenerationStat> entries;
-  return entries;
-}
-
 std::mutex& solve_mutex() {
   static std::mutex mu;
   return mu;
@@ -125,34 +115,6 @@ SolveContext::~SolveContext() {
 
 const std::string& SolveContext::current() {
   return solve_context_name();
-}
-
-void record_generation(GenerationStat stat) {
-  const std::lock_guard<std::mutex> lock(generation_mutex());
-  generation_entries().push_back(std::move(stat));
-}
-
-std::vector<GenerationStat> generation_log() {
-  const std::lock_guard<std::mutex> lock(generation_mutex());
-  return generation_entries();
-}
-
-void clear_generation_log() {
-  const std::lock_guard<std::mutex> lock(generation_mutex());
-  generation_entries().clear();
-}
-
-Table generation_table() {
-  Table t("generated state spaces",
-          {"model", "states", "transitions", "time (ms)", "states/s"});
-  for (const GenerationStat& g : generation_log()) {
-    const double rate =
-        g.seconds > 0.0 ? static_cast<double>(g.states) / g.seconds : 0.0;
-    t.add_row({g.model, std::to_string(g.states),
-               std::to_string(g.transitions), fmt(g.seconds * 1e3, 2),
-               fmt(rate, 0)});
-  }
-  return t;
 }
 
 Table::Table(std::string title, std::vector<std::string> headers)

@@ -3,7 +3,6 @@
 // prints its rows the same way.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <iosfwd>
 #include <string>
@@ -29,45 +28,10 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// ---- generation log ---------------------------------------------------------
-//
-// Every state-space generation (case-study models, compositional pipeline
-// steps, the exploration engine) reports its wall time and sizes here, so
-// that the different generation paths stay comparable in one table.
-
-/// One model-generation measurement.
-struct GenerationStat {
-  std::string model;
-  std::size_t states = 0;
-  std::size_t transitions = 0;
-  double seconds = 0.0;
-};
-
-/// Appends @p stat to the process-wide generation log.  Thread-safe.
-void record_generation(GenerationStat stat);
-
-/// Snapshot of the log, in recording order.  Thread-safe.
-[[nodiscard]] std::vector<GenerationStat> generation_log();
-
-/// Clears the log (tests and benchmark sections).
-void clear_generation_log();
-
-/// Renders the log: model | states | transitions | time (ms) | states/s.
-[[nodiscard]] Table generation_table();
-
-/// Runs @p build, records its wall time and the result's
-/// num_states()/num_transitions() under @p model, and returns the result.
-template <typename Build>
-auto timed_generation(const std::string& model, Build&& build) {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = build();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  record_generation(GenerationStat{model, result.num_states(),
-                                   result.num_transitions(), seconds});
-  return result;
-}
+/// A no-op left from the process-wide generation log, which is deleted.
+/// Only perfbench still calls it; remove it with the next change to the
+/// benchmark.
+inline void clear_generation_log() {}
 
 // ---- solver log -------------------------------------------------------------
 //

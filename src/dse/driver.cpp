@@ -179,8 +179,7 @@ SweepResult run_sweep(const SweepSpec& spec, const DriverOptions& options) {
   out.objectives = resolve_objectives(spec.objectives);
   for (const Space& space : spec.spaces) {
     if (!known_family(space.family)) {
-      throw SpecError("unknown family '" + space.family +
-                      "' (known: noc, fame, xstream)");
+      throw SpecError(unknown_family_message(space.family));
     }
     out.raw_points += space.raw_size();
   }

@@ -1,9 +1,14 @@
 #include "dse/scenario.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "analyze/analyze.hpp"
 #include "analyze/bounds.hpp"
@@ -13,6 +18,7 @@
 #include "imc/imc_io.hpp"
 #include "noc/mesh.hpp"
 #include "noc/perf.hpp"
+#include "proc/generator.hpp"
 #include "xmas/compile.hpp"
 #include "xmas/netlist.hpp"
 #include "xstream/queue_model.hpp"
@@ -80,30 +86,26 @@ Instantiated instantiate_noc(const Point& p, compose::Strategy strategy,
   rates.link_rate = p.get_double("link_rate", rates.link_rate);
   rates.eject_rate = p.get_double("eject_rate", rates.eject_rate);
 
+  const auto packet = std::make_shared<const proc::Program>(
+      noc::single_packet_program(src, dst, /*hide_links=*/false, dims));
+  const auto stream = std::make_shared<const proc::Program>(
+      noc::stream_program({noc::Flow{src, dst}}, /*hide_links=*/false, dims));
   Instantiated inst;
-  inst.gates.push_back(
-      {"noc/single-packet",
-       noc::single_packet_program(src, dst, /*hide_links=*/false, dims),
-       "Scenario"});
-  inst.gates.push_back(
-      {"noc/stream",
-       noc::stream_program({noc::Flow{src, dst}}, /*hide_links=*/false, dims),
-       "Scenario"});
+  inst.gates.push_back({"noc/single-packet", *packet, "Scenario"});
+  inst.gates.push_back({"noc/stream", *stream, "Scenario"});
 
   const std::map<std::string, double> table = noc::rate_table(rates, dims);
   inst.probes.push_back(imc_probe(
       "latency", serve::Verb::kBounds, "",
       core::decorate_with_rates(
-          noc::single_packet_lts(src, dst, /*hide_links=*/false, dims,
-                                 strategy, cache),
+          compose::pipeline_lts(packet, "Scenario", strategy, {}, cache),
           table)));
   // Arbitration races (two packets for one output port) are resolved
   // uniformly, matching noc::delivery_throughput.
   inst.probes.push_back(imc_probe(
       "throughput", serve::Verb::kThroughput, "uniform:LO*",
       core::decorate_with_rates(
-          noc::stream_lts({noc::Flow{src, dst}}, /*hide_links=*/false, dims,
-                          strategy, cache),
+          compose::pipeline_lts(stream, "Scenario", strategy, {}, cache),
           table)));
   return inst;
 }
@@ -145,15 +147,17 @@ Instantiated instantiate_fame(const Point& p, compose::Strategy strategy,
     throw SpecError("point " + p.id + ": base_rate must be > 0");
   }
 
+  const auto pingpong =
+      std::make_shared<const proc::Program>(fame::pingpong_program(config));
   Instantiated inst;
-  inst.gates.push_back(
-      {"fame/ping-pong", fame::pingpong_program(config), "PingPong"});
+  inst.gates.push_back({"fame/ping-pong", *pingpong, "PingPong"});
   const auto rates = fame::topology_rates(config.topology, {"M", "S0", "S1"},
                                           config.base_rate);
-  inst.probes.push_back(
-      imc_probe("latency", serve::Verb::kBounds, "",
-                core::decorate_with_rates(
-                    fame::pingpong_lts(config, strategy, cache), rates)));
+  inst.probes.push_back(imc_probe(
+      "latency", serve::Verb::kBounds, "",
+      core::decorate_with_rates(
+          compose::pipeline_lts(pingpong, "PingPong", strategy, {}, cache),
+          rates)));
   return inst;
 }
 
@@ -179,24 +183,24 @@ Instantiated instantiate_xstream(const Point& p, compose::Strategy strategy,
     }
   }
 
+  const proc::Program queue = xstream::virtual_queue_program(cfg);
+  const auto drain = std::make_shared<const proc::Program>(
+      xstream::drain_scenario_program(cfg, items));
   Instantiated inst;
-  inst.gates.push_back(
-      {"xstream/virtual-queue", xstream::virtual_queue_program(cfg),
-       "VirtualQueue"});
-  inst.gates.push_back({"xstream/drain",
-                        xstream::drain_scenario_program(cfg, items),
-                        "DrainScenario"});
+  inst.gates.push_back({"xstream/virtual-queue", queue, "VirtualQueue"});
+  inst.gates.push_back({"xstream/drain", *drain, "DrainScenario"});
   inst.probes.push_back(imc_probe(
       "latency", serve::Verb::kBounds, "",
       core::decorate_with_rates(
-          xstream::drain_scenario_lts(cfg, items, strategy, cache), rates)));
+          compose::pipeline_lts(drain, "DrainScenario", strategy, {}, cache),
+          rates)));
   // The continuous-queue throughput sub-model does not depend on the
   // 'items' axis: points differing only in items share this payload, and
   // the sweep must solve it exactly once (content-addressed cache).
-  inst.probes.push_back(
-      imc_probe("throughput", serve::Verb::kThroughput, "POP*",
-                core::decorate_with_rates(
-                    xstream::virtual_queue_lts_open(cfg), rates)));
+  inst.probes.push_back(imc_probe(
+      "throughput", serve::Verb::kThroughput, "POP*",
+      core::decorate_with_rates(
+          proc::generate(queue, "VirtualQueue"), rates)));
   return inst;
 }
 
@@ -274,6 +278,24 @@ Instantiated instantiate_xmas(const Point& p, compose::Strategy strategy,
       core::decorate_with_rates(
           xmas::compiled_lts(steady, strategy, {}, cache), rates)));
   return inst;
+}
+
+using Instantiate = Instantiated (*)(const Point&, compose::Strategy,
+                                     compose::MinimizeCache*);
+
+/// The supported families, in the order error messages name them.
+constexpr std::array<std::pair<std::string_view, Instantiate>, 4> kFamilies{{
+    {"noc", &instantiate_noc},
+    {"fame", &instantiate_fame},
+    {"xstream", &instantiate_xstream},
+    {"xmas", &instantiate_xmas},
+}};
+
+Instantiate find_family(const std::string& family) {
+  const auto it =
+      std::find_if(kFamilies.begin(), kFamilies.end(),
+                   [&family](const auto& f) { return f.first == family; });
+  return it == kFamilies.end() ? nullptr : it->second;
 }
 
 }  // namespace
@@ -382,25 +404,25 @@ std::map<std::string, AxisValue> derived_quantities(
 }
 
 bool known_family(const std::string& family) {
-  return family == "noc" || family == "fame" || family == "xstream" ||
-         family == "xmas";
+  return find_family(family) != nullptr;
+}
+
+std::string unknown_family_message(const std::string& family) {
+  std::string known;
+  for (const auto& f : kFamilies) {
+    known += (known.empty() ? "" : ", ") + std::string(f.first);
+  }
+  return "unknown family '" + family + "' (known: " + known + ")";
 }
 
 Instantiated instantiate(const Point& point, compose::Strategy strategy,
                          compose::MinimizeCache* cache) {
-  Instantiated inst;
-  if (point.family == "noc") {
-    inst = instantiate_noc(point, strategy, cache);
-  } else if (point.family == "fame") {
-    inst = instantiate_fame(point, strategy, cache);
-  } else if (point.family == "xstream") {
-    inst = instantiate_xstream(point, strategy, cache);
-  } else if (point.family == "xmas") {
-    inst = instantiate_xmas(point, strategy, cache);
-  } else {
-    throw SpecError("point " + point.id + ": unknown family '" + point.family +
-                    "' (known: noc, fame, xstream, xmas)");
+  const Instantiate family = find_family(point.family);
+  if (family == nullptr) {
+    throw SpecError("point " + point.id + ": " +
+                    unknown_family_message(point.family));
   }
+  Instantiated inst = family(point, strategy, cache);
   for (const Probe& probe : inst.probes) {
     inst.model_states += probe.imc_states;
   }

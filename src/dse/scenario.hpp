@@ -95,6 +95,10 @@ struct Metrics {
 /// True for the supported families ("noc", "fame", "xstream", "xmas").
 [[nodiscard]] bool known_family(const std::string& family);
 
+/// "unknown family '<family>' (known: noc, fame, xstream, xmas)", the text
+/// of the SpecError that run_sweep and instantiate throw.
+[[nodiscard]] std::string unknown_family_message(const std::string& family);
+
 /// Builds gate models and probes for @p point.  Throws SpecError on an
 /// unknown family, unknown axis, or an axis value outside the generator's
 /// documented range.  The probe payload LTSs are built with @p strategy

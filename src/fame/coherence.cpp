@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/report.hpp"
-#include "lts/analysis.hpp"
 #include "proc/generator.hpp"
 
 namespace multival::fame {
@@ -272,10 +270,7 @@ proc::Program coherence_system_program(Protocol protocol) {
 }
 
 lts::Lts coherence_system_lts(Protocol protocol) {
-  const Program p = coherence_system_program(protocol);
-  return core::timed_generation(
-      std::string("fame: coherence system (") + to_string(protocol) + ")",
-      [&] { return lts::trim(generate(p, "System")).lts; });
+  return generate(coherence_system_program(protocol), "System");
 }
 
 }  // namespace multival::fame

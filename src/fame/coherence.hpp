@@ -67,8 +67,7 @@ enum class Protocol { kMsi, kMesi };
 /// exploration engine (src/explore) consumes.
 [[nodiscard]] proc::Program coherence_system_program(Protocol protocol);
 
-/// Generated LTS of coherence_system_program (trimmed); generation time is
-/// recorded in core::report's generation log.
+/// Generated LTS of coherence_system_program.
 [[nodiscard]] lts::Lts coherence_system_lts(Protocol protocol);
 
 }  // namespace multival::fame

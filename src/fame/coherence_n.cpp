@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/report.hpp"
-#include "lts/analysis.hpp"
 #include "proc/generator.hpp"
 
 namespace multival::fame {
@@ -355,17 +353,10 @@ proc::Program coherence_system_n_program(Protocol protocol, int nodes) {
 lts::Lts coherence_system_n_lts(Protocol protocol, int nodes,
                                 compose::Strategy strategy,
                                 compose::MinimizeCache* cache) {
-  auto p = std::make_shared<const Program>(
-      coherence_system_n_program(protocol, nodes));
-  return core::timed_generation(
-      std::string("fame: coherence system (") + to_string(protocol) + ", " +
-          std::to_string(nodes) + " nodes)",
-      [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "SystemN")).lts;
-        }
-        return compose::pipeline_lts(p, "SystemN", strategy, {}, cache);
-      });
+  return compose::pipeline_lts(
+      std::make_shared<const Program>(
+          coherence_system_n_program(protocol, nodes)),
+      "SystemN", strategy, {}, cache);
 }
 
 }  // namespace multival::fame

@@ -29,11 +29,10 @@ namespace multival::fame {
 [[nodiscard]] proc::Program coherence_system_n_program(Protocol protocol,
                                                       int nodes);
 
-/// LTS of coherence_system_n_program; generation time is recorded in
-/// core::report's generation log.  The default strategy plans the
-/// composition (generate–minimise–compose) and returns the canonical
-/// minimal LTS; Strategy::kFlat is the legacy monolithic generation
-/// (trimmed, unminimised).
+/// LTS of coherence_system_n_program through compose::pipeline_lts.  The
+/// default strategy plans the composition (generate–minimise–compose) and
+/// returns the canonical minimal LTS; Strategy::kFlat is the monolithic
+/// generation (unminimised).
 [[nodiscard]] lts::Lts coherence_system_n_lts(
     Protocol protocol, int nodes,
     compose::Strategy strategy = compose::Strategy::kPlanned,

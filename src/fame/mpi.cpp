@@ -7,7 +7,6 @@
 
 #include "core/flow.hpp"
 #include "core/report.hpp"
-#include "lts/analysis.hpp"
 #include "markov/absorption.hpp"
 #include "proc/generator.hpp"
 
@@ -153,11 +152,9 @@ Program pingpong_program(const PingPongConfig& config) {
 
 lts::Lts pingpong_lts(const PingPongConfig& config, compose::Strategy strategy,
                       compose::MinimizeCache* cache) {
-  auto p = std::make_shared<const Program>(pingpong_program(config));
-  if (strategy == compose::Strategy::kFlat) {
-    return lts::trim(generate(*p, "PingPong")).lts;
-  }
-  return compose::pipeline_lts(p, "PingPong", strategy, {}, cache);
+  return compose::pipeline_lts(
+      std::make_shared<const Program>(pingpong_program(config)), "PingPong",
+      strategy, {}, cache);
 }
 
 lts::Lts barrier_lts(const BarrierConfig& config) {
@@ -191,7 +188,7 @@ lts::Lts barrier_lts(const BarrierConfig& config) {
            par(interleaving(call("Line_F0"), call("Line_F1")), all_ops,
                par(call("Bar0", {lit(config.rounds)}), {"TOKB"},
                    call("Bar1", {lit(config.rounds)}))));
-  return lts::trim(generate(p, "Barrier")).lts;
+  return generate(p, "Barrier");
 }
 
 BarrierResult barrier_latency(const BarrierConfig& config) {

@@ -41,7 +41,7 @@ struct PingPongConfig {
 /// Functional LTS of the ping-pong scenario (mailbox line "M", scratch
 /// lines "S0"/"S1", token gates hidden); terminates after config.rounds.
 /// The default strategy plans the composition and returns the canonical
-/// minimal LTS; Strategy::kFlat is the legacy monolithic generation.
+/// minimal LTS; Strategy::kFlat is the monolithic generation.
 [[nodiscard]] lts::Lts pingpong_lts(
     const PingPongConfig& config,
     compose::Strategy strategy = compose::Strategy::kPlanned,

@@ -3,9 +3,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/report.hpp"
-#include "lts/analysis.hpp"
-#include "proc/generator.hpp"
 
 namespace multival::noc {
 
@@ -134,17 +131,10 @@ proc::Program single_packet_program(int src, int dst, bool hide_links,
 lts::Lts single_packet_lts(int src, int dst, bool hide_links,
                            const MeshDims& dims, compose::Strategy strategy,
                            compose::MinimizeCache* cache) {
-  auto p = std::make_shared<const Program>(
-      single_packet_program(src, dst, hide_links, dims));
-  return core::timed_generation(
-      "noc: single packet " + std::to_string(src) + "->" +
-          std::to_string(dst),
-      [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "Scenario")).lts;
-        }
-        return compose::pipeline_lts(p, "Scenario", strategy, {}, cache);
-      });
+  return compose::pipeline_lts(
+      std::make_shared<const Program>(
+          single_packet_program(src, dst, hide_links, dims)),
+      "Scenario", strategy, {}, cache);
 }
 
 proc::Program stream_program(const std::vector<Flow>& flows, bool hide_links,
@@ -177,16 +167,9 @@ proc::Program stream_program(const std::vector<Flow>& flows, bool hide_links,
 lts::Lts stream_lts(const std::vector<Flow>& flows, bool hide_links,
                     const MeshDims& dims, compose::Strategy strategy,
                     compose::MinimizeCache* cache) {
-  auto p = std::make_shared<const Program>(
-      stream_program(flows, hide_links, dims));
-  return core::timed_generation(
-      "noc: stream (" + std::to_string(flows.size()) + " flows)",
-      [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "Scenario")).lts;
-        }
-        return compose::pipeline_lts(p, "Scenario", strategy, {}, cache);
-      });
+  return compose::pipeline_lts(
+      std::make_shared<const Program>(stream_program(flows, hide_links, dims)),
+      "Scenario", strategy, {}, cache);
 }
 
 }  // namespace multival::noc

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "lts/analysis.hpp"
 #include "proc/generator.hpp"
 
 namespace multival::noc {
@@ -214,7 +213,7 @@ std::string add_router(proc::Program& program, const MeshDims& dims, int node,
 lts::Lts router_lts(int node, const MeshDims& dims) {
   proc::Program p;
   const std::string entry = add_router(p, dims, node, default_ports(dims, node));
-  return lts::trim(generate(p, entry)).lts;
+  return generate(p, entry);
 }
 
 }  // namespace multival::noc

@@ -92,48 +92,6 @@ QueuePerfResult analyze_virtual_queue(const QueuePerfParams& params) {
   return r;
 }
 
-PipelinePerfResult analyze_pipeline(const PipelinePerfParams& params) {
-  const core::SolveContext solve_ctx("xstream/pipeline");
-  QueueConfig cfg = params.queue;
-  cfg.max_value = 0;
-  const lts::Lts stage = virtual_queue_lts_open(cfg);
-
-  // Instantiate two stages with disjoint internal gates, joined on MID.
-  const lts::Lts q1 = lts::rename(
-      stage, {{"POP", "MID"}, {"NET", "NET1"}, {"CREDIT", "CR1"}});
-  const lts::Lts q2 = lts::rename(
-      stage, {{"PUSH", "MID"}, {"NET", "NET2"}, {"CREDIT", "CR2"}});
-  const std::vector<std::string> join{"MID"};
-  const lts::Lts pipe = lts::parallel(q1, q2, join);
-
-  const std::vector<int> occ1 = occupancy_of_states(pipe, "PUSH", "MID");
-  const std::vector<int> occ2 = occupancy_of_states(pipe, "MID", "POP");
-
-  const imc::Imc m = core::decorate_with_rates(
-      pipe, {{"PUSH", params.push_rate},
-             {"MID", params.handoff_rate},
-             {"NET1", params.net_rate},
-             {"NET2", params.net_rate},
-             {"CR1", params.credit_rate},
-             {"CR2", params.credit_rate},
-             {"POP", params.pop_rate}});
-  const core::ClosedModel closed =
-      core::close_model(m, imc::NondetPolicy::kReject, /*lump=*/false);
-  const std::vector<double> pi = markov::steady_state(closed.ctmc);
-
-  PipelinePerfResult r;
-  r.ctmc_states = closed.ctmc.num_states();
-  for (std::size_t cs = 0; cs < pi.size(); ++cs) {
-    const lts::StateId original = closed.imc_state_of[cs];
-    r.mean_occ_stage1 += pi[cs] * occ1[original];
-    r.mean_occ_stage2 += pi[cs] * occ2[original];
-  }
-  r.throughput = markov::throughput(closed.ctmc, pi, "POP*");
-  const double total = r.mean_occ_stage1 + r.mean_occ_stage2;
-  r.mean_latency = r.throughput > 0.0 ? total / r.throughput : 0.0;
-  return r;
-}
-
 PipelineNPerfResult analyze_pipeline_n(const PipelinePerfParams& params,
                                        int stages) {
   const core::SolveContext solve_ctx("xstream/pipeline-n");

@@ -41,36 +41,25 @@ struct QueuePerfResult {
 [[nodiscard]] QueuePerfResult analyze_virtual_queue(
     const QueuePerfParams& params);
 
-/// Two virtual queues in series (the "communication architecture" shape of
-/// an xSTream stream: producer -> queue -> relay -> queue -> consumer).
+/// Virtual queues in series (the "communication architecture" shape of an
+/// xSTream stream: producer -> queue -> relay -> ... -> queue -> consumer).
 struct PipelinePerfParams {
-  QueueConfig queue;          ///< configuration of both stages
-  double push_rate = 1.0;     ///< producer rate into stage 1
-  double handoff_rate = 8.0;  ///< relay between the stages (MID)
+  QueueConfig queue;          ///< configuration of every stage
+  double push_rate = 1.0;     ///< producer rate into the first stage
+  double handoff_rate = 8.0;  ///< relay between adjacent stages (MID<i>)
   double net_rate = 10.0;     ///< NoC rate inside each stage
   double credit_rate = 10.0;
-  double pop_rate = 2.0;      ///< consumer rate out of stage 2
+  double pop_rate = 2.0;      ///< consumer rate out of the last stage
 };
 
-struct PipelinePerfResult {
-  double throughput = 0.0;       ///< long-run consumer rate
-  double mean_latency = 0.0;     ///< end-to-end (Little on total occupancy)
-  double mean_occ_stage1 = 0.0;
-  double mean_occ_stage2 = 0.0;
-  std::size_t ctmc_states = 0;
-};
-
-[[nodiscard]] PipelinePerfResult analyze_pipeline(
-    const PipelinePerfParams& params);
-
-/// N virtual queues in series (stream of depth @p stages, 2..4).
 struct PipelineNPerfResult {
-  double throughput = 0.0;
-  double mean_latency = 0.0;
+  double throughput = 0.0;    ///< long-run consumer rate
+  double mean_latency = 0.0;  ///< end-to-end (Little on total occupancy)
   std::vector<double> stage_occupancy;  ///< one entry per stage
   std::size_t ctmc_states = 0;
 };
 
+/// Steady-state analysis of @p stages virtual queues in series (2..4).
 [[nodiscard]] PipelineNPerfResult analyze_pipeline_n(
     const PipelinePerfParams& params, int stages);
 

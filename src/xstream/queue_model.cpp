@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/report.hpp"
-#include "lts/analysis.hpp"
 #include "lts/product.hpp"
 #include "proc/generator.hpp"
 
@@ -208,24 +206,13 @@ Program drain_scenario_program(const QueueConfig& cfg, int items) {
 lts::Lts drain_scenario_lts(const QueueConfig& cfg, int items,
                             compose::Strategy strategy,
                             compose::MinimizeCache* cache) {
-  auto p = std::make_shared<const Program>(drain_scenario_program(cfg, items));
-  return core::timed_generation(
-      "xstream: drain scenario (cap " + std::to_string(cfg.capacity) +
-          ", items " + std::to_string(items) + ")",
-      [&] {
-        if (strategy == compose::Strategy::kFlat) {
-          return lts::trim(generate(*p, "DrainScenario")).lts;
-        }
-        return compose::pipeline_lts(p, "DrainScenario", strategy, {}, cache);
-      });
+  return compose::pipeline_lts(
+      std::make_shared<const Program>(drain_scenario_program(cfg, items)),
+      "DrainScenario", strategy, {}, cache);
 }
 
 lts::Lts virtual_queue_lts_open(const QueueConfig& cfg) {
-  const Program p = virtual_queue_program(cfg);
-  return core::timed_generation(
-      std::string("xstream: virtual queue (") + to_string(cfg.variant) +
-          ", cap " + std::to_string(cfg.capacity) + ")",
-      [&] { return lts::trim(generate(p, "VirtualQueue")).lts; });
+  return generate(virtual_queue_program(cfg), "VirtualQueue");
 }
 
 lts::Lts virtual_queue_lts(const QueueConfig& cfg) {
@@ -267,9 +254,7 @@ lts::Lts reference_fifo_lts(const QueueConfig& cfg) {
   p.define("Fifo", std::move(params), choice(std::move(branches)));
 
   std::vector<proc::Value> init(static_cast<std::size_t>(cap) + 1, 0);
-  return core::timed_generation(
-      "xstream: reference fifo (cap " + std::to_string(cap) + ")",
-      [&] { return generate(p, "Fifo", init); });
+  return generate(p, "Fifo", init);
 }
 
 }  // namespace multival::xstream

@@ -346,7 +346,7 @@ TEST(LtsStream, WriterEnforcesSingleFinish) {
   EXPECT_THROW(w.add_transition(0, "A", 1), std::logic_error);
 }
 
-// --- generation log ------------------------------------------------------
+// --- pipeline step statistics --------------------------------------------
 
 lts::Lts diamond() {
   lts::Lts l;
@@ -359,24 +359,7 @@ lts::Lts diamond() {
   return l;
 }
 
-TEST(GenerationLog, CaseStudyGeneratorsRecordTheirRuns) {
-  core::clear_generation_log();
-  const lts::Lts q =
-      xstream::virtual_queue_lts_open(xstream::QueueConfig{});
-  const auto log = core::generation_log();
-  ASSERT_FALSE(log.empty());
-  const core::GenerationStat& stat = log.back();
-  EXPECT_NE(stat.model.find("virtual queue"), std::string::npos);
-  EXPECT_EQ(stat.states, q.num_states());
-  EXPECT_EQ(stat.transitions, q.num_transitions());
-  EXPECT_GE(stat.seconds, 0.0);
-  EXPECT_GE(core::generation_table().num_rows(), 1u);
-  core::clear_generation_log();
-  EXPECT_TRUE(core::generation_log().empty());
-}
-
-TEST(GenerationLog, PipelineStepsReportWallTime) {
-  core::clear_generation_log();
+TEST(EvalStats, StepsReportWallTime) {
   const lts::Lts l = diamond();
   auto tree = compose::minimize_here(
       compose::hide_gates({"C"}, compose::leaf(l, "diamond")));
@@ -389,11 +372,8 @@ TEST(GenerationLog, PipelineStepsReportWallTime) {
     total += s.seconds;
   }
   EXPECT_DOUBLE_EQ(stats.total_seconds(), total);
-  // Each step also lands in the process-wide generation log.
-  EXPECT_EQ(core::generation_log().size(), stats.steps.size());
   const core::Table t = stats.to_table("pipeline");
   EXPECT_EQ(t.num_rows(), stats.steps.size() + 1);  // steps + total row
-  core::clear_generation_log();
 }
 
 }  // namespace
