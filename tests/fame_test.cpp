@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
+#include "core/hash.hpp"
 #include "fame/coherence.hpp"
+#include "fame/coherence_n.hpp"
 #include "fame/mpi.hpp"
 #include "fame/topology.hpp"
 #include "lts/analysis.hpp"
+#include "lts/lts_io.hpp"
 #include "mc/evaluator.hpp"
 #include "mc/properties.hpp"
 
@@ -178,6 +183,71 @@ TEST(Mpi, PerRoundLatencyConverges) {
   const double l8 = pingpong_latency(eight).round_latency;
   const double l12 = pingpong_latency(twelve).round_latency;
   EXPECT_NEAR(l8, l12, 0.05 * l8);
+}
+
+// --- golden digests ---------------------------------------------------------------
+
+// Pins the text of every FAME process program (process names, terms, branch
+// and gate order) and the barrier LTS.  On a mismatch the failure prints the
+// line to paste, but only paste it when the change of output is intended.
+TEST(FameGolden, ProgramsMatchTheParent) {
+  const std::map<std::string, std::string> golden = {
+      {"barrier_aut/MESI", "6e8130d7f9021eba90b5183b39df51a7"},
+      {"barrier_aut/MSI", "6e8130d7f9021eba90b5183b39df51a7"},
+      {"coherence_system/MESI", "78d1ca8abb2a799ad74d871f9cbcf70c"},
+      {"coherence_system/MSI", "59d9423cf6812cfbab05ebd6fc32c3bc"},
+      {"coherence_system_n/MESI/2", "f24aaa5e12b7b793fd5c21865baa6711"},
+      {"coherence_system_n/MESI/3", "eecd553699744b6f3ac887e13c36ce5c"},
+      {"coherence_system_n/MESI/4", "dd338e91db01bb34125031333ac9841e"},
+      {"coherence_system_n/MSI/2", "7c63aa72fc088c8b0696249e726a8fdb"},
+      {"coherence_system_n/MSI/3", "600de06d5cf4da50ba1390c168e507f4"},
+      {"coherence_system_n/MSI/4", "b058d46e14a25e7ccb005ea37aebf570"},
+      {"pingpong/MESI/eager/1", "fc531d28029d59e826a02c6f62a9d40f"},
+      {"pingpong/MESI/eager/2", "16ec90105941c84fad5b03a08e01bc8b"},
+      {"pingpong/MESI/rendezvous/1", "440dffc90e4054ba7899e5bb0d97b94c"},
+      {"pingpong/MESI/rendezvous/2", "c95e4bb138c965d8cff6ecc5dcf96893"},
+      {"pingpong/MSI/eager/1", "5053a5a3764757e183261eda7ed963c7"},
+      {"pingpong/MSI/eager/2", "1b215664faf1c6cfb8eb3908019009c5"},
+      {"pingpong/MSI/rendezvous/1", "362350da7eacb84cc0eb6736f8a0e89e"},
+      {"pingpong/MSI/rendezvous/2", "945ca1f59e86ca44caa4d1a20383cc3b"},
+  };
+  std::map<std::string, std::string> actual;
+  const auto digest = [&](const std::string& name, const std::string& text) {
+    core::Hasher h;
+    h.str(text);
+    actual[name] = h.key().hex();
+  };
+  for (const Protocol protocol : {Protocol::kMsi, Protocol::kMesi}) {
+    const std::string proto = to_string(protocol);
+    digest("coherence_system/" + proto,
+           coherence_system_program(protocol).to_string());
+    for (const int nodes : {2, 3, 4}) {
+      digest("coherence_system_n/" + proto + "/" + std::to_string(nodes),
+             coherence_system_n_program(protocol, nodes).to_string());
+    }
+    for (const MpiImpl impl : {MpiImpl::kEager, MpiImpl::kRendezvous}) {
+      for (const int rounds : {1, 2}) {
+        PingPongConfig config;
+        config.protocol = protocol;
+        config.impl = impl;
+        config.rounds = rounds;
+        digest("pingpong/" + proto + "/" + to_string(impl) + "/" +
+                   std::to_string(rounds),
+               pingpong_program(config).to_string());
+      }
+    }
+    BarrierConfig barrier;
+    barrier.protocol = protocol;
+    digest("barrier_aut/" + proto, lts::to_aut(barrier_lts(barrier)));
+  }
+  for (const auto& [name, hex] : actual) {
+    const auto it = golden.find(name);
+    if (it == golden.end() || it->second != hex) {
+      ADD_FAILURE() << "digest changed: {\"" << name << "\", \"" << hex
+                    << "\"},";
+    }
+  }
+  EXPECT_EQ(actual.size(), golden.size());
 }
 
 }  // namespace
