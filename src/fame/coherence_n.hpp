@@ -1,11 +1,16 @@
 // N-node generalisation of the FAME2 coherence model (2 <= N <= 4): the
 // directory tracks one state per node and serialises transactions,
-// invalidating every other sharer (one INV message each) before granting
-// ownership.  The 2-node model in coherence.hpp is kept as the workhorse
-// for the MPI benchmarks; this module scales the *verification* story to
-// the multi-node CC-NUMA configurations FAME2 actually shipped with.
+// invalidating every other sharer (one INV message each, through a
+// sub-process) before granting ownership.  The 2-node model in
+// coherence.hpp is kept as the workhorse for the MPI benchmarks; this
+// model scales the *verification* story to the multi-node CC-NUMA
+// configurations FAME2 actually shipped with.
 //
-// Gate conventions match coherence.hpp (RD<i>_<line>, RQS<i>_<line>, ...).
+// Both models are built in coherence.cpp from one cache definition, one
+// free-driver definition and one gate vocabulary (RD<i>_<line>,
+// RQS<i>_<line>, ...); only the directory and the SWMR observer differ.
+// The N-node processes carry an "N" tag (CacheN<i>n_<line>, DirN_<line>,
+// DriverN<i>, ObsN_<line>, SystemN), so both models fit in one program.
 #pragma once
 
 #include <string>

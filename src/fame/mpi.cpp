@@ -1,5 +1,6 @@
 #include "fame/mpi.hpp"
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -44,7 +45,7 @@ Step write_op(int node, const std::string& line) {
 /// Buffer recycling + unpack: flush, cold read, write on the private
 /// scratch line (where MESI's E state pays off).
 Step unpack_op(int node) {
-  const std::string line = "S" + std::to_string(node);
+  const std::string line = std::string("S").append(std::to_string(node));
   return [=](TermPtr cont) {
     return prefix(
         line_gate("FL", node, line),
@@ -72,8 +73,6 @@ TermPtr fold(const std::vector<Step>& steps, TermPtr tail) {
 /// name the token gates in the same global order, so their composition is
 /// the intended linearisation.
 std::vector<Step> round_steps(MpiImpl impl, int node) {
-  const int other = 1 - node;
-  (void)other;
   std::vector<Step> s;
   if (impl == MpiImpl::kEager) {
     if (node == 0) {
@@ -113,41 +112,53 @@ std::vector<Step> round_steps(MpiImpl impl, int node) {
   return s;
 }
 
+/// The program of a two-node scenario, entry process @p entry: the
+/// coherent @p lines run interleaved (right-nested) and serve every
+/// operation of the node processes <node>0 and <node>1, which synchronise
+/// on @p tokens.  Node i runs steps[i] once per round and stops after
+/// @p rounds.
+Program scenario_program(const std::string& entry,
+                         const std::vector<std::string>& lines,
+                         Protocol protocol, const std::string& node,
+                         const std::array<std::vector<Step>, 2>& steps,
+                         std::vector<std::string> tokens, int rounds) {
+  Program p;
+  std::vector<std::string> ops;
+  for (const std::string& line : lines) {
+    const std::vector<std::string> line_ops = operation_gates(line);
+    ops.insert(ops.end(), line_ops.begin(), line_ops.end());
+  }
+  TermPtr memory = call(add_coherent_line(p, lines.back(), protocol));
+  for (auto line = lines.rbegin() + 1; line != lines.rend(); ++line) {
+    memory = interleaving(call(add_coherent_line(p, *line, protocol)),
+                          std::move(memory));
+  }
+  std::array<TermPtr, 2> nodes;
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = std::string(node).append(std::to_string(i));
+    p.define(name, {"n"},
+             choice({guard(evar("n") > lit(0),
+                           fold(steps[i], call(name, {evar("n") - lit(1)}))),
+                     guard(evar("n") == lit(0), stop())}));
+    nodes[static_cast<std::size_t>(i)] = call(name, {lit(rounds)});
+  }
+  p.define(entry, {},
+           par(std::move(memory), std::move(ops),
+               par(std::move(nodes[0]), std::move(tokens),
+                   std::move(nodes[1]))));
+  return p;
+}
+
 }  // namespace
 
 Program pingpong_program(const PingPongConfig& config) {
   if (config.rounds < 1 || config.rounds > 64) {
     throw std::invalid_argument("pingpong: rounds must be in 1..64");
   }
-  Program p;
-  const std::vector<std::string> lines{"M", "S0", "S1"};
-  for (const std::string& line : lines) {
-    (void)add_coherent_line(p, line, config.protocol);
-  }
-
-  for (int node = 0; node < 2; ++node) {
-    const std::string name = "Mpi" + std::to_string(node);
-    p.define(name, {"n"},
-             choice({guard(evar("n") > lit(0),
-                           fold(round_steps(config.impl, node),
-                                call(name, {evar("n") - lit(1)}))),
-                     guard(evar("n") == lit(0), stop())}));
-  }
-
-  std::vector<std::string> all_ops;
-  for (const std::string& line : lines) {
-    for (const std::string& g : operation_gates(line)) {
-      all_ops.push_back(g);
-    }
-  }
-  p.define(
-      "PingPong", {},
-      par(interleaving(call("Line_M"),
-                       interleaving(call("Line_S0"), call("Line_S1"))),
-          all_ops,
-          par(call("Mpi0", {lit(config.rounds)}), {kTok01, kTok10},
-              call("Mpi1", {lit(config.rounds)}))));
-  return p;
+  return scenario_program(
+      "PingPong", {"M", "S0", "S1"}, config.protocol, "Mpi",
+      {round_steps(config.impl, 0), round_steps(config.impl, 1)},
+      {kTok01, kTok10}, config.rounds);
 }
 
 lts::Lts pingpong_lts(const PingPongConfig& config, compose::Strategy strategy,
@@ -161,34 +172,16 @@ lts::Lts barrier_lts(const BarrierConfig& config) {
   if (config.rounds < 1 || config.rounds > 64) {
     throw std::invalid_argument("barrier: rounds must be in 1..64");
   }
-  Program p;
-  const std::vector<std::string> lines{"F0", "F1"};
-  for (const std::string& line : lines) {
-    (void)add_coherent_line(p, line, config.protocol);
-  }
   // Per node i: write own flag, synchronise, read the other's flag.
-  for (int node = 0; node < 2; ++node) {
-    const std::string own = "F" + std::to_string(node);
-    const std::string other = "F" + std::to_string(1 - node);
-    const std::string name = "Bar" + std::to_string(node);
-    const std::vector<Step> steps{write_op(node, own), token("TOKB"),
-                                  read_op(node, other)};
-    p.define(name, {"n"},
-             choice({guard(evar("n") > lit(0),
-                           fold(steps, call(name, {evar("n") - lit(1)}))),
-                     guard(evar("n") == lit(0), stop())}));
-  }
-  std::vector<std::string> all_ops;
-  for (const std::string& line : lines) {
-    for (const std::string& g : operation_gates(line)) {
-      all_ops.push_back(g);
-    }
-  }
-  p.define("Barrier", {},
-           par(interleaving(call("Line_F0"), call("Line_F1")), all_ops,
-               par(call("Bar0", {lit(config.rounds)}), {"TOKB"},
-                   call("Bar1", {lit(config.rounds)}))));
-  return generate(p, "Barrier");
+  const auto steps = [](int node, const char* own, const char* other) {
+    return std::vector<Step>{write_op(node, own), token("TOKB"),
+                             read_op(node, other)};
+  };
+  return generate(scenario_program("Barrier", {"F0", "F1"}, config.protocol,
+                                   "Bar", {steps(0, "F0", "F1"),
+                                           steps(1, "F1", "F0")},
+                                   {"TOKB"}, config.rounds),
+                  "Barrier");
 }
 
 BarrierResult barrier_latency(const BarrierConfig& config) {
