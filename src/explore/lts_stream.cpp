@@ -1,5 +1,6 @@
 #include "explore/lts_stream.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -52,6 +53,21 @@ class Cursor {
     if (got != n) {
       fail(std::string("truncated ") + what);
     }
+  }
+
+  /// @p n bytes as a string.  They are read in bounded chunks, so a
+  /// declared length beyond the end of the input fails as truncated
+  /// without first allocating that length.
+  std::string string(std::uint64_t n, const char* what) {
+    constexpr std::uint64_t kChunk = 1u << 16;
+    std::string s;
+    while (s.size() < n) {
+      const std::size_t at = s.size();
+      const auto k = static_cast<std::size_t>(std::min(kChunk, n - at));
+      s.resize(at + k);
+      read(s.data() + at, k, what);
+    }
+    return s;
   }
 
   std::uint64_t varint(const char* what) {
@@ -187,9 +203,7 @@ lts::Lts read_lts_stream(std::istream& is) {
         break;
       case kLabelDef: {
         const std::uint64_t len = in.varint("label definition");
-        std::string label(len, '\0');
-        in.read(label.data(), len, "label");
-        labels.push_back(std::move(label));
+        labels.push_back(in.string(len, "label"));
         break;
       }
       case kTransition: {
@@ -216,6 +230,9 @@ lts::Lts read_lts_stream(std::istream& is) {
         }
         saw_count = true;
         num_states = in.varint("state count");
+        if (num_states > lts::kNoState) {
+          in.fail("state count out of range");
+        }
         break;
       default:
         in.fail("unknown record type " + std::to_string(rec));
@@ -255,14 +272,6 @@ void save_lts_stream(const std::string& path, const lts::Lts& l) {
     throw std::runtime_error("lts_stream: cannot write " + path);
   }
   write_lts_stream(os, l);
-}
-
-lts::Lts load_lts_stream(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("lts_stream: cannot open " + path);
-  }
-  return read_lts_stream(is);
 }
 
 }  // namespace multival::explore

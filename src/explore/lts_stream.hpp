@@ -13,10 +13,10 @@
 //     0x04  state count:      <count>
 //     0x00  end of stream
 //
-// A valid stream contains exactly one 0x03 and one 0x04 record and ends
-// with 0x00.  Transitions appear in LTS insertion order, so a
-// write -> read round trip reproduces the source LTS exactly (identical
-// .aut rendering).
+// A valid stream contains exactly one 0x03 and one 0x04 record (a count
+// of at most lts::kNoState) and ends with 0x00.  Transitions appear in
+// LTS insertion order, so a write -> read round trip reproduces the
+// source LTS exactly (identical .aut rendering).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +61,7 @@ void write_lts_stream(std::ostream& os, const lts::Lts& l);
 /// trailing bytes are rejected.
 [[nodiscard]] lts::Lts read_lts_stream(std::istream& is);
 
-/// File convenience wrappers.
+/// Writes @p l to the file @p path.
 void save_lts_stream(const std::string& path, const lts::Lts& l);
-[[nodiscard]] lts::Lts load_lts_stream(const std::string& path);
 
 }  // namespace multival::explore

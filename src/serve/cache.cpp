@@ -173,10 +173,12 @@ std::string ResultCache::disk_path(const CacheKey& key) const {
 }
 
 std::optional<std::string> ResultCache::disk_load(const CacheKey& key) {
-  std::ifstream is(disk_path(key), std::ios::binary);
+  std::ifstream is(disk_path(key), std::ios::binary | std::ios::ate);
   if (!is) {
     return std::nullopt;  // plain miss: entry was never written
   }
+  const std::streamoff size = is.tellg();
+  is.seekg(0);
   char magic[4] = {};
   is.read(magic, sizeof magic);
   if (!is || std::string_view(magic, 4) != std::string_view(kMagic, 4) ||
@@ -200,8 +202,11 @@ std::optional<std::string> ResultCache::disk_load(const CacheKey& key) {
       }
       saw_key = true;
     } else if (rec == kPayload) {
+      // A declared length past the end of the file is corrupt; checking
+      // it first keeps the allocation within the file's size.
       std::uint64_t len = 0;
-      if (!get_varint(is, len)) {
+      if (!get_varint(is, len) ||
+          len > static_cast<std::uint64_t>(size - is.tellg())) {
         ++stats_.disk_errors;
         return std::nullopt;
       }

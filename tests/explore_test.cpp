@@ -335,6 +335,21 @@ TEST(LtsStream, StructuralErrorsReportByteOffsets) {
             "lts_stream: duplicate initial record at byte 8");
 }
 
+TEST(LtsStream, LabelLengthBeyondTheInputIsATruncatedLabel) {
+  // A label definition declaring 2^44 bytes, followed by three.
+  const std::string bytes("MVLS\x01\x01\x80\x80\x80\x80\x80\x80\x04" "abc",
+                          16);
+  EXPECT_EQ(stream_error(bytes), "lts_stream: truncated label at byte 16");
+}
+
+TEST(LtsStream, StateCountAboveNoStateIsRejected) {
+  // Initial state 0, then a state count of 2^32 = lts::kNoState + 1.
+  const std::string bytes("MVLS\x01\x03\x00\x04\x80\x80\x80\x80\x10\x00",
+                          14);
+  EXPECT_EQ(stream_error(bytes),
+            "lts_stream: state count out of range at byte 13");
+}
+
 TEST(LtsStream, WriterEnforcesSingleFinish) {
   std::stringstream buf;
   explore::LtsStreamWriter w(buf);

@@ -290,6 +290,61 @@ TEST(ServeCache, TruncatedDiskEntryIsAMissAndCountsAsCorrupt) {
   EXPECT_FALSE(cache.lookup(key).has_value());
 }
 
+/// Plants at @p dir the 45-byte entry of @p key whose payload record
+/// declares 2^44 bytes and holds 15.
+void plant_oversized_entry(const std::string& dir, const serve::CacheKey& key) {
+  std::ofstream os(dir + "/" + key.hex() + ".mvcr", std::ios::binary);
+  os << "MVCR\x01\x01";
+  for (const std::uint64_t half : {key.hi, key.lo}) {
+    for (int i = 7; i >= 0; --i) {
+      os.put(static_cast<char>((half >> (i * 8)) & 0xff));
+    }
+  }
+  os << std::string("\x02\x80\x80\x80\x80\x80\x80\x04", 8)
+     << "fifteen bytes.\n";
+}
+
+TEST(ServeCache, PayloadLengthBeyondTheFileIsAMissNotAnAllocation) {
+  const std::string dir = testing::TempDir() + "serve_cache_oversized";
+  ::mkdir(dir.c_str(), 0755);
+  serve::ResultCache::Options opts;
+  opts.disk_dir = dir;
+  serve::Hasher h;
+  h.str("oversized-key");
+  const serve::CacheKey key = h.key();
+  plant_oversized_entry(dir, key);
+  struct stat st = {};
+  ASSERT_EQ(::stat((dir + "/" + key.hex() + ".mvcr").c_str(), &st), 0);
+  ASSERT_EQ(st.st_size, 45);
+
+  serve::ResultCache cache(opts);
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.stats().disk_errors, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ServeService, OversizedDiskEntryIsSolvedAfresh) {
+  const std::string dir = testing::TempDir() + "serve_service_oversized";
+  ::mkdir(dir.c_str(), 0755);
+  const serve::Request r = make_request(serve::Verb::kReach, kCtmcModel);
+  plant_oversized_entry(dir, serve::prepare_request(r).key);
+
+  serve::ServiceOptions opts;
+  opts.workers = 1;
+  opts.cache.disk_dir = dir;
+  serve::Service service(opts);
+  const serve::Response resp = service.evaluate(r);
+  ASSERT_EQ(resp.status, serve::Status::kOk) << resp.body;
+  EXPECT_EQ(resp.body, serve::solve_request(r));
+  const serve::ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.solves, 1u);
+  EXPECT_EQ(m.cache.disk_errors, 1u);
+  // The solve replaced the corrupt entry: a fresh cache reads it back.
+  serve::ResultCache fresh(opts.cache);
+  EXPECT_EQ(fresh.lookup(serve::prepare_request(r).key), resp.body);
+  EXPECT_EQ(fresh.stats().disk_errors, 0u);
+}
+
 // --- protocol ------------------------------------------------------------
 
 TEST(ServeProtocol, RequestRoundTripsWithEmbeddedSeparators) {
