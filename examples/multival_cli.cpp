@@ -1196,15 +1196,9 @@ int cmd_xmas(int argc, char** argv) {
   std::cout << "fabric " << net.name << ": " << steady.num_states()
             << " states, " << steady.num_transitions() << " transitions ("
             << compose::to_string(strategy) << ")\n";
-  std::string glob = compiled.sink_gates.front();
-  for (const std::string& g : compiled.sink_gates) {
-    std::size_t i = 0;
-    while (i < glob.size() && i < g.size() && glob[i] == g[i]) ++i;
-    glob.resize(i);
-  }
   serve::Request request;
   request.verb = serve::Verb::kThroughput;
-  request.arg = "uniform:" + glob + "*";
+  request.arg = std::string("uniform:").append(xmas::sink_glob(compiled));
   request.payload = imc::to_aut(core::decorate_with_rates(steady, rates));
   std::cout << serve::solve_request(request) << "\n";
   if (items > 0) {

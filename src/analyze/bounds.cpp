@@ -1088,7 +1088,7 @@ BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
 
   std::set<std::string> inlined;
   std::vector<std::pair<TermPtr, GateSet>> leaves;
-  collect_leaves(counter, program, root, opts.blocked, inlined, leaves);
+  collect_leaves(counter, program, root, {}, inlined, leaves);
 
   GateSet sync_gates;
   collect_sync_gates(root.get(), sync_gates);
@@ -1114,7 +1114,7 @@ BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
     db.name = name;
     db.params = program.definition(name).params;
     db.intervals = ivs;
-    db.states = counter.count_call(name, opts.blocked);
+    db.states = counter.count_call(name, {});
     const auto wit = fix.widened().find(name);
     if (wit != fix.widened().end()) {
       db.widened = true;

@@ -25,6 +25,9 @@
 // tightening: a sync gate only one operand performs can never fire, so
 // prefixes on it contribute their own location but never their
 // continuation (the same never-firing direction MV003/MV004 rely on).
+// The root term itself starts with no gate blocked: a component is
+// analysed as a closed term, never inside the sync context it was cut
+// out of.
 // hide and rename wrap configurations one-to-one and are bound-neutral;
 // sequential composition is |left| * (env combinations of the right) plus
 // |right|.
@@ -38,8 +41,8 @@
 // states.  The price of the non-relational domain is honest: counters
 // whose bound lives in a synchronising peer (the xstream credit loop)
 // widen to infinity — which is precisely the component the compositional
-// planner must not generate standalone (the PR 8 runtime fallback, now
-// routed around statically).
+// planner must not generate standalone (compose::plan_term routes around
+// it statically; evaluate_plan's runtime fallback is the backstop).
 //
 // Diagnostics (stable codes, same contract as analyze.hpp — zero states
 // generated):
@@ -116,9 +119,6 @@ struct BoundOptions {
   /// exceeds this many states; 0 disables the check (MV040/MV041 still
   /// report).
   std::uint64_t component_budget = 0;
-  /// Gates the caller already knows can never fire (e.g. the sync context
-  /// of an enclosing composition a component was cut out of).
-  GateSet blocked;
 };
 
 /// Converged analysis of one reachable definition.
@@ -128,8 +128,8 @@ struct DefBound {
   /// Converged parameter intervals (joined over every call site), aligned
   /// with params.
   std::vector<Interval> intervals;
-  /// States this definition's body contributes under the root's blocked
-  /// set (kUnboundedStates when a parameter widened).
+  /// States this definition's body contributes with no gate blocked
+  /// (kUnboundedStates when a parameter widened).
   std::uint64_t states = 0;
   bool widened = false;
   /// The MV041 proof path, e.g. "PopSide -> PopSide (owe + 1)"; empty

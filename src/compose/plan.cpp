@@ -306,6 +306,20 @@ struct StaticSkip {
 constexpr double kSyncWeight = 1.0;
 constexpr double kHideWeight = 0.5;
 
+/// The equivalence of every minimisation point, and its name in plan keys.
+constexpr bisim::Equivalence kEquivalence =
+    bisim::Equivalence::kDivergenceBranching;
+
+/// Wraps @p n in the minimisation point whose plan key is
+/// min(<equivalence>,<inner>).
+NodePtr minimized(NodePtr n, const std::string& inner) {
+  const std::string equivalence = bisim::to_string(kEquivalence);
+  NodePtr m = minimize_here(std::move(n), kEquivalence);
+  const_cast<Node&>(*m).plan_key =
+      digest_hex("min(" + equivalence + "," + inner + ")");
+  return m;
+}
+
 Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
                 const PlanOptions& opts) {
   const std::map<std::string, GateSet> defs = analyze::alphabets(*program);
@@ -325,7 +339,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   // doomed — typically a counter whose ceiling lives in a synchronising
   // peer, like the xstream credit loop — so route to monolithic now
   // instead of paying the capped generation before the runtime fallback.
-  const std::size_t cap = std::min(opts.max_states, opts.max_component_states);
+  const std::size_t cap = std::min(opts.max_states, kMaxComponentStates);
   std::vector<std::string> skips;
   for (std::size_t i = 0; i < flat.components.size(); ++i) {
     const Component& c = flat.components[i];
@@ -350,8 +364,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
     Group g;
     g.members = {i};
     g.alpha = c.alpha;
-    g.node = leaf_of(program, c,
-                     std::min(opts.max_states, opts.max_component_states));
+    g.node = leaf_of(program, c, cap);
     g.key = c.key;
     g.min_index = i;
     g.pred = plan.component_bounds[i];
@@ -368,10 +381,8 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
         g.alpha.erase(h);
       }
     }
-    g.node = minimize_here(std::move(g.node), opts.equivalence);
-    g.key = digest_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
-                       "," + g.key + ")");
-    const_cast<Node&>(*g.node).plan_key = g.key;
+    g.node = minimized(std::move(g.node), g.key);
+    g.key = g.node->plan_key;
   };
 
   while (groups.size() > 1) {
@@ -460,11 +471,7 @@ Plan fallback_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
         return proc::generate_term(*program, root, go);
       },
       "flat");
-  NodePtr m = minimize_here(std::move(l), opts.equivalence);
-  const_cast<Node&>(*m).plan_key =
-      digest_hex("min(" + std::string(bisim::to_string(opts.equivalence)) +
-                 ",flat," + leaf_key(*program, root) + ")");
-  plan.root = m;
+  plan.root = minimized(std::move(l), "flat," + leaf_key(*program, root));
   plan.grammar = render_node(*plan.root);
   return plan;
 }
@@ -504,10 +511,6 @@ Plan plan_program(std::shared_ptr<const proc::Program> program,
   return plan_term(program, proc::call(entry), opts);
 }
 
-std::string render_plan(const Plan& plan) {
-  return plan.root == nullptr ? std::string() : render_node(*plan.root);
-}
-
 PlanResult evaluate_plan(const Plan& plan, const PlanOptions& opts,
                          MinimizeCache* cache) {
   if (plan.root == nullptr) {
@@ -545,7 +548,7 @@ PlanResult evaluate_plan(const Plan& plan, const PlanOptions& opts,
     minimal = evaluate(retry.root, eo);
   }
   // The root is a minimisation point, so `minimal` is minimal modulo
-  // opts.equivalence; the canonical form is therefore isomorphism-invariant
+  // kEquivalence; the canonical form is therefore isomorphism-invariant
   // and byte-identical across planned / flat / re-planned evaluations.
   result.lts = bisim::canonical_form(minimal);
   return result;

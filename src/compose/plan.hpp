@@ -26,9 +26,11 @@
 // generation followed by the same final minimisation, with the reason
 // recorded — so every caller can route through plans unconditionally.
 //
-// Both strategies end at bisim::canonical_form(minimal LTS), so the planned
-// and the flat pipeline return *byte-identical* results (asserted in
-// tests/plan_test.cpp); only the peak intermediate sizes differ.
+// Every minimisation point (per join and final) minimises modulo
+// divergence-preserving branching bisimulation.  Both strategies end at
+// bisim::canonical_form(minimal LTS), so the planned and the flat pipeline
+// return *byte-identical* results (asserted in tests/plan_test.cpp); only
+// the peak intermediate sizes differ.
 #pragma once
 
 #include <cstddef>
@@ -54,17 +56,17 @@ enum class Strategy {
 
 [[nodiscard]] const char* to_string(Strategy s);
 
+/// Tighter cap on *standalone component* generation (the smaller of this
+/// and PlanOptions::max_states applies).  A component whose bound lives in
+/// a peer (a credit counter, a sequencer) is infinite on its own; hitting
+/// this cap makes evaluate_plan retry monolithically (where the peer
+/// constrains it) after a short detour instead of grinding to the full
+/// max_states first.
+inline constexpr std::size_t kMaxComponentStates = 1u << 17;
+
 struct PlanOptions {
-  /// Equivalence of the per-join and final minimisation points.
-  bisim::Equivalence equivalence = bisim::Equivalence::kDivergenceBranching;
   /// State cap per intermediate product.
   std::size_t max_states = 1u << 22;
-  /// Tighter cap on *standalone component* generation.  A component whose
-  /// bound lives in a peer (a credit counter, a sequencer) is infinite on
-  /// its own; hitting this cap makes evaluate_plan retry monolithically
-  /// (where the peer constrains it) after a short detour instead of
-  /// grinding to the full max_states first.
-  std::size_t max_component_states = 1u << 17;
   /// Joins are built sequentially.
   static constexpr unsigned workers = 1;
 };
@@ -84,7 +86,7 @@ struct Plan {
   /// doomed components *statically*: a component predicted to exceed the
   /// standalone cap never starts generating — the plan falls back to
   /// monolithic up front, recording a "static skip (MV042)" step, instead
-  /// of grinding to max_component_states first (the runtime overflow
+  /// of grinding to kMaxComponentStates first (the runtime overflow
   /// fallback in evaluate_plan remains as the backstop).
   std::vector<std::uint64_t> component_bounds;
   /// "static skip (MV042): ..." provenance lines; evaluate_plan replays
@@ -108,12 +110,8 @@ struct Plan {
                                 std::string_view entry,
                                 const PlanOptions& opts = {});
 
-/// Renders @p plan's tree as a grammar string, e.g.
-/// "min(hide M1 in (Cell0 |[..]| Cell1))" (also stored in Plan::grammar).
-[[nodiscard]] std::string render_plan(const Plan& plan);
-
 struct PlanResult {
-  lts::Lts lts;  ///< minimal modulo PlanOptions::equivalence, canonical form
+  lts::Lts lts;  ///< minimal (divergence-preserving branching), canonical
   EvalStats stats;
 };
 

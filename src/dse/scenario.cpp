@@ -267,14 +267,9 @@ Instantiated instantiate_xmas(const Point& p, compose::Strategy strategy,
       "latency", serve::Verb::kBounds, "",
       core::decorate_with_rates(
           xmas::compiled_lts(burst, strategy, {}, cache), rates)));
-  std::string sink_glob = steady.sink_gates.front();
-  for (const std::string& g : steady.sink_gates) {
-    std::size_t i = 0;
-    while (i < sink_glob.size() && i < g.size() && sink_glob[i] == g[i]) ++i;
-    sink_glob.resize(i);
-  }
   inst.probes.push_back(imc_probe(
-      "throughput", serve::Verb::kThroughput, "uniform:" + sink_glob + "*",
+      "throughput", serve::Verb::kThroughput,
+      std::string("uniform:").append(xmas::sink_glob(steady)),
       core::decorate_with_rates(
           xmas::compiled_lts(steady, strategy, {}, cache), rates)));
   return inst;

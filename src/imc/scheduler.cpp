@@ -248,10 +248,10 @@ std::vector<Mec> max_end_components(const Imc& m,
   return mecs;
 }
 
-/// The kernel's options for one scheduler-bounds solve.
-markov::SolverOptions solver_options(const SchedulerBoundsOptions& opts) {
-  return markov::SolverOptions{opts.tolerance, opts.max_iterations};
-}
+/// Every scheduler-bounds solve stops at a certified interval width of
+/// 1e-10 (absolute for probabilities, relative to max(1, largest value)
+/// for expected times), within 200,000 sweeps.
+constexpr markov::SolverOptions kBoundsSolve{1e-10, 200000};
 
 /// Sound min/max reachability values via interval (two-sided) value
 /// iteration: exact graph precomputation fixes the qualitative states, the
@@ -262,12 +262,11 @@ markov::SolverOptions solver_options(const SchedulerBoundsOptions& opts) {
 /// tolerance/2.
 std::vector<double> solve_reach_interval(const Imc& m,
                                          const std::vector<bool>& target,
-                                         bool maximise,
-                                         const SchedulerBoundsOptions& opts) {
+                                         bool maximise) {
   const std::size_t n = m.num_states();
   markov::interval::Solve solve(maximise ? "imc_reach[max]" : "imc_reach[min]",
                                 markov::interval::Quantity::kProbability,
-                                solver_options(opts));
+                                kBoundsSolve);
 
   std::vector<bool> zero;
   std::vector<bool> one;
@@ -358,12 +357,11 @@ std::vector<double> solve_reach_interval(const Imc& m,
 /// vector verified as a pre-fixpoint, and both bounds contract until the
 /// interval is below the tolerance (relative to the largest value, since
 /// expected times are unbounded).
-std::vector<double> solve_time_interval(const Imc& m, bool maximise,
-                                        const SchedulerBoundsOptions& opts) {
+std::vector<double> solve_time_interval(const Imc& m, bool maximise) {
   const std::size_t n = m.num_states();
   markov::interval::Solve solve(maximise ? "imc_time[max]" : "imc_time[min]",
                                 markov::interval::Quantity::kTime,
-                                solver_options(opts));
+                                kBoundsSolve);
 
   std::vector<bool> absorbing(n, false);
   for (StateId s = 0; s < n; ++s) {
@@ -479,29 +477,26 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise,
 
 }  // namespace
 
-Bounds reachability_bounds(const Imc& m, const std::vector<bool>& target,
-                           const SchedulerBoundsOptions& opts) {
+Bounds reachability_bounds(const Imc& m, const std::vector<bool>& target) {
   if (target.size() != m.num_states()) {
     throw std::invalid_argument("reachability_bounds: size mismatch");
   }
   if (m.num_states() == 0) {
     return Bounds{0.0, 0.0};
   }
+  const StateId init = m.initial_state();
   Bounds b;
-  b.min = solve_reach_interval(m, target, /*maximise=*/false,
-                               opts)[m.initial_state()];
-  b.max = solve_reach_interval(m, target, /*maximise=*/true,
-                               opts)[m.initial_state()];
+  b.min = solve_reach_interval(m, target, /*maximise=*/false)[init];
+  b.max = solve_reach_interval(m, target, /*maximise=*/true)[init];
   return b;
 }
 
-Scheduler extract_time_scheduler(const Imc& m, bool maximise,
-                                 const SchedulerBoundsOptions& opts) {
+Scheduler extract_time_scheduler(const Imc& m, bool maximise) {
   Scheduler sched(m.num_states(), 0);
   if (m.num_states() == 0) {
     return sched;
   }
-  const std::vector<double> t = solve_time_interval(m, maximise, opts);
+  const std::vector<double> t = solve_time_interval(m, maximise);
   for (StateId s = 0; s < m.num_states(); ++s) {
     const auto inter = m.interactive(s);
     if (inter.empty()) {
@@ -547,8 +542,7 @@ Imc apply_scheduler(const Imc& m, const Scheduler& sched) {
   return out;
 }
 
-Bounds absorption_time_bounds(const Imc& m,
-                              const SchedulerBoundsOptions& opts) {
+Bounds absorption_time_bounds(const Imc& m) {
   if (m.num_states() == 0) {
     return Bounds{0.0, 0.0};
   }
@@ -557,12 +551,12 @@ Bounds absorption_time_bounds(const Imc& m,
   // every scheduler does.  No numeric probability threshold is involved.
   const StateId init = m.initial_state();
   Bounds b;
-  b.min = solve_time_interval(m, /*maximise=*/false, opts)[init];
+  b.min = solve_time_interval(m, /*maximise=*/false)[init];
   if (std::isinf(b.min)) {
     b.max = kInf;
     return b;
   }
-  b.max = solve_time_interval(m, /*maximise=*/true, opts)[init];
+  b.max = solve_time_interval(m, /*maximise=*/true)[init];
   return b;
 }
 

@@ -13,10 +13,12 @@
 // rises from 0 while an upper bound falls towards the fixpoint (deflated
 // over maximal end components for max-reachability; obtained by verified
 // optimistic inflation for expected time), and iteration stops only when
-// the two are within the tolerance.  The returned values are midpoints of
-// certified intervals of width < tolerance.  A uniformly-randomising
-// scheduler (the kUniform policy of to_ctmc) always lies between the two
-// bounds.
+// the two are within 1e-10 (absolute for probabilities, relative to
+// max(1, largest value) for expected times).  The returned values are
+// midpoints of those certified intervals.  The solves run the one interval
+// kernel of markov/interval.hpp; a solve that needs more than 200,000
+// sweeps throws markov::SolverFailure.  A uniformly-randomising scheduler
+// (the kUniform policy of to_ctmc) always lies between the two bounds.
 #pragma once
 
 #include <vector>
@@ -25,14 +27,6 @@
 
 namespace multival::imc {
 
-struct SchedulerBoundsOptions {
-  /// Certified interval width at which iteration stops: absolute for
-  /// reachability probabilities, relative to max(1, largest value) for
-  /// expected times.
-  double tolerance = 1e-10;
-  std::size_t max_iterations = 200000;
-};
-
 struct Bounds {
   double min = 0.0;
   double max = 0.0;
@@ -40,16 +34,14 @@ struct Bounds {
 
 /// Min/max probability, over memoryless schedulers, of eventually reaching
 /// a state in @p target (indexed by IMC state id) from the initial state.
-[[nodiscard]] Bounds reachability_bounds(
-    const Imc& m, const std::vector<bool>& target,
-    const SchedulerBoundsOptions& opts = {});
+[[nodiscard]] Bounds reachability_bounds(const Imc& m,
+                                         const std::vector<bool>& target);
 
 /// Min/max expected time to reach a state with no outgoing transition at
 /// all (absorbing).  Divergence is decided exactly on the graph: the min
 /// bound is finite iff some scheduler absorbs almost surely, the max bound
 /// iff every scheduler does; infinite cases return +infinity.
-[[nodiscard]] Bounds absorption_time_bounds(
-    const Imc& m, const SchedulerBoundsOptions& opts = {});
+[[nodiscard]] Bounds absorption_time_bounds(const Imc& m);
 
 /// A memoryless scheduler: for every state with interactive transitions,
 /// the index of the chosen transition (0 for other states).
@@ -58,8 +50,7 @@ using Scheduler = std::vector<std::size_t>;
 /// Extracts the optimal memoryless scheduler for expected absorption time
 /// (@p maximise false = time-optimal, true = worst case).  Meaningful only
 /// when the corresponding bound is finite.
-[[nodiscard]] Scheduler extract_time_scheduler(
-    const Imc& m, bool maximise, const SchedulerBoundsOptions& opts = {});
+[[nodiscard]] Scheduler extract_time_scheduler(const Imc& m, bool maximise);
 
 /// Resolves every interactive choice according to @p sched, yielding a
 /// deterministic IMC (at most one interactive transition per state).

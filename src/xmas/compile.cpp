@@ -367,6 +367,19 @@ std::map<std::string, double> rate_table(const Compiled& c, double inject,
   return rates;
 }
 
+std::string sink_glob(const Compiled& c) {
+  if (c.sink_gates.empty()) {
+    throw std::invalid_argument("sink_glob: the fabric has no sink gate");
+  }
+  std::string prefix = c.sink_gates.front();
+  for (const std::string& g : c.sink_gates) {
+    prefix.erase(
+        std::mismatch(prefix.begin(), prefix.end(), g.begin(), g.end()).first,
+        prefix.end());
+  }
+  return prefix + "*";
+}
+
 lts::Lts compiled_lts(const Compiled& c, compose::Strategy strategy,
                       const compose::PlanOptions& opts,
                       compose::MinimizeCache* cache) {

@@ -100,6 +100,11 @@ struct Compiled {
                                                        double service = 0.0,
                                                        double transfer = 1.0);
 
+/// Label glob over every sink gate of @p c: their longest common prefix
+/// followed by '*' (the gate set of a throughput probe).  Throws
+/// std::invalid_argument when @p c has no sink gate.
+[[nodiscard]] std::string sink_glob(const Compiled& c);
+
 /// The fabric's LTS through the standard pipeline: planned (minimal,
 /// canonical) or flat per @p strategy — byte-identical results either way.
 [[nodiscard]] lts::Lts compiled_lts(const Compiled& c,

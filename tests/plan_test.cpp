@@ -198,7 +198,7 @@ TEST(Planner, JoinOverStateCapRetriesMonolithically) {
 
 TEST(Planner, XstreamDrainIsStaticallySkipped) {
   // The drain scenario's pop side owes credits without a local ceiling, so
-  // generating it standalone can only grind to max_component_states and
+  // generating it standalone can only grind to kMaxComponentStates and
   // then take the runtime monolithic fallback.  The static bound analysis
   // proves this before any state exists: the plan must arrive as a
   // monolithic fallback with "static skip (MV042)" provenance, and the
@@ -243,7 +243,7 @@ TEST(Planner, ComponentBoundsAreRecorded) {
   ASSERT_EQ(plan.component_bounds.size(), plan.components.size());
   for (const std::uint64_t b : plan.component_bounds) {
     EXPECT_GT(b, 0u);
-    EXPECT_LT(b, compose::PlanOptions{}.max_component_states);
+    EXPECT_LT(b, compose::kMaxComponentStates);
   }
   // The planner predicts every component under one shared alphabet
   // fixpoint; each bound is still the component's standalone prediction.
@@ -289,7 +289,7 @@ TEST(MinimizeCache, LruEvictsUnderByteBudget) {
     lts::Lts l;
     l.add_states(64);
     for (lts::StateId s = 0; s + 1 < 64; ++s) {
-      l.add_transition(s, "g" + std::to_string(k), s + 1);
+      l.add_transition(s, std::string("g").append(std::to_string(k)), s + 1);
     }
     inputs.push_back(std::move(l));
   }
@@ -343,7 +343,7 @@ lts::Lts chain_with_twin_tail(int tag) {
   lts::Lts l;
   l.add_states(5);
   l.set_initial_state(0);
-  const std::string a = "A" + std::to_string(tag);
+  const std::string a = std::string("A").append(std::to_string(tag));
   l.add_transition(0, a, 1);
   l.add_transition(0, a, 3);
   l.add_transition(1, "B", 2);

@@ -301,6 +301,18 @@ TEST(XmasCompile, BurstSourcesStopAfterTheBurst) {
   EXPECT_TRUE(has_deadlock);
 }
 
+TEST(XmasCompile, SinkGlobIsTheSinksCommonPrefix) {
+  EXPECT_EQ(xmas::sink_glob(xmas::compile(xmas::builtin_fabric("credit-loop"))),
+            "POP*");
+  xmas::Compiled c;
+  c.sink_gates = {"EJECT0", "EJECT1", "EJECT10"};
+  EXPECT_EQ(xmas::sink_glob(c), "EJECT*");
+  c.sink_gates = {"EJECT0", "POP"};
+  EXPECT_EQ(xmas::sink_glob(c), "*");
+  c.sink_gates.clear();
+  EXPECT_THROW((void)xmas::sink_glob(c), std::invalid_argument);
+}
+
 TEST(XmasCompile, RateTableCoversEveryGate) {
   const auto c = xmas::compile(xmas::builtin_fabric("credit-loop"));
   const auto rates = xmas::rate_table(c, 1.5, 2.5, 20.0);
