@@ -471,6 +471,24 @@ struct WidenRec {
   bool guarded = false;  // a crossed guard mentions the growing expression
 };
 
+/// Parameter intervals per definition name.
+using ParamIntervals = std::map<std::string, std::vector<Interval>>;
+
+/// The environment of definition @p name: each parameter's interval in
+/// @p params, top where none is recorded.
+AbsEnv param_env(const proc::Program& prog, const ParamIntervals& params,
+                 const std::string& name) {
+  AbsEnv env;
+  const auto& d = prog.definition(name);
+  const auto it = params.find(name);
+  for (std::size_t i = 0; i < d.params.size(); ++i) {
+    env[d.params[i]] = it != params.end() && i < it->second.size()
+                           ? it->second[i]
+                           : Interval::top();
+  }
+  return env;
+}
+
 class IntervalFixpoint {
  public:
   IntervalFixpoint(const proc::Program& prog, AnalysisStats* stats)
@@ -491,7 +509,7 @@ class IntervalFixpoint {
       }
       for (const std::string& name : names) {
         caller_ = name;
-        walk(prog_.definition(name).body.get(), def_env(name), {});
+        walk(prog_.definition(name).body.get(), param_env(prog_, params_, name), {});
       }
       for (const Contribution& c : contribs_) {
         changed = apply(c) || changed;
@@ -499,24 +517,9 @@ class IntervalFixpoint {
     }
   }
 
-  [[nodiscard]] const std::map<std::string, std::vector<Interval>>& params()
-      const {
-    return params_;
-  }
+  [[nodiscard]] const ParamIntervals& params() const { return params_; }
   [[nodiscard]] const std::map<std::string, WidenRec>& widened() const {
     return widen_;
-  }
-
-  [[nodiscard]] AbsEnv def_env(const std::string& name) const {
-    AbsEnv env;
-    const auto& d = prog_.definition(name);
-    const auto it = params_.find(name);
-    for (std::size_t i = 0; i < d.params.size(); ++i) {
-      env[d.params[i]] = it != params_.end() && i < it->second.size()
-                             ? it->second[i]
-                             : Interval::top();
-    }
-    return env;
   }
 
  private:
@@ -652,7 +655,7 @@ class IntervalFixpoint {
   const proc::Program& prog_;
   AnalysisStats* stats_;
   std::string caller_;
-  std::map<std::string, std::vector<Interval>> params_;
+  ParamIntervals params_;
   std::map<std::string, std::vector<std::size_t>> lo_ticks_;
   std::map<std::string, std::vector<std::size_t>> hi_ticks_;
   std::map<std::string, WidenRec> widen_;
@@ -675,8 +678,7 @@ class IntervalFixpoint {
 // program (compose::build_plan predicts all its components against one).
 class Counter {
  public:
-  Counter(const proc::Program& prog,
-          const std::map<std::string, std::vector<Interval>>& params,
+  Counter(const proc::Program& prog, const ParamIntervals& params,
           const std::map<std::string, GateSet>& alpha, AnalysisStats* stats)
       : prog_(prog), params_(params), stats_(stats), alpha_(alpha) {}
 
@@ -766,7 +768,7 @@ class Counter {
     std::set<std::string> saved = std::move(touched_);
     touched_.clear();
     const std::uint64_t v =
-        count_term(prog_.definition(name).body.get(), call_env(name), blocked);
+        count_term(prog_.definition(name).body.get(), param_env(prog_, params_, name), blocked);
     in_progress_.erase(key);
     touched_.erase(key);  // a cycle closed at this frame is self-contained
     if (touched_.empty()) {
@@ -869,22 +871,10 @@ class Counter {
     }
     in_progress_.insert(key);
     const std::uint64_t v = branch_post(prog_.definition(name).body.get(),
-                                        call_env(name), blocked);
+                                        param_env(prog_, params_, name), blocked);
     in_progress_.erase(key);
     touched_.erase(key);
     return v;
-  }
-
-  [[nodiscard]] AbsEnv call_env(const std::string& name) const {
-    AbsEnv env;
-    const auto& d = prog_.definition(name);
-    const auto it = params_.find(name);
-    for (std::size_t i = 0; i < d.params.size(); ++i) {
-      env[d.params[i]] = it != params_.end() && i < it->second.size()
-                             ? it->second[i]
-                             : Interval::top();
-    }
-    return env;
   }
 
   static void bind_accepts(const Term& t, AbsEnv& env) {
@@ -913,7 +903,7 @@ class Counter {
   }
 
   const proc::Program& prog_;
-  const std::map<std::string, std::vector<Interval>>& params_;
+  const ParamIntervals& params_;
   AnalysisStats* stats_;
   const std::map<std::string, GateSet>& alpha_;
   std::map<std::string, std::uint64_t> memo_;

@@ -92,6 +92,15 @@ std::vector<ExprPtr> zeros(int nodes) {
   return args;
 }
 
+/// Call of the 2-node process @p name with @p vi for node @p i and @p vj
+/// for the other node.
+TermPtr call_pair(const std::string& name, int i, ExprPtr vi, ExprPtr vj) {
+  std::vector<ExprPtr> args(2);
+  args[static_cast<std::size_t>(i)] = std::move(vi);
+  args[static_cast<std::size_t>(1 - i)] = std::move(vj);
+  return call(name, std::move(args));
+}
+
 /// Left-nested interleaving of @p terms (at least one).
 TermPtr interleave_all(std::vector<TermPtr> terms) {
   TermPtr all = std::move(terms[0]);
@@ -238,10 +247,7 @@ void define_directory(Program& p, const std::string& line,
     const std::string pi = pvar(i);
     const std::string pj = pvar(j);
     const auto next = [&](ExprPtr vi, ExprPtr vj) {
-      std::vector<ExprPtr> args(2);
-      args[static_cast<std::size_t>(i)] = std::move(vi);
-      args[static_cast<std::size_t>(j)] = std::move(vj);
-      return call(name, std::move(args));
+      return call_pair(name, i, std::move(vi), std::move(vj));
     };
 
     // Read miss from i, other node owns the line: downgrade first.
@@ -509,10 +515,7 @@ std::string add_swmr_observer(proc::Program& program, const std::string& line,
     const std::string oj = indexed("o", j);
     const auto g = [&](const char* base) { return line_gate(base, i, line); };
     const auto next = [&](ExprPtr vi, ExprPtr vj) {
-      std::vector<ExprPtr> args(2);
-      args[static_cast<std::size_t>(i)] = std::move(vi);
-      args[static_cast<std::size_t>(j)] = std::move(vj);
-      return call(name, std::move(args));
+      return call_pair(name, i, std::move(vi), std::move(vj));
     };
     const auto keep = [&]() { return next(evar(oi), evar(oj)); };
 

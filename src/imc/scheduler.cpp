@@ -253,6 +253,32 @@ std::vector<Mec> max_end_components(const Imc& m,
 /// for expected times), within 200,000 sweeps.
 constexpr markov::SolverOptions kBoundsSolve{1e-10, 200000};
 
+/// Bellman backup of Markovian state @p s over the values @p x: @p gain
+/// (0 for probabilities, 1 for expected times) plus the rate-weighted
+/// values of its successors, divided by its exit rate, self-loops
+/// excluded.  @p solver names the caller when a self-loop-only state,
+/// which the precomputation must have fixed, reaches it.
+double markovian_backup(const Imc& m, StateId s, const std::vector<double>& x,
+                        double gain, const char* solver) {
+  double exit = 0.0;
+  double self = 0.0;
+  double acc = gain;
+  for (const MarkEdge& e : m.markovian(s)) {
+    exit += e.rate;
+    if (e.dst == s) {
+      self += e.rate;
+    } else {
+      acc += e.rate * x[e.dst];
+    }
+  }
+  const double denom = exit - self;
+  if (denom <= 0.0) {
+    throw std::runtime_error(std::string(solver) +
+                             ": self-loop-only state escaped precomputation");
+  }
+  return acc / denom;
+}
+
 /// Sound min/max reachability values via interval (two-sided) value
 /// iteration: exact graph precomputation fixes the qualitative states, the
 /// lower vector rises from 0, the upper falls from 1, and (for max) the
@@ -308,24 +334,7 @@ std::vector<double> solve_reach_interval(const Imc& m,
       }
       return next;
     }
-    double exit = 0.0;
-    double self = 0.0;
-    double acc = 0.0;
-    for (const MarkEdge& e : m.markovian(s)) {
-      exit += e.rate;
-      if (e.dst == s) {
-        self += e.rate;
-      } else {
-        acc += e.rate * x[e.dst];
-      }
-    }
-    const double denom = exit - self;
-    if (denom <= 0.0) {
-      throw std::runtime_error(
-          "reachability_bounds: self-loop-only state escaped "
-          "precomputation");
-    }
-    return acc / denom;
+    return markovian_backup(m, s, x, 0.0, "reachability_bounds");
   };
   if (!maximise) {
     return solve.contract(units, std::move(lower), std::move(upper), backup);
@@ -447,24 +456,7 @@ std::vector<double> solve_time_interval(const Imc& m, bool maximise) {
       }
       return v;
     }
-    double exit = 0.0;
-    double self = 0.0;
-    double acc = 1.0;
-    for (const MarkEdge& e : m.markovian(s0)) {
-      exit += e.rate;
-      if (e.dst == s0) {
-        self += e.rate;
-      } else {
-        acc += e.rate * x[e.dst];
-      }
-    }
-    const double denom = exit - self;
-    if (denom <= 0.0) {
-      throw std::runtime_error(
-          "absorption_time_bounds: self-loop-only state escaped "
-          "precomputation");
-    }
-    return acc / denom;
+    return markovian_backup(m, s0, x, 1.0, "absorption_time_bounds");
   };
   std::vector<double> value = solve.from_below(n, units, backup);
   for (StateId s = 0; s < n; ++s) {
