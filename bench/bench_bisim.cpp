@@ -19,7 +19,8 @@ lts::Lts random_lts(std::size_t states, std::size_t labels,
   l.add_states(states);
   std::vector<lts::ActionId> ids;
   for (std::size_t i = 0; i < labels; ++i) {
-    ids.push_back(l.actions().intern("L" + std::to_string(i)));
+    ids.push_back(
+        l.actions().intern(std::string("L").append(std::to_string(i))));
   }
   std::uniform_int_distribution<lts::StateId> state(
       0, static_cast<lts::StateId>(states - 1));

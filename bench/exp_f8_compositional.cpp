@@ -23,13 +23,17 @@ namespace {
 using namespace multival;
 using namespace multival::proc;
 
+/// Gate between cells i-1 and i: "M1", "M2", ...
+std::string mid_gate(int i) {
+  return std::string("M").append(std::to_string(i));
+}
+
 /// A pipeline of @p cells one-value buffers over values 0..2.
 Program pipeline_program(int cells) {
   Program p;
   for (int i = 0; i < cells; ++i) {
-    const std::string in = i == 0 ? "IN" : "M" + std::to_string(i);
-    const std::string out =
-        i == cells - 1 ? "OUT" : "M" + std::to_string(i + 1);
+    const std::string in = i == 0 ? "IN" : mid_gate(i);
+    const std::string out = i == cells - 1 ? "OUT" : mid_gate(i + 1);
     p.define("Cell" + std::to_string(i), {},
              prefix(in, {accept("x", 0, 2)},
                     prefix(out, {emit(evar("x"))},
@@ -47,7 +51,7 @@ compose::NodePtr build_tree(const Program& p, int cells) {
   compose::NodePtr acc = cell(0);
   std::vector<std::string> hidden;
   for (int i = 1; i < cells; ++i) {
-    const std::string mid = "M" + std::to_string(i);
+    const std::string mid = mid_gate(i);
     acc = compose::minimize_here(
         compose::hide_gates({mid},
                             compose::compose2(acc, {mid}, cell(i))));
@@ -125,7 +129,7 @@ int main() {
     if (c.name.rfind("buffer", 0) == 0) {
       std::vector<std::string> gates;
       for (int i = 1; i < 6; ++i) {
-        const std::string mid = "M" + std::to_string(i);
+        const std::string mid = mid_gate(i);
         root = par(root, {mid}, call("Cell" + std::to_string(i), {}));
         gates.push_back(mid);
       }

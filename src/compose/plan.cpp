@@ -279,16 +279,22 @@ NodePtr leaf_of(std::shared_ptr<const proc::Program> program,
 }
 
 std::string render_node(const Node& n) {
+  if (n.kind == Node::Kind::kLeaf) {
+    return n.name;
+  }
+  const std::string first = render_node(*n.children[0]);
+  const std::string gates = join(n.gates);
   switch (n.kind) {
-    case Node::Kind::kLeaf:
-      return n.name;
-    case Node::Kind::kPar:
-      return "(" + render_node(*n.children[0]) + " |[" + join(n.gates) +
-             "]| " + render_node(*n.children[1]) + ")";
+    case Node::Kind::kPar: {
+      const std::string second = render_node(*n.children[1]);
+      return "(" + first + " |[" + gates + "]| " + second + ")";
+    }
     case Node::Kind::kHide:
-      return "hide " + join(n.gates) + " in " + render_node(*n.children[0]);
+      return "hide " + gates + " in " + first;
     case Node::Kind::kMinimize:
-      return "min(" + render_node(*n.children[0]) + ")";
+      return "min(" + first + ")";
+    case Node::Kind::kLeaf:
+      break;
   }
   return "?";
 }

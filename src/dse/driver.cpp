@@ -149,10 +149,11 @@ void dispatch_socket(const DriverOptions& options, std::vector<Slot>& slots,
 // ---- rendering --------------------------------------------------------------
 
 std::string json_number(double v) {
+  std::string text = serve::format_double(v);
   if (!std::isfinite(v)) {
-    return "\"" + serve::format_double(v) + "\"";  // inf/nan are not JSON
+    text = "\"" + text + "\"";  // inf/nan are not JSON
   }
-  return serve::format_double(v);
+  return text;
 }
 
 std::string json_axis_value(const AxisValue& v) {

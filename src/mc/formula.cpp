@@ -65,6 +65,8 @@ bool ActionFormula::matches(std::string_view label, bool is_tau) const {
 }
 
 std::string ActionFormula::to_string() const {
+  const std::string l = lhs_ ? lhs_->to_string() : "";
+  const std::string r = rhs_ ? rhs_->to_string() : "";
   switch (kind_) {
     case Kind::kAny:
       return "any";
@@ -75,11 +77,11 @@ std::string ActionFormula::to_string() const {
     case Kind::kGlob:
       return "'" + pattern_ + "'";
     case Kind::kNot:
-      return "!" + lhs_->to_string();
+      return "!" + l;
     case Kind::kAnd:
-      return "(" + lhs_->to_string() + " & " + rhs_->to_string() + ")";
+      return "(" + l + " & " + r + ")";
     case Kind::kOr:
-      return "(" + lhs_->to_string() + " | " + rhs_->to_string() + ")";
+      return "(" + l + " | " + r + ")";
   }
   return "?";
 }
@@ -169,25 +171,28 @@ std::vector<std::string> StateFormula::free_vars() const {
 }
 
 std::string StateFormula::to_string() const {
+  const std::string a = action_ ? action_->to_string() : "";
+  const std::string l = lhs_ ? lhs_->to_string() : "";
+  const std::string r = rhs_ ? rhs_->to_string() : "";
   switch (kind_) {
     case Kind::kTrue:
       return "tt";
     case Kind::kFalse:
       return "ff";
     case Kind::kAnd:
-      return "(" + lhs_->to_string() + " && " + rhs_->to_string() + ")";
+      return "(" + l + " && " + r + ")";
     case Kind::kOr:
-      return "(" + lhs_->to_string() + " || " + rhs_->to_string() + ")";
+      return "(" + l + " || " + r + ")";
     case Kind::kNot:
-      return "!" + lhs_->to_string();
+      return "!" + l;
     case Kind::kDiamond:
-      return "<" + action_->to_string() + "> " + lhs_->to_string();
+      return "<" + a + "> " + l;
     case Kind::kBox:
-      return "[" + action_->to_string() + "] " + lhs_->to_string();
+      return "[" + a + "] " + l;
     case Kind::kMu:
-      return "mu " + var_ + ". " + lhs_->to_string();
+      return "mu " + var_ + ". " + l;
     case Kind::kNu:
-      return "nu " + var_ + ". " + lhs_->to_string();
+      return "nu " + var_ + ". " + l;
     case Kind::kVar:
       return var_;
   }

@@ -11,7 +11,11 @@ using namespace multival::proc;
 namespace {
 
 std::string link(int from, int to) {
-  return "L" + std::to_string(from) + "_" + std::to_string(to);
+  std::string s = "L";
+  s += std::to_string(from);
+  s += '_';
+  s += std::to_string(to);
+  return s;
 }
 
 RouterPorts wired_ports(const MeshDims& dims, int node) {

@@ -113,11 +113,14 @@ std::string add_router(proc::Program& program, const MeshDims& dims, int node,
     if (in_gate.empty()) {
       return;
     }
+    const auto slot_name = [](int b) {
+      return std::string("q").append(std::to_string(b));
+    };
     std::vector<std::string> fifo_params{"len"};
     for (int b = 0; b < depth; ++b) {
-      fifo_params.push_back("q" + std::to_string(b));
+      fifo_params.push_back(slot_name(b));
     }
-    const auto slot = [](int b) { return evar("q" + std::to_string(b)); };
+    const auto slot = [&](int b) { return evar(slot_name(b)); };
     std::vector<TermPtr> branches;
     // Accept a packet into slot "len" (one branch per fill level and
     // destination so sync stays value-exact).

@@ -253,20 +253,20 @@ Value CompiledExpr::run(std::uint32_t node,
 }
 
 std::string Expr::to_string() const {
+  const std::string l = lhs_ ? lhs_->to_string() : "";
+  const std::string r = rhs_ ? rhs_->to_string() : "";
   switch (kind_) {
     case Kind::kConst:
       return std::to_string(value_);
     case Kind::kVar:
       return name_;
     case Kind::kUnary:
-      return (uop_ == UnaryOp::kNeg ? "-" : "!") + lhs_->to_string();
+      return (uop_ == UnaryOp::kNeg ? "-" : "!") + l;
     case Kind::kBinary:
       if (bop_ == BinaryOp::kMin || bop_ == BinaryOp::kMax) {
-        return std::string(op_name(bop_)) + "(" + lhs_->to_string() + ", " +
-               rhs_->to_string() + ")";
+        return std::string(op_name(bop_)) + "(" + l + ", " + r + ")";
       }
-      return "(" + lhs_->to_string() + " " + op_name(bop_) + " " +
-             rhs_->to_string() + ")";
+      return "(" + l + " " + op_name(bop_) + " " + r + ")";
   }
   return "?";
 }

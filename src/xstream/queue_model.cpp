@@ -25,6 +25,11 @@ const char* to_string(QueueVariant v) {
 
 namespace {
 
+/// Name of FIFO slot @p i: "q0", "q1", ...
+std::string slot_name(Value i) {
+  return std::string("q").append(std::to_string(i));
+}
+
 void check_config(const QueueConfig& cfg) {
   if (cfg.capacity < 1 || cfg.capacity > 4) {
     throw std::invalid_argument(
@@ -68,9 +73,9 @@ void define_pop_side(Program& p, const QueueConfig& cfg) {
 
   std::vector<std::string> params{"len", "owe"};
   for (Value i = 0; i < c; ++i) {
-    params.push_back("q" + std::to_string(i));
+    params.push_back(slot_name(i));
   }
-  const auto slot = [](Value i) { return evar("q" + std::to_string(i)); };
+  const auto slot = [](Value i) { return evar(slot_name(i)); };
 
   // Helper: argument list with substitutions.
   const auto args_with = [&](ExprPtr len, ExprPtr owe,
@@ -227,9 +232,9 @@ lts::Lts reference_fifo_lts(const QueueConfig& cfg) {
   const Value v = cfg.max_value;
   std::vector<std::string> params{"len"};
   for (Value i = 0; i < cap; ++i) {
-    params.push_back("q" + std::to_string(i));
+    params.push_back(slot_name(i));
   }
-  const auto slot = [](Value i) { return evar("q" + std::to_string(i)); };
+  const auto slot = [](Value i) { return evar(slot_name(i)); };
 
   std::vector<TermPtr> branches;
   for (Value fill = 0; fill < cap; ++fill) {

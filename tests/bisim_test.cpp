@@ -243,7 +243,7 @@ Lts random_lts(std::uint32_t seed, std::size_t num_states,
   l.add_states(num_states);
   std::vector<std::string> labels;
   for (std::size_t i = 0; i < num_labels; ++i) {
-    labels.push_back("L" + std::to_string(i));
+    labels.push_back(std::string("L").append(std::to_string(i)));
   }
   std::uniform_int_distribution<StateId> state(
       0, static_cast<StateId>(num_states - 1));

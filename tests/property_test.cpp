@@ -32,7 +32,8 @@ lts::Lts random_lts(std::uint32_t seed, std::size_t states,
   l.add_states(states);
   std::vector<lts::ActionId> ids;
   for (std::size_t i = 0; i < labels; ++i) {
-    ids.push_back(l.actions().intern("G" + std::to_string(i)));
+    ids.push_back(
+        l.actions().intern(std::string("G").append(std::to_string(i))));
   }
   std::uniform_int_distribution<lts::StateId> state(
       0, static_cast<lts::StateId>(states - 1));
