@@ -1,11 +1,14 @@
 // Micro-benchmark: partition-refinement minimisation throughput on random
-// LTSs of growing size.
+// LTSs of growing size, whose rounds re-sign most nodes, and IMC lumping
+// of birth-death chains, which take n/2 rounds that each re-sign a few.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "bisim/branching.hpp"
 #include "bisim/strong.hpp"
+#include "imc/imc.hpp"
+#include "imc/lump.hpp"
 #include "lts/lts.hpp"
 
 namespace {
@@ -55,6 +58,27 @@ void BM_BranchingMinimization(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_BranchingMinimization)->Arg(1000)->Arg(10000)->Arg(50000);
+
+/// The chains serve-solve closes: ARR at rate 0.9 up, DEP at rate 1 down.
+imc::Imc birth_death_imc(std::size_t n) {
+  imc::Imc m;
+  m.add_states(n);
+  for (lts::StateId s = 0; s + 1 < n; ++s) {
+    m.add_markovian(s, 0.9, s + 1, "ARR");
+    m.add_markovian(s + 1, 1.0, s, "DEP");
+  }
+  return m;
+}
+
+void BM_LumpBirthDeath(benchmark::State& state) {
+  const auto m = birth_death_imc(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(imc::lump_branching(m));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_LumpBirthDeath)->Arg(250)->Arg(1000)->Arg(4000);
 
 }  // namespace
 

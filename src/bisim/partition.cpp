@@ -17,16 +17,6 @@ Partition::Partition(std::vector<BlockId> block_of, std::size_t num_blocks)
   }
 }
 
-void Partition::set_block(lts::StateId s, BlockId b) {
-  if (s >= block_of_.size()) {
-    throw std::out_of_range("Partition::set_block: unknown state");
-  }
-  block_of_[s] = b;
-  if (b >= num_blocks_) {
-    num_blocks_ = b + 1;
-  }
-}
-
 std::size_t Partition::normalize() {
   std::unordered_map<BlockId, BlockId> remap;
   remap.reserve(num_blocks_);

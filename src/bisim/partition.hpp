@@ -31,8 +31,6 @@ class Partition {
   [[nodiscard]] std::size_t num_blocks() const { return num_blocks_; }
   [[nodiscard]] std::size_t num_states() const { return block_of_.size(); }
 
-  void set_block(lts::StateId s, BlockId b);
-
   /// Renumbers block ids densely (0..k-1) preserving the grouping; returns
   /// the number of blocks.
   std::size_t normalize();

@@ -1,9 +1,30 @@
 // The partition-refinement kernel (BCG_MIN's signature approach) behind
 // strong and branching bisimulation, IMC lumping and canonical forms.  A
 // caller only emits the signature elements of one node from the current
-// blocks; the kernel owns the round loop, the flat signature storage, the
-// propagation of signatures across inert successors and the numbering of
-// blocks.
+// blocks, and can build the graph of the successors whose blocks it reads;
+// the kernel owns the round loop, the signature storage, the propagation
+// of signatures across inert successors and the numbering of blocks.
+//
+// Set-signature rounds are incremental (Valmari and Franceschinis, TACAS
+// 2010; Groote, Jansen, Keiren and Wijs, TOCL 2017).  A sparse round
+// re-signs, in ascending node order, only the nodes that moved in the last
+// round, their predecessors, and the inert predecessors of any re-signed
+// node whose signature changed (the kernel keeps each node's inert
+// successors from its last signing); every other node's stored signature
+// is still its signature.  For that, block ids stay stable from the round
+// before a sparse round on: when a block splits, its members outside every
+// new group, which share the block's stored signature, keep its id (if
+// there are none, the largest group does, the first of equals) and the
+// other groups take fresh ids.  A round re-signs every node instead, at
+// the cost of a plain round, when its dirty nodes would be a quarter of
+// all or more, or while no sparse round has run and more than half the
+// nodes are alone (a partition so near discrete has too few splits left
+// to pay for the predecessor graph, which the first sparse round builds);
+// between two such dense rounds the blocks are renumbered by first
+// occurrence, as before.  Every lexicographic round is dense, as its ranks
+// renumber every block.  Each round so groups the nodes exactly as a round
+// that re-signs every node does, and numbering the final blocks by first
+// occurrence once, at the end, reproduces every partition bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -12,17 +33,18 @@
 #include <vector>
 
 #include "bisim/partition.hpp"
+#include "core/graph.hpp"
 
 namespace multival::bisim {
 
-/// How signatures compare and how each round numbers its blocks.
+/// How signatures compare and how blocks are numbered.
 enum class SigOrder {
-  /// Set signatures; blocks are numbered in order of first occurrence
-  /// over the nodes.
+  /// Set signatures; the final blocks are numbered in order of first
+  /// occurrence over the nodes.
   kFirstSeen,
-  /// Multiset signatures; blocks are ranked by the lexicographic order of
-  /// (current block, sorted elements), which is isomorphism-invariant
-  /// whenever the elements are.
+  /// Multiset signatures; every round ranks its blocks by the
+  /// lexicographic order of (current block, sorted elements), which is
+  /// isomorphism-invariant whenever the elements are.
   kLexicographic,
 };
 
@@ -44,26 +66,38 @@ class SigSink {
   std::vector<std::uint32_t>& inert_;
 };
 
-/// Emits the signature elements of @p node given every node's block.
+/// Emits the signature elements of @p node given every node's block.  It
+/// may read the blocks of @p node and of its successors only.  With set
+/// signatures the elements may depend on the block ids only through which
+/// blocks are equal, as the kernel does not renumber every round.
 template <class Elem>
 using SigEmitter = std::function<void(
     std::uint32_t node, const std::vector<BlockId>& block, SigSink<Elem>&)>;
+
+/// Builds the successor graph of the nodes: for each node, every node
+/// whose block the emitter reads for it.  The kernel calls it once, at the
+/// first sparse round, if there is one.
+using SuccessorGraph = std::function<core::Digraph()>;
 
 /// Two-word signature element (IMC lumping: key and quantised rate).
 using SigPair = std::pair<std::uint64_t, std::uint64_t>;
 
 /// Coarsest refinement of @p initial (a partition of the nodes whose
 /// num_blocks() is exact) in which all nodes of a block have the same
-/// signature.  Rounds re-sign every node as (block, elements) until the
-/// number of blocks stops growing or every node is alone; the result is
-/// numbered per @p order, and that numbering is part of the contract.
+/// signature.  @p successors builds, for each node, every node whose block
+/// @p emit reads for it.  Rounds re-sign nodes as (block, elements) until
+/// the number of blocks stops growing or every node is alone; the result
+/// is numbered per @p order, and that numbering is part of the contract.
 template <class Elem>
 [[nodiscard]] Partition refine(const Partition& initial, SigOrder order,
+                               const SuccessorGraph& successors,
                                const SigEmitter<Elem>& emit);
 
 extern template Partition refine<std::uint64_t>(
-    const Partition&, SigOrder, const SigEmitter<std::uint64_t>&);
+    const Partition&, SigOrder, const SuccessorGraph&,
+    const SigEmitter<std::uint64_t>&);
 extern template Partition refine<SigPair>(const Partition&, SigOrder,
+                                          const SuccessorGraph&,
                                           const SigEmitter<SigPair>&);
 
 }  // namespace multival::bisim

@@ -31,6 +31,10 @@ Partition strong_partition(const Lts& l, const Partition& initial) {
   p.normalize();
   return refine<std::uint64_t>(
       p, SigOrder::kFirstSeen,
+      [&] {
+        return lts::transition_graph(l,
+                                     [](StateId, const OutEdge&) { return true; });
+      },
       [&](StateId s, const std::vector<BlockId>& block,
           SigSink<std::uint64_t>& sig) {
         for (const OutEdge& e : l.out(s)) {

@@ -120,13 +120,27 @@ Partition lump(const Imc& m, const Partition& initial, bool branching) {
     node_block[g.node_of[s]] = p.block_of(s);
   }
 
+  const auto successors = [&] {
+    return core::Digraph::build(g.num_nodes, [&](auto&& add) {
+      for (StateId node = 0; node < g.num_nodes; ++node) {
+        for (const MarkRef& e : g.mark[node]) {
+          add(node, e.dst);
+        }
+        for (const InterEdge& e : g.inter[node]) {
+          add(node, e.dst);
+        }
+      }
+    });
+  };
   std::vector<std::pair<std::uint64_t, double>> per_key;
   const Partition nodes = bisim::refine<SigPair>(
       Partition(std::move(node_block), p.num_blocks()),
-      bisim::SigOrder::kFirstSeen,
+      bisim::SigOrder::kFirstSeen, successors,
       [&](StateId node, const std::vector<BlockId>& block,
           bisim::SigSink<SigPair>& sig) {
-        // Aggregate own Markovian rates per (label, target block).
+        // Aggregate own Markovian rates per (label, target block).  Sorting
+        // by (key, rate) sums each key's rates in ascending order, so the
+        // total does not depend on which ids the kernel gave the blocks.
         per_key.clear();
         for (const MarkRef& e : g.mark[node]) {
           per_key.emplace_back(
