@@ -1,5 +1,6 @@
 // The byte-bounded least-recently-used map behind both in-memory caches:
-// serve::ResultCache's memory tier and compose::MinimizeCache.
+// serve::ResultCache's memory tier (two of them: its probation and main
+// segments) and compose::MinimizeCache.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +41,24 @@ class LruCache {
     return it->second->value;
   }
 
+  /// Removes the entry under @p key and returns its value, counting
+  /// neither a hit nor a miss nor an eviction.
+  [[nodiscard]] std::optional<Value> take(const Key& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      return std::nullopt;
+    }
+    std::optional<Value> value = std::move(it->second->value);
+    bytes_ -= it->second->bytes;
+    entries_.erase(it->second);
+    index_.erase(it);
+    return value;
+  }
+
+  [[nodiscard]] bool contains(const Key& key) const {
+    return index_.contains(key);
+  }
+
   /// Inserts or replaces @p key as the most recently used entry, costing
   /// @p bytes, then evicts least recently used entries while over budget.
   /// The newest entry always stays, even when it alone is over budget.
@@ -55,7 +74,13 @@ class LruCache {
       index_.emplace(key, entries_.begin());
     }
     bytes_ += bytes;
-    while (bytes_ > capacity_ && entries_.size() > 1) {
+    trim(capacity_, 1);
+  }
+
+  /// Evicts least recently used entries until they cost at most
+  /// @p max_bytes or only @p keep entries remain.
+  void trim(std::size_t max_bytes, std::size_t keep = 0) {
+    while (bytes_ > max_bytes && entries_.size() > keep) {
       bytes_ -= entries_.back().bytes;
       index_.erase(entries_.back().key);
       entries_.pop_back();

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <ctime>
@@ -13,10 +14,6 @@
 namespace multival::serve {
 
 namespace {
-
-// Amortised cost of the list node, map slot and key bookkeeping per entry,
-// so capacity_bytes also bounds caches full of tiny payloads.
-constexpr std::size_t kEntryOverhead = 128;
 
 // A temporary younger than this may belong to a live writer (another
 // process sharing disk_dir mid-publish); only older orphans are swept.
@@ -82,7 +79,9 @@ bool get_u64_be(std::istream& is, std::uint64_t& out) {
 ResultCache::ResultCache() : ResultCache(Options{}) {}
 
 ResultCache::ResultCache(Options opts)
-    : opts_(std::move(opts)), memory_(opts_.capacity_bytes) {
+    : opts_(std::move(opts)),
+      probation_(opts_.capacity_bytes / kProbationShare),
+      main_(opts_.capacity_bytes) {
   core::MutexLock lock(mu_);  // satisfies sweep's REQUIRES; no contention yet
   if (!opts_.disk_dir.empty()) {
     sweep_stale_tmp();
@@ -119,17 +118,26 @@ void ResultCache::sweep_stale_tmp() {
 
 std::optional<std::string> ResultCache::lookup(const CacheKey& key) {
   core::MutexLock lock(mu_);
-  if (std::optional<std::string> payload = memory_.get(key)) {
+  if (std::optional<std::string> payload = main_.get(key)) {
+    ++stats_.hits;
+    return payload;
+  }
+  if (std::optional<std::string> payload = probation_.take(key)) {
+    ++stats_.hits;
+    promote_locked(key, *payload);
     return payload;
   }
   if (!opts_.disk_dir.empty()) {
     if (std::optional<std::string> payload = disk_load(key)) {
+      ++stats_.hits;
       ++stats_.disk_hits;
-      // Promote into the memory tier without re-writing the disk entry.
-      insert_locked(key, *payload);
+      ++stats_.insertions;
+      // Into memory without re-writing the disk entry.
+      promote_locked(key, *payload);
       return payload;
     }
   }
+  ++stats_.misses;
   return std::nullopt;
 }
 
@@ -138,34 +146,43 @@ void ResultCache::insert(const CacheKey& key, std::string payload) {
   if (!opts_.disk_dir.empty()) {
     disk_store(key, payload);
   }
-  insert_locked(key, std::move(payload));
+  ++stats_.insertions;
+  if (main_.contains(key)) {
+    promote_locked(key, std::move(payload));
+    return;
+  }
+  const std::size_t cost = payload.size() + kEntryOverhead;
+  probation_.put(key, std::move(payload), cost);
+  fit_main_locked(0);
 }
 
-void ResultCache::insert_locked(const CacheKey& key, std::string payload) {
+void ResultCache::promote_locked(const CacheKey& key, std::string payload) {
   const std::size_t cost = payload.size() + kEntryOverhead;
-  memory_.put(key, std::move(payload), cost);
+  main_.put(key, std::move(payload), cost);
+  fit_main_locked(1);
+}
+
+void ResultCache::fit_main_locked(std::size_t keep) {
+  main_.trim(opts_.capacity_bytes -
+                 std::min(opts_.capacity_bytes, probation_.bytes()),
+             keep);
 }
 
 ResultCache::Stats ResultCache::stats() const {
   core::MutexLock lock(mu_);
-  const core::LruStats& m = memory_.stats();
   Stats s = stats_;
-  // Every disk hit was first a memory-tier miss.
-  s.hits = m.hits + stats_.disk_hits;
-  s.misses = m.misses - stats_.disk_hits;
-  s.insertions = m.insertions;
-  s.evictions = m.evictions;
+  s.evictions = probation_.stats().evictions + main_.stats().evictions;
   return s;
 }
 
 std::size_t ResultCache::entries() const {
   core::MutexLock lock(mu_);
-  return memory_.size();
+  return probation_.size() + main_.size();
 }
 
 std::size_t ResultCache::bytes() const {
   core::MutexLock lock(mu_);
-  return memory_.bytes();
+  return probation_.bytes() + main_.bytes();
 }
 
 std::string ResultCache::disk_path(const CacheKey& key) const {

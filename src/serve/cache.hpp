@@ -1,7 +1,12 @@
 // Content-addressed result cache for the evaluation service.
 //
 // Two tiers:
-//   - an in-memory LRU tier, bounded in bytes, thread-safe;
+//   - an in-memory tier, bounded in bytes, thread-safe.  A new result
+//     enters a probation segment capped at 1/kProbationShare of the
+//     budget and moves to the main segment on its first hit; both are
+//     LRUs and share the one budget, so a stream of results nobody asks
+//     for again cycles through probation without pushing out the ones
+//     that are asked for;
 //   - an optional on-disk tier (one file per key under Options::disk_dir)
 //     using the same record-oriented binary framing as explore/lts_stream:
 //
@@ -30,8 +35,17 @@ namespace multival::serve {
 
 class ResultCache {
  public:
+  /// Resident bytes a memory-tier entry costs beyond its payload: the LRU
+  /// list node, the index node and bucket, and the payload's heap block.
+  /// Measured with glibc on x86-64 at 154-162 bytes for 36- to 300-byte
+  /// payloads.
+  static constexpr std::size_t kEntryOverhead = 160;
+  /// The probation segment holds at most 1/kProbationShare of the budget.
+  static constexpr std::size_t kProbationShare = 64;
+
   struct Options {
-    /// Memory-tier budget (payload bytes + fixed per-entry overhead).
+    /// Memory-tier budget over both segments: payload bytes plus
+    /// kEntryOverhead per entry.
     std::size_t capacity_bytes = 64u << 20;
     /// Empty = no disk tier.  The directory must already exist.
     std::string disk_dir;
@@ -51,12 +65,14 @@ class ResultCache {
   ResultCache();
   explicit ResultCache(Options opts);
 
-  /// Returns the payload for @p key, promoting it to most-recently-used
-  /// (and from disk into memory on a disk hit).
+  /// Returns the payload for @p key as the main segment's most recently
+  /// used entry (promoted from probation, or loaded from disk on a disk
+  /// hit).
   [[nodiscard]] std::optional<std::string> lookup(const CacheKey& key);
 
-  /// Inserts (or refreshes) @p key -> @p payload, evicting least-recently
-  /// used entries until the memory tier fits its budget.
+  /// Inserts (or refreshes) @p key -> @p payload, into probation unless the
+  /// key is in the main segment, evicting least recently used entries
+  /// until the memory tier fits its budget.
   void insert(const CacheKey& key, std::string payload);
 
   [[nodiscard]] Stats stats() const;
@@ -64,8 +80,12 @@ class ResultCache {
   [[nodiscard]] std::size_t bytes() const;
 
  private:
-  void insert_locked(const CacheKey& key, std::string payload)
+  /// Puts @p key into the main segment and fits the budget.
+  void promote_locked(const CacheKey& key, std::string payload)
       MV_REQUIRES(mu_);
+  /// Evicts the main segment's least recently used entries, all but its
+  /// @p keep newest at most, until both segments fit the budget.
+  void fit_main_locked(std::size_t keep) MV_REQUIRES(mu_);
   void sweep_stale_tmp() MV_REQUIRES(mu_);
   [[nodiscard]] std::string disk_path(const CacheKey& key) const;
   // The disk tier maintains the disk_* counters in stats_, so both run
@@ -76,12 +96,13 @@ class ResultCache {
   void disk_store(const CacheKey& key, const std::string& payload)
       MV_REQUIRES(mu_);
 
+  using Segment = core::LruCache<CacheKey, std::string, CacheKeyHash>;
+
   Options opts_;
   mutable core::Mutex mu_;
-  core::LruCache<CacheKey, std::string, CacheKeyHash> memory_
-      MV_GUARDED_BY(mu_);
-  // Disk-tier counters; hits, misses, insertions and evictions are
-  // derived from memory_ in stats().
+  Segment probation_ MV_GUARDED_BY(mu_);
+  Segment main_ MV_GUARDED_BY(mu_);
+  // Every counter but evictions, which stats() sums over the segments.
   Stats stats_ MV_GUARDED_BY(mu_);
 };
 

@@ -151,24 +151,71 @@ TEST(ServeHash, HexIsStable) {
 
 // --- result cache --------------------------------------------------------
 
+serve::CacheKey cache_key(int i) {
+  serve::Hasher h;
+  h.u64(static_cast<std::uint64_t>(i));
+  return h.key();
+}
+
 TEST(ServeCache, LruEvictsLeastRecentlyUsed) {
   serve::ResultCache::Options opts;
-  opts.capacity_bytes = 3 * (128 + 8);  // three entries of 8 payload bytes
+  // Three entries of 8 payload bytes.
+  opts.capacity_bytes = 3 * (serve::ResultCache::kEntryOverhead + 8);
   serve::ResultCache cache(opts);
-  const auto key = [](int i) {
-    serve::Hasher h;
-    h.u64(static_cast<std::uint64_t>(i));
-    return h.key();
-  };
-  cache.insert(key(1), "11111111");
-  cache.insert(key(2), "22222222");
-  cache.insert(key(3), "33333333");
+  const auto key = cache_key;
+  // Each key's first lookup promotes it from probation to the main
+  // segment, where the evictions below happen.
+  for (int i = 1; i <= 3; ++i) {
+    cache.insert(key(i), std::string(8, static_cast<char>('0' + i)));
+    ASSERT_TRUE(cache.lookup(key(i)).has_value());
+  }
   ASSERT_TRUE(cache.lookup(key(1)).has_value());  // 1 is now most recent
   cache.insert(key(4), "44444444");               // evicts 2
+  ASSERT_TRUE(cache.lookup(key(4)).has_value());
   EXPECT_FALSE(cache.lookup(key(2)).has_value());
   EXPECT_TRUE(cache.lookup(key(1)).has_value());
   EXPECT_TRUE(cache.lookup(key(4)).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(ServeCache, OneHitResultsStayInProbation) {
+  // Every served result is inserted once; only the ones asked for again
+  // may take more than the probation slice of the memory tier.
+  const std::string payload = "throughput(DEP) = 5.2166218250155909\n";
+  const std::size_t entry = payload.size() + serve::ResultCache::kEntryOverhead;
+  serve::ResultCache cache;
+  const std::size_t probation_cap =
+      serve::ResultCache::Options{}.capacity_bytes /
+      serve::ResultCache::kProbationShare;
+  cache.insert(cache_key(-1), payload);
+  ASSERT_TRUE(cache.lookup(cache_key(-1)).has_value());  // promoted
+  for (int i = 0; i < 100000; ++i) {
+    cache.insert(cache_key(i), payload);
+    if (i % 1000 == 0) {
+      ASSERT_LE(cache.bytes(), probation_cap + entry) << "after " << i;
+    }
+  }
+  EXPECT_LE(cache.bytes(), probation_cap + entry);
+  EXPECT_TRUE(cache.lookup(cache_key(-1)).has_value());
+  EXPECT_FALSE(cache.lookup(cache_key(0)).has_value());  // long evicted
+  EXPECT_TRUE(cache.lookup(cache_key(99999)).has_value());
+
+  // A disk-tier hit lands in the main segment: it outlives a probation
+  // slice's worth of new results and is served from memory.
+  const std::string dir = testing::TempDir() + "serve_cache_promote";
+  ::mkdir(dir.c_str(), 0755);
+  serve::ResultCache::Options opts;
+  opts.disk_dir = dir;
+  opts.capacity_bytes = 4 * serve::ResultCache::kProbationShare * entry;
+  serve::ResultCache(opts).insert(cache_key(-1), payload);
+  serve::ResultCache disk(opts);
+  ASSERT_TRUE(disk.lookup(cache_key(-1)).has_value());
+  for (int i = 0; i < 40; ++i) {
+    disk.insert(cache_key(i), payload);
+  }
+  EXPECT_TRUE(disk.lookup(cache_key(-1)).has_value());
+  EXPECT_EQ(disk.stats().disk_hits, 1u);
+  EXPECT_GT(disk.stats().evictions, 0u);
 }
 
 TEST(ServeCache, DiskTierSurvivesANewCacheInstance) {
