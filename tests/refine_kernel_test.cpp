@@ -236,8 +236,11 @@ void expect_same_partition(const Partition& got, const Partition& want,
 
 TEST(RefineKernel, MatchesAllNodeRounds) {
   std::mt19937 rng(20261019);
-  for (int seed = 0; seed < 360; ++seed) {
-    const Graph g = seed < 240 ? random_graph(rng) : random_chain(rng);
+  // A re-signed node whose signature comes out unchanged while its block
+  // splits is rare: three of these 4,500 graphs have one, and a kernel
+  // that mishandles it passes on the first 2,000.
+  for (int seed = 0; seed < 4500; ++seed) {
+    const Graph g = seed % 3 == 2 ? random_chain(rng) : random_graph(rng);
     const Partition initial = random_initial(g.n, rng);
     const bisim::SuccessorGraph succ = [&g] { return g.successors(); };
     const std::string what = "random graph " + std::to_string(seed);
