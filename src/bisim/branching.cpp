@@ -50,18 +50,18 @@ Partition branching_partition(const Lts& l, const Partition& initial,
   for (StateId s = 0; s < n; ++s) {
     comp_block[c.node_of[s]] = p.block_of(s);
   }
-  const auto successors = [&] {
+  const auto predecessors = [&] {
     return core::Digraph::build(c.num_nodes, [&](auto&& add) {
       for (StateId comp = 0; comp < c.num_nodes; ++comp) {
         for (const OutEdge& e : c.out[comp]) {
-          add(comp, e.dst);
+          add(e.dst, comp);
         }
       }
     });
   };
   const Partition comps = refine<std::uint64_t>(
       Partition(std::move(comp_block), p.num_blocks()), SigOrder::kFirstSeen,
-      successors,
+      predecessors,
       [&](StateId comp, const std::vector<BlockId>& block,
           SigSink<std::uint64_t>& sig) {
         if (opts.divergence_sensitive && c.divergent[comp]) {

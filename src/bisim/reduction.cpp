@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bisim/refine.hpp"
-#include "lts/analysis.hpp"
 
 namespace multival::bisim {
 
@@ -51,10 +50,7 @@ lts::Lts canonical_form(const lts::Lts& l) {
   const Partition rank = refine<std::uint64_t>(
       Partition(std::move(initial_rank), n == 1 ? 1 : 2),
       SigOrder::kLexicographic,
-      [&] {
-        return lts::transition_graph(
-            l, [](StateId, const lts::OutEdge&) { return true; });
-      },
+      PredecessorGraph{},
       [&](StateId s, const std::vector<BlockId>& block,
           SigSink<std::uint64_t>& sig) {
         for (const auto& e : l.out(s)) {

@@ -28,24 +28,6 @@ std::uint64_t mix(std::uint64_t h, const SigPair& x) {
   return mix(mix(h, x.first), x.second);
 }
 
-/// Sorts [first, last) ascending: insertion sort for the short ranges most
-/// signatures are, std::sort otherwise.
-template <class It>
-void sort_short(It first, It last) {
-  if (last - first > 16) {
-    std::sort(first, last);
-    return;
-  }
-  for (It i = first; i != last; ++i) {
-    auto x = *i;
-    It j = i;
-    for (; j != first && x < *(j - 1); --j) {
-      *j = *(j - 1);
-    }
-    *j = x;
-  }
-}
-
 /// One variable-length record per node (a signature, or a list of inert
 /// successors) in one buffer.  A dense round rebuilds the buffer; a
 /// sparse round appends the new records of the nodes it re-signs, and
@@ -97,7 +79,7 @@ struct Records {
 
 template <class Elem>
 Partition refine(const Partition& initial, SigOrder order,
-                 const SuccessorGraph& successors,
+                 const PredecessorGraph& predecessors_of,
                  const SigEmitter<Elem>& emit) {
   const std::size_t n = initial.num_states();
   const bool sets = order == SigOrder::kFirstSeen;
@@ -179,7 +161,7 @@ Partition refine(const Partition& initial, SigOrder order,
       }
       sig.data.insert(sig.data.end(), inherited.begin(), inherited.end());
       const auto own = sig.data.begin() + static_cast<std::ptrdiff_t>(from);
-      sort_short(own, sig.data.end());
+      std::sort(own, sig.data.end());
       if (sets) {
         sig.data.erase(std::unique(own, sig.data.end()), sig.data.end());
       }
@@ -298,10 +280,9 @@ Partition refine(const Partition& initial, SigOrder order,
       sizes_valid = false;
     };
     // The next round is dense as well if the new blocks alone (each moves
-    // a node at least) are too many for a sparse round, or if, before the
-    // first sparse round, more than half the nodes are alone: near a
-    // discrete partition too few splits are left to pay for the
-    // predecessor graph.
+    // a node at least) are too many for a sparse round, or if there are
+    // more than n/2 blocks before the predecessor graph is built: so near
+    // a discrete partition too few splits are left to pay for building it.
     if (dense && (kDenseShare * (num_groups - num_blocks) >= n ||
                   (stamp.empty() && 2 * num_groups > n))) {
       renumber_groups();
@@ -384,10 +365,10 @@ Partition refine(const Partition& initial, SigOrder order,
     }
     if (!next_dense) {
       if (stamp.empty()) {
-        predecessors = successors().transpose();
+        predecessors = predecessors_of();
         if (predecessors.num_nodes() != n) {
           throw std::invalid_argument(
-              "bisim::refine: successor graph size mismatch");
+              "bisim::refine: predecessor graph size mismatch");
         }
         stamp.assign(n, 0);
       }
@@ -434,10 +415,10 @@ Partition refine(const Partition& initial, SigOrder order,
 }
 
 template Partition refine<std::uint64_t>(const Partition&, SigOrder,
-                                         const SuccessorGraph&,
+                                         const PredecessorGraph&,
                                          const SigEmitter<std::uint64_t>&);
 template Partition refine<SigPair>(const Partition&, SigOrder,
-                                   const SuccessorGraph&,
+                                   const PredecessorGraph&,
                                    const SigEmitter<SigPair>&);
 
 }  // namespace multival::bisim

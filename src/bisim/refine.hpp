@@ -1,9 +1,10 @@
 // The partition-refinement kernel (BCG_MIN's signature approach) behind
 // strong and branching bisimulation, IMC lumping and canonical forms.  A
 // caller only emits the signature elements of one node from the current
-// blocks, and can build the graph of the successors whose blocks it reads;
-// the kernel owns the round loop, the signature storage, the propagation
-// of signatures across inert successors and the numbering of blocks.
+// blocks, and can build the graph of the predecessors that read a node's
+// block; the kernel owns the round loop, the signature storage, the
+// propagation of signatures across inert successors and the numbering of
+// blocks.
 //
 // Set-signature rounds are incremental (Valmari and Franceschinis, TACAS
 // 2010; Groote, Jansen, Keiren and Wijs, TOCL 2017).  A sparse round
@@ -17,14 +18,14 @@
 // there are none, the largest group does, the first of equals) and the
 // other groups take fresh ids.  A round re-signs every node instead, at
 // the cost of a plain round, when its dirty nodes would be a quarter of
-// all or more, or while no sparse round has run and more than half the
-// nodes are alone (a partition so near discrete has too few splits left
-// to pay for the predecessor graph, which the first sparse round builds);
-// between two such dense rounds the blocks are renumbered by first
-// occurrence, as before.  Every lexicographic round is dense, as its ranks
-// renumber every block.  Each round so groups the nodes exactly as a round
-// that re-signs every node does, and numbering the final blocks by first
-// occurrence once, at the end, reproduces every partition bit for bit.
+// all or more, or when the round before it left more than n/2 blocks and
+// the predecessor graph is not built yet (the first sparse round builds
+// it, and so many blocks leave too few splits to pay for it); between two
+// such dense rounds the blocks are renumbered by first occurrence, as
+// before.  Every lexicographic round is dense, as its ranks renumber every
+// block.  Each round so groups the nodes exactly as a round that re-signs
+// every node does, and numbering the final blocks by first occurrence
+// once, at the end, reproduces every partition bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -74,30 +75,31 @@ template <class Elem>
 using SigEmitter = std::function<void(
     std::uint32_t node, const std::vector<BlockId>& block, SigSink<Elem>&)>;
 
-/// Builds the successor graph of the nodes: for each node, every node
-/// whose block the emitter reads for it.  The kernel calls it once, at the
-/// first sparse round, if there is one.
-using SuccessorGraph = std::function<core::Digraph()>;
+/// Builds the predecessor graph of the nodes: for each node, every node
+/// for which the emitter reads its block.  The kernel calls it once, for
+/// the first sparse round, if there is one; as every lexicographic round
+/// is dense, kLexicographic callers may pass none.
+using PredecessorGraph = std::function<core::Digraph()>;
 
 /// Two-word signature element (IMC lumping: key and quantised rate).
 using SigPair = std::pair<std::uint64_t, std::uint64_t>;
 
 /// Coarsest refinement of @p initial (a partition of the nodes whose
 /// num_blocks() is exact) in which all nodes of a block have the same
-/// signature.  @p successors builds, for each node, every node whose block
-/// @p emit reads for it.  Rounds re-sign nodes as (block, elements) until
+/// signature.  @p predecessors builds, for each node, every node for which
+/// @p emit reads its block.  Rounds re-sign nodes as (block, elements) until
 /// the number of blocks stops growing or every node is alone; the result
 /// is numbered per @p order, and that numbering is part of the contract.
 template <class Elem>
 [[nodiscard]] Partition refine(const Partition& initial, SigOrder order,
-                               const SuccessorGraph& successors,
+                               const PredecessorGraph& predecessors,
                                const SigEmitter<Elem>& emit);
 
 extern template Partition refine<std::uint64_t>(
-    const Partition&, SigOrder, const SuccessorGraph&,
+    const Partition&, SigOrder, const PredecessorGraph&,
     const SigEmitter<std::uint64_t>&);
 extern template Partition refine<SigPair>(const Partition&, SigOrder,
-                                          const SuccessorGraph&,
+                                          const PredecessorGraph&,
                                           const SigEmitter<SigPair>&);
 
 }  // namespace multival::bisim

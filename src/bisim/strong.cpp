@@ -32,8 +32,13 @@ Partition strong_partition(const Lts& l, const Partition& initial) {
   return refine<std::uint64_t>(
       p, SigOrder::kFirstSeen,
       [&] {
-        return lts::transition_graph(l,
-                                     [](StateId, const OutEdge&) { return true; });
+        return core::Digraph::build(l.num_states(), [&](auto&& add) {
+          for (StateId s = 0; s < l.num_states(); ++s) {
+            for (const OutEdge& e : l.out(s)) {
+              add(e.dst, s);
+            }
+          }
+        });
       },
       [&](StateId s, const std::vector<BlockId>& block,
           SigSink<std::uint64_t>& sig) {

@@ -120,14 +120,14 @@ Partition lump(const Imc& m, const Partition& initial, bool branching) {
     node_block[g.node_of[s]] = p.block_of(s);
   }
 
-  const auto successors = [&] {
+  const auto predecessors = [&] {
     return core::Digraph::build(g.num_nodes, [&](auto&& add) {
       for (StateId node = 0; node < g.num_nodes; ++node) {
         for (const MarkRef& e : g.mark[node]) {
-          add(node, e.dst);
+          add(e.dst, node);
         }
         for (const InterEdge& e : g.inter[node]) {
-          add(node, e.dst);
+          add(e.dst, node);
         }
       }
     });
@@ -135,7 +135,7 @@ Partition lump(const Imc& m, const Partition& initial, bool branching) {
   std::vector<std::pair<std::uint64_t, double>> per_key;
   const Partition nodes = bisim::refine<SigPair>(
       Partition(std::move(node_block), p.num_blocks()),
-      bisim::SigOrder::kFirstSeen, successors,
+      bisim::SigOrder::kFirstSeen, predecessors,
       [&](StateId node, const std::vector<BlockId>& block,
           bisim::SigSink<SigPair>& sig) {
         // Aggregate own Markovian rates per (label, target block).  Sorting

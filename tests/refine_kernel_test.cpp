@@ -97,11 +97,11 @@ struct Graph {
   std::size_t n = 0;
   std::vector<std::vector<Edge>> out;
 
-  [[nodiscard]] core::Digraph successors() const {
+  [[nodiscard]] core::Digraph predecessors() const {
     return core::Digraph::build(n, [&](auto&& add) {
       for (const auto& edges : out) {
         for (const Edge& e : edges) {
-          add(e.src, e.dst);
+          add(e.dst, e.src);
         }
       }
     });
@@ -242,27 +242,28 @@ TEST(RefineKernel, MatchesAllNodeRounds) {
   for (int seed = 0; seed < 4500; ++seed) {
     const Graph g = seed % 3 == 2 ? random_chain(rng) : random_graph(rng);
     const Partition initial = random_initial(g.n, rng);
-    const bisim::SuccessorGraph succ = [&g] { return g.successors(); };
+    const bisim::PredecessorGraph pred = [&g] { return g.predecessors(); };
     const std::string what = "random graph " + std::to_string(seed);
     for (const bool branching : {false, true}) {
       const auto emit = set_emitter(g, branching);
       expect_same_partition(
-          bisim::refine<std::uint64_t>(initial, SigOrder::kFirstSeen, succ,
+          bisim::refine<std::uint64_t>(initial, SigOrder::kFirstSeen, pred,
                                        emit),
           reference_refine<std::uint64_t>(initial, SigOrder::kFirstSeen,
                                            emit),
           what + (branching ? " (inert tau)" : " (sets)"));
     }
+    // Every lexicographic round is dense: no predecessor graph needed.
     const auto multiset = set_emitter(g, false);
     expect_same_partition(
-        bisim::refine<std::uint64_t>(initial, SigOrder::kLexicographic, succ,
-                                     multiset),
+        bisim::refine<std::uint64_t>(initial, SigOrder::kLexicographic,
+                                     bisim::PredecessorGraph{}, multiset),
         reference_refine<std::uint64_t>(initial, SigOrder::kLexicographic,
                                         multiset),
         what + " (lexicographic)");
     const auto pairs = pair_emitter(g);
     expect_same_partition(
-        bisim::refine<SigPair>(initial, SigOrder::kFirstSeen, succ, pairs),
+        bisim::refine<SigPair>(initial, SigOrder::kFirstSeen, pred, pairs),
         reference_refine<SigPair>(initial, SigOrder::kFirstSeen, pairs),
         what + " (rates)");
   }
@@ -272,7 +273,7 @@ TEST(RefineKernel, MatchesAllNodeRounds) {
     const Partition initial(n);
     expect_same_partition(
         bisim::refine<SigPair>(initial, SigOrder::kFirstSeen,
-                               [&g] { return g.successors(); }, pairs),
+                               [&g] { return g.predecessors(); }, pairs),
         reference_refine<SigPair>(initial, SigOrder::kFirstSeen, pairs),
         "birth-death chain of " + std::to_string(n));
   }
@@ -285,7 +286,7 @@ TEST(RefineKernel, BirthDeathResignsLinearly) {
   const auto pairs = pair_emitter(g);
   std::size_t calls = 0;
   const Partition p = bisim::refine<SigPair>(
-      Partition(g.n), SigOrder::kFirstSeen, [&g] { return g.successors(); },
+      Partition(g.n), SigOrder::kFirstSeen, [&g] { return g.predecessors(); },
       [&](Node v, const std::vector<BlockId>& block,
           bisim::SigSink<SigPair>& sig) {
         ++calls;
