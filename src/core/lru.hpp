@@ -74,13 +74,7 @@ class LruCache {
       index_.emplace(key, entries_.begin());
     }
     bytes_ += bytes;
-    trim(capacity_, 1);
-  }
-
-  /// Evicts least recently used entries until they cost at most
-  /// @p max_bytes or only @p keep entries remain.
-  void trim(std::size_t max_bytes, std::size_t keep = 0) {
-    while (bytes_ > max_bytes && entries_.size() > keep) {
+    while (bytes_ > capacity_ && entries_.size() > 1) {
       bytes_ -= entries_.back().bytes;
       index_.erase(entries_.back().key);
       entries_.pop_back();

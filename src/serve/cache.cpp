@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <ctime>
@@ -61,6 +60,11 @@ void put_u64_be(std::ostream& os, std::uint64_t v) {
   }
 }
 
+/// What a memory-tier entry holding @p payload is charged.
+std::size_t charge(const std::string& payload) {
+  return payload.size() + ResultCache::kEntryOverhead;
+}
+
 bool get_u64_be(std::istream& is, std::uint64_t& out) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
@@ -81,7 +85,7 @@ ResultCache::ResultCache() : ResultCache(Options{}) {}
 ResultCache::ResultCache(Options opts)
     : opts_(std::move(opts)),
       probation_(opts_.capacity_bytes / kProbationShare),
-      main_(opts_.capacity_bytes) {
+      main_(opts_.capacity_bytes - opts_.capacity_bytes / kProbationShare) {
   core::MutexLock lock(mu_);  // satisfies sweep's REQUIRES; no contention yet
   if (!opts_.disk_dir.empty()) {
     sweep_stale_tmp();
@@ -124,7 +128,7 @@ std::optional<std::string> ResultCache::lookup(const CacheKey& key) {
   }
   if (std::optional<std::string> payload = probation_.take(key)) {
     ++stats_.hits;
-    promote_locked(key, *payload);
+    main_.put(key, *payload, charge(*payload));
     return payload;
   }
   if (!opts_.disk_dir.empty()) {
@@ -133,7 +137,7 @@ std::optional<std::string> ResultCache::lookup(const CacheKey& key) {
       ++stats_.disk_hits;
       ++stats_.insertions;
       // Into memory without re-writing the disk entry.
-      promote_locked(key, *payload);
+      main_.put(key, *payload, charge(*payload));
       return payload;
     }
   }
@@ -147,25 +151,8 @@ void ResultCache::insert(const CacheKey& key, std::string payload) {
     disk_store(key, payload);
   }
   ++stats_.insertions;
-  if (main_.contains(key)) {
-    promote_locked(key, std::move(payload));
-    return;
-  }
-  const std::size_t cost = payload.size() + kEntryOverhead;
-  probation_.put(key, std::move(payload), cost);
-  fit_main_locked(0);
-}
-
-void ResultCache::promote_locked(const CacheKey& key, std::string payload) {
-  const std::size_t cost = payload.size() + kEntryOverhead;
-  main_.put(key, std::move(payload), cost);
-  fit_main_locked(1);
-}
-
-void ResultCache::fit_main_locked(std::size_t keep) {
-  main_.trim(opts_.capacity_bytes -
-                 std::min(opts_.capacity_bytes, probation_.bytes()),
-             keep);
+  const std::size_t cost = charge(payload);
+  (main_.contains(key) ? main_ : probation_).put(key, std::move(payload), cost);
 }
 
 ResultCache::Stats ResultCache::stats() const {

@@ -2,11 +2,11 @@
 //
 // Two tiers:
 //   - an in-memory tier, bounded in bytes, thread-safe.  A new result
-//     enters a probation segment capped at 1/kProbationShare of the
-//     budget and moves to the main segment on its first hit; both are
-//     LRUs and share the one budget, so a stream of results nobody asks
-//     for again cycles through probation without pushing out the ones
-//     that are asked for;
+//     enters a probation LRU that holds 1/kProbationShare of the budget,
+//     and moves on its first hit to the main LRU, which holds the rest.
+//     Results nobody asks for again so take at most the probation slice;
+//     a result first asked for again after a slice's worth of newer
+//     results has left the memory tier;
 //   - an optional on-disk tier (one file per key under Options::disk_dir)
 //     using the same record-oriented binary framing as explore/lts_stream:
 //
@@ -40,7 +40,7 @@ class ResultCache {
   /// Measured with glibc on x86-64 at 154-162 bytes for 36- to 300-byte
   /// payloads.
   static constexpr std::size_t kEntryOverhead = 160;
-  /// The probation segment holds at most 1/kProbationShare of the budget.
+  /// The probation segment gets 1/kProbationShare of the budget.
   static constexpr std::size_t kProbationShare = 64;
 
   struct Options {
@@ -66,13 +66,13 @@ class ResultCache {
   explicit ResultCache(Options opts);
 
   /// Returns the payload for @p key as the main segment's most recently
-  /// used entry (promoted from probation, or loaded from disk on a disk
-  /// hit).
+  /// used entry (moved there from probation, or loaded from disk on a
+  /// disk hit).
   [[nodiscard]] std::optional<std::string> lookup(const CacheKey& key);
 
   /// Inserts (or refreshes) @p key -> @p payload, into probation unless the
-  /// key is in the main segment, evicting least recently used entries
-  /// until the memory tier fits its budget.
+  /// key is in the main segment, evicting that segment's least recently
+  /// used entries until it fits its share of the budget.
   void insert(const CacheKey& key, std::string payload);
 
   [[nodiscard]] Stats stats() const;
@@ -80,12 +80,6 @@ class ResultCache {
   [[nodiscard]] std::size_t bytes() const;
 
  private:
-  /// Puts @p key into the main segment and fits the budget.
-  void promote_locked(const CacheKey& key, std::string payload)
-      MV_REQUIRES(mu_);
-  /// Evicts the main segment's least recently used entries, all but its
-  /// @p keep newest at most, until both segments fit the budget.
-  void fit_main_locked(std::size_t keep) MV_REQUIRES(mu_);
   void sweep_stale_tmp() MV_REQUIRES(mu_);
   [[nodiscard]] std::string disk_path(const CacheKey& key) const;
   // The disk tier maintains the disk_* counters in stats_, so both run

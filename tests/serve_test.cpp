@@ -159,8 +159,9 @@ serve::CacheKey cache_key(int i) {
 
 TEST(ServeCache, LruEvictsLeastRecentlyUsed) {
   serve::ResultCache::Options opts;
-  // Three entries of 8 payload bytes.
-  opts.capacity_bytes = 3 * (serve::ResultCache::kEntryOverhead + 8);
+  // Four entries of 8 payload bytes, of which the main segment gets room
+  // for three.
+  opts.capacity_bytes = 4 * (serve::ResultCache::kEntryOverhead + 8);
   serve::ResultCache cache(opts);
   const auto key = cache_key;
   // Each key's first lookup promotes it from probation to the main
@@ -204,6 +205,11 @@ TEST(ServeCache, OneHitResultsStayInProbation) {
   // slice's worth of new results and is served from memory.
   const std::string dir = testing::TempDir() + "serve_cache_promote";
   ::mkdir(dir.c_str(), 0755);
+  // Start without a previous run's entries: renaming a file over an
+  // existing one took about 60 ms per insert on ext4, which flushes it.
+  for (int i = -1; i < 40; ++i) {
+    ::unlink((dir + "/" + cache_key(i).hex() + ".mvcr").c_str());
+  }
   serve::ResultCache::Options opts;
   opts.disk_dir = dir;
   opts.capacity_bytes = 4 * serve::ResultCache::kProbationShare * entry;
