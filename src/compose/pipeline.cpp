@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -113,42 +114,23 @@ class Evaluator {
         return h;
       }
       case Node::Kind::kMinimize: {
-        if (opts_.with_minimization && opts_.cache != nullptr &&
-            !n.plan_key.empty()) {
-          const StepTimer timer;
-          if (std::optional<lts::Lts> cached =
-                  opts_.cache->lookup_subtree(n.plan_key)) {
-            record(opts_.stats, n.name + " (subtree cached)", *cached,
-                   cached->num_states(), timer.seconds());
-            return *std::move(cached);
-          }
-        }
-        lts::Lts inner = eval(*n.children[0]);
         if (!opts_.with_minimization) {
-          return inner;
+          return eval(*n.children[0]);
         }
-        const std::size_t before = inner.num_states();
+        if (opts_.cache == nullptr || n.plan_key.empty()) {
+          return minimize_child(n);
+        }
         const StepTimer timer;
-        lts::Lts reduced;
-        bool from_cache = false;
-        if (opts_.cache != nullptr) {
-          if (std::optional<lts::Lts> cached =
-                  opts_.cache->lookup(inner, n.equivalence)) {
-            reduced = *std::move(cached);
-            from_cache = true;
-          }
+        bool computed = false;
+        lts::Lts reduced = opts_.cache->get_or_compute(
+            subtree_key(n.plan_key), [&] {
+              computed = true;
+              return minimize_child(n);
+            });
+        if (!computed) {
+          record(opts_.stats, n.name + " (subtree cached)", reduced,
+                 reduced.num_states(), timer.seconds());
         }
-        if (!from_cache) {
-          reduced = bisim::minimize(inner, n.equivalence).quotient;
-          if (opts_.cache != nullptr) {
-            opts_.cache->store(inner, n.equivalence, reduced);
-          }
-        }
-        if (opts_.cache != nullptr && !n.plan_key.empty()) {
-          opts_.cache->store_subtree(n.plan_key, reduced);
-        }
-        record(opts_.stats, from_cache ? n.name + " (cached)" : n.name,
-               reduced, before, timer.seconds());
         return reduced;
       }
     }
@@ -156,6 +138,29 @@ class Evaluator {
   }
 
  private:
+  /// Evaluates minimisation point @p n's operand and minimises it, through
+  /// the cache's content tier when there is a cache.
+  lts::Lts minimize_child(const Node& n) {
+    const lts::Lts inner = eval(*n.children[0]);
+    const std::size_t before = inner.num_states();
+    const StepTimer timer;
+    bool computed = true;
+    lts::Lts reduced;
+    if (opts_.cache == nullptr) {
+      reduced = bisim::minimize(inner, n.equivalence).quotient;
+    } else {
+      computed = false;
+      reduced = opts_.cache->get_or_compute(
+          minimize_key(inner, n.equivalence), [&] {
+            computed = true;
+            return bisim::minimize(inner, n.equivalence).quotient;
+          });
+    }
+    record(opts_.stats, computed ? n.name : n.name + " (cached)", reduced,
+           before, timer.seconds());
+    return reduced;
+  }
+
   const EvalOptions& opts_;
 };
 
@@ -213,34 +218,38 @@ core::CacheKey subtree_key(const std::string& plan_key) {
 MinimizeCache::MinimizeCache(std::size_t capacity_bytes)
     : lru_(capacity_bytes) {}
 
-std::optional<lts::Lts> MinimizeCache::get(const core::CacheKey& key) {
-  const core::MutexLock lock(mu_);
-  return lru_.get(key);
+lts::Lts MinimizeCache::get_or_compute(
+    const core::CacheKey& key, const std::function<lts::Lts()>& compute) {
+  {
+    const core::MutexLock lock(mu_);
+    finished_.wait(mu_, [this, &key]() MV_REQUIRES(mu_) {
+      return !computing_.contains(key);
+    });
+    if (std::optional<lts::Lts> cached = lru_.get(key)) {
+      return *std::move(cached);
+    }
+    computing_.insert(key);
+  }
+  lts::Lts value;
+  try {
+    value = compute();
+  } catch (...) {
+    finish(key, nullptr);
+    throw;
+  }
+  finish(key, &value);
+  return value;
 }
 
-void MinimizeCache::put(const core::CacheKey& key, const lts::Lts& value) {
-  const core::MutexLock lock(mu_);
-  lru_.put(key, value, approx_bytes(value));
-}
-
-std::optional<lts::Lts> MinimizeCache::lookup(const lts::Lts& input,
-                                              bisim::Equivalence e) {
-  return get(minimize_key(input, e));
-}
-
-void MinimizeCache::store(const lts::Lts& input, bisim::Equivalence e,
-                          const lts::Lts& reduced) {
-  put(minimize_key(input, e), reduced);
-}
-
-std::optional<lts::Lts> MinimizeCache::lookup_subtree(
-    const std::string& plan_key) {
-  return get(subtree_key(plan_key));
-}
-
-void MinimizeCache::store_subtree(const std::string& plan_key,
-                                  const lts::Lts& reduced) {
-  put(subtree_key(plan_key), reduced);
+void MinimizeCache::finish(const core::CacheKey& key, const lts::Lts* value) {
+  {
+    const core::MutexLock lock(mu_);
+    if (value != nullptr) {
+      lru_.put(key, *value, approx_bytes(*value));
+    }
+    computing_.erase(key);
+  }
+  finished_.notify_all();
 }
 
 MinimizeCache::Stats MinimizeCache::stats() const {

@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bisim/equivalence.hpp"
@@ -92,16 +92,28 @@ struct EvalStats {
 /// Byte-budgeted, thread-safe LRU cache consulted at minimisation points,
 /// over two keying tiers:
 ///   - content: the quotient of a pre-minimisation LTS under an
-///     equivalence.  Re-evaluating a pipeline in which one leaf changed
-///     then only re-minimises the subtrees whose inputs actually differ:
-///     every untouched subtree produces a bitwise-identical intermediate
-///     LTS and hits;
+///     equivalence (minimize_key).  Re-evaluating a pipeline in which one
+///     leaf changed then only re-minimises the subtrees whose inputs
+///     actually differ: every untouched subtree produces a bitwise-identical
+///     intermediate LTS and hits;
 ///   - plan subtree: the minimised LTS of a whole plan subtree, addressed
-///     by the planner's structural key (Node::plan_key).  A hit skips the
-///     subtree's generation entirely, so subtree reuse survives
-///     re-planning.
+///     by the planner's structural key (subtree_key of Node::plan_key).  A
+///     hit skips the subtree's generation entirely, so subtree reuse
+///     survives re-planning.
 /// A dse sweep or a plan evaluation holds one in process, so repeated
 /// minimisations stay bounded instead of growing with the sweep.
+///
+/// Both tiers go through get_or_compute, which coalesces concurrent
+/// callers of one key: the first computes outside the lock, the others
+/// wait for it and then take the stored value, counting a hit.  A
+/// computation that throws stores nothing, and the next caller computes
+/// again (evaluate_plan's StateSpaceLimit fallback relies on this).  Each
+/// key is therefore computed once, and while nothing is evicted, hits,
+/// misses and insertions equal those of any sequential order of the same
+/// calls.  Waits nest — a subtree's computation fetches the subtrees and
+/// contents below it — but cannot cycle: a subtree key never appears
+/// inside its own computation (the keys below it digest strictly smaller
+/// structures), and a content computation fetches nothing.
 class MinimizeCache {
  public:
   using Stats = core::LruStats;
@@ -109,27 +121,27 @@ class MinimizeCache {
   /// @p capacity_bytes bounds the estimated resident bytes of cached LTSs.
   explicit MinimizeCache(std::size_t capacity_bytes = 32u << 20);
 
-  /// The cached quotient of @p input under @p e, if present.
-  [[nodiscard]] std::optional<lts::Lts> lookup(const lts::Lts& input,
-                                               bisim::Equivalence e);
-  /// Records that minimising @p input under @p e yields @p reduced.
-  void store(const lts::Lts& input, bisim::Equivalence e,
-             const lts::Lts& reduced);
-  /// The cached minimised LTS of the plan subtree @p plan_key, if present.
-  [[nodiscard]] std::optional<lts::Lts> lookup_subtree(
-      const std::string& plan_key);
-  void store_subtree(const std::string& plan_key, const lts::Lts& reduced);
+  /// The LTS cached under @p key (a minimize_key or a subtree_key); on a
+  /// miss, the result of @p compute, which is then cached.  Concurrent
+  /// callers of one key wait for the one computing it.  Rethrows what
+  /// @p compute throws, caching nothing.
+  [[nodiscard]] lts::Lts get_or_compute(
+      const core::CacheKey& key, const std::function<lts::Lts()>& compute);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::size_t bytes() const;
 
  private:
-  std::optional<lts::Lts> get(const core::CacheKey& key);
-  void put(const core::CacheKey& key, const lts::Lts& value);
+  /// Stores @p value (null: the computation threw) and wakes the waiters.
+  void finish(const core::CacheKey& key, const lts::Lts* value);
 
   mutable core::Mutex mu_;
+  core::CondVar finished_;
   core::LruCache<core::CacheKey, lts::Lts, core::CacheKeyHash> lru_
+      MV_GUARDED_BY(mu_);
+  /// Keys a caller is computing now; their other callers wait.
+  std::unordered_set<core::CacheKey, core::CacheKeyHash> computing_
       MV_GUARDED_BY(mu_);
 };
 

@@ -4,7 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <exception>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
@@ -43,6 +46,49 @@ std::vector<std::string> blocking_diagnostics(const analyze::Analysis& a) {
     }
   }
   return rendered;
+}
+
+/// DriverOptions::workers with 0 resolved to one per hardware thread, as
+/// the in-process service resolves it.
+unsigned worker_count(const DriverOptions& options) {
+  return options.workers != 0 ? options.workers : core::hardware_threads();
+}
+
+/// Runs job(worker, i) for every i in [0, n) on min(threads, n) threads,
+/// worker being the thread's number, handing out indices in increasing
+/// order.  No exception leaves a thread: after a job throws, no thread
+/// takes a further index, and once all have joined, the exception of the
+/// lowest failed index is rethrown.  Every lower index was taken before it
+/// and ran to the end, so that is the error a sequential loop throws.
+void run_indexed(unsigned threads, std::size_t n,
+                 const std::function<void(unsigned, std::size_t)>& job) {
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  {
+    std::vector<std::jthread> pool;  // joined on every exit from this block
+    for (unsigned w = 0; w < std::min<std::size_t>(threads, n); ++w) {
+      pool.emplace_back([&, w] {
+        while (!failed.load()) {
+          const std::size_t i = next.fetch_add(1);
+          if (i >= n) {
+            return;
+          }
+          try {
+            job(w, i);
+          } catch (...) {
+            errors[i] = std::current_exception();
+            failed.store(true);
+          }
+        }
+      });
+    }
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) {
+      std::rethrow_exception(e);
+    }
+  }
 }
 
 void dispatch_in_process(const DriverOptions& options,
@@ -99,49 +145,30 @@ std::vector<std::string> split_endpoints(const std::string& csv) {
 
 void dispatch_socket(const DriverOptions& options, std::vector<Slot>& slots,
                      std::vector<ProbeResult*>& results) {
-  const unsigned workers =
-      options.workers != 0 ? options.workers : core::hardware_threads();
-  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-      std::max(1u, workers), std::max<std::size_t>(slots.size(), 1)));
+  const unsigned threads = worker_count(options);
   // One shared ring (and shared replica-health state), one RoutedClient —
   // hence one connection per replica — per worker thread.  With a single
   // endpoint the ring is trivial and this degrades to the old direct path.
   const auto router =
       std::make_shared<serve::Router>(split_endpoints(options.socket));
   for (unsigned pass = 0; pass < std::max(1u, options.repeat); ++pass) {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    std::mutex error_mu;
-    std::string first_error;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        try {
-          serve::RoutedClient client(router, options.connect_timeout);
-          for (std::size_t i = next.fetch_add(1); i < slots.size();
-               i = next.fetch_add(1)) {
-            const auto t0 = Clock::now();
-            serve::Response response =
-                client.call(slots[i].request, slots[i].key);
-            ProbeResult* pr = results[i];
-            pr->status = response.status;
-            pr->body = std::move(response.body);
-            pr->wall_ms = ms_since(t0);
-          }
-        } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.empty()) {
-            first_error = e.what();
-          }
+    std::vector<std::optional<serve::RoutedClient>> clients(threads);
+    try {
+      run_indexed(threads, slots.size(), [&](unsigned w, std::size_t i) {
+        if (!clients[w]) {
+          clients[w].emplace(router, options.connect_timeout);
         }
+        const auto t0 = Clock::now();
+        serve::Response response =
+            clients[w]->call(slots[i].request, slots[i].key);
+        ProbeResult* pr = results[i];
+        pr->status = response.status;
+        pr->body = std::move(response.body);
+        pr->wall_ms = ms_since(t0);
       });
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-    if (!first_error.empty()) {
-      throw std::runtime_error("dse: socket evaluation failed: " +
-                               first_error);
+    } catch (const std::exception& e) {
+      throw std::runtime_error(
+          std::string("dse: socket evaluation failed: ") + e.what());
     }
   }
 }
@@ -189,19 +216,23 @@ SweepResult run_sweep(const SweepSpec& spec, const DriverOptions& options) {
       expand(spec, &derived_quantities, &out.pruned);
 
   // Instantiate and lint-gate every point before anything is submitted:
-  // a gated point never costs a solver run.  One bounded pipeline cache
-  // spans the whole sweep, so neighbouring points (which share most of
-  // their composed components) skip re-minimising unchanged subtrees.
+  // a gated point never costs a solver run.  The points run on the
+  // driver's workers, each storing its result by expansion index.  One
+  // bounded pipeline cache spans the whole sweep, so neighbouring points
+  // (which share most of their composed components) skip re-minimising
+  // unchanged subtrees; it computes each key once, however the points
+  // interleave.
   compose::MinimizeCache pipeline_cache(options.pipeline_cache_bytes);
   std::vector<Instantiated> instances(points.size());
-  out.points.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    PointResult pr;
+  out.points.resize(points.size());
+  const auto instantiate_and_lint = [&](unsigned, std::size_t i) {
+    PointResult& pr = out.points[i];
     pr.point = points[i];
-    instances[i] = instantiate(points[i], options.strategy, &pipeline_cache);
-    pr.model_states = instances[i].model_states;
+    Instantiated& inst = instances[i];
+    inst = instantiate(points[i], options.strategy, &pipeline_cache);
+    pr.model_states = inst.model_states;
     pr.status = "ok";
-    for (const GateModel& gate : instances[i].gates) {
+    for (const GateModel& gate : inst.gates) {
       const analyze::Analysis a =
           analyze::lint_program(gate.program, proc::call(gate.entry, {}));
       if (!a.clean()) {
@@ -211,8 +242,11 @@ SweepResult run_sweep(const SweepSpec& spec, const DriverOptions& options) {
         }
       }
     }
-    out.points.push_back(std::move(pr));
-  }
+    // Nothing reads the gate programs after lint; do not hold them through
+    // dispatch.
+    inst.gates.clear();
+  };
+  run_indexed(worker_count(options), points.size(), instantiate_and_lint);
   out.pipeline = pipeline_cache.stats();
 
   // Prepare all requests of the surviving points, computing each probe's
@@ -374,9 +408,10 @@ std::string to_json(const SweepResult& r, bool include_timing) {
     os << "]}";
   }
   os << "\n  ]";
-  // Instantiation-side pipeline cache counters: driven only by the (fully
-  // deterministic) expansion order, so they are stable across backends,
-  // worker counts and reruns.
+  // Instantiation-side pipeline cache counters.  The cache computes each
+  // key once, whichever worker asks first, so as long as nothing is
+  // evicted they are the same for every order of the points: stable across
+  // backends, worker counts and reruns.
   os << ",\n  \"pipeline\": {\"hits\": " << r.pipeline.hits
      << ", \"misses\": " << r.pipeline.misses
      << ", \"insertions\": " << r.pipeline.insertions

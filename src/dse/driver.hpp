@@ -1,6 +1,14 @@
-// The DSE orchestrator: expand the sweep grid, gate every point through the
-// analyze lint, run all probes concurrently through the serve tier, and
-// rank the metric vectors into Pareto fronts.
+// The DSE orchestrator: expand the sweep grid, instantiate every point and
+// gate it through the analyze lint, run all probes concurrently through the
+// serve tier, and rank the metric vectors into Pareto fronts.
+//
+// Instantiation and lint run on DriverOptions::workers threads, which take
+// the points in expansion order and store each result by expansion index.
+// The points share one compose::MinimizeCache, which computes each plan
+// subtree and each minimisation once however the points interleave.  A
+// point that throws (a SpecError from its axes) stops the workers, and
+// run_sweep rethrows the error of the lowest expansion index, as a
+// sequential loop would.
 //
 // Evaluation backends:
 //   - in-process (default): one serve::Service owns the worker pool; all
@@ -14,7 +22,8 @@
 //     service counters live server-side and are not included.
 //
 // Determinism contract: expansion order, probe content hashes, solve
-// bodies, metric vectors, Pareto ranks and the JSON/CSV renderings (with
+// bodies, metric vectors, Pareto ranks, the pipeline cache counters (while
+// the cache evicts nothing) and the JSON/CSV renderings (with
 // include_timing=false) are byte-identical across reruns, worker counts and
 // backends.  Only "_ms"-suffixed fields and the raw service counter block
 // depend on scheduling; to_json() drops exactly those when timing is off.
@@ -34,8 +43,9 @@
 namespace multival::dse {
 
 struct DriverOptions {
-  /// Service worker threads (in-process) or client threads (socket);
-  /// 0 = one per hardware thread (core::hardware_threads()).
+  /// Threads that instantiate and lint the points, and then the service
+  /// worker threads (in-process) or client threads (socket); 0 = one per
+  /// hardware thread (core::hardware_threads()).
   unsigned workers = 0;
   /// Non-empty: evaluate over the serve transport instead of in-process.
   /// One endpoint (Unix path or "host:port"), or a comma-separated replica
@@ -97,7 +107,9 @@ struct SweepResult {
   /// The service's solver totals (in-process backend only).
   core::SolveAggregate solver;
   /// Counters of the sweep-wide pipeline cache (instantiation reuses
-  /// minimised components across points; deterministic, both backends).
+  /// minimised components across points).  Each key is computed once, so
+  /// while nothing is evicted they do not depend on worker count or
+  /// backend.
   compose::MinimizeCache::Stats pipeline;
   double wall_ms = 0.0;
 

@@ -64,6 +64,7 @@ struct Probe {
 };
 
 struct Instantiated {
+  /// Lint input only: run_sweep clears it once the point is linted.
   std::vector<GateModel> gates;
   std::vector<Probe> probes;
   std::size_t model_states = 0;  ///< sum of probe payload state counts

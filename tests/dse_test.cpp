@@ -1,15 +1,19 @@
 // Tests for the src/dse subsystem: sweep-spec parsing, deterministic grid
 // expansion with constraint pruning, Pareto non-dominated sorting, and the
 // end-to-end orchestrator (gate -> serve -> metrics -> fronts), including
-// the determinism contract: identical JSON across worker counts.
+// the determinism contract: identical JSON across worker counts and
+// backends, and the same error whichever worker meets it first.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analyze/bounds.hpp"
 #include "core/hash.hpp"
@@ -20,6 +24,7 @@
 #include "dse/scenario.hpp"
 #include "fame/mpi.hpp"
 #include "proc/process.hpp"
+#include "serve/server.hpp"
 
 namespace {
 
@@ -401,17 +406,94 @@ TEST(DseDriver, DuplicateProbesAreFlaggedDeterministically) {
 }
 
 TEST(DseDriver, JsonIsByteIdenticalAcrossWorkerCounts) {
+  for (const char* name : {"smoke", "default"}) {
+    const dse::SweepSpec spec =
+        dse::parse_sweep_spec(dse::builtin_sweep_spec(name));
+    std::string reference;
+    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+      dse::DriverOptions opts;
+      opts.workers = workers;
+      const dse::SweepResult r = dse::run_sweep(spec, opts);
+      // The pipeline counters are order-independent only while the cache
+      // evicts nothing.
+      EXPECT_EQ(r.pipeline.evictions, 0u) << name;
+      const std::string json = dse::to_json(r, false);
+      if (reference.empty()) {
+        reference = json;
+        // Timing off really drops the scheduling-dependent fields.
+        EXPECT_EQ(json.find("_ms"), std::string::npos) << name;
+      } else {
+        EXPECT_EQ(json, reference) << name << " at -j " << workers;
+      }
+    }
+  }
+}
+
+TEST(DseDriver, EveryWorkerCountThrowsTheErrorOfTheLowestFailingPoint) {
+  // Point 0 fails on its fabric's lint, after building the fabric; point 1
+  // fails at once on an axis range, so a worker may meet it first.  How
+  // many of the valid fame points after them run depends on the workers.
+  const dse::SweepSpec spec = dse::parse_sweep_spec(
+      "sweep two-failures\n"
+      "space xmas\n"
+      "  axis fabric = credit-loop-deadlock\n"
+      "end\n"
+      "space noc\n"
+      "  axis width = 5\n"
+      "end\n"
+      "space fame\n"
+      "  axis protocol = msi, mesi\n"
+      "  axis topology = bus, ring, crossbar\n"
+      "end\n");
+  std::string reference;
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    dse::DriverOptions opts;
+    opts.workers = workers;
+    try {
+      (void)dse::run_sweep(spec, opts);
+      ADD_FAILURE() << "expected SpecError at -j " << workers;
+    } catch (const dse::SpecError& e) {
+      if (reference.empty()) {
+        reference = e.what();
+        EXPECT_NE(reference.find("credit-loop-deadlock"), std::string::npos)
+            << reference;
+      } else {
+        EXPECT_EQ(e.what(), reference) << "at -j " << workers;
+      }
+    }
+  }
+}
+
+TEST(DseDriver, SocketBackendMatchesInProcess) {
   const dse::SweepSpec spec =
       dse::parse_sweep_spec(dse::builtin_sweep_spec("smoke"));
-  dse::DriverOptions one;
-  one.workers = 1;
-  dse::DriverOptions four;
-  four.workers = 4;
-  const std::string a = dse::to_json(dse::run_sweep(spec, one), false);
-  const std::string b = dse::to_json(dse::run_sweep(spec, four), false);
-  EXPECT_EQ(a, b);
-  // Timing off really drops the scheduling-dependent fields.
-  EXPECT_EQ(a.find("_ms"), std::string::npos);
+  dse::DriverOptions opts;
+  opts.workers = 4;
+  const std::string in_process =
+      dse::to_json(dse::run_sweep(spec, opts), false);
+
+  const std::string socket_path =
+      "/tmp/mvdse_test_" + std::to_string(::getpid()) + ".sock";
+  serve::ServerOptions sopts;
+  sopts.endpoint = socket_path;
+  sopts.service.workers = 2;
+  serve::Server server(sopts);
+  std::thread server_thread([&server] { server.run(); });
+  opts.socket = socket_path;
+  std::string over_socket;
+  try {
+    over_socket = dse::to_json(dse::run_sweep(spec, opts), false);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  server.stop();
+  server_thread.join();
+
+  // The socket backend has no service or solver block: those counters live
+  // in the server.  Everything before them is the same.
+  const std::size_t service = in_process.find(",\n  \"service\"");
+  ASSERT_NE(service, std::string::npos);
+  EXPECT_EQ(over_socket, in_process.substr(0, service) + "\n}\n");
 }
 
 TEST(DseDriver, SolverBlockIgnoresAFullSolveLog) {

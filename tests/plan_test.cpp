@@ -9,12 +9,15 @@
 // branching-equivalent to composing first.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "compose/pipeline.hpp"
 #include "compose/plan.hpp"
 #include "core/flow.hpp"
+#include "core/hash.hpp"
 #include "explore/engine.hpp"
 #include "explore/lts_stream.hpp"
 #include "fame/coherence_n.hpp"
@@ -294,9 +298,17 @@ TEST(MinimizeCache, LruEvictsUnderByteBudget) {
     inputs.push_back(std::move(l));
   }
   const auto e = bisim::Equivalence::kDivergenceBranching;
+  // True when the cache had to minimise @p l itself.
+  const auto computed = [&cache, e](const lts::Lts& l) {
+    bool ran = false;
+    (void)cache.get_or_compute(compose::minimize_key(l, e), [&] {
+      ran = true;
+      return bisim::canonical_minimized(l, e);
+    });
+    return ran;
+  };
   for (const lts::Lts& l : inputs) {
-    EXPECT_FALSE(cache.lookup(l, e).has_value());
-    cache.store(l, e, bisim::canonical_minimized(l, e));
+    EXPECT_TRUE(computed(l));
   }
   const compose::MinimizeCache::Stats s = cache.stats();
   EXPECT_EQ(s.misses, 6u);
@@ -305,9 +317,117 @@ TEST(MinimizeCache, LruEvictsUnderByteBudget) {
   EXPECT_LT(cache.entries(), 6u);
   EXPECT_LE(cache.bytes(), 4096u);
   // The most recent entry survives; the oldest was evicted.
-  EXPECT_TRUE(cache.lookup(inputs.back(), e).has_value());
-  EXPECT_FALSE(cache.lookup(inputs.front(), e).has_value());
+  EXPECT_FALSE(computed(inputs.back()));
+  EXPECT_TRUE(computed(inputs.front()));
   EXPECT_GT(cache.stats().hits, 0u);
+}
+
+/// A three-state chain, the value the coalescing tests compute.
+lts::Lts small_chain() {
+  lts::Lts l;
+  l.add_states(3);
+  l.add_transition(0, "a", 1);
+  l.add_transition(1, "a", 2);
+  return l;
+}
+
+TEST(MinimizeCache, ConcurrentCallersOfOneKeyComputeItOnce) {
+  compose::MinimizeCache cache;
+  const core::CacheKey key = compose::subtree_key("coalesced");
+  constexpr int kThreads = 8;
+  std::atomic<int> arrived{0};
+  std::atomic<int> computations{0};
+  std::vector<std::string> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      seen[t] = serialized(cache.get_or_compute(key, [&] {
+        computations.fetch_add(1);
+        // Long enough for the other callers to arrive and wait.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return small_chain();
+      }));
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(computations.load(), 1);
+  for (const std::string& text : seen) {
+    EXPECT_EQ(text, serialized(small_chain()));
+  }
+  const compose::MinimizeCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 7u);
+  EXPECT_EQ(s.insertions, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+}
+
+TEST(MinimizeCache, AThrowingComputationIsNotShared) {
+  compose::MinimizeCache cache;
+  const core::CacheKey key = compose::subtree_key("throws first");
+  EXPECT_THROW((void)cache.get_or_compute(
+                   key,
+                   []() -> lts::Lts {
+                     throw lts::StateSpaceLimit("over the cap");
+                   }),
+               lts::StateSpaceLimit);
+  EXPECT_EQ(cache.entries(), 0u);
+  bool computed = false;
+  (void)cache.get_or_compute(key, [&] {
+    computed = true;
+    return small_chain();
+  });
+  EXPECT_TRUE(computed);  // the next caller computes again
+  const compose::MinimizeCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.insertions, 1u);
+}
+
+TEST(MinimizeCache, WaitersOfAThrowingLeaderComputeAgain) {
+  compose::MinimizeCache cache;
+  const core::CacheKey key = compose::subtree_key("leader throws");
+  constexpr int kThreads = 4;
+  std::atomic<int> arrived{0};
+  std::atomic<int> computations{0};
+  std::atomic<int> thrown{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      try {
+        (void)cache.get_or_compute(key, [&] {
+          const bool first = computations.fetch_add(1) == 0;
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          if (first) {
+            throw lts::StateSpaceLimit("over the cap");
+          }
+          return small_chain();
+        });
+      } catch (const lts::StateSpaceLimit&) {
+        thrown.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  // Only the leader sees its exception; one waiter recomputes and the
+  // others take its value.
+  EXPECT_EQ(thrown.load(), 1);
+  EXPECT_EQ(computations.load(), 2);
+  const compose::MinimizeCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.insertions, 1u);
 }
 
 TEST(MinimizeCache, PlanSubtreeKeysSkipRegeneration) {
