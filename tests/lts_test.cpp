@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/hash.hpp"
 #include "lts/action_table.hpp"
 #include "lts/analysis.hpp"
 #include "lts/lts.hpp"
@@ -366,6 +371,86 @@ TEST(Product, ParallelStopsAtStateCap) {
   EXPECT_THROW((void)parallel(a, b, {}, 50), StateSpaceLimit);
   EXPECT_THROW((void)parallel(a, b, {}, 99), StateSpaceLimit);
   EXPECT_EQ(parallel(a, b, {}, 100).num_states(), 100u);
+}
+
+/// A random value-passing operand: labels "G !v" for G in @p gates and v in
+/// [lo, lo + 3), plus "i" and "exit".  The labels are interned in a seeded
+/// shuffle of that pool before any edge is added, so two operands hold
+/// their shared labels under different ids.  Draws use raw mt19937 output,
+/// whose sequence the standard fixes.
+Lts random_operand(std::mt19937& rng, const std::vector<std::string>& gates,
+                   int lo, std::size_t states) {
+  std::vector<std::string> pool;
+  for (const std::string& g : gates) {
+    for (int v = lo; v < lo + 3; ++v) {
+      pool.push_back(g + " !" + std::to_string(v));
+    }
+  }
+  for (std::size_t k = pool.size(); k > 1; --k) {
+    std::swap(pool[k - 1], pool[rng() % k]);
+  }
+  Lts l;
+  l.add_states(states);
+  std::vector<ActionId> ids{ActionTable::kTau, ActionTable::kExit};
+  for (const std::string& label : pool) {
+    ids.push_back(l.actions().intern(label));
+  }
+  for (std::size_t k = 0; k < states * 3; ++k) {
+    // One draw per statement: argument evaluation order is unspecified.
+    const auto src = static_cast<StateId>(rng() % states);
+    const ActionId action = ids[rng() % ids.size()];
+    l.add_transition(src, action, static_cast<StateId>(rng() % states));
+  }
+  l.set_initial_state(static_cast<StateId>(rng() % states));
+  return l;
+}
+
+// Pins lts::parallel's output, action table included, on seeded operand
+// pairs whose shared labels sit under different ids on the two sides, with
+// labels on one side only, "i" and "exit", and sync sets naming "i" and a
+// gate ("Z") that neither side performs.  On a mismatch the failure prints
+// the line to paste, but only paste it when the change of output is
+// intended.
+TEST(ProductGolden, RandomJoinsMatchTheParent) {
+  const std::map<std::string, std::string> golden = {
+      {"sync", "ad556bb8f2d72dabedfc3b0534f05107"},
+      {"sync A", "b548fbdd8eda752a50bdb92ea5569bfd"},
+      {"sync A B", "afe5467b07d69ca50514b2f8bab7fa33"},
+      {"sync A B C D Z", "2b618304fca3728efc7e745e396a5c7d"},
+      {"sync B Z", "5d5d278b9ceec4d522132209841ad1c6"},
+      {"sync C D", "eda1ad02740f7edaf4e99e151dd8e7bd"},
+      {"sync i exit A", "c0d6d2ade64883215dd41bb98e6941f1"},
+  };
+  const std::vector<std::vector<std::string>> sync_sets = {
+      {}, {"A"}, {"A", "B"}, {"C", "D"}, {"B", "Z"}, {"i", "exit", "A"},
+      {"A", "B", "C", "D", "Z"}};
+  std::map<std::string, multival::core::Hasher> h;
+  for (std::uint32_t seed = 1; seed <= 70; ++seed) {
+    std::mt19937 rng(seed);
+    const Lts a = random_operand(rng, {"A", "B", "C"}, 0, 4 + seed % 5);
+    const Lts b = random_operand(rng, {"D", "B", "A"}, 1, 3 + seed % 4);
+    const std::vector<std::string>& sync = sync_sets[seed % sync_sets.size()];
+    std::string name = "sync";
+    for (const std::string& g : sync) {
+      name += " " + g;
+    }
+    for (const Lts& p : {parallel(a, b, sync), parallel(b, a, sync)}) {
+      multival::core::Hasher& d = h[name];
+      hash_append(d, p);
+      for (ActionId act = 0; act < p.actions().size(); ++act) {
+        d.str(p.actions().name(act));
+      }
+    }
+  }
+  for (const auto& [name, hasher] : h) {
+    const std::string actual = hasher.key().hex();
+    const auto it = golden.find(name);
+    if (it == golden.end() || it->second != actual) {
+      ADD_FAILURE() << "digest changed: {\"" << name << "\", \"" << actual
+                    << "\"},";
+    }
+  }
+  EXPECT_EQ(h.size(), golden.size());
 }
 
 // --- .aut I/O -----------------------------------------------------------------
