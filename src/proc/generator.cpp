@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/id_table.hpp"
+
 namespace multival::proc {
 
 namespace {
@@ -45,72 +47,9 @@ struct Span {
   std::uint32_t size = kNone;
 };
 
-std::uint64_t mix(std::uint64_t h, std::uint32_t w) {
-  h = (h ^ w) * 0xff51afd7ed558ccdull;
-  return h ^ (h >> 32);
-}
-
-std::uint64_t hash_words(std::span<const std::uint32_t> words) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ words.size();
-  for (const std::uint32_t w : words) {
-    h = mix(h, w);
-  }
-  return h;
-}
-
-/// Open-addressing (linear probing) set of dense ids whose records live in
-/// the caller's arena.  Each slot keeps 32 bits of the record's hash next
-/// to its id, so growing never touches the records and most probes that
-/// miss never touch them either.
-class IdTable {
- public:
-  /// Returns the id whose record @p same accepts, or adds @p fresh.
-  template <class Same>
-  std::uint32_t find_or_add(std::uint64_t hash, std::uint32_t fresh,
-                            Same&& same) {
-    if ((count_ + 1) * 4 > slots_.size() * 3) {
-      grow();
-    }
-    const auto tag = static_cast<std::uint32_t>(hash ^ (hash >> 32));
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.id == kNone) {
-        s = Slot{tag, fresh};
-        ++count_;
-        return fresh;
-      }
-      if (s.tag == tag && same(s.id)) {
-        return s.id;
-      }
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint32_t tag = 0;
-    std::uint32_t id = kNone;
-  };
-
-  void grow() {
-    std::vector<Slot> old(std::max<std::size_t>(64, slots_.size() * 2));
-    old.swap(slots_);
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.id == kNone) {
-        continue;
-      }
-      std::size_t i = s.tag & mask;
-      while (slots_[i].id != kNone) {
-        i = (i + 1) & mask;
-      }
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t count_ = 0;
-};
+using core::hash_mix;
+using core::hash_words;
+using core::IdTable;
 
 /// Runtime configurations are hash-consed records in one word arena:
 ///
@@ -378,9 +317,9 @@ class Generator {
   // ---- actions -------------------------------------------------------------
 
   ActionId action(GateId gate, std::span<const Value> values) {
-    std::uint64_t h = mix(values.size(), gate);
+    std::uint64_t h = hash_mix(values.size(), gate);
     for (const Value v : values) {
-      h = mix(h, static_cast<std::uint32_t>(v));
+      h = hash_mix(h, static_cast<std::uint32_t>(v));
     }
     const auto fresh = static_cast<ActionId>(actions_.size());
     const ActionId a = action_ids_.find_or_add(h, fresh, [&](ActionId id) {
