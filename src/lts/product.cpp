@@ -1,10 +1,14 @@
 #include "lts/product.hpp"
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_set>
 #include <utility>
+#include <vector>
+
+#include "core/id_table.hpp"
 
 namespace multival::lts {
 
@@ -14,12 +18,6 @@ std::string_view label_gate(std::string_view label) {
 }
 
 namespace {
-
-using PairKey = std::uint64_t;
-
-PairKey pair_key(StateId a, StateId b) {
-  return (static_cast<PairKey>(a) << 32) | b;
-}
 
 std::unordered_set<std::string> to_set(std::span<const std::string> gates) {
   return {gates.begin(), gates.end()};
@@ -35,35 +33,54 @@ bool gate_in(const std::unordered_set<std::string>& set,
 Lts parallel(const Lts& a, const Lts& b,
              std::span<const std::string> sync_gates, std::size_t max_states,
              const ProductHook& hook) {
+  // The per-join tables: which actions of each side synchronise, and for
+  // each synchronising action of b the id of a's action with its label.
+  // Equal labels have equal gates (and "i"/"exit" have fixed ids), so the
+  // two sides' flags agree on a shared label and the edge loops below
+  // compare ids only.
   const auto sync = to_set(sync_gates);
-  const auto must_sync = [&](const Lts& side, ActionId act) {
-    if (ActionTable::is_tau(act)) {
-      return false;
+  const auto sync_flags = [&](const Lts& side) {
+    std::vector<char> flags(side.actions().size(), 0);
+    for (ActionId act = 0; act < flags.size(); ++act) {
+      flags[act] = !ActionTable::is_tau(act) &&
+                   (ActionTable::is_exit(act) ||
+                    gate_in(sync, label_gate(side.actions().name(act))));
     }
-    if (ActionTable::is_exit(act)) {
-      return true;
-    }
-    return gate_in(sync, label_gate(side.actions().name(act)));
+    return flags;
   };
+  const std::vector<char> sync_a = sync_flags(a);
+  const std::vector<char> sync_b = sync_flags(b);
+  std::vector<ActionId> partner(b.actions().size(), kNoState);
+  for (ActionId act = 0; act < partner.size(); ++act) {
+    if (sync_b[act]) {
+      partner[act] =
+          a.actions().find(b.actions().name(act)).value_or(kNoState);
+    }
+  }
 
+  // The pair numbering: product state id -> its pair, interned through an
+  // open-addressing table; new pairs go on the worklist by id.
   Lts result;
-  std::unordered_map<PairKey, StateId> ids;
-  std::vector<std::pair<StateId, StateId>> worklist;
+  std::vector<std::array<StateId, 2>> pairs;
+  core::IdTable ids;
+  std::vector<StateId> worklist;
 
   const auto state_of = [&](StateId sa, StateId sb) {
-    const PairKey key = pair_key(sa, sb);
-    const auto it = ids.find(key);
-    if (it != ids.end()) {
-      return it->second;
+    const std::array<StateId, 2> pair{sa, sb};
+    const auto fresh = static_cast<StateId>(pairs.size());
+    const StateId id = ids.find_or_add(
+        core::hash_words(pair), fresh,
+        [&](StateId known) { return pairs[known] == pair; });
+    if (id != fresh) {
+      return id;
     }
     if (result.num_states() >= max_states) {
       throw StateSpaceLimit("parallel: state space exceeds " +
                             std::to_string(max_states) + " states");
     }
-    const StateId ns = result.add_state();
-    ids.emplace(key, ns);
-    worklist.emplace_back(sa, sb);
-    return ns;
+    pairs.push_back(pair);
+    worklist.push_back(result.add_state());
+    return id;
   };
 
   const StateId init = state_of(a.initial_state(), b.initial_state());
@@ -82,16 +99,16 @@ Lts parallel(const Lts& a, const Lts& b,
   };
 
   while (!worklist.empty()) {
-    const auto [sa, sb] = worklist.back();
+    const StateId src = worklist.back();
     worklist.pop_back();
-    const StateId src = ids.at(pair_key(sa, sb));
+    const auto [sa, sb] = pairs[src];
     if (hook) {
       hook(src, sa, sb, pair_state);
     }
 
     // Independent moves of a.
     for (const OutEdge& ea : a.out(sa)) {
-      if (must_sync(a, ea.action)) {
+      if (sync_a[ea.action]) {
         continue;
       }
       result.add_transition(src, xlat(a, map_a, ea.action),
@@ -99,23 +116,20 @@ Lts parallel(const Lts& a, const Lts& b,
     }
     // Independent moves of b.
     for (const OutEdge& eb : b.out(sb)) {
-      if (must_sync(b, eb.action)) {
+      if (sync_b[eb.action]) {
         continue;
       }
       result.add_transition(src, xlat(b, map_b, eb.action),
                             state_of(sa, eb.dst));
     }
-    // Synchronised moves: full label equality (value matching).
+    // Synchronised moves: full label equality (value matching), which is
+    // equality of a's id with the partner of b's.
     for (const OutEdge& ea : a.out(sa)) {
-      if (!must_sync(a, ea.action)) {
+      if (!sync_a[ea.action]) {
         continue;
       }
-      const std::string_view label = a.actions().name(ea.action);
       for (const OutEdge& eb : b.out(sb)) {
-        if (!must_sync(b, eb.action)) {
-          continue;
-        }
-        if (b.actions().name(eb.action) != label) {
+        if (partner[eb.action] != ea.action) {
           continue;
         }
         result.add_transition(src, xlat(a, map_a, ea.action),
