@@ -1,15 +1,16 @@
 #include "bisim/strong.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bisim/refine.hpp"
 #include "core/graph.hpp"
+#include "core/id_table.hpp"
 #include "lts/analysis.hpp"
 
 namespace multival::bisim {
@@ -60,8 +61,11 @@ lts::Lts quotient_lts(const Lts& l, const Partition& p, bool skip_inert_tau) {
     q.set_initial_state(p.block_of(l.initial_state()));
   }
   std::vector<ActionId> amap(l.actions().size(), lts::kNoState);
-  // Exact (block, block) dedup per action.
-  std::vector<std::unordered_set<std::uint64_t>> seen(l.actions().size());
+  // Exact (block, action, block) dedup: one open-addressing table over the
+  // triples emitted so far, which are its records.
+  using Triple = std::array<std::uint32_t, 3>;
+  std::vector<Triple> emitted;
+  core::IdTable seen;
   for (StateId s = 0; s < l.num_states(); ++s) {
     const BlockId bs = p.block_of(s);
     for (const OutEdge& e : l.out(s)) {
@@ -69,10 +73,14 @@ lts::Lts quotient_lts(const Lts& l, const Partition& p, bool skip_inert_tau) {
       if (skip_inert_tau && lts::ActionTable::is_tau(e.action) && bs == bt) {
         continue;
       }
-      const std::uint64_t key = (static_cast<std::uint64_t>(bs) << 32) | bt;
-      if (!seen[e.action].insert(key).second) {
+      const Triple t{bs, e.action, bt};
+      const auto fresh = static_cast<std::uint32_t>(emitted.size());
+      if (seen.find_or_add(core::hash_words(t), fresh, [&](std::uint32_t id) {
+            return emitted[id] == t;
+          }) != fresh) {
         continue;
       }
+      emitted.push_back(t);
       if (amap[e.action] == lts::kNoState) {
         amap[e.action] = q.actions().intern(l.actions().name(e.action));
       }
