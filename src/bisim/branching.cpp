@@ -24,23 +24,16 @@ std::uint64_t edge_elem(ActionId a, BlockId b) {
   return kEdgeTag | (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-}  // namespace
-
-Partition branching_partition(const Lts& l, const Partition& initial,
-                              const BranchingOptions& opts) {
+/// The coarsest branching-bisimulation partition of the states of @p l
+/// refining @p p (normalised), computed over @p c, a tau contraction of
+/// @p l that joins only states of one block of @p p.
+Partition refine_contracted(const Lts& l, const lts::TauContraction& c,
+                            const Partition& p,
+                            const BranchingOptions& opts) {
   const std::size_t n = l.num_states();
-  if (initial.num_states() != n) {
-    throw std::invalid_argument(
-        "branching_partition: partition size mismatch");
-  }
   if (n == 0) {
     return Partition(0);
   }
-  Partition p = initial;
-  p.normalize();
-  const lts::TauContraction c = lts::contract_tau_cycles(
-      l, [&](StateId a, StateId b) { return p.block_of(a) == p.block_of(b); });
-
   // Refine over components, seeded from the initial state partition (every
   // state of a component shares the initial block by construction).
   // Divergence is handled in the signatures, where the marker propagates
@@ -83,16 +76,34 @@ Partition branching_partition(const Lts& l, const Partition& initial,
   return Partition(std::move(block_of), comps.num_blocks());
 }
 
+}  // namespace
+
+Partition branching_partition(const Lts& l, const Partition& initial,
+                              const BranchingOptions& opts) {
+  if (initial.num_states() != l.num_states()) {
+    throw std::invalid_argument(
+        "branching_partition: partition size mismatch");
+  }
+  Partition p = initial;
+  p.normalize();
+  const lts::TauContraction c = lts::contract_tau_cycles(
+      l, [&](StateId a, StateId b) { return p.block_of(a) == p.block_of(b); });
+  return refine_contracted(l, c, p, opts);
+}
+
 Partition branching_partition(const Lts& l, const BranchingOptions& opts) {
   return branching_partition(l, Partition(l.num_states()), opts);
 }
 
 MinimizeResult minimize_branching(const Lts& l, const BranchingOptions& opts) {
-  Partition p = branching_partition(l, opts);
+  // One contraction serves the refinement and the divergent blocks: under
+  // the trivial initial partition, the block-restricted contraction that
+  // branching_partition builds is this unrestricted one.
+  const lts::TauContraction c = lts::contract_tau_cycles(l);
+  Partition p = refine_contracted(l, c, Partition(l.num_states()), opts);
   Lts q = quotient_lts(l, p, /*skip_inert_tau=*/true);
   if (opts.divergence_sensitive) {
     // Re-add a tau self-loop on every divergent block so livelocks survive.
-    const lts::TauContraction c = lts::contract_tau_cycles(l);
     std::vector<bool> block_divergent(p.num_blocks(), false);
     for (StateId s = 0; s < l.num_states(); ++s) {
       if (c.divergent[c.node_of[s]]) {

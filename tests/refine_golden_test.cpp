@@ -12,6 +12,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bisim/branching.hpp"
@@ -230,6 +231,46 @@ TEST(RefineGolden, RandomSeedFamily) {
                       refine_digest(random_lts(seed, states, 3,
                                                tau_percent / 100.0)));
       }
+    }
+  }
+}
+
+/// The block of every state, in state order.
+std::vector<bisim::BlockId> blocks(const bisim::Partition& p) {
+  std::vector<bisim::BlockId> out;
+  for (lts::StateId s = 0; s < p.num_states(); ++s) {
+    out.push_back(p.block_of(s));
+  }
+  return out;
+}
+
+// minimize_branching contracts the tau cycles once, for its refinement and
+// its divergent blocks, instead of calling branching_partition; the two
+// entry points must still give the same partition, numbering included.
+TEST(BranchingEntryPoints, MinimizeAgreesWithPartition) {
+  std::vector<std::pair<std::string, lts::Lts>> inputs;
+  inputs.emplace_back("empty", lts::Lts());
+  for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
+    inputs.emplace_back(m.name, proc::generate(*m.program, m.entry));
+  }
+  for (std::uint32_t seed = 1; seed <= 10; ++seed) {
+    for (const std::size_t states : {25, 200}) {
+      for (const int tau_percent : {0, 30, 60}) {
+        inputs.emplace_back(
+            "seed" + std::to_string(seed) + "/n" + std::to_string(states) +
+                "/tau" + std::to_string(tau_percent),
+            random_lts(seed, states, 3, tau_percent / 100.0));
+      }
+    }
+  }
+  for (const auto& [name, l] : inputs) {
+    for (const bool divergence : {false, true}) {
+      const bisim::BranchingOptions opts{divergence};
+      const bisim::Partition expected = bisim::branching_partition(l, opts);
+      const bisim::MinimizeResult r = bisim::minimize_branching(l, opts);
+      EXPECT_EQ(r.partition.num_blocks(), expected.num_blocks()) << name;
+      EXPECT_EQ(blocks(r.partition), blocks(expected)) << name;
+      EXPECT_EQ(r.quotient.num_states(), expected.num_blocks()) << name;
     }
   }
 }
