@@ -24,13 +24,12 @@ std::uint64_t edge_elem(ActionId a, BlockId b) {
   return kEdgeTag | (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-/// The coarsest branching-bisimulation partition of the states of @p l
-/// refining @p p (normalised), computed over @p c, a tau contraction of
-/// @p l that joins only states of one block of @p p.
-Partition refine_contracted(const Lts& l, const lts::TauContraction& c,
-                            const Partition& p,
+/// The coarsest branching-bisimulation partition refining @p p
+/// (normalised), computed over @p c, a tau contraction of the LTS that
+/// joins only states of one block of @p p.
+Partition refine_contracted(const lts::TauContraction& c, const Partition& p,
                             const BranchingOptions& opts) {
-  const std::size_t n = l.num_states();
+  const std::size_t n = p.num_states();
   if (n == 0) {
     return Partition(0);
   }
@@ -88,7 +87,7 @@ Partition branching_partition(const Lts& l, const Partition& initial,
   p.normalize();
   const lts::TauContraction c = lts::contract_tau_cycles(
       l, [&](StateId a, StateId b) { return p.block_of(a) == p.block_of(b); });
-  return refine_contracted(l, c, p, opts);
+  return refine_contracted(c, p, opts);
 }
 
 Partition branching_partition(const Lts& l, const BranchingOptions& opts) {
@@ -100,7 +99,7 @@ MinimizeResult minimize_branching(const Lts& l, const BranchingOptions& opts) {
   // the trivial initial partition, the block-restricted contraction that
   // branching_partition builds is this unrestricted one.
   const lts::TauContraction c = lts::contract_tau_cycles(l);
-  Partition p = refine_contracted(l, c, Partition(l.num_states()), opts);
+  Partition p = refine_contracted(c, Partition(l.num_states()), opts);
   Lts q = quotient_lts(l, p, /*skip_inert_tau=*/true);
   if (opts.divergence_sensitive) {
     // Re-add a tau self-loop on every divergent block so livelocks survive.

@@ -29,7 +29,10 @@ struct BranchingOptions {
 
 /// Minimal LTS modulo (divergence-preserving) branching bisimulation.
 /// Inert tau transitions are removed; with divergence sensitivity, divergent
-/// blocks keep a tau self-loop.
+/// blocks keep a tau self-loop.  The tau cycles are contracted once, for
+/// the refinement and for the divergent blocks: from the trivial partition
+/// the block-restricted contraction of branching_partition is the
+/// unrestricted one, so the partition equals branching_partition(l, opts).
 [[nodiscard]] MinimizeResult minimize_branching(
     const lts::Lts& l, const BranchingOptions& opts = {});
 

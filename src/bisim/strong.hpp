@@ -34,6 +34,10 @@ struct MinimizeResult {
 /// Builds the quotient LTS of @p l under @p p: one state per block, one
 /// transition (B,a,B') per pair of related blocks.  When @p skip_inert_tau is
 /// true, tau self-block transitions are dropped (branching quotients).
+/// Transitions are emitted in the order of their first occurrence over
+/// @p l's states and edges, and labels are interned in order of first
+/// emission; the (B,a,B') dedup is exact, through one open-addressing
+/// table over the emitted triples (expected linear time).
 [[nodiscard]] lts::Lts quotient_lts(const lts::Lts& l, const Partition& p,
                                     bool skip_inert_tau);
 

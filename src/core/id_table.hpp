@@ -1,6 +1,6 @@
 // Open-addressing interning of dense ids: the hash-consing table behind the
-// generator's configurations and actions and behind the quotient's
-// (block, action, block) deduplication.
+// generator's configurations and actions, the product's pair numbering and
+// the quotient's (block, action, block) deduplication.
 #pragma once
 
 #include <algorithm>

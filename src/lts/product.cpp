@@ -1,11 +1,9 @@
 #include "lts/product.hpp"
 
 #include <array>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/id_table.hpp"

@@ -41,6 +41,14 @@ using ProductHook = std::function<void(StateId state, StateId sa, StateId sb,
 /// @p hook, if set, runs on each product state and may add states through
 /// the numbering it is given (imc::parallel adds its Markovian
 /// interleavings this way).
+///
+/// The sync decision is made once per join, on action ids: a flag for each
+/// action of each operand, and for each synchronising action of @p b the
+/// id of @p a's action with the same label.  Equal labels have equal gates
+/// ("i" and "exit" have fixed ids), so both operands flag a shared label
+/// alike, and value matching compares ids.  States are numbered in order
+/// of discovery from a LIFO worklist, and the result interns labels in
+/// order of first use.
 [[nodiscard]] Lts parallel(
     const Lts& a, const Lts& b, std::span<const std::string> sync_gates,
     std::size_t max_states = std::numeric_limits<std::size_t>::max(),
