@@ -6,9 +6,25 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "analyze/analyze.hpp"
+#include "analyze/bounds.hpp"
+#include "builtin_models.hpp"
+#include "compose/plan.hpp"
+#include "core/hash.hpp"
+#include "dse/grid.hpp"
+#include "dse/scenario.hpp"
 #include "explore/engine.hpp"
+#include "fame/coherence_n.hpp"
+#include "fame/mpi.hpp"
+#include "noc/mesh.hpp"
+#include "noc/router.hpp"
 #include "proc/parser.hpp"
 #include "proc/process.hpp"
 
@@ -360,6 +376,168 @@ TEST(LintScale, FindsDeadlockInTenMillionStateModelWithoutExploring) {
   // 10^7-state product instead of diverging into it.
   EXPECT_THROW((void)explore::proc_oracle(program, "System", {}),
                analyze::ModelError);
+}
+
+// --- every analysis output, pinned -------------------------------------------
+
+struct GoldenInput {
+  std::string group;
+  std::string name;
+  std::shared_ptr<const Program> program;
+  TermPtr root;
+};
+
+std::shared_ptr<const Program> shared(Program p) {
+  return std::make_shared<const Program>(std::move(p));
+}
+
+Program read_example(const std::string& file) {
+  std::ifstream in(std::string(MULTIVAL_EXAMPLE_MODELS) + "/" + file);
+  if (!in) {
+    throw std::runtime_error("cannot read example model " + file);
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_program(text.str());
+}
+
+// The builtin case studies, the shipped example models, every gate program
+// of the builtin dse sweeps and the five statespace models.
+std::vector<GoldenInput> golden_inputs() {
+  std::vector<GoldenInput> out;
+  for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
+    out.push_back({"builtins", m.name, m.program, call(m.entry)});
+  }
+  out.push_back({"examples", "counter", shared(read_example("counter.proc")),
+                 call("Count", {lit(0)})});
+  out.push_back({"examples", "mutex", shared(read_example("mutex.proc")),
+                 call("System")});
+  out.push_back({"examples", "producer_consumer",
+                 shared(read_example("producer_consumer.proc")),
+                 call("System")});
+  for (const std::string sweep : {"default", "smoke"}) {
+    const dse::SweepSpec spec =
+        dse::parse_sweep_spec(dse::builtin_sweep_spec(sweep));
+    compose::MinimizeCache cache;
+    for (const dse::Point& point : dse::expand(spec, &dse::derived_quantities)) {
+      for (dse::GateModel& gate :
+           dse::instantiate(point, compose::Strategy::kPlanned, &cache)
+               .gates) {
+        out.push_back({"dse " + sweep, gate.name,
+                       shared(std::move(gate.program)), call(gate.entry)});
+      }
+    }
+  }
+  {
+    Program p;
+    const std::string entry =
+        noc::add_router(p, noc::MeshDims{}, 0, noc::default_ports({}, 0));
+    out.push_back({"statespace", "router", shared(std::move(p)),
+                   call(entry)});
+  }
+  fame::PingPongConfig pingpong;
+  pingpong.rounds = 2;
+  out.push_back({"statespace", "ping-pong",
+                 shared(fame::pingpong_program(pingpong)), call("PingPong")});
+  out.push_back({"statespace", "msi-3",
+                 shared(fame::coherence_system_n_program(fame::Protocol::kMsi,
+                                                         3)),
+                 call("SystemN")});
+  out.push_back({"statespace", "mesi-3",
+                 shared(fame::coherence_system_n_program(
+                     fame::Protocol::kMesi, 3)),
+                 call("SystemN")});
+  out.push_back({"statespace", "mesh-3x3-flows",
+                 shared(noc::stream_program({{0, 8}, {8, 0}}, true,
+                                            noc::MeshDims{3, 3})),
+                 call("Scenario")});
+  return out;
+}
+
+void hash_strings(core::Hasher& h, const std::vector<std::string>& v) {
+  h.u64(v.size());
+  for (const std::string& s : v) {
+    h.str(s);
+  }
+}
+
+// Pins the alphabet fixpoint, lint's diagnostics and summary line, the
+// bound report and the composition plan of every golden input, one digest
+// per input group and analysis.  On a mismatch the failure prints the line
+// to paste; a moved digest means the analysis changed its answer, so paste
+// it only when that change is intended.
+TEST(AnalysisGolden, ProgramsMatchTheParent) {
+  const std::map<std::string, std::string> golden = {
+      {"builtins alphabets", "cc705deb0e9a5edafd1cf06ce92369de"},
+      {"builtins bounds", "df406ce099fcd7324122edd603a283d7"},
+      {"builtins lint", "a336c68c26703bdb71811ea065353306"},
+      {"builtins plan", "f3eb91089e35c54bafef0136323fa9d6"},
+      {"dse default alphabets", "d09941a7833c039439d544c5ff61a844"},
+      {"dse default bounds", "f32b5ca072f1ca1c94798caca4ea19b7"},
+      {"dse default lint", "b818cb814e412c08d0595ca835445ebe"},
+      {"dse default plan", "a638aa51ce225680fccea0055e16a398"},
+      {"dse smoke alphabets", "f651571e7f4668a48d3f0e2f34f05520"},
+      {"dse smoke bounds", "fff85b70d82cee1587ebe582dfa0d169"},
+      {"dse smoke lint", "5e05a36e565de403f05b9d12c3ada6d1"},
+      {"dse smoke plan", "c34424bf4961b2e891f71bad609fe18e"},
+      {"examples alphabets", "f807a480614778b11349b96e884fb87d"},
+      {"examples bounds", "f920f3bc29dca8708aee99835ec6cfb6"},
+      {"examples lint", "9f8a760367fe9f93be15fb54f69c1090"},
+      {"examples plan", "0310f69d3bc6f33c50c417ea5cf15301"},
+      {"statespace alphabets", "4d04506d3580478f30f47b7cf4b03dc6"},
+      {"statespace bounds", "31f14f935cb0de75cd99b91597ec462b"},
+      {"statespace lint", "cf9769430197a0c6a4683735fe72b093"},
+      {"statespace plan", "82e2181592100f965b59a52edc345ba1"},
+  };
+  std::map<std::string, core::Hasher> h;
+  for (const GoldenInput& in : golden_inputs()) {
+    const Program& p = *in.program;
+    core::Hasher& alpha = h[in.group + " alphabets"];
+    alpha.str(in.name);
+    for (const auto& [def, gates] : analyze::alphabets(p)) {
+      alpha.str(def);
+      hash_strings(alpha, {gates.begin(), gates.end()});
+    }
+
+    core::Hasher& lint = h[in.group + " lint"];
+    const analyze::Analysis a = analyze::lint_program(p, in.root);
+    lint.str(in.name);
+    lint.str(core::render_text(a.diagnostics));
+    lint.str(a.summary());
+
+    core::Hasher& bounds = h[in.group + " bounds"];
+    const analyze::BoundReport r = analyze::predicted_bounds(p, in.root);
+    bounds.str(in.name);
+    bounds.u64(r.total);
+    for (const analyze::ComponentBound& c : r.components) {
+      bounds.str(c.name);
+      bounds.u64(c.states);
+      bounds.str(c.cause);
+    }
+    bounds.str(core::render_text(r.diagnostics));
+
+    core::Hasher& plan = h[in.group + " plan"];
+    const compose::Plan pl = compose::plan_term(in.program, in.root);
+    plan.str(in.name);
+    plan.u64(pl.planned ? 1 : 0);
+    plan.str(pl.grammar);
+    hash_strings(plan, pl.components);
+    plan.u64(pl.component_bounds.size());
+    for (const std::uint64_t b : pl.component_bounds) {
+      plan.u64(b);
+    }
+    hash_strings(plan, pl.static_skips);
+    plan.str(pl.fallback_reason);
+  }
+  for (const auto& [name, hasher] : h) {
+    const std::string actual = hasher.key().hex();
+    const auto it = golden.find(name);
+    if (it == golden.end() || it->second != actual) {
+      ADD_FAILURE() << "digest changed: {\"" << name << "\", \"" << actual
+                    << "\"},";
+    }
+  }
+  EXPECT_EQ(h.size(), golden.size());
 }
 
 }  // namespace

@@ -211,4 +211,26 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "needs an Entry process")
     "${rc}:\n${out}${err}")
 endif()
 
+# (m) the lint report of every builtin case study is pinned byte for byte:
+# the text summary, the same with the bound analysis, and its JSON form.
+# The recorded files live under tests/lint_golden/; a mismatch leaves the
+# actual output next to the build's lint fixtures for diffing.
+function(expect_lint_output golden)
+  execute_process(COMMAND ${CLI} lint ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  file(READ ${CMAKE_CURRENT_LIST_DIR}/lint_golden/${golden} expected)
+  if(NOT rc EQUAL 0 OR NOT "${out}" STREQUAL "${expected}")
+    file(WRITE ${CMAKE_CURRENT_BINARY_DIR}/actual_${golden} "${out}")
+    message(FATAL_ERROR
+      "multival_cli lint ${ARGN}: exit ${rc}, output differs from "
+      "tests/lint_golden/${golden} (actual output in "
+      "${CMAKE_CURRENT_BINARY_DIR}/actual_${golden})${err}")
+  endif()
+endfunction()
+expect_lint_output(builtin_all.txt --builtin all)
+expect_lint_output(builtin_all_bounds.txt --builtin all --bounds)
+expect_lint_output(builtin_all_bounds.json --builtin all --bounds --json)
+
 message(STATUS "all model lint checks passed")
