@@ -11,6 +11,11 @@
 // and `--json PATH` emits a machine-readable timing/prediction report
 // (self-validating: it exits non-zero if a prediction misses its known
 // value or any state is generated).
+//
+// BM_PlanProgram and BM_LintProgram time the whole static layer a planned
+// pipeline runs before it generates anything (compose::plan_program: the
+// alphabet fixpoint, flattening, bounds and merge scoring; and
+// analyze::lint_program) on three shipped programs of different shape.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,6 +23,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,7 +32,10 @@
 
 #include "analyze/analyze.hpp"
 #include "analyze/bounds.hpp"
+#include "compose/plan.hpp"
 #include "fame/coherence.hpp"
+#include "fame/coherence_n.hpp"
+#include "fame/mpi.hpp"
 #include "noc/mesh.hpp"
 #include "proc/parser.hpp"
 #include "proc/process.hpp"
@@ -123,6 +132,57 @@ void BM_PredictBoundsFameCoherence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictBoundsFameCoherence);
+
+// ---- the planning layer -----------------------------------------------------
+
+struct PlannedProgram {
+  const char* label;
+  std::shared_ptr<const proc::Program> program;
+  const char* entry;
+};
+
+// Arg 0: ping-pong, 2 rounds (27 definitions, 80 gates, 11 components);
+// 1: the noc single packet on the 2x2 mesh (falls back to a flat plan);
+// 2: MESI-3 with its observer.
+PlannedProgram planned_program(std::int64_t which) {
+  const auto shared = [](proc::Program p) {
+    return std::make_shared<const proc::Program>(std::move(p));
+  };
+  switch (which) {
+    case 0: {
+      fame::PingPongConfig cfg;
+      cfg.rounds = 2;
+      return {"ping-pong", shared(fame::pingpong_program(cfg)), "PingPong"};
+    }
+    case 1:
+      return {"noc-single-packet", shared(noc::single_packet_program(0, 3)),
+              "Scenario"};
+    default:
+      return {"mesi-3",
+              shared(fame::coherence_system_n_program(fame::Protocol::kMesi,
+                                                      3)),
+              "SystemN"};
+  }
+}
+
+void BM_PlanProgram(benchmark::State& state) {
+  const PlannedProgram m = planned_program(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compose::plan_program(m.program, m.entry));
+  }
+  state.SetLabel(m.label);
+}
+BENCHMARK(BM_PlanProgram)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_LintProgram(benchmark::State& state) {
+  const PlannedProgram m = planned_program(state.range(0));
+  const proc::TermPtr root = proc::call(m.entry);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyze::lint_program(*m.program, root));
+  }
+  state.SetLabel(m.label);
+}
+BENCHMARK(BM_LintProgram)->Arg(0)->Arg(1)->Arg(2);
 
 // ---- --json mode ------------------------------------------------------------
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
+#include "analyze/alphabet_table.hpp"
 #include "phase/fit.hpp"
 
 namespace multival::analyze {
@@ -13,17 +15,6 @@ namespace {
 
 using proc::Term;
 using proc::TermPtr;
-
-std::string join(const GateSet& s) {
-  std::string out;
-  for (const std::string& g : s) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += g;
-  }
-  return out;
-}
 
 std::string join(const std::vector<std::string>& v) {
   std::string out;
@@ -36,114 +27,7 @@ std::string join(const std::vector<std::string>& v) {
   return out;
 }
 
-// ---- alphabet fixed point ---------------------------------------------------
-
-// One application of the syntactic transfer function under the current
-// per-definition alphabet assignment.  All transfer functions are monotone in
-// `defs` over the powerset-of-gates lattice (kPar drops a sync gate only
-// while it is missing from one side, and growing operand alphabets can only
-// stop the drop), so Kleene iteration from bottom reaches the least fixed
-// point in at most |gates| * |defs| passes.
-GateSet alpha_of(const Term* t, const std::map<std::string, GateSet>& defs) {
-  switch (t->kind()) {
-    case Term::Kind::kStop:
-    case Term::Kind::kExit:
-      return {};
-    case Term::Kind::kPrefix: {
-      GateSet a = alpha_of(t->children()[0].get(), defs);
-      a.insert(t->gate());
-      return a;
-    }
-    case Term::Kind::kGuard:
-      return alpha_of(t->children()[0].get(), defs);
-    case Term::Kind::kChoice:
-    case Term::Kind::kSeq: {
-      GateSet a;
-      for (const TermPtr& c : t->children()) {
-        GateSet ca = alpha_of(c.get(), defs);
-        a.insert(ca.begin(), ca.end());
-      }
-      return a;
-    }
-    case Term::Kind::kPar: {
-      const GateSet l = alpha_of(t->children()[0].get(), defs);
-      const GateSet r = alpha_of(t->children()[1].get(), defs);
-      GateSet a = l;
-      a.insert(r.begin(), r.end());
-      for (const std::string& g : t->gates()) {
-        if (!(l.count(g) != 0 && r.count(g) != 0)) {
-          a.erase(g);  // a one-sided sync gate can never fire here
-        }
-      }
-      return a;
-    }
-    case Term::Kind::kHide: {
-      GateSet a = alpha_of(t->children()[0].get(), defs);
-      for (const std::string& g : t->gates()) {
-        a.erase(g);
-      }
-      return a;
-    }
-    case Term::Kind::kRename: {
-      const GateSet inner = alpha_of(t->children()[0].get(), defs);
-      GateSet a;
-      const auto& map = t->gate_map();
-      for (const std::string& g : inner) {
-        auto it = map.find(g);
-        a.insert(it == map.end() ? g : it->second);
-      }
-      return a;
-    }
-    case Term::Kind::kCall: {
-      auto it = defs.find(t->callee());
-      return it == defs.end() ? GateSet{} : it->second;
-    }
-  }
-  return {};
-}
-
-std::map<std::string, GateSet> alphabets_impl(const proc::Program& program,
-                                              AnalysisStats* stats) {
-  std::map<std::string, GateSet> a;
-  for (const auto& [name, def] : program.definitions()) {
-    a.emplace(name, GateSet{});
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    if (stats != nullptr) {
-      ++stats->fixpoint_passes;
-    }
-    for (const auto& [name, def] : program.definitions()) {
-      GateSet next = alpha_of(def.body.get(), a);
-      if (next != a[name]) {
-        a[name] = std::move(next);
-        changed = true;
-      }
-    }
-  }
-  return a;
-}
-
 // ---- initially-stuck analysis (MV003 vs MV004 severity split) ---------------
-
-// The gate names inside a rename body that surface as a member of `surface`
-// outside it.
-GateSet inverse_image(const GateSet& surface,
-                      const std::map<std::string, std::string>& map) {
-  GateSet inner;
-  for (const auto& [from, to] : map) {
-    if (surface.count(to) != 0) {
-      inner.insert(from);
-    }
-  }
-  for (const std::string& g : surface) {
-    if (map.count(g) == 0) {
-      inner.insert(g);
-    }
-  }
-  return inner;
-}
 
 // What a component can do as its very FIRST action, given a set of gates
 // (`never`) proven unable to fire by the enclosing composition:
@@ -163,18 +47,17 @@ enum class InitStatus { kNoMove, kBlocked, kFree };
 
 class InitialBlockScan {
  public:
-  InitialBlockScan(const proc::Program& program,
-                   const std::map<std::string, GateSet>& defs)
-      : program_(program), defs_(defs) {}
+  explicit InitialBlockScan(const AlphabetTable& table)
+      : table_(table), keys_(table.words()) {}
 
-  InitStatus status(const Term* t, const GateSet& never) {
+  InitStatus status(const Term* t, BitsView never) {
     switch (t->kind()) {
       case Term::Kind::kStop:
       case Term::Kind::kExit:
         return InitStatus::kNoMove;
       case Term::Kind::kPrefix:
-        return never.count(t->gate()) != 0 ? InitStatus::kBlocked
-                                           : InitStatus::kFree;
+        return never.test(table_.gates(t)[0]) ? InitStatus::kBlocked
+                                              : InitStatus::kFree;
       case Term::Kind::kGuard: {
         const proc::ExprPtr& c = t->condition();
         if (c->free_vars().empty()) {
@@ -203,12 +86,12 @@ class InitialBlockScan {
       }
       case Term::Kind::kPar: {
         // A nested composition adds its own never-firing sync gates.
-        GateSet never2 = never;
-        const GateSet l = alpha_of(t->children()[0].get(), defs_);
-        const GateSet r = alpha_of(t->children()[1].get(), defs_);
-        for (const std::string& g : t->gates()) {
-          if (!(l.count(g) != 0 && r.count(g) != 0)) {
-            never2.insert(g);
+        Bits never2(never);
+        const BitsView l = table_.of(t->children()[0].get());
+        const BitsView r = table_.of(t->children()[1].get());
+        for (const GateId g : table_.gates(t)) {
+          if (!(l.test(g) && r.test(g))) {
+            never2.set(g);
           }
         }
         const InitStatus a = status(t->children()[0].get(), never2);
@@ -230,28 +113,26 @@ class InitialBlockScan {
                    : s;
       }
       case Term::Kind::kHide: {
-        GateSet never2 = never;
-        for (const std::string& g : t->gates()) {
-          never2.erase(g);  // hidden occurrences fire freely as i
+        Bits never2(never);
+        for (const GateId g : table_.gates(t)) {
+          never2.reset(g);  // hidden occurrences fire freely as i
         }
         return status(t->children()[0].get(), never2);
       }
       case Term::Kind::kRename:
-        return status(t->children()[0].get(),
-                      inverse_image(never, t->gate_map()));
+        return status(t->children()[0].get(), table_.inverse_image(t, never));
       case Term::Kind::kCall: {
-        if (!program_.has_definition(t->callee())) {
+        const std::size_t d = table_.callee(t);
+        if (d == AlphabetTable::kNoDefinition) {
           return InitStatus::kNoMove;
         }
-        const Term* body = program_.definition(t->callee()).body.get();
-        std::string key = t->callee() + '|' + join(never);
-        const auto [it, inserted] =
-            memo_.emplace(std::move(key), InitStatus::kNoMove);
-        if (!inserted) {
-          return it->second;  // memoised result, or cycle -> kNoMove
+        const std::uint32_t key = keys_.intern(d, never);
+        if (key < memo_.size()) {
+          return memo_[key];  // memoised result, or cycle -> kNoMove
         }
-        const InitStatus s = status(body, never);
-        it->second = s;
+        memo_.push_back(InitStatus::kNoMove);
+        const InitStatus s = status(table_.definition_body(d), never);
+        memo_[key] = s;
         return s;
       }
     }
@@ -259,9 +140,9 @@ class InitialBlockScan {
   }
 
  private:
-  const proc::Program& program_;
-  const std::map<std::string, GateSet>& defs_;
-  std::map<std::string, InitStatus> memo_;
+  const AlphabetTable& table_;
+  SetKeys keys_;  ///< (callee, never) -> index into memo_
+  std::vector<InitStatus> memo_;
 };
 
 // True if some occurrence of a gate in `targets` sits under a hide of that
@@ -270,11 +151,10 @@ class InitialBlockScan {
 // actions have already been internalised.
 class HiddenGateScan {
  public:
-  HiddenGateScan(const proc::Program& program,
-                 const std::map<std::string, GateSet>& defs)
-      : program_(program), defs_(defs) {}
+  explicit HiddenGateScan(const AlphabetTable& table)
+      : table_(table), visited_(table.words()) {}
 
-  bool scan(const Term* t, const GateSet& targets) {
+  bool scan(const Term* t, BitsView targets) {
     if (targets.empty()) {
       return false;
     }
@@ -283,40 +163,28 @@ class HiddenGateScan {
       case Term::Kind::kExit:
         return false;
       case Term::Kind::kHide: {
-        GateSet remaining = targets;
-        for (const std::string& g : t->gates()) {
-          if (targets.count(g) != 0 &&
-              alpha_of(t->children()[0].get(), defs_).count(g) != 0) {
+        Bits remaining(targets);
+        const BitsView inner = table_.of(t->children()[0].get());
+        for (const GateId g : table_.gates(t)) {
+          if (targets.test(g) && inner.test(g)) {
             return true;
           }
-          remaining.erase(g);
+          remaining.reset(g);
         }
         return scan(t->children()[0].get(), remaining);
       }
-      case Term::Kind::kRename: {
-        GateSet inner;
-        const auto& map = t->gate_map();
-        for (const auto& [from, to] : map) {
-          if (targets.count(to) != 0) {
-            inner.insert(from);
-          }
-        }
-        for (const std::string& g : targets) {
-          if (map.count(g) == 0) {
-            inner.insert(g);
-          }
-        }
-        return scan(t->children()[0].get(), inner);
-      }
+      case Term::Kind::kRename:
+        return scan(t->children()[0].get(), table_.inverse_image(t, targets));
       case Term::Kind::kCall: {
-        if (!program_.has_definition(t->callee())) {
+        const std::size_t d = table_.callee(t);
+        if (d == AlphabetTable::kNoDefinition) {
           return false;
         }
-        std::string key = t->callee() + '|' + join(targets);
-        if (!visited_.insert(std::move(key)).second) {
+        const std::size_t seen = visited_.size();
+        if (visited_.intern(d, targets) < seen) {
           return false;
         }
-        return scan(program_.definition(t->callee()).body.get(), targets);
+        return scan(table_.definition_body(d), targets);
       }
       default: {
         for (const TermPtr& c : t->children()) {
@@ -330,18 +198,17 @@ class HiddenGateScan {
   }
 
  private:
-  const proc::Program& program_;
-  const std::map<std::string, GateSet>& defs_;
-  std::set<std::string> visited_;
+  const AlphabetTable& table_;
+  SetKeys visited_;  ///< (callee, targets) pairs already scanned
 };
 
 // ---- the per-term checks ----------------------------------------------------
 
 class Checker {
  public:
-  Checker(const proc::Program& program,
-          const std::map<std::string, GateSet>& defs, Analysis* out)
-      : program_(program), defs_(defs), out_(out) {}
+  Checker(const proc::Program& program, const AlphabetTable& table,
+          Analysis* out)
+      : program_(program), table_(table), out_(out) {}
 
   void check(const Term* t, const std::string& path,
              const std::set<std::string>& bound) {
@@ -397,9 +264,11 @@ class Checker {
         return;
       }
       case Term::Kind::kHide: {
-        const GateSet& inner = alpha(t->children()[0].get());
-        for (const std::string& g : t->gates()) {
-          if (inner.count(g) == 0) {
+        const BitsView inner = table_.of(t->children()[0].get());
+        const std::span<const GateId> ids = table_.gates(t);
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          const std::string& g = t->gates()[k];
+          if (!inner.test(ids[k])) {
             emit("MV007", core::Severity::kWarning,
                  "hide of gate " + g + " which the operand never performs",
                  path + " / hide",
@@ -411,9 +280,12 @@ class Checker {
         return;
       }
       case Term::Kind::kRename: {
-        const GateSet& inner = alpha(t->children()[0].get());
+        const BitsView inner = table_.of(t->children()[0].get());
+        const GateId* ids = table_.gates(t).data();
         for (const auto& [from, to] : t->gate_map()) {
-          if (inner.count(from) == 0) {
+          const GateId from_id = *ids;
+          ids += 2;
+          if (!inner.test(from_id)) {
             emit("MV007", core::Severity::kWarning,
                  "rename of gate " + from + " (to " + to +
                      ") which the operand never performs",
@@ -453,30 +325,21 @@ class Checker {
     }
   }
 
-  // Memoised alphabet of an arbitrary subterm (the fixed point over the
-  // definitions is already computed, so each subterm's alphabet is stable).
-  const GateSet& alpha(const Term* t) {
-    auto it = memo_.find(t);
-    if (it == memo_.end()) {
-      it = memo_.emplace(t, alpha_of(t, defs_)).first;
-    }
-    return it->second;
-  }
-
  private:
   void check_par(const Term* t, const std::string& path) {
     const Term* left = t->children()[0].get();
     const Term* right = t->children()[1].get();
-    const GateSet& l = alpha(left);
-    const GateSet& r = alpha(right);
-    GateSet never;
-    for (const std::string& g : t->gates()) {
-      if (!(l.count(g) != 0 && r.count(g) != 0)) {
-        never.insert(g);
+    const BitsView l = table_.of(left);
+    const BitsView r = table_.of(right);
+    const std::span<const GateId> ids = table_.gates(t);
+    Bits never = table_.no_gates();
+    for (const GateId g : ids) {
+      if (!(l.test(g) && r.test(g))) {
+        never.set(g);
       }
     }
     const std::string par_desc = "par |[" + join(t->gates()) + "]|";
-    InitialBlockScan scan(program_, defs_);
+    InitialBlockScan scan(table_);
     InitStatus side_status[2] = {InitStatus::kNoMove, InitStatus::kNoMove};
     bool side_known[2] = {false, false};
     const auto stuck = [&](bool left_side) {
@@ -487,15 +350,18 @@ class Checker {
       }
       return side_status[i] == InitStatus::kBlocked;
     };
-    for (const std::string& g : t->gates()) {
-      const bool in_l = l.count(g) != 0;
-      const bool in_r = r.count(g) != 0;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const std::string& g = t->gates()[k];
+      const bool in_l = l.test(ids[k]);
+      const bool in_r = r.test(ids[k]);
       if (in_l && in_r) {
         continue;
       }
-      HiddenGateScan hidden(program_, defs_);
-      if (hidden.scan(in_l ? right : left, {g}) ||
-          (!in_l && !in_r && hidden.scan(left, {g}))) {
+      HiddenGateScan hidden(table_);
+      Bits just_g = table_.no_gates();
+      just_g.set(ids[k]);
+      if (hidden.scan(in_l ? right : left, just_g) ||
+          (!in_l && !in_r && hidden.scan(left, just_g))) {
         emit("MV008", core::Severity::kError,
              "synchronisation on gate " + g +
                  " which is hidden inside the " +
@@ -549,15 +415,17 @@ class Checker {
     if (child->kind() != Term::Kind::kPar) {
       return;
     }
-    const GateSet& l = alpha(child->children()[0].get());
-    const GateSet& r = alpha(child->children()[1].get());
-    const GateSet sync(child->gates().begin(), child->gates().end());
-    for (const std::string& g : t->gates()) {
-      if (sync.count(g) != 0) {
+    const BitsView l = table_.of(child->children()[0].get());
+    const BitsView r = table_.of(child->children()[1].get());
+    const std::span<const GateId> sync = table_.gates(child);
+    const std::span<const GateId> ids = table_.gates(t);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const std::string& g = t->gates()[k];
+      if (std::find(sync.begin(), sync.end(), ids[k]) != sync.end()) {
         continue;  // synchronised: hiding must stay above the par
       }
-      const bool in_l = l.count(g) != 0;
-      const bool in_r = r.count(g) != 0;
+      const bool in_l = l.test(ids[k]);
+      const bool in_r = r.test(ids[k]);
       if (in_l == in_r) {
         continue;  // unused (MV007's case) or used by both sides
       }
@@ -594,8 +462,7 @@ class Checker {
   }
 
   const proc::Program& program_;
-  const std::map<std::string, GateSet>& defs_;
-  std::map<const Term*, GateSet> memo_;
+  const AlphabetTable& table_;
   Analysis* out_;
 };
 
@@ -640,21 +507,23 @@ std::string Analysis::summary() const {
 }
 
 std::map<std::string, GateSet> alphabets(const proc::Program& program) {
-  return alphabets_impl(program, nullptr);
-}
-
-GateSet term_alphabet(const proc::TermPtr& t,
-                      const std::map<std::string, GateSet>& defs) {
-  return t == nullptr ? GateSet{} : alpha_of(t.get(), defs);
+  const AlphabetTable table(program);
+  std::map<std::string, GateSet> out;
+  for (std::size_t d = 0; d < table.definition_count(); ++d) {
+    const std::vector<std::string> gates = table.names(table.definition(d));
+    out.emplace_hint(out.end(), table.definition_name(d),
+                     GateSet(gates.begin(), gates.end()));
+  }
+  return out;
 }
 
 Analysis lint_program(const proc::Program& program, const TermPtr& root) {
   const auto t0 = std::chrono::steady_clock::now();
   Analysis out;
   out.stats.definitions = program.size();
-  const std::map<std::string, GateSet> defs = alphabets_impl(program,
-                                                             &out.stats);
-  Checker checker(program, defs, &out);
+  const AlphabetTable table(program, root);
+  out.stats.fixpoint_passes = table.passes();
+  Checker checker(program, table, &out);
   for (const auto& [name, def] : program.definitions()) {
     std::set<std::string> bound(def.params.begin(), def.params.end());
     checker.check(def.body.get(), name, bound);

@@ -13,6 +13,11 @@
 // the operators.  alpha(P) *over-approximates* the set of visible gates P
 // can ever perform, so "g not in alpha(P)" soundly proves that g can never
 // fire — the direction every never-firing-gate verdict below relies on.
+// The lattice is represented as bitsets over the program's gate ids, which
+// are numbered in name order (analyze::AlphabetTable, alphabet_table.hpp):
+// lint, the bound analysis and the planner each build one table per
+// program and read every alphabet from it.  Gate names appear only at the
+// edge: alphabets() below, diagnostic text and plan grammar.
 //
 // Checks (stable codes; see README for the reference table):
 //   MV001 error    reference to an undefined process
@@ -103,16 +108,10 @@ struct Analysis {
 };
 
 /// Per-definition over-approximate action alphabets, least fixed point over
-/// the (possibly mutually recursive) definitions of @p program.
+/// the (possibly mutually recursive) definitions of @p program: the names of
+/// AlphabetTable(program)'s definition alphabets.
 [[nodiscard]] std::map<std::string, GateSet> alphabets(
     const proc::Program& program);
-
-/// Over-approximate alphabet of an arbitrary subterm under the fixed point
-/// @p defs (as returned by alphabets()).  This is the stable entry point the
-/// compositional planner (compose/plan) scores composition orders with —
-/// one syntactic transfer-function application, no state-space contact.
-[[nodiscard]] GateSet term_alphabet(const proc::TermPtr& t,
-                                    const std::map<std::string, GateSet>& defs);
 
 /// Lints every definition of @p program, plus (when non-null) the anonymous
 /// root term @p root — typically the entry call an exploration would start

@@ -452,17 +452,6 @@ std::optional<AbsEnv> refine(const ExprPtr& cond, const AbsEnv& env) {
   return out;
 }
 
-std::string gate_key(const GateSet& s) {
-  std::string out;
-  for (const std::string& g : s) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += g;
-  }
-  return out;
-}
-
 // ---- phase A: interprocedural interval fixpoint ------------------------------
 
 struct WidenRec {
@@ -674,16 +663,17 @@ class IntervalFixpoint {
 // result computed while an enclosing definition of the same recursive
 // component was still open is context-dependent and must not be cached, or
 // a later independent entry into the component would undercount (unsound).
-// The alphabet fixpoint is the caller's: one map serves every root of a
+// The alphabet table is the caller's: one table serves every root of a
 // program (compose::build_plan predicts all its components against one).
 class Counter {
  public:
   Counter(const proc::Program& prog, const ParamIntervals& params,
-          const std::map<std::string, GateSet>& alpha, AnalysisStats* stats)
-      : prog_(prog), params_(params), stats_(stats), alpha_(alpha) {}
+          const AlphabetTable& table, AnalysisStats* stats)
+      : prog_(prog), params_(params), stats_(stats), table_(table),
+        keys_(table.words()) {}
 
   [[nodiscard]] std::uint64_t count_term(const Term* t, const AbsEnv& env,
-                                         const GateSet& blocked) {
+                                         BitsView blocked) {
     ++stats_->terms_visited;
     switch (t->kind()) {
       case Term::Kind::kStop:
@@ -692,7 +682,7 @@ class Counter {
         return 2;  // the exit location plus the post-delta terminated one
       case Term::Kind::kPrefix: {
         const std::uint64_t own = env_width(env, t->free_vars());
-        if (blocked.contains(t->gate())) {
+        if (blocked.test(table_.gates(t)[0])) {
           return own;  // the prefix waits forever: continuation unreachable
         }
         AbsEnv e2 = env;
@@ -725,17 +715,12 @@ class Counter {
         return saturating_mul(count_term(t->children()[0].get(), env, bl),
                               count_term(t->children()[1].get(), env, br));
       }
-      case Term::Kind::kHide: {
-        GateSet b2 = blocked;
-        for (const std::string& g : t->gates()) {
-          b2.erase(g);  // hidden actions fire freely below the hide
-        }
-        return count_term(t->children()[0].get(), env, b2);
-      }
-      case Term::Kind::kRename: {
+      case Term::Kind::kHide:
         return count_term(t->children()[0].get(), env,
-                          renamed_blocked(t, blocked));
-      }
+                          hidden_blocked(t, blocked));
+      case Term::Kind::kRename:
+        return count_term(t->children()[0].get(), env,
+                          table_.inverse_image(t, blocked));
       case Term::Kind::kSeq: {
         const std::uint64_t left =
             count_term(t->children()[0].get(), env, blocked);
@@ -746,35 +731,39 @@ class Counter {
             count_term(t->children()[1].get(), env, blocked));
       }
       case Term::Kind::kCall:
-        return count_call(t->callee(), blocked);
+        return count_call(table_.callee(t), blocked);
     }
     return 1;
   }
 
-  [[nodiscard]] std::uint64_t count_call(const std::string& name,
-                                         const GateSet& blocked) {
-    if (!prog_.has_definition(name)) {
+  /// States of definition @p d (an AlphabetTable index) under @p blocked.
+  [[nodiscard]] std::uint64_t count_call(std::size_t d, BitsView blocked) {
+    if (d == AlphabetTable::kNoDefinition) {
       return 1;
     }
-    const std::string key = "c:" + name + "|" + gate_key(blocked);
-    if (const auto it = memo_.find(key); it != memo_.end()) {
-      return it->second;
+    const std::uint32_t key = key_of(2 * d, blocked);
+    if (keys_state_[key].memoised) {
+      return keys_state_[key].value;
     }
-    if (in_progress_.contains(key)) {
-      touched_.insert(key);
+    if (keys_state_[key].in_progress) {
+      touched_.push_back(key);
       return 0;  // cycle: these locations were counted at first entry
     }
-    in_progress_.insert(key);
-    std::set<std::string> saved = std::move(touched_);
+    keys_state_[key].in_progress = true;
+    std::vector<std::uint32_t> saved = std::move(touched_);
     touched_.clear();
     const std::uint64_t v =
-        count_term(prog_.definition(name).body.get(), param_env(prog_, params_, name), blocked);
-    in_progress_.erase(key);
-    touched_.erase(key);  // a cycle closed at this frame is self-contained
+        count_term(table_.definition_body(d),
+                   param_env(prog_, params_, table_.definition_name(d)),
+                   blocked);
+    keys_state_[key].in_progress = false;
+    std::erase(touched_, key);  // a cycle closed here is self-contained
     if (touched_.empty()) {
-      memo_[key] = v;  // no open ancestor was involved: context-free result
+      // No open ancestor was involved: a context-free result.
+      keys_state_[key].memoised = true;
+      keys_state_[key].value = v;
     }
-    saved.merge(touched_);
+    saved.insert(saved.end(), touched_.begin(), touched_.end());
     touched_ = std::move(saved);
     return v;
   }
@@ -782,46 +771,56 @@ class Counter {
   // The blocked sets the operands of a kPar node run under: a sync gate the
   // other side can never perform (alphabet over-approximation) can never
   // fire, exactly the MV003/MV004 direction.
-  [[nodiscard]] std::pair<GateSet, GateSet> par_blocked(
-      const Term* t, const GateSet& blocked) const {
-    GateSet bl = blocked;
-    GateSet br = blocked;
-    const GateSet al = term_alphabet(t->children()[0], alpha_);
-    const GateSet ar = term_alphabet(t->children()[1], alpha_);
-    for (const std::string& g : t->gates()) {
-      if (!ar.contains(g)) {
-        bl.insert(g);
+  [[nodiscard]] std::pair<Bits, Bits> par_blocked(const Term* t,
+                                                  BitsView blocked) const {
+    Bits bl(blocked);
+    Bits br(blocked);
+    const BitsView al = table_.of(t->children()[0].get());
+    const BitsView ar = table_.of(t->children()[1].get());
+    for (const GateId g : table_.gates(t)) {
+      if (!ar.test(g)) {
+        bl.set(g);
       }
-      if (!al.contains(g)) {
-        br.insert(g);
+      if (!al.test(g)) {
+        br.set(g);
       }
     }
     return {std::move(bl), std::move(br)};
   }
 
-  [[nodiscard]] static GateSet renamed_blocked(const Term* t,
-                                               const GateSet& blocked) {
-    GateSet b2;
-    const auto& map = t->gate_map();
-    for (const auto& [from, to] : map) {
-      if (blocked.contains(to)) {
-        b2.insert(from);
-      }
-    }
-    for (const std::string& g : blocked) {
-      if (!map.contains(g)) {
-        b2.insert(g);
-      }
+  // Hidden actions fire freely below the hide.
+  [[nodiscard]] Bits hidden_blocked(const Term* t, BitsView blocked) const {
+    Bits b2(blocked);
+    for (const GateId g : table_.gates(t)) {
+      b2.reset(g);
     }
     return b2;
   }
 
+  [[nodiscard]] const AlphabetTable& table() const { return table_; }
+
  private:
+  struct KeyState {
+    std::uint64_t value = 0;
+    bool memoised = false;
+    bool in_progress = false;
+  };
+
+  // The dense id of (@p tag, @p blocked), with its state slot.  count_call
+  // tags definition d with 2d, post_call with 2d + 1.
+  std::uint32_t key_of(std::size_t tag, BitsView blocked) {
+    const std::uint32_t key = keys_.intern(tag, blocked);
+    if (key >= keys_state_.size()) {
+      keys_state_.emplace_back();
+    }
+    return key;
+  }
+
   // States reachable AFTER one action of a choice branch: the branch's own
   // prefix/guard spine is transient (lift() re-derives it per transition and
   // only continuations become configurations).
   [[nodiscard]] std::uint64_t branch_post(const Term* t, const AbsEnv& env,
-                                          const GateSet& blocked) {
+                                          BitsView blocked) {
     ++stats_->terms_visited;
     switch (t->kind()) {
       case Term::Kind::kStop:
@@ -829,7 +828,7 @@ class Counter {
       case Term::Kind::kExit:
         return 1;
       case Term::Kind::kPrefix: {
-        if (blocked.contains(t->gate())) {
+        if (blocked.test(table_.gates(t)[0])) {
           return 0;
         }
         AbsEnv e2 = env;
@@ -851,7 +850,7 @@ class Counter {
         return n;
       }
       case Term::Kind::kCall:
-        return post_call(t->callee(), blocked);
+        return post_call(table_.callee(t), blocked);
       default:
         // Structural branches (par/hide/rename/seq): every post-action
         // continuation is one of the term's own counted configurations.
@@ -859,21 +858,21 @@ class Counter {
     }
   }
 
-  [[nodiscard]] std::uint64_t post_call(const std::string& name,
-                                        const GateSet& blocked) {
-    if (!prog_.has_definition(name)) {
+  [[nodiscard]] std::uint64_t post_call(std::size_t d, BitsView blocked) {
+    if (d == AlphabetTable::kNoDefinition) {
       return 1;
     }
-    const std::string key = "p:" + name + "|" + gate_key(blocked);
-    if (in_progress_.contains(key)) {
-      touched_.insert(key);
+    const std::uint32_t key = key_of(2 * d + 1, blocked);
+    if (keys_state_[key].in_progress) {
+      touched_.push_back(key);
       return 0;  // unguarded recursion through choice: already covered
     }
-    in_progress_.insert(key);
-    const std::uint64_t v = branch_post(prog_.definition(name).body.get(),
-                                        param_env(prog_, params_, name), blocked);
-    in_progress_.erase(key);
-    touched_.erase(key);
+    keys_state_[key].in_progress = true;
+    const std::uint64_t v = branch_post(
+        table_.definition_body(d),
+        param_env(prog_, params_, table_.definition_name(d)), blocked);
+    keys_state_[key].in_progress = false;
+    std::erase(touched_, key);
     return v;
   }
 
@@ -905,10 +904,10 @@ class Counter {
   const proc::Program& prog_;
   const ParamIntervals& params_;
   AnalysisStats* stats_;
-  const std::map<std::string, GateSet>& alpha_;
-  std::map<std::string, std::uint64_t> memo_;
-  std::set<std::string> in_progress_;
-  std::set<std::string> touched_;
+  const AlphabetTable& table_;
+  SetKeys keys_;  ///< (tag, blocked) -> index into keys_state_
+  std::vector<KeyState> keys_state_;
+  std::vector<std::uint32_t> touched_;  ///< keys of open frames a cycle hit
 };
 
 // ---- component decomposition and report assembly ----------------------------
@@ -926,9 +925,9 @@ std::string sketch(const Term* t) {
 // through par/hide/rename and inlining zero-argument calls whose body is
 // itself structural — the same spine compose::plan_term flattens.
 void collect_leaves(Counter& counter, const proc::Program& prog,
-                    const TermPtr& t, const GateSet& blocked,
+                    const TermPtr& t, BitsView blocked,
                     std::set<std::string>& inlined,
-                    std::vector<std::pair<TermPtr, GateSet>>& out) {
+                    std::vector<std::pair<TermPtr, Bits>>& out) {
   switch (t->kind()) {
     case Term::Kind::kPar: {
       const auto [bl, br] = counter.par_blocked(t.get(), blocked);
@@ -936,17 +935,13 @@ void collect_leaves(Counter& counter, const proc::Program& prog,
       collect_leaves(counter, prog, t->children()[1], br, inlined, out);
       return;
     }
-    case Term::Kind::kHide: {
-      GateSet b2 = blocked;
-      for (const std::string& g : t->gates()) {
-        b2.erase(g);
-      }
-      collect_leaves(counter, prog, t->children()[0], b2, inlined, out);
+    case Term::Kind::kHide:
+      collect_leaves(counter, prog, t->children()[0],
+                     counter.hidden_blocked(t.get(), blocked), inlined, out);
       return;
-    }
     case Term::Kind::kRename:
       collect_leaves(counter, prog, t->children()[0],
-                     Counter::renamed_blocked(t.get(), blocked), inlined,
+                     counter.table().inverse_image(t.get(), blocked), inlined,
                      out);
       return;
     case Term::Kind::kCall:
@@ -961,10 +956,10 @@ void collect_leaves(Counter& counter, const proc::Program& prog,
           return;
         }
       }
-      out.emplace_back(t, blocked);
+      out.emplace_back(t, Bits(blocked));
       return;
     default:
-      out.emplace_back(t, blocked);
+      out.emplace_back(t, Bits(blocked));
       return;
   }
 }
@@ -1002,21 +997,17 @@ std::set<std::string> reachable_defs(const Term* t,
   return seen;
 }
 
-void collect_sync_gates(const Term* t, GateSet& out) {
-  if (t->kind() == Term::Kind::kPar) {
-    out.insert(t->gates().begin(), t->gates().end());
+// The gates of the @p kind nodes (kPar: sync lists, kPrefix: prefix gates)
+// inside @p t, into @p out.
+void collect_gates(const AlphabetTable& table, const Term* t, Term::Kind kind,
+                   Bits& out) {
+  if (t->kind() == kind) {
+    for (const GateId g : table.gates(t)) {
+      out.set(g);
+    }
   }
   for (const TermPtr& c : t->children()) {
-    collect_sync_gates(c.get(), out);
-  }
-}
-
-void collect_prefix_gates(const Term* t, GateSet& out) {
-  if (t->kind() == Term::Kind::kPrefix) {
-    out.insert(t->gate());
-  }
-  for (const TermPtr& c : t->children()) {
-    collect_prefix_gates(c.get(), out);
+    collect_gates(table, c.get(), kind, out);
   }
 }
 
@@ -1026,19 +1017,17 @@ void collect_prefix_gates(const Term* t, GateSet& out) {
 // credit-counter idiom.  Being generous here only ever downgrades MV041
 // from error to warning, which is the sound direction.
 bool is_throttled(const std::string& def, const proc::Program& prog,
-                  const GateSet& sync_gates) {
-  GateSet prefixes;
-  collect_prefix_gates(prog.definition(def).body.get(), prefixes);
-  for (const std::string& callee :
-       reachable_defs(prog.definition(def).body.get(), prog)) {
+                  const AlphabetTable& table, BitsView sync_gates) {
+  Bits prefixes = table.no_gates();
+  const Term* body = prog.definition(def).body.get();
+  collect_gates(table, body, Term::Kind::kPrefix, prefixes);
+  for (const std::string& callee : reachable_defs(body, prog)) {
     if (prog.has_definition(callee)) {
-      collect_prefix_gates(prog.definition(callee).body.get(), prefixes);
+      collect_gates(table, prog.definition(callee).body.get(),
+                    Term::Kind::kPrefix, prefixes);
     }
   }
-  return std::any_of(prefixes.begin(), prefixes.end(),
-                     [&](const std::string& g) {
-                       return sync_gates.contains(g);
-                     });
+  return count_common(prefixes, sync_gates) != 0;
 }
 
 std::string cause_for(const TermPtr& t, const proc::Program& prog,
@@ -1060,10 +1049,10 @@ std::string cause_for(const TermPtr& t, const proc::Program& prog,
   return "a counter's interval is unbounded";
 }
 
-// The whole analysis of @p root under the alphabet fixpoint @p alpha of
+// The whole analysis of @p root under the alphabet table @p table of
 // @p program; stats.seconds is left to the caller.
 BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
-                         const std::map<std::string, GateSet>& alpha,
+                         const AlphabetTable& table,
                          const BoundOptions& opts) {
   if (root == nullptr) {
     throw std::invalid_argument("analyze::predicted_bounds: null root term");
@@ -1074,17 +1063,11 @@ BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
   fix.run(root);
   r.stats.definitions = fix.params().size();
 
-  Counter counter(program, fix.params(), alpha, &r.stats);
+  Counter counter(program, fix.params(), table, &r.stats);
 
   std::set<std::string> inlined;
-  std::vector<std::pair<TermPtr, GateSet>> leaves;
-  collect_leaves(counter, program, root, {}, inlined, leaves);
-
-  GateSet sync_gates;
-  collect_sync_gates(root.get(), sync_gates);
-  for (const auto& [name, def] : program.definitions()) {
-    collect_sync_gates(def.body.get(), sync_gates);
-  }
+  std::vector<std::pair<TermPtr, Bits>> leaves;
+  collect_leaves(counter, program, root, table.no_gates(), inlined, leaves);
 
   r.total = 1;
   for (const auto& [term, blocked] : leaves) {
@@ -1104,7 +1087,8 @@ BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
     db.name = name;
     db.params = program.definition(name).params;
     db.intervals = ivs;
-    db.states = counter.count_call(name, {});
+    db.states =
+        counter.count_call(table.definition_index(name), table.no_gates());
     const auto wit = fix.widened().find(name);
     if (wit != fix.widened().end()) {
       db.widened = true;
@@ -1132,13 +1116,22 @@ BoundReport bounds_under(const proc::Program& program, const TermPtr& root,
     r.diagnostics.push_back(std::move(d));
   }
 
-  // MV041: unbounded-counter proofs, one per widened definition.
+  // MV041: unbounded-counter proofs, one per widened definition.  They
+  // need every gate the model synchronises on, gathered at the first.
+  std::optional<Bits> sync_gates;
   for (const DefBound& db : r.defs) {
     if (!db.widened) {
       continue;
     }
+    if (!sync_gates) {
+      sync_gates = table.no_gates();
+      collect_gates(table, root.get(), Term::Kind::kPar, *sync_gates);
+      for (const auto& [name, def] : program.definitions()) {
+        collect_gates(table, def.body.get(), Term::Kind::kPar, *sync_gates);
+      }
+    }
     const WidenRec& rec = fix.widened().at(db.name);
-    const bool throttled = is_throttled(db.name, program, sync_gates);
+    const bool throttled = is_throttled(db.name, program, table, *sync_gates);
     core::Diagnostic d;
     d.code = "MV041";
     d.severity = (!rec.guarded && !throttled) ? core::Severity::kError
@@ -1211,7 +1204,8 @@ BoundReport predicted_bounds(const proc::Program& program,
                              const proc::TermPtr& root,
                              const BoundOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
-  BoundReport r = bounds_under(program, root, alphabets(program), opts);
+  const AlphabetTable table(program, root);
+  BoundReport r = bounds_under(program, root, table, opts);
   r.stats.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1226,9 +1220,9 @@ std::uint64_t predicted_states(const proc::Program& program,
 
 std::uint64_t predicted_states(const proc::Program& program,
                                const proc::TermPtr& root,
-                               const std::map<std::string, GateSet>& defs,
+                               const AlphabetTable& table,
                                const BoundOptions& opts) {
-  return bounds_under(program, root, defs, opts).total;
+  return bounds_under(program, root, table, opts).total;
 }
 
 BoundReport predicted_bounds(const xmas::Netlist& n,

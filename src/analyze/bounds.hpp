@@ -25,6 +25,10 @@
 // tightening: a sync gate only one operand performs can never fire, so
 // prefixes on it contribute their own location but never their
 // continuation (the same never-firing direction MV003/MV004 rely on).
+// Operand alphabets are read from the program's analyze::AlphabetTable
+// (alphabet_table.hpp) and blocked-gate sets are bitsets over its gate ids;
+// a caller predicting many roots of one program builds the table once and
+// passes it to predicted_states.
 // The root term itself starts with no gate blocked: a component is
 // analysed as a closed term, never inside the sync context it was cut
 // out of.
@@ -66,6 +70,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/alphabet_table.hpp"
 #include "analyze/analyze.hpp"
 #include "proc/process.hpp"
 #include "xmas/compile.hpp"
@@ -176,12 +181,14 @@ struct BoundReport {
                                              const proc::TermPtr& root,
                                              const BoundOptions& opts = {});
 
-/// The same total, under the alphabet fixpoint @p defs of @p program (as
-/// returned by alphabets(program)) instead of a fresh one, so a caller
-/// predicting many roots of one program runs that fixpoint once.
-[[nodiscard]] std::uint64_t predicted_states(
-    const proc::Program& program, const proc::TermPtr& root,
-    const std::map<std::string, GateSet>& defs, const BoundOptions& opts = {});
+/// The same total, read off @p table (an AlphabetTable of @p program whose
+/// walk covered @p root: @p root is its root or a subterm of it or of a
+/// definition body) instead of a fresh table, so a caller predicting many
+/// roots of one program builds the table once.
+[[nodiscard]] std::uint64_t predicted_states(const proc::Program& program,
+                                             const proc::TermPtr& root,
+                                             const AlphabetTable& table,
+                                             const BoundOptions& opts = {});
 
 /// Structural bound of a checked xMAS netlist, mirroring the compiler's
 /// element semantics exactly: a live queue is one choice location with

@@ -1,11 +1,11 @@
 #include "compose/plan.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
+#include "analyze/alphabet_table.hpp"
 #include "analyze/analyze.hpp"
 #include "analyze/bounds.hpp"
 #include "bisim/reduction.hpp"
@@ -16,19 +16,97 @@ namespace multival::compose {
 
 namespace {
 
-using analyze::GateSet;
+using analyze::AlphabetTable;
+using analyze::Bits;
+using analyze::BitsView;
+using analyze::GateId;
 using proc::Term;
 using proc::TermPtr;
 
 // ---- structural plan keys ---------------------------------------------------
 
-/// Content digest of @p s as 32 hex chars.  Plan keys are derived from
-/// *source syntax* (term renderings + reachable definitions), never from
-/// generated LTSs, so they are stable across re-planning.
+/// Content digest of @p s as 32 hex chars.
 std::string digest_hex(const std::string& s) {
   core::Hasher h;
   h.str(s);
   return h.key().hex();
+}
+
+void hash_names(core::Hasher& h, const std::vector<std::string>& names) {
+  h.u64(names.size());
+  for (const std::string& n : names) {
+    h.str(n);
+  }
+}
+
+void hash_expr(core::Hasher& h, const proc::Expr& e) {
+  h.u64(static_cast<std::uint64_t>(e.kind()));
+  switch (e.kind()) {
+    case proc::Expr::Kind::kConst:
+      h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.constant())));
+      return;
+    case proc::Expr::Kind::kVar:
+      h.str(e.var_name());
+      return;
+    case proc::Expr::Kind::kUnary:
+      h.u64(static_cast<std::uint64_t>(e.unary_op()));
+      hash_expr(h, *e.lhs());
+      return;
+    case proc::Expr::Kind::kBinary:
+      h.u64(static_cast<std::uint64_t>(e.binary_op()));
+      hash_expr(h, *e.lhs());
+      hash_expr(h, *e.rhs());
+      return;
+  }
+}
+
+/// Feeds the syntax of @p t to @p h: kind, gate names, offers, expressions
+/// and children, each kind-tagged or length-prefixed.
+void hash_term(core::Hasher& h, const Term& t) {
+  h.u64(static_cast<std::uint64_t>(t.kind()));
+  switch (t.kind()) {
+    case Term::Kind::kPrefix:
+      h.str(t.gate());
+      h.u64(t.offers().size());
+      for (const proc::Offer& o : t.offers()) {
+        h.u64(static_cast<std::uint64_t>(o.kind));
+        if (o.kind == proc::Offer::Kind::kEmit) {
+          hash_expr(h, *o.expr);
+        } else {
+          h.str(o.var);
+          h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(o.lo)));
+          h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(o.hi)));
+        }
+      }
+      break;
+    case Term::Kind::kGuard:
+      hash_expr(h, *t.condition());
+      break;
+    case Term::Kind::kPar:
+    case Term::Kind::kHide:
+      hash_names(h, t.gates());
+      break;
+    case Term::Kind::kRename:
+      h.u64(t.gate_map().size());
+      for (const auto& [from, to] : t.gate_map()) {
+        h.str(from);
+        h.str(to);
+      }
+      break;
+    case Term::Kind::kCall:
+      h.str(t.callee());
+      h.u64(t.args().size());
+      for (const proc::ExprPtr& a : t.args()) {
+        hash_expr(h, *a);
+      }
+      break;
+    default:
+      break;
+  }
+  h.u64(t.children().size());
+  for (const TermPtr& c : t.children()) {
+    hash_term(h, *c);
+  }
 }
 
 /// Names of definitions transitively reachable from @p t.
@@ -44,21 +122,22 @@ void reachable_defs(const proc::Program& program, const Term* t,
   }
 }
 
-/// Leaf key: term rendering plus the renderings of every definition it can
-/// reach (a change in any of them changes the generated LTS).
+/// Leaf key: the syntax of @p t plus the name, parameters and body of every
+/// definition it can reach (a change in any of them changes the generated
+/// LTS), fed to one hasher.  Plan keys are derived from *source syntax*,
+/// never from generated LTSs, so they are stable across re-planning.
 std::string leaf_key(const proc::Program& program, const TermPtr& t) {
   std::set<std::string> defs;
   reachable_defs(program, t.get(), defs);
-  std::string blob = t->to_string();
+  core::Hasher h;
+  hash_term(h, *t);
   for (const std::string& name : defs) {
     const auto& def = program.definition(name);
-    blob += "\n" + name + "(";
-    for (const std::string& p : def.params) {
-      blob += p + ",";
-    }
-    blob += ") := " + def.body->to_string();
+    h.str(name);
+    hash_names(h, def.params);
+    hash_term(h, *def.body);
   }
-  return digest_hex(blob);
+  return h.key().hex();
 }
 
 std::string join(const std::vector<std::string>& v) {
@@ -74,9 +153,13 @@ std::string join(const std::vector<std::string>& v) {
 struct Component {
   TermPtr term;
   std::string name;
-  GateSet alpha;       ///< effective alphabet (blocked sync gates included)
-  std::string key;     ///< structural leaf key
+  Bits alpha;       ///< effective alphabet (blocked sync gates included)
+  std::string key;  ///< structural leaf key
 };
+
+/// A hidden gate and the components that perform it (never empty: a hide
+/// nobody performs is a no-op and is dropped).
+using HideScopes = std::vector<std::pair<GateId, Bits>>;
 
 /// Thrown internally when the structure is not safely reassociable; turned
 /// into a single-leaf fallback plan by plan_term.
@@ -86,32 +169,38 @@ struct NotPlannable {
 
 class Flattener {
  public:
-  Flattener(const proc::Program& program,
-            const std::map<std::string, GateSet>& defs)
-      : program_(program), defs_(defs) {}
+  Flattener(const proc::Program& program, const AlphabetTable& table)
+      : program_(program),
+        table_(table),
+        inlining_(table.definition_count(), false),
+        hides_seen_(table.no_gates()),
+        hide_ranges_(table.gate_count()) {}
 
   /// Collected components, in left-to-right term order.
   std::vector<Component> components;
-  /// gate -> indices of the components a hide instance covers.  Populated
-  /// only after a successful walk; one instance per gate name (nested or
-  /// repeated same-name hides are rejected as not plannable).
-  std::map<std::string, std::set<std::size_t>> hide_scopes;
+  /// In gate (name) order.  Populated only after a successful walk; one
+  /// hide instance per gate name (nested or repeated same-name hides are
+  /// rejected as not plannable).
+  HideScopes hide_scopes;
 
   void walk(const TermPtr& t) {
     switch (t->kind()) {
       case Term::Kind::kPar: {
-        const GateSet la = alpha_of(t->children()[0]);
-        const GateSet ra = alpha_of(t->children()[1]);
+        const BitsView la = table_.of(t->children()[0].get());
+        const BitsView ra = table_.of(t->children()[1].get());
+        const std::span<const GateId> sync = table_.gates(t.get());
         // Reassociation is sound only if every gate both sides can perform
         // is synchronised here (free interleaving of a shared name cannot
         // be expressed with alphabetised sync sets).
-        const GateSet sync(t->gates().begin(), t->gates().end());
-        for (const std::string& g : la) {
-          if (ra.count(g) != 0 && sync.count(g) == 0) {
-            throw NotPlannable{"gate " + g +
-                               " interleaves freely between operands that "
-                               "both perform it"};
-          }
+        Bits free(la);
+        free &= ra;
+        for (const GateId g : sync) {
+          free.reset(g);
+        }
+        if (!free.empty()) {
+          throw NotPlannable{"gate " + table_.name(free.first()) +
+                             " interleaves freely between operands that "
+                             "both perform it"};
         }
         const std::size_t left_begin = components.size();
         walk(t->children()[0]);
@@ -122,38 +211,39 @@ class Flattener {
         // association order by adding the gate to the alphabet of one
         // component on the silent side: it then always requires that
         // component's participation, which never comes.
-        for (const std::string& g : t->gates()) {
-          const bool in_l = la.count(g) != 0;
-          const bool in_r = ra.count(g) != 0;
+        for (const GateId g : sync) {
+          const bool in_l = la.test(g);
+          const bool in_r = ra.test(g);
           if (in_l == in_r) {
             continue;  // fires (both) or is vacuous (neither)
           }
-          components[in_l ? right_begin : left_begin].alpha.insert(g);
+          components[in_l ? right_begin : left_begin].alpha.set(g);
         }
         return;
       }
       case Term::Kind::kHide: {
         const std::size_t begin = components.size();
         walk(t->children()[0]);
-        for (const std::string& g : t->gates()) {
-          if (!hides_seen_.insert(g).second) {
-            throw NotPlannable{"gate " + g + " is hidden more than once"};
+        for (const GateId g : table_.gates(t.get())) {
+          if (hides_seen_.test(g)) {
+            throw NotPlannable{"gate " + table_.name(g) +
+                               " is hidden more than once"};
           }
-          std::set<std::size_t>& scope = hide_raw_scopes_[g];
-          for (std::size_t i = begin; i < components.size(); ++i) {
-            scope.insert(i);
-          }
+          hides_seen_.set(g);
+          hide_ranges_[g] = {begin, components.size()};
         }
         return;
       }
       case Term::Kind::kCall: {
         // Inline parallel structure behind zero-argument calls (e.g. the
         // "Mesh" entry of the noc scenarios); recursion stops inlining.
-        if (t->args().empty() && program_.has_definition(t->callee()) &&
+        const std::size_t d = table_.callee(t.get());
+        if (t->args().empty() && d != AlphabetTable::kNoDefinition &&
             program_.definition(t->callee()).params.empty() &&
-            inlining_.insert(t->callee()).second) {
+            !inlining_[d]) {
+          inlining_[d] = true;
           walk(program_.definition(t->callee()).body);
-          inlining_.erase(t->callee());
+          inlining_[d] = false;
           return;
         }
         add_leaf(t, t->callee());
@@ -169,33 +259,31 @@ class Flattener {
   /// must all lie inside its hide's subtree, otherwise an equally named
   /// visible gate elsewhere would be captured by reassociation.
   void resolve_hides() {
-    for (auto& [gate, scope] : hide_raw_scopes_) {
-      std::set<std::size_t> users;
+    hides_seen_.for_each([&](GateId g) {
+      const auto [begin, end] = hide_ranges_[g];
+      Bits users = Bits::for_ids(components.size());
       for (std::size_t i = 0; i < components.size(); ++i) {
-        if (components[i].alpha.count(gate) != 0) {
-          users.insert(i);
+        if (!components[i].alpha.test(g)) {
+          continue;
         }
-      }
-      for (const std::size_t u : users) {
-        if (scope.count(u) == 0) {
-          throw NotPlannable{"hidden gate " + gate +
+        if (i < begin || i >= end) {
+          throw NotPlannable{"hidden gate " + table_.name(g) +
                              " is also performed outside its hide scope"};
         }
+        users.set(static_cast<std::uint32_t>(i));
       }
-      hide_scopes.emplace(gate, std::move(users));
-    }
+      if (!users.empty()) {
+        hide_scopes.emplace_back(g, std::move(users));
+      }
+    });
   }
 
  private:
-  GateSet alpha_of(const TermPtr& t) const {
-    return analyze::term_alphabet(t, defs_);
-  }
-
   void add_leaf(const TermPtr& t, std::string name) {
     Component c;
     c.term = t;
     c.name = std::move(name);
-    c.alpha = alpha_of(t);
+    c.alpha = Bits(table_.of(t.get()));
     c.key = leaf_key(program_, t);
     components.push_back(std::move(c));
   }
@@ -222,44 +310,33 @@ class Flattener {
   }
 
   const proc::Program& program_;
-  const std::map<std::string, GateSet>& defs_;
-  std::set<std::string> inlining_;
-  std::set<std::string> hides_seen_;
-  std::map<std::string, std::set<std::size_t>> hide_raw_scopes_;
+  const AlphabetTable& table_;
+  std::vector<bool> inlining_;  ///< by definition index
+  Bits hides_seen_;             ///< every gate a hide names
+  /// Per hidden gate: the components [first, second) under its hide.
+  std::vector<std::pair<std::size_t, std::size_t>> hide_ranges_;
 };
 
 // ---- greedy order search ----------------------------------------------------
 
 struct Group {
-  std::set<std::size_t> members;
-  GateSet alpha;        ///< union of member alphabets minus hidden gates
+  Bits members;  ///< component indices
+  Bits alpha;    ///< union of member alphabets minus hidden gates
   NodePtr node;
-  std::string key;      ///< structural key of the subtree
-  std::size_t min_index = 0;
+  std::string key;  ///< structural key of the subtree
   /// Product of the members' predicted standalone bounds — an
   /// over-approximation of this group's product before minimisation, used
   /// only to break merge-score ties towards smaller intermediates.
   std::uint64_t pred = 1;
 };
 
-std::vector<std::string> sorted_vec(const GateSet& s) {
-  return {s.begin(), s.end()};
-}
-
-/// Gates from @p hides (not yet hidden) whose users all lie in @p members.
-std::vector<std::string> newly_hideable(
-    const std::map<std::string, std::set<std::size_t>>& hides,
-    const std::set<std::string>& already_hidden,
-    const std::set<std::size_t>& members) {
-  std::vector<std::string> out;
+/// Gates of @p hides not yet in @p hidden whose users all lie in
+/// @p a ∪ @p b, in name order.
+std::vector<GateId> newly_hideable(const HideScopes& hides, BitsView hidden,
+                                   BitsView a, BitsView b) {
+  std::vector<GateId> out;
   for (const auto& [gate, users] : hides) {
-    if (already_hidden.count(gate) != 0 || users.empty()) {
-      continue;
-    }
-    const bool inside = std::all_of(
-        users.begin(), users.end(),
-        [&](std::size_t u) { return members.count(u) != 0; });
-    if (inside) {
+    if (!hidden.test(gate) && analyze::subset_of_union(users, a, b)) {
       out.push_back(gate);
     }
   }
@@ -328,8 +405,8 @@ NodePtr minimized(NodePtr n, const std::string& inner) {
 
 Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
                 const PlanOptions& opts) {
-  const std::map<std::string, GateSet> defs = analyze::alphabets(*program);
-  Flattener flat(*program, defs);
+  const AlphabetTable table(*program, root);
+  Flattener flat(*program, table);
   flat.walk(root);
   flat.resolve_hides();
 
@@ -350,7 +427,7 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   for (std::size_t i = 0; i < flat.components.size(); ++i) {
     const Component& c = flat.components[i];
     plan.component_bounds.push_back(
-        analyze::predicted_states(*program, c.term, defs));
+        analyze::predicted_states(*program, c.term, table));
     const std::uint64_t pred = plan.component_bounds.back();
     if (flat.components.size() > 1 && pred > cap) {
       skips.push_back("static skip (MV042): component '" + c.name +
@@ -368,24 +445,26 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   for (std::size_t i = 0; i < flat.components.size(); ++i) {
     const Component& c = flat.components[i];
     Group g;
-    g.members = {i};
+    g.members = Bits::for_ids(flat.components.size());
+    g.members.set(static_cast<std::uint32_t>(i));
     g.alpha = c.alpha;
     g.node = leaf_of(program, c, cap);
     g.key = c.key;
-    g.min_index = i;
     g.pred = plan.component_bounds[i];
     groups.push_back(std::move(g));
   }
-  std::set<std::string> hidden;
+  Bits hidden = table.no_gates();
 
-  const auto wrap = [&](Group& g, const std::vector<std::string>& to_hide) {
+  const auto wrap = [&](Group& g, const std::vector<GateId>& to_hide) {
     if (!to_hide.empty()) {
-      g.node = hide_gates(to_hide, std::move(g.node));
-      g.key = digest_hex("hide(" + join(to_hide) + "," + g.key + ")");
-      for (const std::string& h : to_hide) {
-        hidden.insert(h);
-        g.alpha.erase(h);
+      std::vector<std::string> names;
+      for (const GateId h : to_hide) {
+        names.push_back(table.name(h));
+        hidden.set(h);
+        g.alpha.reset(h);
       }
+      g.key = digest_hex("hide(" + join(names) + "," + g.key + ")");
+      g.node = hide_gates(std::move(names), std::move(g.node));
     }
     g.node = minimized(std::move(g.node), g.key);
     g.key = g.node->plan_key;
@@ -398,27 +477,21 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
     std::size_t bj = 1;
     for (std::size_t i = 0; i < groups.size(); ++i) {
       for (std::size_t j = i + 1; j < groups.size(); ++j) {
-        GateSet inter;
-        std::set_intersection(
-            groups[i].alpha.begin(), groups[i].alpha.end(),
-            groups[j].alpha.begin(), groups[j].alpha.end(),
-            std::inserter(inter, inter.end()));
-        GateSet uni = groups[i].alpha;
-        uni.insert(groups[j].alpha.begin(), groups[j].alpha.end());
-        std::set<std::size_t> members = groups[i].members;
-        members.insert(groups[j].members.begin(), groups[j].members.end());
+        const Group& x = groups[i];
+        const Group& y = groups[j];
+        const std::size_t inter = analyze::count_common(x.alpha, y.alpha);
+        const std::size_t uni = analyze::count_union(x.alpha, y.alpha);
         const std::size_t hideable =
-            newly_hideable(flat.hide_scopes, hidden, members).size();
-        const double denom = uni.empty() ? 1.0 : double(uni.size());
+            newly_hideable(flat.hide_scopes, hidden, x.members, y.members)
+                .size();
+        const double denom = uni == 0 ? 1.0 : double(uni);
         const double score =
-            (kSyncWeight * double(inter.size()) +
-             kHideWeight * double(hideable)) /
+            (kSyncWeight * double(inter) + kHideWeight * double(hideable)) /
             denom;
         // Equal scores are common (symmetric components): break the tie
         // towards the pair with the smaller predicted product, so the
         // cheapest intermediate is built first.
-        const std::uint64_t pred =
-            analyze::saturating_mul(groups[i].pred, groups[j].pred);
+        const std::uint64_t pred = analyze::saturating_mul(x.pred, y.pred);
         if (score > best + 1e-12 ||
             (score > best - 1e-12 && pred < best_pred)) {
           best = score > best ? score : best;
@@ -430,22 +503,19 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
     }
     Group merged;
     merged.members = groups[bi].members;
-    merged.members.insert(groups[bj].members.begin(),
-                          groups[bj].members.end());
-    GateSet inter;
-    std::set_intersection(groups[bi].alpha.begin(), groups[bi].alpha.end(),
-                          groups[bj].alpha.begin(), groups[bj].alpha.end(),
-                          std::inserter(inter, inter.end()));
+    merged.members |= groups[bj].members;
+    Bits inter = groups[bi].alpha;
+    inter &= groups[bj].alpha;
     merged.alpha = groups[bi].alpha;
-    merged.alpha.insert(groups[bj].alpha.begin(), groups[bj].alpha.end());
-    merged.min_index = std::min(groups[bi].min_index, groups[bj].min_index);
+    merged.alpha |= groups[bj].alpha;
     merged.pred = analyze::saturating_mul(groups[bi].pred, groups[bj].pred);
-    merged.node = compose2(std::move(groups[bi].node), sorted_vec(inter),
+    std::vector<std::string> sync = table.names(inter);
+    merged.key = digest_hex("par(" + groups[bi].key + ",[" + join(sync) +
+                            "]," + groups[bj].key + ")");
+    merged.node = compose2(std::move(groups[bi].node), std::move(sync),
                            std::move(groups[bj].node));
-    merged.key = digest_hex("par(" + groups[bi].key + ",[" +
-                            join(sorted_vec(inter)) + "]," + groups[bj].key +
-                            ")");
-    wrap(merged, newly_hideable(flat.hide_scopes, hidden, merged.members));
+    wrap(merged, newly_hideable(flat.hide_scopes, hidden, merged.members,
+                                merged.members));
     groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(bj));
     groups[bi] = std::move(merged);
   }
@@ -455,7 +525,8 @@ Plan build_plan(std::shared_ptr<const proc::Program> program, TermPtr root,
   // (hiding a gate nobody performs is a no-op, so dropping them is sound).
   Group& top = groups.front();
   if (top.node->kind != Node::Kind::kMinimize) {
-    wrap(top, newly_hideable(flat.hide_scopes, hidden, top.members));
+    wrap(top, newly_hideable(flat.hide_scopes, hidden, top.members,
+                             top.members));
   }
   plan.root = top.node;
   plan.grammar = render_node(*plan.root);

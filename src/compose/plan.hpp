@@ -13,11 +13,14 @@
 //     score(X, Y) = (w_sync * |A_X ∩ A_Y| + w_hide * |newly hideable|)
 //                   / |A_X ∪ A_Y|
 //
-// where alphabets come from the analyze fixed point (analyze::term_alphabet
-// — syntax only, no state space).  Shared gates constrain the product
-// (smaller intermediates); gates whose every user has been merged can be
-// hidden immediately, turning them into tau for the per-join minimisation
-// to erase.  Every join is built by lts::parallel, wrapped in hide (when
+// where alphabets come from the one analyze::AlphabetTable a plan builds
+// (syntax only, no state space).  Alphabets, group members and hide scopes
+// are bitsets over the table's name-ordered gate ids and the component
+// indices, so a score is a few word-wise AND/OR/popcounts, and every tie,
+// sync list and hide list comes out in the order string sets gave.  Shared
+// gates constrain the product (smaller intermediates); gates whose every
+// user has been merged can be hidden immediately, turning them into tau for
+// the per-join minimisation to erase.  Every join is built by lts::parallel, wrapped in hide (when
 // gates become local) and a minimisation point, so intermediates stay
 // within a small multiple of the final LTS.
 //
@@ -25,6 +28,12 @@
 // structure at all) falls back to a single-leaf plan — monolithic
 // generation followed by the same final minimisation, with the reason
 // recorded — so every caller can route through plans unconditionally.
+//
+// Plan keys (Node::plan_key, the MinimizeCache subtree keys) are built from
+// source syntax: a leaf's key feeds its term and every definition it can
+// reach (name, parameters, body) to one core::Hasher by structure — kind,
+// gate names, offers, expressions, children — so two leaves share a key
+// exactly when their syntax is equal, and re-planning reproduces it.
 //
 // Every minimisation point (per join and final) minimises modulo
 // divergence-preserving branching bisimulation.  Both strategies end at

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,6 +48,26 @@ class IdTable {
         s = Slot{tag, fresh};
         ++count_;
         return fresh;
+      }
+      if (s.tag == tag && same(s.id)) {
+        return s.id;
+      }
+    }
+  }
+
+  /// Returns the id whose record @p same accepts, if there is one.
+  template <class Same>
+  [[nodiscard]] std::optional<std::uint32_t> find(std::uint64_t hash,
+                                                  Same&& same) const {
+    if (slots_.empty()) {
+      return std::nullopt;
+    }
+    const auto tag = static_cast<std::uint32_t>(hash ^ (hash >> 32));
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.id == kNone) {
+        return std::nullopt;
       }
       if (s.tag == tag && same(s.id)) {
         return s.id;

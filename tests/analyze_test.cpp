@@ -9,10 +9,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analyze/alphabet_table.hpp"
 #include "analyze/analyze.hpp"
 #include "analyze/bounds.hpp"
 #include "builtin_models.hpp"
@@ -376,6 +378,225 @@ TEST(LintScale, FindsDeadlockInTenMillionStateModelWithoutExploring) {
   // 10^7-state product instead of diverging into it.
   EXPECT_THROW((void)explore::proc_oracle(program, "System", {}),
                analyze::ModelError);
+}
+
+// --- the alphabet table against the string-set fixpoint ---------------------
+
+using analyze::GateSet;
+
+// The string-set transfer functions the table replaced, kept as an oracle.
+GateSet oracle_alpha(const Term* t,
+                     const std::map<std::string, GateSet>& defs) {
+  switch (t->kind()) {
+    case Term::Kind::kStop:
+    case Term::Kind::kExit:
+      return {};
+    case Term::Kind::kPrefix: {
+      GateSet a = oracle_alpha(t->children()[0].get(), defs);
+      a.insert(t->gate());
+      return a;
+    }
+    case Term::Kind::kGuard:
+      return oracle_alpha(t->children()[0].get(), defs);
+    case Term::Kind::kChoice:
+    case Term::Kind::kSeq: {
+      GateSet a;
+      for (const TermPtr& c : t->children()) {
+        const GateSet ca = oracle_alpha(c.get(), defs);
+        a.insert(ca.begin(), ca.end());
+      }
+      return a;
+    }
+    case Term::Kind::kPar: {
+      const GateSet l = oracle_alpha(t->children()[0].get(), defs);
+      const GateSet r = oracle_alpha(t->children()[1].get(), defs);
+      GateSet a = l;
+      a.insert(r.begin(), r.end());
+      for (const std::string& g : t->gates()) {
+        if (!(l.contains(g) && r.contains(g))) {
+          a.erase(g);
+        }
+      }
+      return a;
+    }
+    case Term::Kind::kHide: {
+      GateSet a = oracle_alpha(t->children()[0].get(), defs);
+      for (const std::string& g : t->gates()) {
+        a.erase(g);
+      }
+      return a;
+    }
+    case Term::Kind::kRename: {
+      GateSet a;
+      for (const std::string& g :
+           oracle_alpha(t->children()[0].get(), defs)) {
+        const auto it = t->gate_map().find(g);
+        a.insert(it == t->gate_map().end() ? g : it->second);
+      }
+      return a;
+    }
+    case Term::Kind::kCall: {
+      const auto it = defs.find(t->callee());
+      return it == defs.end() ? GateSet{} : it->second;
+    }
+  }
+  return {};
+}
+
+// Kleene passes in definition-name order, updating in place.
+std::map<std::string, GateSet> oracle_alphabets(const Program& p,
+                                                std::size_t& passes) {
+  std::map<std::string, GateSet> a;
+  for (const auto& [name, def] : p.definitions()) {
+    a.emplace(name, GateSet{});
+  }
+  passes = 0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    ++passes;
+    for (const auto& [name, def] : p.definitions()) {
+      GateSet next = oracle_alpha(def.body.get(), a);
+      if (next != a[name]) {
+        a[name] = std::move(next);
+        changed = true;
+      }
+    }
+  }
+  return a;
+}
+
+// Random programs over a pool of gates whose names sort differently from
+// their numbers (g10 < g2), with mutual recursion, calls to an undefined
+// process, renames onto gates that already occur and sync lists drawn
+// independently of the operands (so many sync gates are one-sided).
+class RandomProgram {
+ public:
+  RandomProgram(std::uint32_t seed, std::size_t gates, std::size_t defs)
+      : rng_(seed), gates_(gates), defs_(defs) {}
+
+  Program build() {
+    Program p;
+    for (std::size_t d = 0; d < defs_; ++d) {
+      p.define(def_name(d), {}, term(4));
+    }
+    // One definition runs through the whole pool, so wide pools really
+    // produce alphabets of more than one word.
+    TermPtr all = call(def_name(pick(defs_)));
+    for (std::size_t g = 0; g < gates_; ++g) {
+      all = prefix(gate_name(g), all);
+    }
+    p.define("Wide", {}, all);
+    return p;
+  }
+
+  TermPtr term(int depth) {
+    const std::size_t kind = depth <= 0 ? pick(3) : pick(11);
+    switch (kind) {
+      case 0:
+        return coin() ? stop() : exit_();
+      case 1:  // the last name is never defined
+        return call(pick(4) == 0 ? "Nowhere" : def_name(pick(defs_)));
+      case 2:
+      case 3:
+        return prefix(gate(), depth <= 0 ? stop() : term(depth - 1));
+      case 4:
+        return guard(lit(coin() ? 1 : 0), term(depth - 1));
+      case 5:
+        return choice({term(depth - 1), term(depth - 1)});
+      case 6:
+      case 7:
+        return par(term(depth - 1), gate_list(), term(depth - 1));
+      case 8:
+        return hide(gate_list(1), term(depth - 1));
+      case 9: {
+        std::map<std::string, std::string> map;
+        const std::size_t n = 1 + pick(3);
+        for (std::size_t i = 0; i < n; ++i) {
+          map[gate()] = gate();
+        }
+        return rename(std::move(map), term(depth - 1));
+      }
+      default:
+        return seq(term(depth - 1), term(depth - 1));
+    }
+  }
+
+ private:
+  std::size_t pick(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+  bool coin() { return pick(2) == 0; }
+  static std::string def_name(std::size_t d) {
+    return "P" + std::to_string(d);
+  }
+  static std::string gate_name(std::size_t g) {
+    return "g" + std::to_string(g);
+  }
+  std::string gate() { return gate_name(pick(gates_)); }
+  std::vector<std::string> gate_list(std::size_t at_least = 0) {
+    std::vector<std::string> out;
+    const std::size_t n = at_least + pick(3);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(gate());
+    }
+    return out;
+  }
+
+  std::mt19937 rng_;
+  std::size_t gates_;
+  std::size_t defs_;
+};
+
+void collect_subterms(const Term* t, std::vector<const Term*>& out) {
+  out.push_back(t);
+  for (const TermPtr& c : t->children()) {
+    collect_subterms(c.get(), out);
+  }
+}
+
+TEST(AlphabetTable, MatchesTheStringSetFixpoint) {
+  std::size_t wide = 0;
+  std::size_t wider = 0;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    const std::size_t pool = seed % 3 == 0 ? 150 : seed % 3 == 1 ? 70 : 9;
+    RandomProgram gen(seed, pool, 1 + seed % 6);
+    const Program p = gen.build();
+    const TermPtr root = gen.term(3);
+    const analyze::AlphabetTable table(p, root);
+    wide += table.gate_count() > 64 ? 1 : 0;
+    wider += table.gate_count() > 128 ? 1 : 0;
+
+    std::size_t passes = 0;
+    const std::map<std::string, GateSet> want = oracle_alphabets(p, passes);
+    EXPECT_EQ(table.passes(), passes) << "seed " << seed;
+    ASSERT_EQ(table.definition_count(), want.size());
+    for (std::size_t d = 0; d < table.definition_count(); ++d) {
+      const std::vector<std::string> got = table.names(table.definition(d));
+      EXPECT_EQ(got, (std::vector<std::string>(
+                         want.at(table.definition_name(d)).begin(),
+                         want.at(table.definition_name(d)).end())))
+          << "seed " << seed << " definition " << table.definition_name(d);
+    }
+    std::vector<const Term*> subterms;
+    for (const auto& [name, def] : p.definitions()) {
+      collect_subterms(def.body.get(), subterms);
+    }
+    collect_subterms(root.get(), subterms);
+    for (const Term* t : subterms) {
+      const GateSet a = oracle_alpha(t, want);
+      ASSERT_EQ(table.names(table.of(t)),
+                (std::vector<std::string>(a.begin(), a.end())))
+          << "seed " << seed << " term " << t->to_string();
+    }
+    for (std::size_t g = 1; g < table.gate_count(); ++g) {
+      ASSERT_LT(table.name(static_cast<analyze::GateId>(g - 1)),
+                table.name(static_cast<analyze::GateId>(g)));
+    }
+    const TermPtr stranger = call("Stranger");
+    EXPECT_THROW((void)table.of(stranger.get()), std::out_of_range);
+  }
+  EXPECT_GT(wide, 0u);
+  EXPECT_GT(wider, 0u);
 }
 
 // --- every analysis output, pinned -------------------------------------------

@@ -212,12 +212,12 @@ TEST(Bounds, BuiltinCaseStudiesAreSound) {
 
 TEST(Bounds, SharedAlphabetFixpointChangesNothing) {
   // compose::build_plan predicts every component of a plan under the one
-  // alphabet fixpoint it already holds; sharing it must not move a bound,
+  // alphabet table it already holds; sharing it must not move a bound,
   // and each recorded component bound is that component's standalone one.
   for (const fixtures::BuiltinModel& m : fixtures::builtin_models()) {
     const proc::Program& p = *m.program;
-    const auto defs = analyze::alphabets(p);
     const proc::TermPtr root = call(m.entry);
+    const analyze::AlphabetTable table(p, root);
     const std::vector<proc::TermPtr> terms =
         fixtures::component_terms(p, root);
     const compose::Plan plan = compose::plan_program(m.program, m.entry);
@@ -227,14 +227,14 @@ TEST(Bounds, SharedAlphabetFixpointChangesNothing) {
     for (std::size_t i = 0; i < terms.size(); ++i) {
       const std::uint64_t standalone =
           analyze::predicted_bounds(p, terms[i]).total;
-      EXPECT_EQ(analyze::predicted_states(p, terms[i], defs), standalone)
+      EXPECT_EQ(analyze::predicted_states(p, terms[i], table), standalone)
           << m.name << " component " << i;
       if (!plan.component_bounds.empty()) {
         EXPECT_EQ(plan.component_bounds[i], standalone)
             << m.name << " component " << i;
       }
     }
-    EXPECT_EQ(analyze::predicted_states(p, root, defs),
+    EXPECT_EQ(analyze::predicted_states(p, root, table),
               analyze::predicted_states(p, root))
         << m.name;
   }

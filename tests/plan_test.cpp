@@ -263,6 +263,40 @@ TEST(Planner, ComponentBoundsAreRecorded) {
 
 // ------------------------------------------------------ reduction entries --
 
+// Plan keys hash the syntax of each leaf and of every definition it can
+// reach: re-planning, or planning the same text parsed again, gives the
+// same key; one changed constant, gate, range or parameter name gives a new
+// one.
+TEST(Planner, PlanKeysFollowTheSyntax) {
+  const std::string base = R"(
+    process Producer (n) := PUT !n ; Producer (n) endproc
+    process Consumer := PUT ?x:0..3 ; WORK !x ; Consumer endproc
+    process System := hide PUT in (Producer (1) |[PUT]| Consumer) endproc
+  )";
+  const auto key = [](const std::string& text) {
+    const compose::Plan plan =
+        compose::plan_program(parse_shared(text), "System");
+    EXPECT_TRUE(plan.planned) << plan.fallback_reason;
+    return plan.root->plan_key;
+  };
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string text = base;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  const auto program = parse_shared(base);
+  EXPECT_EQ(compose::plan_program(program, "System").root->plan_key,
+            compose::plan_program(program, "System").root->plan_key);
+  const std::string k = key(base);
+  EXPECT_EQ(key(base), k);
+  EXPECT_NE(key(edit("Producer (1)", "Producer (2)")), k);
+  EXPECT_NE(key(edit("WORK", "DONE")), k);
+  EXPECT_NE(key(edit("0..3", "0..2")), k);
+  EXPECT_NE(key(edit("Producer (n) := PUT !n ; Producer (n)",
+                     "Producer (m) := PUT !m ; Producer (m)")),
+            k);
+}
+
 TEST(Reduction, CanonicalFormIsIsomorphismInvariant) {
   // The same behaviour built with two different state numberings and label
   // interning orders must canonicalise to identical bytes.
